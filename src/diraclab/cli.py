@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -130,6 +131,12 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
+        for name, kinds in (("grid_n", int), ("box_l", (int, float)),
+                            ("mass", (int, float)), ("seed", int)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)) != 0:
             raise ConfigError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
         if not (self.box_l > 0 and np.isfinite(self.box_l)):
@@ -192,7 +199,11 @@ def _check(name: str, value: float, threshold: float, lower_is_pass: bool = True
 
 
 def _print_checks(checks) -> None:
+    """One PASS/FAIL line per numeric check. Checks without a numeric
+    comparison (verdicts, flags) get their own line from the command."""
     for c in checks:
+        if c["comparison"] not in ("<=", ">="):
+            continue
         value = "nan" if c["value"] is None else f"{c['value']:.6g}"
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
               f"{value} {c['comparison']} {c['threshold']:.6g}")
@@ -213,11 +224,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
     base = cfg.output_path or cfg.command.replace("-", "_") + "_report.json"
-    stem = base
-    for suffix in (".json", ".csv"):
-        if base.endswith(suffix):
-            stem = base[: -len(suffix)]
-            break
+    stem = next((base[: -len(s)] for s in (".json", ".csv") if base.endswith(s)), base)
     if cfg.format in ("json", "both"):
         path = stem + ".json"
         _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -225,21 +232,12 @@ def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
     if cfg.format in ("csv", "both"):
         header = CSV_COMMANDS[cfg.command]
         path = stem + ".csv"
-        buf = []
-        out = csv.writer(_ListWriter(buf))
+        buf = io.StringIO()
+        out = csv.writer(buf)
         out.writerow(header)
-        for row in rows or []:
-            out.writerow([f"{v:.17g}" for v in row])
-        _atomic_write(path, "".join(buf))
+        out.writerows([f"{v:.17g}" for v in row] for row in rows or [])
+        _atomic_write(path, buf.getvalue())
         print(f"table written to {path}")
-
-
-class _ListWriter:
-    def __init__(self, buf):
-        self.buf = buf
-
-    def write(self, s):
-        self.buf.append(s)
 
 
 def _load_potential(cfg: RunConfig):
@@ -260,10 +258,25 @@ def _float_list(text: str, what: str):
     return values
 
 
-def _exit_code(checks, converged: bool = True) -> int:
+def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=None) -> int:
+    """Print the checks, write the report envelope, and return the exit code.
+
+    The report's passed is True when every check passed; a command without
+    checks passes when its solves converged.
+    """
+    _print_checks(checks)
+    checks_pass = all(c["passed"] for c in checks)
+    report = {
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "checks": checks,
+        "result": result,
+        "passed": checks_pass if checks else converged,
+    }
+    _write_report(cfg, report, rows=rows)
     if not converged:
         return 3
-    return 0 if all(c["passed"] for c in checks) else 2
+    return 0 if checks_pass else 2
 
 
 # ----------------------------------------------------------------------------
@@ -302,23 +315,15 @@ def cmd_verify_zero_mode(cfg: RunConfig) -> int:
         _check("grid_residual", lam_min, cfg.tol("grid")),
         _check("norm_deviation", norm_dev, cfg.tol("norm")),
     ]
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": {
-            "analytic_residual": worst,
-            "grid_residual": lam_min,
-            "norm_quadrature": norm_quad,
-            "norm_grid": f.norm(),
-            "sampled_application_residual": residual_norm(op, f, 0.0),
-            "eigensolve": rep.to_dict(),
-        },
-        "passed": all(c["passed"] for c in checks),
+    result = {
+        "analytic_residual": worst,
+        "grid_residual": lam_min,
+        "norm_quadrature": norm_quad,
+        "norm_grid": f.norm(),
+        "sampled_application_residual": residual_norm(op, f, 0.0),
+        "eigensolve": rep.to_dict(),
     }
-    _write_report(cfg, report)
-    return _exit_code(checks, rep.converged)
+    return _finish(cfg, checks, result, rep.converged)
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -351,16 +356,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         off = (lower if target > 0 else upper) / max(total, 1e-300)
         checks.append(_check("off_block_fraction", off, cfg.tol("block")))
         result["block_norms"] = {"upper": upper, "lower": lower}
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": result,
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report)
-    return _exit_code(checks, rep.converged)
+    return _finish(cfg, checks, result, rep.converged)
 
 
 def cmd_gap_scan(cfg: RunConfig) -> int:
@@ -380,16 +376,7 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
         _check(f"proxy_at_{lam:+.6g}", proxy, cfg.tol("proxy"), lower_is_pass=False)
         for lam, proxy in scan.rows
     ]
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": scan.to_dict(),
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report, rows=scan.rows)
-    return _exit_code(checks)
+    return _finish(cfg, checks, scan.to_dict(), rows=scan.rows)
 
 
 def cmd_asymptotics(cfg: RunConfig) -> int:
@@ -401,16 +388,7 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     radii = cfg.options.get("radii") or [10.0, 20.0, 40.0, 80.0]
     report_obj = asymptotic_convergence(mode, pot, radii, sphere_directions_26())
     checks = [_check("sup_deviation_vs_closed_form", report_obj.sup_deviation, cfg.tol("sup"))]
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": report_obj.to_dict(),
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report, rows=report_obj.convergence_table)
-    return _exit_code(checks)
+    return _finish(cfg, checks, report_obj.to_dict(), rows=report_obj.convergence_table)
 
 
 def cmd_decay_fit(cfg: RunConfig) -> int:
@@ -461,15 +439,7 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
     expo = "nan" if fit.exponent != fit.exponent else f"{fit.exponent:.4f}"
     print(f"decay exponent {expo} +- {fit.exponent_stderr:.4f} "
           f"over r in [{fit.window[0]:g}, {fit.window[1]:g}]: verdict {fit.verdict}")
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": fit.to_dict(),
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report, rows=fit.table)
-    return _exit_code(checks)
+    return _finish(cfg, checks, fit.to_dict(), rows=fit.table)
 
 
 def cmd_weyl(cfg: RunConfig) -> int:
@@ -495,16 +465,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
     for idx, m in enumerate(modes, start=1):
         print(f"n_index {idx}: residual {m.residual:.6g} "
               f"(k = {np.array(m.k_vector).round(6).tolist()}, nu0 = {m.nu0:.6g})")
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": {"quasimodes": [m.to_dict() for m in modes]},
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report)
-    return _exit_code(checks)
+    return _finish(cfg, checks, {"quasimodes": [m.to_dict() for m in modes]})
 
 
 def cmd_gauge(cfg: RunConfig) -> int:
@@ -537,16 +498,7 @@ def cmd_gauge(cfg: RunConfig) -> int:
         converged = rep.converged
         checks.append(_check("gauged_grid_residual", abs(rep.eigenvalues[0]), cfg.tol("gauged")))
         result["eigensolve"] = rep.to_dict()
-    _print_checks(checks)
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": checks,
-        "result": result,
-        "passed": all(c["passed"] for c in checks),
-    }
-    _write_report(cfg, report)
-    return _exit_code(checks, converged)
+    return _finish(cfg, checks, result, converged)
 
 
 def cmd_coupling_scan(cfg: RunConfig) -> int:
@@ -562,15 +514,7 @@ def cmd_coupling_scan(cfg: RunConfig) -> int:
     print(f"minimum |lambda_min| = {lam_min:.6g} at t = {t_min:g}")
     for note in scan.notes:
         print(f"note: {note}")
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": [],
-        "result": scan.to_dict(),
-        "passed": True,
-    }
-    _write_report(cfg, report, rows=scan.rows)
-    return 0
+    return _finish(cfg, [], scan.to_dict(), all(scan.converged), rows=scan.rows)
 
 
 def cmd_potential_info(cfg: RunConfig) -> int:
@@ -579,16 +523,8 @@ def cmd_potential_info(cfg: RunConfig) -> int:
         dec = default_classification(pot)
     except ClassificationUndetermined as exc:
         print(f"FAIL classification: {exc}")
-        report = {
-            "version": __version__,
-            "config": cfg.to_dict(),
-            "checks": [{"name": "classification", "value": None, "threshold": 0.0,
-                        "comparison": "determined", "passed": False}],
-            "result": {},
-            "passed": False,
-        }
-        _write_report(cfg, report)
-        return 2
+        return _finish(cfg, [{"name": "classification", "value": None, "threshold": 0.0,
+                              "comparison": "determined", "passed": False}], {})
     result = dec.to_dict()
     bound_c = cfg.options.get("bound_constant")
     if bound_c is not None:
@@ -598,15 +534,7 @@ def cmd_potential_info(cfg: RunConfig) -> int:
     print(f"cubic field integral = {dec.cubic_integral:.6g}")
     if bound_c is not None:
         print(f"kernel dimension bound = {result['kernel_dim_bound']:.6g}")
-    report = {
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "checks": [],
-        "result": result,
-        "passed": True,
-    }
-    _write_report(cfg, report)
-    return 0
+    return _finish(cfg, [], result)
 
 
 DISPATCH = {

@@ -30,6 +30,7 @@ from diraclab.potentials import (
     ClassificationUndetermined,
     DecayClassReport,
     PotentialSpec,
+    _fit_loglog,
     default_classification,
 )
 from diraclab.quadrature import radial_panels, sphere_product_rule
@@ -272,12 +273,6 @@ def _sig_eps_tensor() -> ArrayC:
 _SIG_EPS = _sig_eps_tensor()
 
 
-def _fit_power(r: ArrayR, amp: ArrayR) -> float:
-    lx, ly = np.log(r), np.log(np.maximum(amp, 1e-300))
-    vx = lx - lx.mean()
-    return -float(np.dot(vx, ly - ly.mean()) / np.dot(vx, vx))
-
-
 def _shell_sums(
     spec: ZeroModeSpec, pot: Optional[PotentialSpec], quad: QuadratureParams
 ) -> tuple[ArrayR, ArrayR, ArrayC]:
@@ -315,7 +310,7 @@ def _integrate_with_tail(r: ArrayR, w: ArrayR, shells, quad: QuadratureParams):
     def truncated_value(panel_count: int):
         idx = panel_count * npp
         sub = slice(max(0, idx - 3 * npp), idx)
-        p = _fit_power(r[sub], amp[sub])
+        p = _fit_loglog(r[sub], np.maximum(amp[sub], 1e-300))[0]
         if not np.isfinite(p) or p <= 1.05:
             raise AccuracyError(
                 f"radial shell integrand decays like r^-{p:.2f}; tail does not converge"

@@ -1,13 +1,20 @@
 """Iterative spectral probes for the discretized operators.
 
 Eigenpairs near a target are found by block LOBPCG on the squared shifted
-operator (Op - tau)^2, which is Hermitian positive semidefinite and turns
+supercharge (T - tau)^2, which is Hermitian positive semidefinite and turns
 "nearest tau" into "smallest". The preconditioner inverts the exact free-field
 Fourier symbol of the squared shift (plus a small regularizer), so the
 plane-wave bulk collapses in a handful of iterations and only the
 potential-induced states need work. Eigenvalues of the operator itself are
 recovered by Rayleigh-Ritz on the converged block; every report carries the
 per-pair residuals, the seed, and the kernel-counting threshold actually used.
+
+Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
+kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
+every H_A eigenpair is (+-sqrt(m^2 + eps^2), (a v, b v)) and every H^2
+eigenpair (m^2 + eps^2, (v, 0) or (0, v)) over the supercharge pairs
+T v = eps v. Their residuals are still measured by applying H (or H^2)
+directly.
 
 Periodic spinors carry one structural artifact worth naming: constant
 spinors span the k = 0 fiber, so sigma.D has a 2-dim exact kernel (and the
@@ -25,8 +32,8 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,8 +45,9 @@ from diraclab.grid import (
     Grid3D,
     OperatorHandle,
     apply_values,
+    interp_trilinear,
+    _sigma_k_mul,
     residual_norm,
-    sample_field,
     spinor_fftn,
     spinor_ifftn,
 )
@@ -103,8 +111,6 @@ class EigsOptions:
     deflate_constants: bool = True
 
     def replaced(self, **kw) -> "EigsOptions":
-        from dataclasses import replace
-
         return replace(self, **kw)
 
 
@@ -154,89 +160,55 @@ class EigenReport:
         return cls(grid=grid, values=values.copy())
 
 
-def _free_symbol_preconditioner(op: OperatorHandle, tau: float, delta: float):
-    """Exact fiberwise inverse of (free symbol - tau)^2 + delta.
+def _cols_to_grid(block: np.ndarray, n: int, rank: int) -> ArrayC:
+    """Flattened columns (N,) or (N, nb) to grid values (n, n, n, nb, rank)."""
+    b = np.atleast_2d(block.T).T
+    return b.reshape((n, n, n, rank, b.shape[1])).transpose(0, 1, 2, 4, 3)
 
-    The free squared shift S0(k) = (Sym(k) - tau)^2 is diagonalized by the
-    symbol's own eigenprojections, so (S0 + delta)^{-1} has the closed forms
 
-    sigma_d / t_a: ((|k|^2+tau^2+delta) I + 2 tau sigma.k)
-                   / (((|k|-tau)^2+delta) ((|k|+tau)^2+delta))
-    h_a:           ((rho^2+tau^2+delta) I + 2 tau H0(k))
-                   / (((rho-tau)^2+delta) ((rho+tau)^2+delta)),  rho^2 = |k|^2+m^2
-    h_squared:     I / ((|k|^2+m^2-tau)^2 + delta)
+def _grid_to_cols(values: ArrayC) -> np.ndarray:
+    """Inverse of _cols_to_grid: grid values (n, n, n, nb, rank) to (N, nb)."""
+    n, nb, rank = values.shape[0], values.shape[3], values.shape[4]
+    return values.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
+
+
+def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
+    """Exact fiberwise inverse of (sigma.k - tau)^2 + delta on 2-spinor blocks.
+
+    The free squared shift S0(k) = (sigma.k - tau)^2 is diagonalized by the
+    eigenprojections of sigma.k, so (S0 + delta)^{-1} has the closed form
+
+        ((|k|^2+tau^2+delta) I + 2 tau sigma.k)
+        / (((|k|-tau)^2+delta) ((|k|+tau)^2+delta))
 
     SPD by construction (every fiber eigenvalue is 1/((s-tau)^2+delta) > 0),
     which LOBPCG requires, and large exactly on the near-singular fibers.
     """
-    grid = op.grid
-    kx, ky, kz = (k[..., None] for k in grid.k_mesh)  # pad one batch axis
-    k2 = grid.k2_mesh[..., None]
-
-    def sigma_k(v0, v1):
-        return kz * v0 + (kx - 1j * ky) * v1, (kx + 1j * ky) * v0 - kz * v1
-
-    if op.kind in ("sigma_d", "t_a"):
-        kn = np.sqrt(k2)
-        den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
-        c = k2 + tau**2 + delta
-
-        def mul(vhat: ArrayC) -> ArrayC:
-            s0, s1 = sigma_k(vhat[..., 0], vhat[..., 1])
-            out = np.empty_like(vhat)
-            out[..., 0] = (c * vhat[..., 0] + 2.0 * tau * s0) / den
-            out[..., 1] = (c * vhat[..., 1] + 2.0 * tau * s1) / den
-            return out
-
-    elif op.kind == "h_a":
-        m = op.mass
-        rho = np.sqrt(k2 + m**2)
-        den = ((rho - tau) ** 2 + delta) * ((rho + tau) ** 2 + delta)
-        c = k2 + m**2 + tau**2 + delta
-
-        def mul(vhat: ArrayC) -> ArrayC:
-            u0, u1, l0, l1 = (vhat[..., j] for j in range(4))
-            su0, su1 = sigma_k(u0, u1)
-            sl0, sl1 = sigma_k(l0, l1)
-            # H0(k) = [[m, sigma.k], [sigma.k, -m]]
-            out = np.empty_like(vhat)
-            out[..., 0] = (c * u0 + 2.0 * tau * (m * u0 + sl0)) / den
-            out[..., 1] = (c * u1 + 2.0 * tau * (m * u1 + sl1)) / den
-            out[..., 2] = (c * l0 + 2.0 * tau * (su0 - m * l0)) / den
-            out[..., 3] = (c * l1 + 2.0 * tau * (su1 - m * l1)) / den
-            return out
-
-    else:  # h_squared: free symbol is the scalar |k|^2 + m^2
-        den = ((k2 + op.mass**2 - tau) ** 2 + delta)[..., None]  # pad component axis
-
-        def mul(vhat: ArrayC) -> ArrayC:
-            return vhat / den
+    k2 = grid.k2_mesh[..., None, None]  # pad the batch and component axes
+    kn = np.sqrt(k2)
+    den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
+    c = k2 + tau**2 + delta
 
     def prec(block: np.ndarray) -> np.ndarray:
-        n, rank = grid.n, op.rank
-        b = np.atleast_2d(block.T).T  # (N, nb)
-        nb = b.shape[1]
-        v = b.reshape((n, n, n, rank, nb)).transpose(0, 1, 2, 4, 3)
-        vhat = spinor_fftn(grid, v)
-        what = mul(vhat)
-        w = spinor_ifftn(grid, what)
-        out = w.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
+        vhat = spinor_fftn(grid, _cols_to_grid(block, grid.n, 2))
+        what = _sigma_k_mul(grid, vhat)  # in place: one spinor block fewer held
+        what *= 2.0 * tau
+        what += c * vhat
+        what /= den
+        out = _grid_to_cols(spinor_ifftn(grid, what))
         return out if block.ndim == 2 else out[:, 0]
 
     return prec
 
 
 def _block_matvec(op: OperatorHandle, tau: float):
-    """(Op - tau)^2 acting on flattened blocks (N, nb)."""
-    n, rank = op.grid.n, op.rank
+    """(Op - tau)^2 acting on flattened 2-spinor blocks (N, nb)."""
 
     def mv(block: np.ndarray) -> np.ndarray:
-        b = np.atleast_2d(block.T).T
-        nb = b.shape[1]
-        v = b.reshape((n, n, n, rank, nb)).transpose(0, 1, 2, 4, 3)
+        v = _cols_to_grid(block, op.grid.n, 2)
         w = apply_values(op, v) - tau * v
         w = apply_values(op, w) - tau * w
-        out = w.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
+        out = _grid_to_cols(w)
         return out if block.ndim == 2 else out[:, 0]
 
     return mv
@@ -247,20 +219,6 @@ def _constant_fraction(vec: ArrayC, n: int, rank: int) -> float:
     v = vec.reshape((n, n, n, rank))
     means = v.mean(axis=(0, 1, 2))
     return float(n**3 * np.sum(np.abs(means) ** 2) / np.sum(np.abs(v) ** 2))
-
-
-def _kernel_scale(kind: str, mass: Optional[float], lam: float) -> float:
-    """Map an eigenvalue to the supercharge scale used for kernel counting.
-
-    For the 4x4 operators the exact discrete identity H^2 = T^2 + m^2 puts
-    every eigenvalue at +-sqrt(t^2 + m^2); inverting that recovers |t|, so
-    kernel counts agree across T_A, H_A, and H^2 views of the same potential.
-    """
-    if kind in ("sigma_d", "t_a"):
-        return abs(lam)
-    if kind == "h_a":
-        return float(np.sqrt(max(lam**2 - mass**2, 0.0)))
-    return float(np.sqrt(max(lam - mass**2, 0.0)))  # h_squared
 
 
 def _potential_is_zero(op: OperatorHandle) -> bool:
@@ -288,25 +246,15 @@ def _resolve_delta(op: OperatorHandle, delta: Optional[float]) -> float:
     return max(1e-4, 3.0 * float(np.mean(np.sum(np.abs(A) ** 2, axis=-1))))
 
 
-def _free_wavenumber(op: OperatorHandle, target: float) -> float:
-    """Radius of the free-symbol shell resonant with the target."""
-    if op.kind in ("sigma_d", "t_a"):
-        return abs(target)
-    if op.kind == "h_a":
-        return float(np.sqrt(max(target**2 - op.mass**2, 0.0)))
-    return float(np.sqrt(max(target - op.mass**2, 0.0)))
-
-
-def _lowpass_columns(op: OperatorHandle, target: float, count: int, rng) -> np.ndarray:
-    """Random fields band-limited to the target's resonant shell plus margin."""
-    grid = op.grid
-    n, rank = grid.n, op.rank
-    kcut = _free_wavenumber(op, target) + 6.0 * np.pi / grid.L
+def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> np.ndarray:
+    """Random 2-spinor fields band-limited to the target's resonant shell
+    |k| = |target| plus margin."""
+    n = grid.n
+    kcut = abs(target) + 6.0 * np.pi / grid.L
     mask = (grid.k2_mesh <= kcut**2)[..., None, None]
-    co = (rng.normal(size=(n, n, n, count, rank))
-          + 1j * rng.normal(size=(n, n, n, count, rank))) * mask
-    v = spinor_ifftn(grid, co)
-    return v.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, count)
+    co = (rng.normal(size=(n, n, n, count, 2))
+          + 1j * rng.normal(size=(n, n, n, count, 2))) * mask
+    return _grid_to_cols(spinor_ifftn(grid, co))
 
 
 def _constant_columns(grid: Grid3D, rank: int, count: int) -> list:
@@ -322,7 +270,7 @@ def _constant_columns(grid: Grid3D, rank: int, count: int) -> list:
     return cols
 
 
-def _default_block(op: OperatorHandle, target: float, nb: int, rng) -> np.ndarray:
+def _default_block(grid: Grid3D, target: float, nb: int, rng) -> np.ndarray:
     """Initial block: exact constant spinors plus band-limited random fields.
 
     The states an eigensolve near a physical target can return are smooth
@@ -332,8 +280,8 @@ def _default_block(op: OperatorHandle, target: float, nb: int, rng) -> np.ndarra
     including the k = 0 fiber exactly (periodic grids, at most nb - 1
     columns), cuts iteration counts several-fold.
     """
-    cols = _constant_columns(op.grid, op.rank, nb - 1)
-    rand = _lowpass_columns(op, target, nb - len(cols), rng)
+    cols = _constant_columns(grid, 2, nb - 1)
+    rand = _lowpass_columns(grid, target, nb - len(cols), rng)
     if not cols:
         return rand
     return np.hstack([np.stack(cols, axis=1), rand])
@@ -362,6 +310,140 @@ def initial_block_from_fields(op: OperatorHandle, fields, opts: Optional[EigsOpt
     return np.stack(cols, axis=1)
 
 
+def _rayleigh_ritz(op: OperatorHandle, Q: np.ndarray) -> tuple[ArrayR, np.ndarray]:
+    """Ritz values and vectors of a 2-spinor operator on the span of the
+    orthonormal columns Q."""
+    AQ = np.empty_like(Q)
+    AQ[:] = _grid_to_cols(apply_values(op, _cols_to_grid(Q, op.grid.n, 2)))
+    small = Q.conj().T @ AQ
+    small = (small + small.conj().T) / 2.0
+    mu, W = np.linalg.eigh(small)
+    return mu, Q @ W
+
+
+def _nearest(values: ArrayR, target: float, count: int) -> np.ndarray:
+    """Indices of the `count` values nearest target, in ascending value order."""
+    order = np.argsort(np.abs(values - target), kind="stable")[:count]
+    return order[np.argsort(values[order], kind="stable")]
+
+
+def _orthonormal_span(X: np.ndarray) -> np.ndarray:
+    """Rank-revealing orthonormal basis of the span of X's (normalized) columns.
+
+    Singular directions below 1e-3 of the largest are dropped: two converged
+    copies of one eigenvector differ only by their solve errors, far below
+    that cut, while distinct eigenvectors stay close to orthogonal.
+    """
+    norms = np.linalg.norm(X, axis=0)
+    U, s, _ = np.linalg.svd(X / np.where(norms > 0.0, norms, 1.0), full_matrices=False)
+    return U[:, s > 1e-3 * s[0]]
+
+
+def _solve_near(op: OperatorHandle, target: float, count: int,
+                opts: EigsOptions) -> tuple[ArrayR, np.ndarray, int]:
+    """LOBPCG on (Op - target)^2 for a 2-spinor operator, then Rayleigh-Ritz
+    of Op itself on the converged block.
+
+    Returns the `count` Ritz values nearest target (ascending), their vectors
+    (N, count), and the iteration count.
+    """
+    grid = op.grid
+    N = grid.n**3 * 2
+    extra = opts.extra if opts.extra is not None else max(2, count)
+    nb = min(count + extra, N)
+
+    mv = _block_matvec(op, target)
+    delta = _resolve_delta(op, opts.delta)
+    prec = _free_symbol_preconditioner(grid, target, delta)
+    A = LinearOperator((N, N), matvec=mv, matmat=mv, dtype=np.complex128)
+    M = LinearOperator((N, N), matvec=prec, matmat=prec, dtype=np.complex128)
+
+    rng = np.random.default_rng(opts.seed)
+    if opts.initial_block is not None:
+        X = np.array(opts.initial_block, dtype=np.complex128)
+        if X.shape[1] < nb:  # top up with band-limited random columns
+            pad = _lowpass_columns(grid, target, nb - X.shape[1], rng)
+            X = np.hstack([X, pad])
+        else:
+            X = X[:, :nb]
+    else:
+        X = _default_block(grid, target, nb, rng)
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # lobpcg warns instead of raising
+            out = lobpcg(
+                A, X, M=M, largest=False, tol=opts.tol, maxiter=opts.maxiter,
+                retLambdaHistory=True,
+            )
+        vecs = out[1]
+        iterations = max(0, len(out[2]) - 1) if len(out) > 2 else opts.maxiter
+    except Exception as exc:
+        raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
+    if not np.all(np.isfinite(vecs)):
+        raise SolverError("lobpcg returned non-finite vectors")
+
+    Q, _ = np.linalg.qr(vecs)
+    mu, V = _rayleigh_ritz(op, Q)
+    order = _nearest(mu, target, count)
+    return mu[order], V[:, order], int(iterations)
+
+
+def _threshold_pair(lambda0: float, mass: float, nu0: float) -> tuple[float, float]:
+    # [[m, nu0], [nu0, -m]] (a, b)^T = lambda0 (a, b)^T
+    if lambda0 >= 0:
+        a, b = lambda0 + mass, nu0
+    else:
+        a, b = nu0, lambda0 - mass
+    norm = float(np.hypot(a, b))
+    if norm == 0.0:  # lambda0 = mass = 0: any unit pair satisfies the relation
+        return 1.0, 0.0
+    return a / norm, b / norm
+
+
+def _warm_halves(block: np.ndarray, n: int) -> np.ndarray:
+    """Each 4-spinor column reduced to its larger 2-spinor half.
+
+    For an exact lift (a v, b v) that half is a multiple of v itself.
+    Dependent halves (the upper and lower constants, say) are merged.
+    """
+    X = np.asarray(block, dtype=np.complex128).reshape(n**3, 2, 2, -1)
+    upper_wins = np.linalg.norm(X[:, 0], axis=(0, 1)) >= np.linalg.norm(X[:, 1], axis=(0, 1))
+    halves = np.where(upper_wins, X[:, 0], X[:, 1])
+    return _orthonormal_span(halves.reshape(n**3 * 2, -1))
+
+
+def _lift(op: OperatorHandle, eps: ArrayR) -> list:
+    """Candidate eigenpairs (value, a, b, i) of op over the supercharge
+    values eps: eps itself for the 2-spinor kinds, else its exact lifts."""
+    if op.rank == 2:
+        return [(float(e), 1.0, 0.0, i) for i, e in enumerate(eps)]
+    if op.kind == "h_squared":
+        return [(float(op.mass**2 + e**2), a, b, i) for i, e in enumerate(eps)
+                for a, b in ((1.0, 0.0), (0.0, 1.0))]
+    cand = []
+    for i, e in enumerate(eps):
+        lam = float(np.sqrt(op.mass**2 + e**2))
+        a, b = _threshold_pair(lam, op.mass, float(e))
+        cand += [(lam, a, b, i), (-lam, -b, a, i)]
+    return cand
+
+
+def _covered_distance(op: OperatorHandle, target: float, shifts, radii) -> float:
+    """Distance from target within which every lift is a candidate.
+
+    A converged solve near s holds every supercharge eigenvalue eps with
+    |eps - s| < r, r its farthest value. The lift's distance to the target is
+    monotone in eps on every interval that avoids 0 and the shifts, so over
+    the eps the solves may have missed it is smallest at an end of their
+    joint window.
+    """
+    spans = [(s - r, s + r) for s, r in zip(shifts, radii)]
+    ends = [e for lo, hi in spans for e in (lo, hi)
+            if not any(l < e < h for l, h in spans)]
+    return min(abs(c[0] - target) for c in _lift(op, np.array(ends)))
+
+
 def eigs_near(
     op: OperatorHandle,
     target: float,
@@ -369,6 +451,19 @@ def eigs_near(
     opts: Optional[EigsOptions] = None,
 ) -> EigenReport:
     """The `count` eigenvalues of the discretized operator nearest `target`.
+
+    sigma_d and t_a are solved directly; h_a and h_squared are lifted, not
+    solved (see the module docstring). Their target maps to the supercharge
+    scale nu = sqrt(max(tau^2 - m^2, 0)) (h_squared: sqrt(max(tau - m^2, 0))),
+    and T is solved near 0 when nu = 0, else near +nu and -nu, merged by one
+    rank-revealing Rayleigh-Ritz of T on the joint span. The lifts nearest
+    the target are returned with residuals of H (or H^2) itself; a rank-4
+    initial_block is reduced to the larger half of each column, and
+    iterations sums over the supercharge solves. A solve ranks by |eps - s|,
+    which orders the lifts differently when nu > 0, so the solves are
+    widened (doubling the pairs per solve, at most to 16 * count) until no
+    eigenvalue nearer the target than the returned ones can lie outside
+    their windows; an answer left uncertified reports converged=False.
 
     Deterministic under a fixed seed. Non-convergence is reported through
     converged=False with the partial results left in place, never raised.
@@ -378,75 +473,72 @@ def eigs_near(
         raise ValueError("count must be >= 1")
     grid = op.grid
     n, rank = grid.n, op.rank
-    N = n**3 * rank
-    extra = opts.extra if opts.extra is not None else max(2, count)
-    nb = min(count + extra, N)
-
-    mv = _block_matvec(op, target)
-    delta = _resolve_delta(op, opts.delta)
-    prec = _free_symbol_preconditioner(op, target, delta)
-    A = LinearOperator((N, N), matvec=mv, matmat=mv, dtype=np.complex128)
-    M = LinearOperator((N, N), matvec=prec, matmat=prec, dtype=np.complex128)
-
-    rng = np.random.default_rng(opts.seed)
-    if opts.initial_block is not None:
-        X = np.array(opts.initial_block, dtype=np.complex128)
-        if X.shape[0] != N:
-            raise ValueError("warm-start block has the wrong dimension")
-        if X.shape[1] < nb:  # top up with band-limited random columns
-            pad = _lowpass_columns(op, target, nb - X.shape[1], rng)
-            X = np.hstack([X, pad])
-        else:
-            X = X[:, :nb]
-    else:
-        X = _default_block(op, target, nb, rng)
+    if opts.initial_block is not None and np.shape(opts.initial_block)[0] != n**3 * rank:
+        raise ValueError("warm-start block has the wrong dimension")
 
     notes: list[str] = []
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # lobpcg warns instead of raising
-            out = lobpcg(
-                A, X, M=M, largest=False, tol=opts.tol, maxiter=opts.maxiter,
-                retLambdaHistory=True,
-            )
-        vals, vecs = out[0], out[1]
-        iterations = max(0, len(out[2]) - 1) if len(out) > 2 else opts.maxiter
-    except Exception as exc:
-        raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
-    if not np.all(np.isfinite(vecs)):
-        raise SolverError("lobpcg returned non-finite vectors")
+    t_op, shifts = op, (target,)
+    if rank == 4:
+        t_op = OperatorHandle(kind="t_a", grid=grid, potential=op.sampled_potential())
+        m2 = op.mass**2
+        nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
+        shifts = (nu, -nu) if nu > 0.0 else (0.0,)
+        if opts.initial_block is not None:
+            opts = opts.replaced(initial_block=_warm_halves(opts.initial_block, n))
+    starts = [opts] * len(shifts)
 
-    # Rayleigh-Ritz of Op itself on the converged subspace
-    Q, _ = np.linalg.qr(vecs)
-    AQ = np.empty_like(Q)
-    AQ[:] = apply_values(op, Q.reshape((n, n, n, rank, nb)).transpose(0, 1, 2, 4, 3)) \
-        .transpose(0, 1, 2, 4, 3).reshape(N, nb)
-    small = Q.conj().T @ AQ
-    small = (small + small.conj().T) / 2.0
-    mu, W = np.linalg.eigh(small)
-    V = Q @ W
+    # Each solve ranks by |eps - s|, the target by the lift's distance; the
+    # two disagree when nu > 0, so widen the solves until the nearest lifts
+    # all lie where no supercharge eigenvalue can have been missed. A solve
+    # that ran out of iterations certifies nothing, and its residuals say so;
+    # the widening stops at 16 * count pairs, or sooner on fine grids: at
+    # 2^20 / n^3 pairs a block of 2 * width columns holds 64 MB.
+    iterations, width = 0, count
+    while True:
+        solves = [_solve_near(t_op, s, width, o) for s, o in zip(shifts, starts)]
+        iterations += sum(it for _, _, it in solves)
+        if len(solves) == 1:
+            eps, V = solves[0][:2]
+        else:
+            eps, V = _rayleigh_ritz(t_op, _orthonormal_span(np.hstack([s[1] for s in solves])))
+        cand = _lift(op, eps)
+        values = np.array([c[0] for c in cand])
+        order = _nearest(values, target, count)
+        reach = float(np.max(np.abs(values[order] - target)))
+        radii = [float(np.max(np.abs(e - s))) for (e, _, _), s in zip(solves, shifts)]
+        certified = reach <= _covered_distance(op, target, shifts, radii) + 1e-9
+        exhausted = any(it >= opts.maxiter for _, _, it in solves)
+        if certified or exhausted or width >= min(16 * count, max(count, 2**20 // n**3)):
+            break
+        width *= 2
+        starts = [opts.replaced(initial_block=v) for _, v, _ in solves]
+    if rank == 4:
+        lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
+                else "m^2 + eps^2, vectors (v, 0) and (0, v)")
+        notes.append(f"{op.kind} pairs lifted from t_a solves near "
+                     f"{', '.join(f'{s:.6g}' for s in shifts)} (nearest {width} each): {lift}")
+    picked = [cand[j] for j in order]
+    lam = values[order]
+    if rank == 2:
+        vectors = V[:, order]
+    else:
+        Vn = V.reshape(n**3, 2, -1)
+        vectors = np.stack([np.concatenate([a * Vn[..., i], b * Vn[..., i]], axis=1).ravel()
+                            for _, a, b, i in picked], axis=1)
 
-    order = np.argsort(np.abs(mu - target), kind="stable")[:count]
-    order = order[np.argsort(mu[order], kind="stable")]  # ascending output
-    lam = mu[order]
-    vectors = V[:, order]
-
-    residuals = []
-    Vg = vectors.reshape((n, n, n, rank, len(order))).transpose(0, 1, 2, 4, 3)
+    Vg = _cols_to_grid(vectors, n, rank)
     R = apply_values(op, Vg) - lam[None, None, None, :, None] * Vg
-    for i in range(len(order)):
-        residuals.append(float(
-            np.linalg.norm(R[..., i, :]) / np.linalg.norm(Vg[..., i, :])
-        ))
+    residuals = [float(np.linalg.norm(R[..., i, :]) / np.linalg.norm(Vg[..., i, :]))
+                 for i in range(len(order))]
 
     thr = kernel_threshold(grid)
     pot_zero = _potential_is_zero(op)
     kernel = 0
-    for i, l in enumerate(lam):
-        if _kernel_scale(op.kind, op.mass, float(l)) > thr:
+    for l, (_, _, _, i) in zip(lam, picked):
+        if abs(eps[i]) > thr:
             continue
         if opts.deflate_constants and not pot_zero and not grid.antiperiodic:
-            frac = _constant_fraction(vectors[:, i], n, rank)
+            frac = _constant_fraction(V[:, i], n, 2)
             if frac > 0.5:
                 notes.append(
                     f"excluded eigenvalue {l:.3e} from kernel count: "
@@ -459,6 +551,12 @@ def eigs_near(
     if not converged:
         notes.append(
             f"residuals above {opts.resid_tol:.1e} after {iterations} iterations"
+        )
+    if not certified:
+        converged = False
+        notes.append(
+            f"nearest pairs not certified: an eigenvalue within {reach:.3e} "
+            f"of the target may be missing"
         )
     return EigenReport(
         target=float(target),
@@ -519,13 +617,9 @@ def gap_scan(
     dist(lambda, nearest eigenvalue) / min(|lambda-m|, |lambda+m|); values
     near 1 certify that no discrete eigenvalue intrudes into the gap.
 
-    The nearest eigenvalues are enumerated through the supercharge: the block
-    identity H^2 = T^2 + m^2 holds exactly on the grid, so the full-operator
-    spectrum nearest the gap is +-sqrt(m^2 + eps^2) over the near-kernel
-    eigenvalues eps of T. One supercharge solve covers every lambda; direct
-    full-operator solves targeted inside the gap stagnate instead, since both
-    +-m edge clusters are nearly degenerate at the squared level and any
-    small block edge lands inside one of them.
+    By chiral symmetry the spectrum nearest the gap is the pair +-edge, with
+    edge the H_A eigenvalue nearest +m; eigs_near lifts it from one
+    supercharge solve near 0, which covers every lambda.
     """
     if mass <= 0 or not np.isfinite(mass):
         raise ValueError("gap scan needs mass > 0")
@@ -542,14 +636,14 @@ def gap_scan(
         if np.any(np.abs(points) > 0.95 * mass):
             raise ValueError("gap samples must stay away from the +-m endpoints")
 
-    op = OperatorHandle(kind="t_a", grid=grid, potential=pot)
+    op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
     opts = opts or EigsOptions()
-    rep = eigs_near(op, 0.0, 1, opts.replaced(extra=2, deflate_constants=False))
+    rep = eigs_near(op, mass, 1, opts.replaced(extra=2, deflate_constants=False))
     if not rep.converged:
         raise SolverError(
-            f"supercharge edge solve did not converge (residuals {rep.residuals})"
+            f"threshold edge solve did not converge (residuals {rep.residuals})"
         )
-    edge = float(np.sqrt(mass**2 + min(abs(e) for e in rep.eigenvalues) ** 2))
+    edge = rep.eigenvalues[0]
     rows = []
     nearest = []
     for lam in points:
@@ -627,18 +721,6 @@ def _plus_spinor(k: ArrayR) -> ArrayC:
     return col / np.linalg.norm(col)
 
 
-def _threshold_pair(lambda0: float, mass: float, nu0: float) -> tuple[float, float]:
-    # [[m, nu0], [nu0, -m]] (a, b)^T = lambda0 (a, b)^T
-    if lambda0 >= 0:
-        a, b = lambda0 + mass, nu0
-    else:
-        a, b = nu0, lambda0 - mass
-    norm = float(np.hypot(a, b))
-    if norm == 0.0:  # lambda0 = mass = 0: any unit pair satisfies the relation
-        return 1.0, 0.0
-    return a / norm, b / norm
-
-
 def build_weyl_quasimode(
     pot: PotentialSpec,
     mass: float,
@@ -669,7 +751,7 @@ def build_weyl_quasimode(
     a, b = _threshold_pair(lambda0, mass, nu0)
 
     op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
-    pot_zero = float(np.max(np.abs(op.sampled_potential()))) == 0.0
+    pot_zero = _potential_is_zero(op)
 
     phase = np.exp(1j * (grid.nodes @ k))
     notes = []
@@ -765,8 +847,6 @@ def decay_fit(
             raise ValueError(
                 f"window reaches r={radii[-1]}, outside the box of half-width {mode.grid.L}"
             )
-        from diraclab.grid import interp_trilinear
-
         vals = interp_trilinear(mode.grid, mode.values, pts)
     elif callable(mode):
         vals = np.asarray(mode(pts), dtype=np.complex128)
@@ -853,30 +933,23 @@ def coupling_scan(
         rep = eigs_near(op, 0.0, 3, opts.replaced(initial_block=block))
         block = rep.vectors
         lam = np.array(rep.eigenvalues)
-        if grid.antiperiodic:
-            lam_min = float(np.min(np.abs(lam)))
-        elif t == 0.0:
-            lam_min = float(np.min(np.abs(lam)))
+        keep = list(range(len(lam)))
+        if not grid.antiperiodic and t == 0.0:
             notes.append(
                 "t=0: reported minimum is the torus constant-spinor kernel, "
                 "a discretization artifact absent on R^3"
             )
-        else:
-            keep = [
-                i for i in range(len(lam))
-                if _constant_fraction(rep.vectors[:, i], grid.n, 2) <= 0.5
-            ]
-            if keep:
-                lam_min = float(np.min(np.abs(lam[keep])))
-                if len(keep) < len(lam):
-                    notes.append(
-                        f"t={t:g}: deflated {len(lam) - len(keep)} constant-branch "
-                        "eigenpair(s) from the minimum"
-                    )
-            else:
-                lam_min = float(np.min(np.abs(lam)))
+        elif not grid.antiperiodic:
+            keep = [i for i in keep if _constant_fraction(rep.vectors[:, i], grid.n, 2) <= 0.5]
+            if not keep:
+                keep = list(range(len(lam)))
                 notes.append(f"t={t:g}: all candidates constant-dominated; raw minimum kept")
-        rows.append((float(t), lam_min))
+            elif len(keep) < len(lam):
+                notes.append(
+                    f"t={t:g}: deflated {len(lam) - len(keep)} constant-branch "
+                    "eigenpair(s) from the minimum"
+                )
+        rows.append((float(t), float(np.min(np.abs(lam[keep])))))
         converged.append(rep.converged)
         all_eigs.append(tuple(float(l) for l in lam))
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
@@ -888,25 +961,20 @@ def coupling_scan(
 # CSV writers
 
 
-def write_gap_csv(report: GapScanReport, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["lambda", "proxy"])
-        for lam, proxy in report.rows:
-            w.writerow([f"{lam:.17g}", f"{proxy:.17g}"])
+        w.writerow(header)
+        w.writerows([f"{x:.17g}" for x in row] for row in rows)
+
+
+def write_gap_csv(report: GapScanReport, path) -> None:
+    _write_csv(path, ["lambda", "proxy"], report.rows)
 
 
 def write_coupling_csv(report: CouplingScanReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "lambda_min"])
-        for t, lam in report.rows:
-            w.writerow([f"{t:.17g}", f"{lam:.17g}"])
+    _write_csv(path, ["t", "lambda_min"], report.rows)
 
 
 def write_decay_csv(fit: DecayFit, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "amplitude"])
-        for r, a in fit.table:
-            w.writerow([f"{r:.17g}", f"{a:.17g}"])
+    _write_csv(path, ["r", "amplitude"], fit.table)

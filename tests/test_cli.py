@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diraclab import __version__
 from diraclab.cli import main
@@ -240,6 +242,45 @@ def test_coupling_scan_minimum_at_unit_coupling(tmp_path, capsys):
     assert rows[0] == "t,lambda_min"
     lam = {float(t): float(v) for t, v in (r.split(",") for r in rows[1:])}
     assert lam[1.0] < lam[0.5] and lam[1.0] < lam[1.5]
+
+
+def test_coupling_scan_unconverged_exits_3(tmp_path, capsys):
+    out_path = tmp_path / "cs.json"
+    code, _, _ = run(capsys, "coupling-scan", "--grid-n", "8", "--box-l", "5",
+                     "--t-values", "0,1,2", "--tol-residual", "1e-30",
+                     "--out", str(out_path))
+    assert code == 3
+    report = json.loads(out_path.read_text())
+    assert report["passed"] is False
+    assert report["result"]["converged"] == [False, False, False]
+
+
+def _config_exit_code(tmp_path, capsys, **fields):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "potential-info", **fields}))
+    code, _, err = run(capsys, "potential-info", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "info.json"))
+    return code, err
+
+
+def test_config_rejects_non_numeric_values(tmp_path, capsys):
+    code, err = _config_exit_code(tmp_path, capsys, grid_n="16")
+    assert code == 1 and "grid_n must be an integer" in err
+    code, err = _config_exit_code(tmp_path, capsys, grid_n=16.0)
+    assert code == 1 and "grid_n must be an integer" in err
+    code, _ = _config_exit_code(tmp_path, capsys, grid_n=16, box_l=5, mass=2, seed=3)
+    assert code == 0
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(["grid_n", "box_l", "mass", "seed"]),
+       value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                       st.lists(st.integers(), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)))
+def test_config_wrong_types_are_config_errors(tmp_path, capsys, key, value):
+    code, err = _config_exit_code(tmp_path, capsys, **{key: value})
+    assert code == 1 and f"{key} must be" in err
 
 
 def test_tolerance_override_flag(tmp_path, capsys):

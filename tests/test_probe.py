@@ -8,7 +8,7 @@ the squared operator's floor is m^2. Everything here runs in seconds.
 import numpy as np
 import pytest
 
-from diraclab.grid import Grid3D, OperatorHandle, sample_field
+from diraclab.grid import Grid3D, OperatorHandle, residual_norm, sample_field
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau, Scaled
 from diraclab.probe import (
@@ -58,8 +58,62 @@ def test_free_shell_eigenvalues_exact():
 def test_free_squared_floor_is_mass_squared():
     g = Grid3D(n=16, L=5.0)
     op = OperatorHandle(kind="h_squared", grid=g, potential=FREE, mass=0.9)
-    rep = eigs_near(op, 0.81, 1)
-    assert rep.eigenvalues[0] == pytest.approx(0.81, abs=1e-9)
+    for count in (1, 2):
+        rep = eigs_near(op, 0.81, count)
+        assert len(rep.eigenvalues) == count
+        for lam in rep.eigenvalues:
+            assert lam == pytest.approx(0.81, abs=1e-9)
+
+
+def test_h_a_threshold_is_lift_of_supercharge():
+    # a cold full-operator query at +m equals the lift sqrt(m^2 + eps^2) of
+    # the supercharge eigenvalue nearest 0, with its residual taken from H
+    g = Grid3D(n=16, L=20.0)
+    t_rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0, 3)
+    assert t_rep.converged
+    eps = min(abs(e) for e in t_rep.eigenvalues)
+    op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.0)
+    rep = eigs_near(op, 1.0, 1)
+    assert rep.converged, rep.residuals
+    assert abs(rep.eigenvalues[0] - np.sqrt(1.0 + eps**2)) <= 1e-9
+    f = rep.vector_field(g, 0)
+    assert residual_norm(op, f, rep.eigenvalues[0]) <= 1e-6
+    assert any("lifted" in note for note in rep.notes)
+
+
+def test_h_a_above_threshold_reports_each_pair_once():
+    # |tau| > m: supercharge solves at +nu and -nu, merged. On the free grid
+    # the first shell sits at tau = sqrt(1 + k1^2), lifted from sigma.k = +k1
+    # and -k1 (six wave vectors each, so count=6 fills one cluster per
+    # solve). Just above tau = 1 both solves find the same two constants
+    # (lifted to 1), which must be counted once, so the next two pairs come
+    # from the shell.
+    g = Grid3D(n=16, L=5.0)
+    op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=1.0)
+    k1 = 2 * np.pi / 10.0
+    shell = float(np.sqrt(1.0 + k1**2))
+    for tau, want in ((shell, [shell] * 6), (float(np.sqrt(1.0 + 1e-6)), [1.0, 1.0, shell, shell])):
+        rep = eigs_near(op, tau, len(want))
+        assert rep.converged, rep.residuals
+        assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-9, rep.eigenvalues
+        V = rep.vectors
+        assert np.max(np.abs(V.conj().T @ V - np.eye(len(want)))) <= 1e-9
+
+
+def test_above_threshold_lift_ranks_by_distance_to_target():
+    # Free grid, m = 1, target tau = 1.2573 (nu = 0.762). In eps the
+    # sqrt(2) k1 = 0.889 shell is nearer nu than k1 = 0.628 (0.127 against
+    # 0.134), but its lift 1.3378 is farther from tau than sqrt(1 + k1^2) =
+    # 1.1810 (0.0805 against 0.0763); the same holds for H^2 at tau^2.
+    g = Grid3D(n=16, L=5.0)
+    k1 = 2 * np.pi / 10.0
+    tau = 1.2573
+    for kind, target, want in (("h_a", tau, np.sqrt(1.0 + k1**2)),
+                               ("h_squared", tau**2, 1.0 + k1**2)):
+        op = OperatorHandle(kind=kind, grid=g, potential=FREE, mass=1.0)
+        rep = eigs_near(op, target, 1)
+        assert rep.converged, rep.residuals
+        assert abs(rep.eigenvalues[0] - want) <= 1e-9, (kind, rep.eigenvalues)
 
 
 def test_eigs_near_validation():
@@ -80,6 +134,14 @@ def test_initial_block_from_fields():
     assert np.allclose(X[:, 0], f.values.reshape(-1))
     with pytest.raises(ValueError):
         initial_block_from_fields(op, [f.values[..., :1]])
+    # a 4-spinor warm start: its upper and lower constants reduce to the same
+    # two supercharge columns, which must be merged, not passed twice
+    h = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=0.5)
+    f4 = np.concatenate([f.values, np.zeros_like(f.values)], axis=-1)
+    X4 = initial_block_from_fields(h, [f4])
+    assert X4.shape == (8**3 * 4, 5)
+    rep = eigs_near(h, 0.5, 2, EigsOptions(extra=3, initial_block=X4))
+    assert rep.converged and np.allclose(rep.eigenvalues, 0.5, atol=1e-10)
 
 
 def test_warm_start_has_no_constants_on_antiperiodic_grid():
