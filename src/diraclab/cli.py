@@ -261,8 +261,8 @@ def _float_list(text: str, what: str):
 def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=None) -> int:
     """Print the checks, write the report envelope, and return the exit code.
 
-    The report's passed is True when every check passed; a command without
-    checks passes when its solves converged.
+    The report's passed is True when every check passed and the solves
+    converged, so that it agrees with the exit code.
     """
     _print_checks(checks)
     checks_pass = all(c["passed"] for c in checks)
@@ -271,7 +271,7 @@ def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=N
         "config": cfg.to_dict(),
         "checks": checks,
         "result": result,
-        "passed": checks_pass if checks else converged,
+        "passed": checks_pass and converged,
     }
     _write_report(cfg, report, rows=rows)
     if not converged:

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diraclab import __version__
-from diraclab.cli import main
+from diraclab.cli import RunConfig, _check, _finish, main
 
 FREE = '{"variant": "scaled", "t": 0.0, "inner": {"variant": "loss_yau"}}'
 LY = '{"variant": "loss_yau"}'
@@ -253,6 +253,19 @@ def test_coupling_scan_unconverged_exits_3(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["passed"] is False
     assert report["result"]["converged"] == [False, False, False]
+
+
+def test_finish_unconverged_with_passing_checks(tmp_path, capsys):
+    # a check reads one pair, while another pair of the solve may not have
+    # converged: the report must not say passed while the exit code is 3
+    out_path = tmp_path / "r.json"
+    cfg = RunConfig(command="spectrum", output_path=str(out_path))
+    check = _check("residual", 1e-9, 1e-6)
+    assert _finish(cfg, [check], {}, converged=False) == 3
+    report = json.loads(out_path.read_text())
+    assert report["passed"] is False
+    assert _finish(cfg, [check], {}, converged=True) == 0
+    assert json.loads(out_path.read_text())["passed"] is True
 
 
 def _config_exit_code(tmp_path, capsys, **fields):

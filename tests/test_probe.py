@@ -13,6 +13,7 @@ from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau, Scaled
 from diraclab.probe import (
     EigsOptions,
+    SolverError,
     build_weyl_quasimode,
     coupling_scan,
     decay_fit,
@@ -20,6 +21,7 @@ from diraclab.probe import (
     gap_scan,
     initial_block_from_fields,
     kernel_threshold,
+    lobpcg,
     write_coupling_csv,
     write_decay_csv,
     write_gap_csv,
@@ -51,8 +53,20 @@ def test_free_shell_eigenvalues_exact():
     op = OperatorHandle(kind="t_a", grid=g, potential=FREE)
     k1 = 2 * np.pi / 10.0
     rep = eigs_near(op, float(k1), 2)
-    assert np.allclose(rep.eigenvalues, k1, atol=1e-9)
+    assert rep.converged, rep.residuals
+    assert np.allclose(rep.eigenvalues, k1, rtol=0, atol=1e-9)
     assert rep.kernel_dim_estimate == 0
+
+
+def test_free_eigenvalue_between_shells():
+    # target 0.762 lies between the shells k1 = 0.628 and sqrt(2) k1 = 0.889,
+    # nearer the second; constant spinors, exact free eigenvectors at 0, are
+    # far from it and must not be seeded as converged pairs
+    g = Grid3D(n=16, L=5.0)
+    op = OperatorHandle(kind="t_a", grid=g, potential=FREE)
+    rep = eigs_near(op, 0.762, 1)
+    assert rep.converged, rep.residuals
+    assert abs(rep.eigenvalues[0] - np.sqrt(2.0) * np.pi / 5.0) <= 1e-9, rep.eigenvalues
 
 
 def test_free_squared_floor_is_mass_squared():
@@ -304,3 +318,88 @@ def test_csv_writers(tmp_path):
     write_decay_csv(fit, p3)
     lines = p3.read_text().strip().splitlines()
     assert lines[0] == "r,amplitude" and len(lines) == 7
+
+
+# ----------------------------------------------------------------------------
+# The block solver on dense matrices with a known spectrum
+
+
+def _dense_psd(N=200, seed=3):
+    """Q diag(d) Q^H with three well separated smallest eigenvalues and the
+    rest packed into [1, 1.02], where guard columns converge slowly."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    d = np.concatenate([[0.0, 1e-3, 2e-3], 1.0 + 1e-4 * np.arange(N - 3)])
+    A = (Q * d) @ Q.conj().T
+    X = rng.normal(size=(N, 6)) + 1j * rng.normal(size=(N, 6))
+    return (A + A.conj().T) / 2.0, Q, X
+
+
+def test_lobpcg_dense_smallest_pairs():
+    A, _, X = _dense_psd()
+    tol = 1e-8
+    theta, V, iterations, resid = lobpcg(A, X, tol=tol, maxiter=200, nwanted=3)
+    assert np.max(np.abs(theta[:3] - np.linalg.eigh(A)[0][:3])) <= 1e-10
+    assert len(resid) == 3 and np.all(resid <= tol)
+    true_resid = np.linalg.norm(A @ V - V * theta, axis=0)
+    assert np.all(true_resid[:3] <= 2 * tol)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(6))) <= 1e-12
+    # the guards in the packed cluster are still unconverged at the exit, and
+    # converging them too takes many more iterations
+    assert np.any(true_resid[3:] > tol)
+    all_six = lobpcg(A, X, tol=tol, maxiter=200)
+    assert np.all(all_six[3] <= tol) and all_six[2] > 3 * iterations
+
+
+def test_lobpcg_exact_start_returns_at_once():
+    A, Q, X = _dense_psd()
+    X[:, :3] = Q[:, :3]
+    theta, _, iterations, resid = lobpcg(A, X, tol=1e-8, maxiter=200, nwanted=3)
+    assert iterations == 0
+    assert np.all(resid <= 1e-8)
+    assert np.allclose(theta[:3], [0.0, 1e-3, 2e-3], rtol=0, atol=1e-12)
+
+
+def test_lobpcg_is_deterministic():
+    A, _, X = _dense_psd()
+    a = lobpcg(A, X, tol=1e-8, maxiter=200, nwanted=3)
+    b = lobpcg(A, X.copy(), tol=1e-8, maxiter=200, nwanted=3)
+    assert a[2] == b[2]
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    g = Grid3D(n=8, L=5.0)
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    r1, r2 = (eigs_near(op, 0.0, 2, EigsOptions(seed=7)) for _ in range(2))
+    assert r1.eigenvalues == r2.eigenvalues and np.array_equal(r1.vectors, r2.vectors)
+
+
+class _Poisoned:
+    """A dense matrix applied through `@` whose output turns NaN after
+    `after` applies."""
+
+    def __init__(self, A, after):
+        self.A, self.after, self.calls = A, after, 0
+
+    def __matmul__(self, block):
+        self.calls += 1
+        out = self.A @ block
+        if self.calls > self.after:
+            out[0, 0] = np.nan
+        return out
+
+
+def test_lobpcg_non_finite_operator_raises():
+    A, _, X = _dense_psd()
+    with pytest.raises(SolverError):
+        lobpcg(_Poisoned(A, 2), X, tol=1e-8, maxiter=200, nwanted=3)
+    with pytest.raises(SolverError):  # the preconditioner is checked the same way
+        lobpcg(A, X, M=_Poisoned(np.eye(len(A)), 1), tol=1e-8, maxiter=200, nwanted=3)
+
+
+def test_maxiter_hit_is_noted():
+    g = Grid3D(n=8, L=5.0)
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    rep = eigs_near(op, 0.0, 2, EigsOptions(maxiter=2))
+    assert rep.iterations == 2 and not rep.converged
+    assert any("maxiter 2" in note and "worst" in note for note in rep.notes), rep.notes
+    rep = eigs_near(op, 0.0, 2)
+    assert rep.converged and not any("maxiter" in note for note in rep.notes)
