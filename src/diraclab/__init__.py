@@ -13,10 +13,9 @@ Conventions (natural units, hbar = c = 1):
 - <x> = sqrt(1 + |x|^2) throughout.
 """
 
-from diraclab.algebra import dirac_alpha, dirac_beta, pauli, sigma_dot
+from diraclab.algebra import dirac_alpha, dirac_beta, pauli, sigma_dot, sigma_mul
 from diraclab.grid import (
-    Field2,
-    Field4,
+    Field,
     Grid3D,
     OperatorHandle,
     apply,
@@ -33,7 +32,6 @@ from diraclab.modes import (
     ThresholdMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
-    eval_zero_mode,
     lift_to_threshold,
     mode_l2_norm,
     register_zero_mode,
@@ -46,7 +44,6 @@ from diraclab.potentials import (
     Scaled,
     classify_decay,
     default_classification,
-    eval_potential,
     kernel_dim_bound,
 )
 from diraclab.probe import (
@@ -59,15 +56,15 @@ from diraclab.probe import (
 )
 
 __all__ = [
-    "pauli", "sigma_dot", "dirac_alpha", "dirac_beta",
-    "Grid3D", "Field2", "Field4", "OperatorHandle",
+    "pauli", "sigma_mul", "sigma_dot", "dirac_alpha", "dirac_beta",
+    "Grid3D", "Field", "OperatorHandle",
     "sample_field", "sample_potential", "apply", "residual_norm",
     "susy_square_check", "gauge_transform", "gauged_mode",
     "LossYauMode", "ThresholdMode", "QuadratureParams",
-    "eval_zero_mode", "register_zero_mode", "lift_to_threshold",
+    "register_zero_mode", "lift_to_threshold",
     "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
-    "eval_potential", "classify_decay", "default_classification", "kernel_dim_bound",
+    "classify_decay", "default_classification", "kernel_dim_bound",
     "EigsOptions", "eigs_near", "gap_scan", "build_weyl_quasimode",
     "decay_fit", "coupling_scan",
     "__version__",

@@ -20,6 +20,7 @@ ArrayR = NDArray[np.float64]
 
 __all__ = [
     "pauli",
+    "sigma_mul",
     "sigma_dot",
     "dirac_alpha",
     "dirac_beta",
@@ -43,7 +44,6 @@ _SIGMA = (
 )
 
 _I2 = _frozen([[1, 0], [0, 1]])
-_ZERO2 = _frozen([[0, 0], [0, 0]])
 
 # alpha_j = [[0, sigma_j], [sigma_j, 0]], beta = diag(I2, -I2)
 _ALPHA = tuple(
@@ -64,6 +64,24 @@ def pauli(j: int) -> ArrayC:
     return _SIGMA[j - 1].copy()
 
 
+def sigma_mul(vx, vy, vz, phi, out=None) -> ArrayC:
+    """(sigma.v) phi over the trailing spinor axis of phi, v = (vx, vy, vz).
+
+    The components broadcast against phi[..., 0]: scalars, or arrays padded
+    to its batch axes. This is the one place the contraction is written; the
+    supercharge (sigma.k and sigma.A), the zero mode and sigma_dot all call it.
+    The result is complex and goes into out when given (out must not overlap
+    phi).
+    """
+    a, b = phi[..., 0], phi[..., 1]
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(vx), np.shape(vy), np.shape(vz), a.shape)
+        out = np.empty(shape + (2,), dtype=np.result_type(vx, vy, vz, phi, 1j))
+    out[..., 0] = vz * a + (vx - 1j * vy) * b
+    out[..., 1] = (vx + 1j * vy) * a - vz * b
+    return out
+
+
 def sigma_dot(v) -> ArrayC:
     """Contraction sigma.v = sum_j v_j sigma_j for a real 3-vector v.
 
@@ -75,10 +93,8 @@ def sigma_dot(v) -> ArrayC:
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("sigma_dot requires finite components")
-    return np.array(
-        [[v[2], v[0] - 1j * v[1]], [v[0] + 1j * v[1], -v[2]]],
-        dtype=np.complex128,
-    )
+    # the rows of I2 are the basis spinors; their images are the columns
+    return sigma_mul(v[0], v[1], v[2], _I2).T.copy()
 
 
 def dirac_alpha(j: int) -> ArrayC:

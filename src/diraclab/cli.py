@@ -26,7 +26,6 @@ import numpy as np
 from diraclab import __version__
 from diraclab.grid import (
     SPIN_STRUCTURES,
-    Field2,
     Grid3D,
     OperatorHandle,
     gauge_transform,

@@ -33,22 +33,24 @@ approximate their continuum counterparts.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.typing import NDArray
+
+from diraclab.algebra import sigma_mul
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
 
 __all__ = [
     "Grid3D",
-    "Field2",
-    "Field4",
+    "Field",
     "OperatorHandle",
     "GridMismatchError",
     "GaugeError",
@@ -96,7 +98,9 @@ class Grid3D:
     """Cubic grid: n points per axis on [-L, L)^3.
 
     spin selects the boundary condition of spinor fields, "periodic" or
-    "antiperiodic" (see the module docstring); real fields are periodic.
+    "antiperiodic" (see the module docstring); real fields are periodic. A
+    grid on which one 4-spinor field (n^3 * 4 * 16 bytes) would not fit in
+    physical memory is refused.
     """
 
     n: int
@@ -110,6 +114,11 @@ class Grid3D:
             raise ValueError(f"box half-width must be positive, got {self.L}")
         if self.spin not in SPIN_STRUCTURES:
             raise ValueError(f"spin must be one of {SPIN_STRUCTURES}, got {self.spin!r}")
+        need = self.n**3 * 4 * 16
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(f"n={self.n} is too large: one 4-spinor field needs "
+                             f"{need / 2**30:.1f} GiB, physical memory is {have / 2**30:.1f} GiB")
 
     @property
     def h(self) -> float:
@@ -175,69 +184,35 @@ class Grid3D:
         return tuple(np.meshgrid(self.k_axis_real, self.k_axis_real, self.k_axis_real, indexing="ij"))
 
 
-def _check_values(grid: Grid3D, values: np.ndarray, rank: int) -> ArrayC:
-    values = np.asarray(values, dtype=np.complex128)
-    want = (grid.n, grid.n, grid.n, rank)
-    if values.shape != want:
-        raise ValueError(f"field values must have shape {want}, got {values.shape}")
-    return values
-
-
 @dataclass
-class Field2:
-    """2-spinor field sampled on a grid; values indexed [ix, iy, iz, component]."""
+class Field:
+    """2- or 4-spinor field sampled on a grid; values indexed [ix, iy, iz,
+    component]. The rank is values.shape[-1]; of a 4-spinor, components 0:2
+    are the upper block and 2:4 the lower."""
 
     grid: Grid3D
     values: ArrayC
 
-    rank = 2
-
     def __post_init__(self) -> None:
-        self.values = _check_values(self.grid, self.values, 2)
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        n = self.grid.n
+        if self.values.shape not in ((n, n, n, 2), (n, n, n, 4)):
+            raise ValueError(f"field values must have shape {(n, n, n)} + (2,) or (4,), "
+                             f"got {self.values.shape}")
+
+    @property
+    def rank(self) -> int:
+        return self.values.shape[-1]
 
     def norm(self) -> float:
         return float(self.grid.h**1.5 * np.linalg.norm(self.values))
 
-    def inner(self, other: "Field2") -> complex:
+    def inner(self, other: "Field") -> complex:
         _same_grid(self, other)
         return complex(self.grid.h**3 * np.vdot(self.values, other.values))
 
-    def copy(self) -> "Field2":
-        return Field2(self.grid, self.values.copy())
-
-
-@dataclass
-class Field4:
-    """4-spinor field; components 0:2 are the upper block, 2:4 the lower."""
-
-    grid: Grid3D
-    values: ArrayC
-
-    rank = 4
-
-    def __post_init__(self) -> None:
-        self.values = _check_values(self.grid, self.values, 4)
-
-    @property
-    def upper(self) -> ArrayC:
-        return self.values[..., 0:2]
-
-    @property
-    def lower(self) -> ArrayC:
-        return self.values[..., 2:4]
-
-    def norm(self) -> float:
-        return float(self.grid.h**1.5 * np.linalg.norm(self.values))
-
-    def inner(self, other: "Field4") -> complex:
-        _same_grid(self, other)
-        return complex(self.grid.h**3 * np.vdot(self.values, other.values))
-
-    def copy(self) -> "Field4":
-        return Field4(self.grid, self.values.copy())
-
-
-FieldLike = Union[Field2, Field4]
+    def copy(self) -> "Field":
+        return Field(self.grid, self.values.copy())
 
 
 def _same_grid(a, b) -> None:
@@ -245,7 +220,7 @@ def _same_grid(a, b) -> None:
         raise GridMismatchError(f"grids differ: {a.grid} vs {b.grid}")
 
 
-def sample_field(evaluator: Callable[[ArrayR], np.ndarray], grid: Grid3D) -> FieldLike:
+def sample_field(evaluator: Callable[[ArrayR], np.ndarray], grid: Grid3D) -> Field:
     """Sample a pointwise spinor evaluator at the grid nodes.
 
     The evaluator takes points of shape (..., 3) and returns (..., 2) or
@@ -256,8 +231,7 @@ def sample_field(evaluator: Callable[[ArrayR], np.ndarray], grid: Grid3D) -> Fie
         raise ValueError(f"evaluator returned shape {vals.shape}")
     if not np.all(np.isfinite(vals.view(np.float64))):
         raise ValueError("non-finite sample encountered")
-    cls = Field2 if vals.shape[-1] == 2 else Field4
-    return cls(grid, vals)
+    return Field(grid, vals)
 
 
 def sample_potential(pot, grid: Grid3D) -> ArrayR:
@@ -327,26 +301,6 @@ def _pad_batch(coeff, block_ndim: int):
     return coeff.reshape(coeff.shape + (1,) * (block_ndim - coeff.ndim))
 
 
-def _sigma_k_mul(grid: Grid3D, vhat: ArrayC) -> ArrayC:
-    """Multiply a Fourier-space 2-spinor block by sigma.k (derivative k)."""
-    v0, v1 = vhat[..., 0], vhat[..., 1]
-    kx, ky, kz = (_pad_batch(k, v0.ndim) for k in grid.k_mesh)
-    out = np.empty_like(vhat)
-    out[..., 0] = kz * v0 + (kx - 1j * ky) * v1
-    out[..., 1] = (kx + 1j * ky) * v0 - kz * v1
-    return out
-
-
-def _sigma_a_mul(A: ArrayR, v: ArrayC) -> ArrayC:
-    """Pointwise sigma.A(x) acting on a 2-spinor block."""
-    v0, v1 = v[..., 0], v[..., 1]
-    ax, ay, az = (_pad_batch(A[..., j], v0.ndim) for j in range(3))
-    out = np.empty_like(v)
-    out[..., 0] = az * v0 + (ax - 1j * ay) * v1
-    out[..., 1] = (ax + 1j * ay) * v0 - az * v1
-    return out
-
-
 def spinor_fftn(grid: Grid3D, values: ArrayC) -> ArrayC:
     """Spinor values (n, n, n, ...) to coefficients on the grid's spinor lattice.
 
@@ -369,16 +323,18 @@ def spinor_ifftn(grid: Grid3D, vhat: ArrayC) -> ArrayC:
 def _apply_sigma_d(grid: Grid3D, values: ArrayC) -> ArrayC:
     """sigma.D on each 2-spinor block of a (n,n,n,2 or 4) array."""
     vhat = spinor_fftn(grid, values)
+    kx, ky, kz = (_pad_batch(k, vhat.ndim - 1) for k in grid.k_mesh)
     out = np.empty_like(vhat)
     for c in range(0, values.shape[-1], 2):
-        out[..., c : c + 2] = _sigma_k_mul(grid, vhat[..., c : c + 2])
+        sigma_mul(kx, ky, kz, vhat[..., c : c + 2], out=out[..., c : c + 2])
     return spinor_ifftn(grid, out)
 
 
 def _apply_t(grid: Grid3D, A: ArrayR, values: ArrayC) -> ArrayC:
     out = _apply_sigma_d(grid, values)
+    ax, ay, az = (_pad_batch(A[..., j], values.ndim - 1) for j in range(3))
     for c in range(0, values.shape[-1], 2):
-        out[..., c : c + 2] -= _sigma_a_mul(A, values[..., c : c + 2])
+        out[..., c : c + 2] -= sigma_mul(ax, ay, az, values[..., c : c + 2])
     return out
 
 
@@ -409,17 +365,17 @@ def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
     return _apply_h(op.grid, A, m, _apply_h(op.grid, A, m, values))
 
 
-def apply(op: OperatorHandle, f: FieldLike) -> FieldLike:
+def apply(op: OperatorHandle, f: Field) -> Field:
     """Apply the discretized operator to a field of matching grid and rank."""
     if f.grid != op.grid:
         raise GridMismatchError("field grid does not match operator grid")
     if f.rank != op.rank:
         raise ValueError(f"operator {op.kind} expects rank {op.rank}, got rank {f.rank}")
     out = apply_values(op, f.values)
-    return type(f)(f.grid, out)
+    return Field(f.grid, out)
 
 
-def residual_norm(op: OperatorHandle, f: FieldLike, lam: float) -> float:
+def residual_norm(op: OperatorHandle, f: Field, lam: float) -> float:
     """Relative eigen-residual ||(Op - lambda) f|| / ||f|| in the discrete L2 norm."""
     nf = float(np.linalg.norm(f.values))
     if nf == 0.0:
@@ -532,8 +488,8 @@ def gauge_transform(pot, grid: Grid3D, div_tol: float = 1e-8):
     return Gauged(inner=pot, chi=handle), handle
 
 
-def gauged_mode(mode: Field2, chi) -> Field2:
-    """Multiply a 2-spinor field pointwise by e^{i chi(x)}.
+def gauged_mode(mode: Field, chi) -> Field:
+    """Multiply a spinor field pointwise by e^{i chi(x)}.
 
     chi is a ScalarFieldHandle (or bare real array) over the same grid; the
     pointwise norm is preserved exactly.
@@ -545,7 +501,7 @@ def gauged_mode(mode: Field2, chi) -> Field2:
     if values.shape != (mode.grid.n,) * 3:
         raise ValueError(f"gauge function has shape {values.shape}")
     phase = np.exp(1j * values)
-    return Field2(mode.grid, mode.values * phase[..., None])
+    return Field(mode.grid, mode.values * phase[..., None])
 
 
 # ----------------------------------------------------------------------------
@@ -586,10 +542,49 @@ def interp_trilinear(grid: Grid3D, values: np.ndarray, points: ArrayR) -> np.nda
     return out
 
 
-def write_field(path, field: FieldLike) -> None:
-    """Write a field to the binary format: magic DTL1, then rank, n, L as
-    little-endian float64, then per-node complex values as float64 re/im
-    pairs, x index fastest (components contiguous within a node).
+def _write_dtl1(path, grid: Grid3D, values: np.ndarray) -> None:
+    """Write per-node values (n, n, n, C) as DTL1: magic, then C, n, L as
+    little-endian float64, then the values as complex float64 re/im pairs,
+    x index fastest (components contiguous within a node). Real values are
+    stored with a zero imaginary part."""
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<3d", float(values.shape[-1]), float(grid.n), float(grid.L)))
+        # (x,y,z,c) -> (z,y,x,c) so the C-order ravel runs x fastest across nodes
+        flat = np.ascontiguousarray(values.transpose(2, 1, 0, 3)).astype("<c16")
+        fh.write(flat.tobytes())
+
+
+def _read_dtl1(path, counts: tuple, real: bool = False) -> tuple[Grid3D, np.ndarray]:
+    """Read a DTL1 file whose component count is one of counts; returns the
+    (periodic) grid and the values (n, n, n, C). With real=True a nonzero
+    imaginary part is refused and the real part comes back C-contiguous."""
+    with open(path, "rb") as fh:
+        head = fh.read(28)
+        if len(head) < 28 or head[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a {_MAGIC.decode()} file (starts {head[:4]!r}); "
+                             "truncated and headerless files are refused")
+        count_f, n_f, L = struct.unpack("<3d", head[4:])
+        if count_f not in counts or not (np.isfinite(n_f) and n_f == int(n_f)):
+            raise ValueError(f"{path}: bad header: {count_f:g} components "
+                             f"(expected one of {counts}), n = {n_f:g}")
+        count, n = int(count_f), int(n_f)
+        grid = Grid3D(n=n, L=L)
+        data = np.frombuffer(fh.read(), dtype="<c16")
+    if data.size != n**3 * count:
+        raise ValueError(f"expected {n**3 * count} values, found {data.size}")
+    vals = data.reshape(n, n, n, count).transpose(2, 1, 0, 3).astype(np.complex128)
+    if not np.all(np.isfinite(vals.view(np.float64))):
+        raise ValueError("non-finite value in field file")
+    if real:
+        if np.any(vals.imag != 0.0):
+            raise ValueError(f"{path}: real field with a nonzero imaginary part")
+        vals = np.ascontiguousarray(vals.real)
+    return grid, vals
+
+
+def write_field(path, field: Field) -> None:
+    """Write a spinor field as DTL1 (component count = rank).
 
     The header has no spin-structure entry and reads back as periodic, so a
     field on an antiperiodic grid is refused rather than silently relabeled.
@@ -597,30 +592,9 @@ def write_field(path, field: FieldLike) -> None:
     if field.grid.antiperiodic:
         raise ValueError("DTL1 files store periodic-grid fields only; "
                          "this field lives on an antiperiodic grid")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<3d", float(field.rank), float(field.grid.n), float(field.grid.L)))
-        # (x,y,z,c) -> (z,y,x,c) so the C-order ravel runs x fastest across nodes
-        flat = np.ascontiguousarray(field.values.transpose(2, 1, 0, 3)).astype("<c16")
-        fh.write(flat.tobytes())
+    _write_dtl1(path, field.grid, field.values)
 
 
-def read_field(path) -> FieldLike:
+def read_field(path) -> Field:
     """Read a field written by write_field."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        rank_f, n_f, L = struct.unpack("<3d", fh.read(24))
-        rank, n = int(rank_f), int(n_f)
-        if rank not in (2, 4):
-            raise ValueError(f"bad rank {rank_f}")
-        grid = Grid3D(n=n, L=L)
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != n**3 * rank:
-        raise ValueError(f"expected {n**3 * rank} values, found {data.size}")
-    vals = data.reshape(n, n, n, rank).transpose(2, 1, 0, 3).astype(np.complex128)
-    if not np.all(np.isfinite(vals.view(np.float64))):
-        raise ValueError("non-finite value in field file")
-    cls = Field2 if rank == 2 else Field4
-    return cls(grid, vals)
+    return Field(*_read_dtl1(path, (2, 4)))

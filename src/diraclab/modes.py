@@ -19,20 +19,14 @@ integral A_m phi dy, so one quadrature pass serves every direction.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from diraclab.potentials import (
-    ClassificationUndetermined,
-    DecayClassReport,
-    PotentialSpec,
-    _fit_loglog,
-    default_classification,
-)
+from diraclab.algebra import sigma_mul
+from diraclab.potentials import PotentialSpec, _fit_loglog, default_classification
 from diraclab.quadrature import radial_panels, sphere_product_rule
 
 ArrayC = NDArray[np.complex128]
@@ -49,7 +43,6 @@ __all__ = [
     "AccuracyError",
     "ModeRegistryError",
     "register_zero_mode",
-    "eval_zero_mode",
     "sigma_d_analytic",
     "t_residual_analytic",
     "lift_to_threshold",
@@ -70,13 +63,6 @@ class HypothesisViolation(RuntimeError):
 
 class AccuracyError(RuntimeError):
     """The quadrature error estimate exceeds the requested tolerance."""
-
-
-def _sigma_vec_apply(v, phi: ArrayC) -> ArrayC:
-    """(sigma . v) phi for vector components v (..., 3), spinors phi (..., 2)."""
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    a, b = phi[..., 0], phi[..., 1]
-    return np.stack([v2 * a + (v0 - 1j * v1) * b, (v0 + 1j * v1) * a - v2 * b], axis=-1)
 
 
 class ZeroModeSpec:
@@ -108,11 +94,15 @@ class LossYauMode(ZeroModeSpec):
         (a_re, a_im), (b_re, b_im) = self.phi0
         return np.array([a_re + 1j * a_im, b_re + 1j * b_im])
 
+    def _sigma_phi0(self, v: ArrayR) -> ArrayC:
+        """(sigma.v) phi0 for vectors v (..., 3)."""
+        phi0 = np.broadcast_to(self.phi0_spinor(), v.shape[:-1] + (2,))
+        return sigma_mul(*np.moveaxis(v, -1, 0), phi0)
+
     def eval(self, points) -> ArrayC:
         pts = np.asarray(points, dtype=np.float64)
-        phi0 = self.phi0_spinor()
         jb2 = 1.0 + np.sum(pts**2, axis=-1)
-        core = phi0 + 1j * _sigma_vec_apply(pts, np.broadcast_to(phi0, pts.shape[:-1] + (2,)))
+        core = self.phi0_spinor() + 1j * self._sigma_phi0(pts)
         return jb2[..., None] ** -1.5 * core
 
     def gradient(self, points) -> ArrayC:
@@ -121,7 +111,7 @@ class LossYauMode(ZeroModeSpec):
         phi0 = self.phi0_spinor()
         a, b = phi0
         jb2 = 1.0 + np.sum(pts**2, axis=-1)
-        core = phi0 + 1j * _sigma_vec_apply(pts, np.broadcast_to(phi0, pts.shape[:-1] + (2,)))
+        core = phi0 + 1j * self._sigma_phi0(pts)
         sig_phi0 = np.array([[b, a], [-1j * b, 1j * a], [a, -b]])  # sigma_j phi0 rows
         grad = (
             -3.0 * pts[..., :, None] * jb2[..., None, None] ** -2.5 * core[..., None, :]
@@ -130,9 +120,7 @@ class LossYauMode(ZeroModeSpec):
         return grad
 
     def closed_form_limit(self, omegas) -> ArrayC:
-        om = np.asarray(omegas, dtype=np.float64)
-        phi0 = self.phi0_spinor()
-        return 1j * _sigma_vec_apply(om, np.broadcast_to(phi0, om.shape[:-1] + (2,)))
+        return 1j * self._sigma_phi0(np.asarray(omegas, dtype=np.float64))
 
 
 # Registered evaluators: mode_id -> (evaluator, gradient or None).
@@ -158,21 +146,16 @@ class RegisteredMode(ZeroModeSpec):
 
     def eval(self, points) -> ArrayC:
         evaluator, _ = self._entry()
-        return np.asarray(evaluator(np.asarray(points, dtype=np.float64)), dtype=np.complex128)
+        values = np.asarray(evaluator(np.asarray(points, dtype=np.float64)), dtype=np.complex128)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"zero mode {self.mode_id!r} produced non-finite values")
+        return values
 
     def gradient(self, points) -> Optional[ArrayC]:
         _, grad = self._entry()
         if grad is None:
             return None
         return np.asarray(grad(np.asarray(points, dtype=np.float64)), dtype=np.complex128)
-
-
-def eval_zero_mode(spec: ZeroModeSpec, x) -> ArrayC:
-    """phi(x) for a single point or batch (..., 3)."""
-    values = spec.eval(x)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("zero-mode evaluator produced non-finite values")
-    return values
 
 
 def sigma_d_analytic(spec: ZeroModeSpec, points) -> ArrayC:
@@ -191,7 +174,8 @@ def sigma_d_analytic(spec: ZeroModeSpec, points) -> ArrayC:
 def t_residual_analytic(spec: ZeroModeSpec, pot: PotentialSpec, points) -> ArrayR:
     """Pointwise |sigma.(D - A) phi| from analytic derivatives; grid-free oracle."""
     pts = np.asarray(points, dtype=np.float64)
-    res = sigma_d_analytic(spec, pts) - _sigma_vec_apply(pot.eval(pts), spec.eval(pts))
+    A = np.moveaxis(pot.eval(pts), -1, 0)
+    res = sigma_d_analytic(spec, pts) - sigma_mul(*A, spec.eval(pts))
     return np.linalg.norm(res, axis=-1)
 
 
@@ -325,17 +309,8 @@ def _integrate_with_tail(r: ArrayR, w: ArrayR, shells, quad: QuadratureParams):
     return full, err
 
 
-# Decay classifications by potential identity; the spec object is retained so
-# the id cannot be recycled while cached.
-_CLASS_CACHE: dict[int, tuple[PotentialSpec, DecayClassReport]] = {}
-
-
 def _check_su(pot: PotentialSpec) -> None:
-    key = id(pot)
-    hit = _CLASS_CACHE.get(key)
-    if hit is None or hit[0] is not pot:
-        _CLASS_CACHE[key] = (pot, default_classification(pot))
-    report = _CLASS_CACHE[key][1]
+    report = default_classification(pot)
     if not report.in_SU:
         raise HypothesisViolation(
             f"potential decays like <x>^-{report.rho_fit:.2f}; the asymptotic limit "

@@ -21,8 +21,7 @@ Classification is evidence on samples, not proof; reports say which.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -30,7 +29,13 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.integrate import simpson
 
-from diraclab.grid import Grid3D, interp_trilinear, spectral_scalar_gradient
+from diraclab.grid import (
+    Grid3D,
+    _read_dtl1,
+    _write_dtl1,
+    interp_trilinear,
+    spectral_scalar_gradient,
+)
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -47,7 +52,6 @@ __all__ = [
     "ClassificationUndetermined",
     "UnsupportedVariant",
     "w0_of",
-    "eval_potential",
     "classify_decay",
     "kernel_dim_bound",
     "register_amn_ansatz",
@@ -276,11 +280,6 @@ class Sampled(PotentialSpec):
         return interp_trilinear(self.grid, self.values, points)
 
 
-def eval_potential(spec: PotentialSpec, x) -> ArrayR:
-    """A(x) for a single point or a batch of points (..., 3)."""
-    return spec.eval(x)
-
-
 # ----------------------------------------------------------------------------
 # Decay classification
 
@@ -443,7 +442,7 @@ def potential_to_json(spec: PotentialSpec) -> dict:
     """JSON-ready dict for a PotentialSpec.
 
     Grid-backed payloads (Sampled values, gauge functions) are referenced by
-    companion binary files and must be written separately; their entries hold
+    companion DTL1 files and must be written separately; their entries hold
     the grid geometry and an optional file name filled in by the caller.
     """
     if isinstance(spec, LossYau):
@@ -464,10 +463,31 @@ def potential_to_json(spec: PotentialSpec) -> dict:
     raise UnsupportedVariant(f"cannot serialize {type(spec).__name__}")
 
 
+def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
+                    what: str) -> tuple[Grid3D, ArrayR]:
+    """Grid and real values (n, n, n, count) of an entry's companion file.
+
+    The entry's grid_n and box_l, when given, must match the file's header.
+    """
+    fname = entry.get("file")
+    if not fname:
+        raise ValueError(f"{what} needs a companion file")
+    path = Path(fname)
+    if base_dir is not None and not path.is_absolute():
+        path = Path(base_dir) / path
+    grid, values = _read_dtl1(path, (count,), real=True)
+    for key, have in (("grid_n", grid.n), ("box_l", grid.L)):
+        if entry.get(key) is not None and entry[key] != have:
+            raise ValueError(f"{what}: {key} = {entry[key]!r} does not match "
+                             f"{have!r} in the header of {path}")
+    return grid, values
+
+
 def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> PotentialSpec:
     """Rebuild a PotentialSpec from its JSON dict.
 
-    File-backed variants resolve their companion binary relative to base_dir.
+    File-backed variants resolve their companion DTL1 file relative to
+    base_dir; a grid_n or box_l that disagrees with the file is refused.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -480,65 +500,23 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
     if variant == "amn":
         return AMN(ell=int(obj["ell"]), c_ell=float(obj["c_ell"]))
     if variant == "sampled":
-        fname = obj.get("file")
-        if not fname:
-            raise ValueError("sampled potential needs a companion file")
-        path = Path(fname)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        return read_sampled_potential(path)
+        return Sampled(*_read_companion(obj, base_dir, 3, "sampled potential"))
     if variant == "gauged":
-        chi_obj = obj.get("chi", {})
-        fname = chi_obj.get("file")
-        if not fname:
-            raise ValueError("gauged potential needs a companion gauge-function file")
-        path = Path(fname)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        grid, fields = _read_field_file(path, expected_fields=1)
-        handle = ScalarFieldHandle(grid=grid, values=fields[0])
+        grid, chi = _read_companion(obj.get("chi", {}), base_dir, 1, "gauge function")
+        handle = ScalarFieldHandle(grid=grid, values=chi[..., 0])
         return Gauged(inner=potential_from_json(obj["inner"], base_dir), chi=handle)
     raise UnsupportedVariant(f"unknown potential variant {variant!r}")
 
 
 def write_sampled_potential(path, spec: Sampled) -> None:
-    """Companion binary for sampled potentials: little-endian float64 header
-    (three axis counts, box half-width) then the three component fields,
-    x index fastest within each field."""
-    _write_field_file(path, spec.grid, [spec.values[..., j] for j in range(3)])
+    """Companion DTL1 file of a sampled potential: three real components."""
+    _write_dtl1(path, spec.grid, spec.values)
 
 
 def read_sampled_potential(path) -> Sampled:
-    grid, fields = _read_field_file(path, expected_fields=3)
-    return Sampled(grid=grid, values=np.stack(fields, axis=-1))
+    return Sampled(*_read_dtl1(path, (3,), real=True))
 
 
 def write_gauge_function(path, handle: ScalarFieldHandle) -> None:
-    """Companion binary for gauge functions: same layout, one field."""
-    _write_field_file(path, handle.grid, [handle.values])
-
-
-def _write_field_file(path, grid: Grid3D, fields: list[ArrayR]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4d", float(grid.n), float(grid.n), float(grid.n), float(grid.L)))
-        for f in fields:
-            fh.write(np.ascontiguousarray(f.T).astype("<f8").tobytes())
-
-
-def _read_field_file(path, expected_fields: int) -> tuple[Grid3D, list[ArrayR]]:
-    with open(path, "rb") as fh:
-        n1, n2, n3, L = struct.unpack("<4d", fh.read(32))
-        if not (n1 == n2 == n3):
-            raise ValueError(f"grid must be cubic, got axis counts {(n1, n2, n3)}")
-        n = int(n1)
-        grid = Grid3D(n=n, L=L)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != expected_fields * n**3:
-        raise ValueError(f"expected {expected_fields} fields of {n**3} values, found {data.size}")
-    fields = []
-    for j in range(expected_fields):
-        block = data[j * n**3 : (j + 1) * n**3].reshape(n, n, n)  # (z, y, x), x fastest
-        fields.append(np.ascontiguousarray(block.T).astype(np.float64))
-    if any(not np.all(np.isfinite(f)) for f in fields):
-        raise ValueError("non-finite value in field file")
-    return grid, fields
+    """Companion DTL1 file of a gauge function: one real component."""
+    _write_dtl1(path, handle.grid, handle.values[..., None])

@@ -45,14 +45,13 @@ from numpy.typing import NDArray
 from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator
 
+from diraclab.algebra import sigma_mul
 from diraclab.grid import (
-    Field2,
-    Field4,
+    Field,
     Grid3D,
     OperatorHandle,
     apply_values,
     interp_trilinear,
-    _sigma_k_mul,
     residual_norm,
     spinor_fftn,
     spinor_ifftn,
@@ -113,12 +112,8 @@ class EigsOptions:
     maxiter: int = 400
     extra: Optional[int] = None  # extra block vectors beyond count
     resid_tol: float = 1e-6  # per-pair residual defining "converged"
-    delta: Optional[float] = None  # preconditioner regularizer; None = 3 mean|A|^2
     initial_block: Optional[np.ndarray] = None  # warm-start block (N, >=count)
     deflate_constants: bool = True
-
-    def replaced(self, **kw) -> "EigsOptions":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -158,13 +153,12 @@ class EigenReport:
         }
 
     def vector_field(self, grid: Grid3D, index: int = 0):
-        """Ritz vector as a Field2/Field4 on the solve's grid."""
+        """Ritz vector as a Field on the solve's grid."""
         if self.vectors is None:
             raise ValueError("report was built without vectors")
         rank = 2 if self.kind in ("sigma_d", "t_a") else 4
         values = self.vectors[:, index].reshape((grid.n,) * 3 + (rank,))
-        cls = Field2 if rank == 2 else Field4
-        return cls(grid=grid, values=values.copy())
+        return Field(grid=grid, values=values.copy())
 
 
 def _cols_to_grid(block: np.ndarray, n: int, rank: int) -> ArrayC:
@@ -192,13 +186,14 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
     which LOBPCG requires, and large exactly on the near-singular fibers.
     """
     k2 = grid.k2_mesh[..., None, None]  # pad the batch and component axes
+    kx, ky, kz = (k[..., None] for k in grid.k_mesh)  # pad the batch axis
     kn = np.sqrt(k2)
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
     c = k2 + tau**2 + delta
 
     def prec(block: np.ndarray) -> np.ndarray:
         vhat = spinor_fftn(grid, _cols_to_grid(block, grid.n, 2))
-        what = _sigma_k_mul(grid, vhat)  # in place: one spinor block fewer held
+        what = sigma_mul(kx, ky, kz, vhat)  # in place: one spinor block fewer held
         what *= 2.0 * tau
         what += c * vhat
         what /= den
@@ -234,7 +229,7 @@ def _potential_is_zero(op: OperatorHandle) -> bool:
     return float(np.max(np.abs(op.sampled_potential()))) == 0.0
 
 
-def _resolve_delta(op: OperatorHandle, delta: Optional[float]) -> float:
+def _resolve_delta(op: OperatorHandle) -> float:
     """Default regularizer: three times the potential's mean square.
 
     That is the scale of the squared operator on the smooth states the free
@@ -243,10 +238,6 @@ def _resolve_delta(op: OperatorHandle, delta: Optional[float]) -> float:
     reference potential, the iteration count is flat within a factor ~3 of
     this choice and degrades sharply an order of magnitude away from it.
     """
-    if delta is not None:
-        if not (delta > 0 and np.isfinite(delta)):
-            raise ValueError("delta must be positive and finite")
-        return delta
     if _potential_is_zero(op):
         return 1e-4
     A = op.sampled_potential()
@@ -302,7 +293,7 @@ def _default_block(grid: Grid3D, target: float, nb: int, rng) -> np.ndarray:
 def initial_block_from_fields(op: OperatorHandle, fields, opts: Optional[EigsOptions] = None) -> np.ndarray:
     """Flatten known fields into a warm-start block for eigs_near.
 
-    fields is a sequence of Field2/Field4 (or raw value arrays) on the
+    fields is a sequence of Fields (or raw value arrays) on the
     operator's grid; a good guess for even one member of the target cluster
     cuts the iteration count severalfold. On periodic grids the constant
     spinors are appended automatically; eigs_near pads the rest.
@@ -520,8 +511,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int,
     nb = min(count + extra, N)
 
     mv = _block_matvec(op, target)
-    delta = _resolve_delta(op, opts.delta)
-    prec = _free_symbol_preconditioner(grid, target, delta)
+    prec = _free_symbol_preconditioner(grid, target, _resolve_delta(op))
     A = LinearOperator((N, N), matvec=mv, matmat=mv, dtype=np.complex128)
     M = LinearOperator((N, N), matvec=prec, matmat=prec, dtype=np.complex128)
 
@@ -647,7 +637,7 @@ def eigs_near(
         nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
         if opts.initial_block is not None:
-            opts = opts.replaced(initial_block=_warm_halves(opts.initial_block, n))
+            opts = replace(opts, initial_block=_warm_halves(opts.initial_block, n))
     starts = [opts] * len(shifts)
 
     # Each solve ranks by |eps - s|, the target by the lift's distance; the
@@ -675,7 +665,7 @@ def eigs_near(
         if certified or exhausted or width >= min(16 * count, max(count, 2**20 // n**3)):
             break
         width *= 2
-        starts = [opts.replaced(initial_block=v) for _, v, _, _ in solves]
+        starts = [replace(opts, initial_block=v) for _, v, _, _ in solves]
     notes += exhausted
     if rank == 4:
         lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
@@ -803,7 +793,7 @@ def gap_scan(
 
     op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
     opts = opts or EigsOptions()
-    rep = eigs_near(op, mass, 1, opts.replaced(extra=2, deflate_constants=False))
+    rep = eigs_near(op, mass, 1, replace(opts, extra=2, deflate_constants=False))
     if not rep.converged:
         raise SolverError(
             f"threshold edge solve did not converge (residuals {rep.residuals})"
@@ -837,7 +827,7 @@ class WeylQuasimode:
     nu0: float
     a: float
     b: float
-    field: Field4
+    field: Field
     residual: float
     k_vector: tuple
     envelope_width: Optional[float]
@@ -937,7 +927,7 @@ def build_weyl_quasimode(
     values = np.zeros(grid.nodes.shape[:-1] + (4,), dtype=np.complex128)
     values[..., 0:2] = a * psi
     values[..., 2:4] = b * psi
-    f = Field4(grid=grid, values=values)
+    f = Field(grid=grid, values=values)
     res = residual_norm(op, f, lambda0)
     return WeylQuasimode(
         lambda0=float(lambda0), nu0=nu0, a=a, b=b, field=f, residual=res,
@@ -987,7 +977,7 @@ def decay_fit(
 ) -> DecayFit:
     """Fit the radial decay exponent of a mode over a window of radii.
 
-    mode is a Field2/Field4 on a periodic grid (interpolated trilinearly;
+    mode is a Field on a periodic grid (interpolated trilinearly;
     window must stay inside the box) or a callable evaluator points (..., 3)
     -> spinor values. A field
     below the noise floor across the window yields verdict "undetermined"
@@ -1005,7 +995,7 @@ def decay_fit(
         raise ValueError("directions must be unit vectors")
 
     pts = radii[:, None, None] * dirs[None, :, :]
-    if isinstance(mode, (Field2, Field4)):
+    if isinstance(mode, Field):
         if mode.grid.antiperiodic:
             raise ValueError("decay_fit interpolates fields on periodic grids only")
         if radii[-1] >= mode.grid.L:
@@ -1016,7 +1006,7 @@ def decay_fit(
     elif callable(mode):
         vals = np.asarray(mode(pts), dtype=np.complex128)
     else:
-        raise TypeError("mode must be a Field2, Field4, or callable evaluator")
+        raise TypeError("mode must be a Field or a callable evaluator")
 
     amp = np.linalg.norm(vals, axis=-1).mean(axis=1)
     window = (float(radii[0]), float(radii[-1]))
@@ -1095,7 +1085,7 @@ def coupling_scan(
     block = None
     for t in ts:
         op = OperatorHandle(kind="t_a", grid=grid, potential=Scaled(t=float(t), inner=base))
-        rep = eigs_near(op, 0.0, 3, opts.replaced(initial_block=block))
+        rep = eigs_near(op, 0.0, 3, replace(opts, initial_block=block))
         block = rep.vectors
         lam = np.array(rep.eigenvalues)
         keep = list(range(len(lam)))

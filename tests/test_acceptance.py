@@ -10,7 +10,7 @@ import pytest
 
 from diraclab.algebra import dirac_alpha, dirac_beta, sigma_dot
 from diraclab.grid import (
-    Field4,
+    Field,
     Grid3D,
     OperatorHandle,
     gauge_transform,
@@ -28,7 +28,7 @@ from diraclab.modes import (
     mode_l2_norm,
     t_residual_analytic,
 )
-from diraclab.potentials import LossYau, Scaled, default_classification, eval_potential
+from diraclab.potentials import LossYau, Scaled, default_classification
 from diraclab.probe import (
     EigsOptions,
     build_weyl_quasimode,
@@ -66,7 +66,7 @@ def test_criterion_02_potential_closed_forms(lossyau):
     phi = LossYauMode().eval(pts)
     assert np.max(np.abs(np.linalg.norm(phi, axis=-1) - 1.0 / w)) <= 1e-10
 
-    A = eval_potential(lossyau, pts)
+    A = lossyau.eval(pts)
     assert np.max(np.abs(np.linalg.norm(A, axis=-1) - 3.0 / w)) <= 1e-10
 
     assert abs(mode_l2_norm(LossYauMode()) - np.pi) <= 1e-3
@@ -171,7 +171,7 @@ def test_criterion_07_decay_discrimination(lossyau, grid32, dirac_pair32):
         i = _least_constant_member(rep, grid32)
         vals = rep.vector_field(grid32, i).values
         vals = vals - vals.mean(axis=(0, 1, 2), keepdims=True)
-        fit = decay_fit(Field4(grid32, np.ascontiguousarray(vals)), radii)
+        fit = decay_fit(Field(grid32, np.ascontiguousarray(vals)), radii)
         assert fit.verdict == "mode_tail", f"sign {sign}: {fit.verdict}"
         assert abs(fit.exponent - 2.0) <= 0.25, f"sign {sign}: {fit.exponent}"
 

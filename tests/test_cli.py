@@ -7,6 +7,7 @@ shapes, and the config round trip.
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -310,3 +311,21 @@ def test_unknown_tolerance_name(capsys):
                        "--potential", FREE, "--lambdas", "0",
                        "--tol-bogus", "1")
     assert code == 1
+
+
+def test_headerless_companion_file_is_config_error(tmp_path, capsys):
+    n = 8
+    (tmp_path / "old.bin").write_bytes(struct.pack("<4d", n, n, n, 4.0)
+                                       + np.zeros(3 * n**3).tobytes())
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"variant": "sampled", "grid_n": n, "box_l": 4.0,
+                               "file": "old.bin"}))
+    code, _, err = run(capsys, "potential-info", "--potential", str(pot))
+    assert code == 1
+    assert "DTL1" in err
+
+
+def test_grid_beyond_physical_memory_is_config_error(capsys):
+    code, _, err = run(capsys, "weyl", "--grid-n", "4096", "--potential", FREE)
+    assert code == 1
+    assert "physical memory" in err

@@ -1,13 +1,14 @@
 """Grid operators: exactness on plane waves, Hermiticity, the square identity,
 vector calculus, gauge pipeline, and field I/O."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from diraclab.algebra import sigma_dot
 from diraclab.grid import (
-    Field2,
-    Field4,
+    Field,
     Grid3D,
     GridMismatchError,
     OperatorHandle,
@@ -54,7 +55,7 @@ def test_grid_validation():
 def plane_wave(grid, k, spinor):
     xs, ys, zs = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij")
     phase = np.exp(1j * (k[0] * xs + k[1] * ys + k[2] * zs))
-    return Field2(grid=grid, values=phase[..., None] * np.asarray(spinor))
+    return Field(grid=grid, values=phase[..., None] * np.asarray(spinor))
 
 
 def test_free_operator_exact_on_plane_waves():
@@ -98,7 +99,7 @@ def test_free_dirac_dispersion():
         lower = np.sin(0.5 * np.arctan2(np.linalg.norm(k), m)) * v2
         phase = np.exp(1j * (g.nodes @ k))
         vals = phase[..., None] * np.concatenate([upper, lower])
-        f = Field4(grid=g, values=vals)
+        f = Field(grid=g, values=vals)
         op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=m)
         assert residual_norm(op, f, float(lam)) <= 1e-12, spin
 
@@ -109,8 +110,8 @@ def test_operator_hermitian_on_random_fields():
         rng = np.random.default_rng(11)
         op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
         for _ in range(5):
-            f = Field2(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
-            u = Field2(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
+            f = Field(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
+            u = Field(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
             lhs = u.inner(apply(op, f))
             rhs = apply(op, u).inner(f)
             assert lhs == pytest.approx(rhs, abs=1e-10 * f.norm() * u.norm()), spin
@@ -143,8 +144,8 @@ def test_chiral_map_anticommutes():
     op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.3)
     vals = rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4))
     J = lambda v: np.concatenate([v[..., 2:], -v[..., :2]], axis=-1)
-    hv = apply(op, Field4(grid=g, values=vals)).values
-    hjv = apply(op, Field4(grid=g, values=J(vals))).values
+    hv = apply(op, Field(grid=g, values=vals)).values
+    hjv = apply(op, Field(grid=g, values=J(vals))).values
     assert np.linalg.norm(J(hv) + hjv) <= 1e-12 * np.linalg.norm(vals)
 
 
@@ -197,8 +198,8 @@ def test_gauged_mode_preserves_pointwise_norm():
     ft = gauged_mode(f, chi)
     assert np.allclose(np.abs(ft.values), np.abs(f.values), atol=1e-14)
     with pytest.raises(GridMismatchError):
-        gauged_mode(Field2(grid=Grid3D(n=8, L=10.0),
-                           values=np.zeros((8, 8, 8, 2), dtype=complex)), chi)
+        gauged_mode(Field(grid=Grid3D(n=8, L=10.0),
+                          values=np.zeros((8, 8, 8, 2), dtype=complex)), chi)
 
 
 def test_interp_trilinear_reproduces_nodes_and_linears():
@@ -216,15 +217,15 @@ def test_interp_trilinear_reproduces_nodes_and_linears():
 def test_field_io_round_trip(tmp_path):
     g = Grid3D(n=8, L=3.0)
     rng = np.random.default_rng(23)
-    f = Field4(grid=g, values=rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4)))
+    f = Field(grid=g, values=rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4)))
     p = tmp_path / "mode.dtl"
     write_field(p, f)
     back = read_field(p)
-    assert isinstance(back, Field4)
+    assert back.rank == 4
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
     # the header has no spin field: an antiperiodic field would come back periodic
-    fa = Field4(grid=Grid3D(n=8, L=3.0, spin="antiperiodic"), values=f.values)
+    fa = Field(grid=Grid3D(n=8, L=3.0, spin="antiperiodic"), values=f.values)
     with pytest.raises(ValueError, match="antiperiodic"):
         write_field(tmp_path / "twisted.dtl", fa)
 
@@ -232,9 +233,25 @@ def test_field_io_round_trip(tmp_path):
 def test_sample_field_shapes():
     g = Grid3D(n=8, L=5.0)
     f2 = sample_field(LossYauMode().eval, g)
-    assert isinstance(f2, Field2) and f2.values.shape == (8, 8, 8, 2)
+    assert f2.rank == 2 and f2.values.shape == (8, 8, 8, 2)
     with pytest.raises(ValueError):
-        Field2(grid=g, values=np.zeros((4, 4, 4, 2), dtype=complex))
-    other = Field2(grid=Grid3D(n=8, L=4.0), values=np.zeros((8, 8, 8, 2), dtype=complex))
+        Field(grid=g, values=np.zeros((4, 4, 4, 2), dtype=complex))
+    other = Field(grid=Grid3D(n=8, L=4.0), values=np.zeros((8, 8, 8, 2), dtype=complex))
     with pytest.raises(GridMismatchError):
         other.inner(f2)
+
+
+def test_field_file_header_is_pinned(tmp_path):
+    g = Grid3D(n=8, L=3.0)
+    p = tmp_path / "mode.dtl"
+    write_field(p, Field(grid=g, values=np.ones((8, 8, 8, 4), dtype=complex)))
+    data = p.read_bytes()
+    assert data[:28] == b"DTL1" + struct.pack("<3d", 4, 8, 3.0)
+    assert len(data) == 28 + 8**3 * 4 * 16
+
+
+def test_grid_refuses_more_than_physical_memory():
+    # refused in the constructor, before any node or frequency array exists
+    with pytest.raises(ValueError, match="physical memory"):
+        Grid3D(n=4096, L=1.0)
+    assert Grid3D(n=128, L=20.0).n == 128

@@ -14,7 +14,6 @@ from diraclab.modes import (
     ThresholdMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
-    eval_zero_mode,
     lift_to_threshold,
     mode_l2_norm,
     register_zero_mode,
@@ -35,7 +34,7 @@ point = st.tuples(
 @given(point)
 @settings(max_examples=200)
 def test_mode_norm_closed_form(x):
-    phi = eval_zero_mode(LossYauMode(), x)
+    phi = LossYauMode().eval(x)
     assert np.linalg.norm(phi) == pytest.approx(1.0 / (1.0 + np.dot(x, x)), rel=1e-10)
 
 
@@ -144,3 +143,9 @@ def test_registered_mode_round_trip():
     )
     with pytest.raises(KeyError):
         RegisteredMode(mode_id="never-registered").eval(x)
+
+
+def test_registered_mode_refuses_non_finite_values():
+    register_zero_mode("ly-nan", lambda pts: np.full(pts.shape[:-1] + (2,), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        RegisteredMode(mode_id="ly-nan").eval((0.1, 0.2, -0.3))

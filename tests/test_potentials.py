@@ -1,5 +1,8 @@
 """Closed forms, decay classification, and serialization of potentials."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,6 @@ from diraclab.potentials import (
     UnsupportedVariant,
     classify_decay,
     default_classification,
-    eval_potential,
     kernel_dim_bound,
     potential_from_json,
     potential_to_json,
@@ -48,15 +50,15 @@ def test_w0_of_unit_for_any_normalized_spinor():
 def test_loss_yau_at_reference_points():
     pot = LossYau()
     # (0,0,1): bracket^2 = 2, (1-1)w0 + 2*1*(0,0,1) + 2 w0 x x = (0,0,2); 3/4*2
-    assert np.allclose(eval_potential(pot, (0.0, 0.0, 1.0)), [0.0, 0.0, 1.5])
-    assert np.allclose(eval_potential(pot, (0.0, 0.0, 0.0)), [0.0, 0.0, 3.0])
+    assert np.allclose(pot.eval((0.0, 0.0, 1.0)), [0.0, 0.0, 1.5])
+    assert np.allclose(pot.eval((0.0, 0.0, 0.0)), [0.0, 0.0, 3.0])
 
 
 @given(point)
 @settings(max_examples=200)
 def test_loss_yau_norm_closed_form(x):
     pot = LossYau()
-    a = eval_potential(pot, x)
+    a = pot.eval(x)
     assert np.linalg.norm(a) == pytest.approx(3.0 / bracket(x) ** 2, rel=1e-10)
 
 
@@ -65,9 +67,9 @@ def test_loss_yau_norm_closed_form(x):
 def test_loss_yau_batch_matches_scalar(x):
     pot = LossYau()
     pts = np.array([x, (0.0, 0.0, 0.0), x])
-    batch = eval_potential(pot, pts)
+    batch = pot.eval(pts)
     assert batch.shape == (3, 3)
-    assert np.allclose(batch[0], eval_potential(pot, x))
+    assert np.allclose(batch[0], pot.eval(x))
     assert np.allclose(batch[2], batch[0])
 
 
@@ -81,7 +83,7 @@ def test_loss_yau_rejects_unnormalized_phi0():
 def test_scaled_is_pointwise_multiple(t, x):
     base = LossYau()
     assert np.allclose(
-        eval_potential(Scaled(t=t, inner=base), x), t * eval_potential(base, x)
+        Scaled(t=t, inner=base).eval(x), t * base.eval(x)
     )
 
 
@@ -130,7 +132,7 @@ def test_json_round_trip_loss_yau_and_scaled():
     spec = Scaled(t=1.25, inner=LossYau())
     back = potential_from_json(potential_to_json(spec))
     x = (0.3, -1.2, 2.0)
-    assert np.allclose(eval_potential(back, x), eval_potential(spec, x))
+    assert np.allclose(back.eval(x), spec.eval(x))
 
 
 def test_json_rejects_unknown_variant():
@@ -146,3 +148,64 @@ def test_sampled_round_trips_grid_values():
     spec = Sampled(grid=g, values=vals)
     nodes = g.nodes
     assert np.allclose(spec.eval(nodes[2, 3, 4]), vals[2, 3, 4])
+
+
+def test_sampled_companion_round_trip(tmp_path):
+    from diraclab.grid import Grid3D, sample_potential
+    from diraclab.potentials import write_sampled_potential
+
+    g = Grid3D(n=8, L=4.0)
+    spec = Sampled(grid=g, values=sample_potential(LossYau(), g))
+    write_sampled_potential(tmp_path / "a.dtl", spec)
+    # DTL1 header, then three real components stored as complex pairs
+    assert (tmp_path / "a.dtl").stat().st_size == 28 + 8**3 * 3 * 16
+    obj = dict(potential_to_json(spec), file="a.dtl")
+    back = potential_from_json(json.loads(json.dumps(obj)), base_dir=tmp_path)
+    assert back.grid == g
+    assert np.array_equal(back.values, spec.values)
+
+
+def test_gauged_companion_round_trip(tmp_path):
+    from diraclab.grid import Grid3D, gauge_transform
+    from diraclab.potentials import write_gauge_function
+
+    g = Grid3D(n=8, L=4.0)
+    spec, chi = gauge_transform(Scaled(t=0.5, inner=LossYau()), g)
+    write_gauge_function(tmp_path / "chi.dtl", chi)
+    obj = potential_to_json(spec)
+    obj["chi"]["file"] = "chi.dtl"
+    back = potential_from_json(json.loads(json.dumps(obj)), base_dir=tmp_path)
+    assert back.chi.grid == g
+    assert np.array_equal(back.chi.values, chi.values)
+    x = np.array([[0.3, -1.2, 2.0], [-3.9, 0.0, 1.5]])
+    assert np.array_equal(back.eval(x), spec.eval(x))
+
+
+def test_companion_header_must_match_entry(tmp_path):
+    from diraclab.grid import Grid3D, sample_potential
+    from diraclab.potentials import write_sampled_potential
+
+    g = Grid3D(n=8, L=4.0)
+    write_sampled_potential(tmp_path / "a.dtl", Sampled(grid=g, values=sample_potential(LossYau(), g)))
+    entry = {"variant": "sampled", "grid_n": 16, "box_l": 20.0, "file": "a.dtl"}
+    with pytest.raises(ValueError, match="grid_n"):
+        potential_from_json(entry, base_dir=tmp_path)
+    with pytest.raises(ValueError, match="box_l"):
+        potential_from_json(dict(entry, grid_n=8), base_dir=tmp_path)
+    # without the keys the header alone decides
+    assert potential_from_json({"variant": "sampled", "file": "a.dtl"}, base_dir=tmp_path).grid == g
+
+
+def test_companion_refuses_headerless_and_complex_files(tmp_path):
+    from diraclab.potentials import read_sampled_potential
+
+    n = 8
+    headerless = tmp_path / "old.bin"
+    headerless.write_bytes(struct.pack("<4d", n, n, n, 4.0) + np.zeros(3 * n**3).tobytes())
+    with pytest.raises(ValueError, match="DTL1"):
+        read_sampled_potential(headerless)
+    complex_file = tmp_path / "complex.dtl"
+    complex_file.write_bytes(b"DTL1" + struct.pack("<3d", 3, n, 4.0)
+                             + np.full(3 * n**3, 1.0 + 0.5j).astype("<c16").tobytes())
+    with pytest.raises(ValueError, match="imaginary"):
+        read_sampled_potential(complex_file)
