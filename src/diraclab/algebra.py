@@ -65,20 +65,27 @@ def pauli(j: int) -> ArrayC:
 
 
 def sigma_mul(vx, vy, vz, phi, out=None) -> ArrayC:
-    """(sigma.v) phi over the trailing spinor axis of phi, v = (vx, vy, vz).
+    """(sigma.v) phi over the leading spinor axis of phi, v = (vx, vy, vz).
 
-    The components broadcast against phi[..., 0]: scalars, or arrays padded
-    to its batch axes. This is the one place the contraction is written; the
-    supercharge (sigma.k and sigma.A), the zero mode and sigma_dot all call it.
-    The result is complex and goes into out when given (out must not overlap
-    phi).
+    phi[0] and phi[1] are the spinor components; vx, vy, vz broadcast against
+    them: scalars, 1-D frequency axes shaped to one grid axis, or potential
+    components. This is the one place the contraction is written; the
+    supercharge (sigma.k and sigma.A), the free-symbol preconditioner, the
+    zero mode and sigma_dot all call it. The result is complex, of shape
+    (2,) + the broadcast shape, and goes into out when given (out must not
+    overlap phi). Each component is built in its own slot with one
+    temporary: out[0] = vz a + (vx - i vy) b, out[1] = (vx + i vy) a - vz b.
     """
-    a, b = phi[..., 0], phi[..., 1]
+    a, b = phi[0], phi[1]
     if out is None:
         shape = np.broadcast_shapes(np.shape(vx), np.shape(vy), np.shape(vz), a.shape)
-        out = np.empty(shape + (2,), dtype=np.result_type(vx, vy, vz, phi, 1j))
-    out[..., 0] = vz * a + (vx - 1j * vy) * b
-    out[..., 1] = (vx + 1j * vy) * a - vz * b
+        out = np.empty((2,) + shape, dtype=np.result_type(vx, vy, vz, phi, 1j))
+    up, down = out[0, ...], out[1, ...]  # views, also when 0-d
+    np.multiply(vz, b, out=up)  # scratch until down is done
+    np.multiply(vx + 1j * vy, a, out=down)
+    down -= up
+    np.multiply(vz, a, out=up)
+    up += (vx - 1j * vy) * b
     return out
 
 
@@ -93,8 +100,8 @@ def sigma_dot(v) -> ArrayC:
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("sigma_dot requires finite components")
-    # the rows of I2 are the basis spinors; their images are the columns
-    return sigma_mul(v[0], v[1], v[2], _I2).T.copy()
+    # I2 indexed [component, basis spinor]: the images are the columns
+    return sigma_mul(v[0], v[1], v[2], _I2)
 
 
 def dirac_alpha(j: int) -> ArrayC:

@@ -52,6 +52,7 @@ from diraclab.quadrature import sphere_directions_26
 from diraclab.potentials import (
     ClassificationUndetermined,
     LossYau,
+    Sampled,
     default_classification,
     kernel_dim_bound,
     potential_from_json,
@@ -448,35 +449,40 @@ def cmd_weyl(cfg: RunConfig) -> int:
     sweep = int(cfg.options.get("sweep", 1))
     if sweep < 1:
         raise ConfigError("sweep must be >= 1")
+    # one evaluation of the potential serves the whole sweep; each quasi-mode
+    # keeps its report, not its field
     try:
-        modes = [build_weyl_quasimode(pot, cfg.mass, lambda0, idx, grid)
+        A = sample_potential(pot, grid)
+        modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
                  for idx in range(1, sweep + 1)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    residuals = [m.residual for m in modes]
+    residuals = [m["residual"] for m in modes]
     checks = []
-    pot_free = float(np.max(np.abs(sample_potential(pot, grid)))) == 0.0
-    if pot_free:
+    if float(np.max(np.abs(A))) == 0.0:
         checks.append(_check("free_residual", residuals[0], cfg.tol("free")))
     if sweep > 1:
         worst_ratio = max(residuals[i + 1] / residuals[i] for i in range(sweep - 1))
         checks.append(_check("residual_decrease_ratio", worst_ratio, 1.0))
     for idx, m in enumerate(modes, start=1):
-        print(f"n_index {idx}: residual {m.residual:.6g} "
-              f"(k = {np.array(m.k_vector).round(6).tolist()}, nu0 = {m.nu0:.6g})")
-    return _finish(cfg, checks, {"quasimodes": [m.to_dict() for m in modes]})
+        print(f"n_index {idx}: residual {m['residual']:.6g} "
+              f"(k = {np.array(m['k_vector']).round(6).tolist()}, nu0 = {m['nu0']:.6g})")
+    return _finish(cfg, checks, {"quasimodes": modes})
 
 
 def cmd_gauge(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    gauged_spec, chi = gauge_transform(pot, grid)
+    # pot is evaluated once; the gauged potential is these samples plus the
+    # gradient of chi, both read at the nodes without interpolation
     A = sample_potential(pot, grid)
+    gauged_spec, chi = gauge_transform(Sampled(grid=grid, values=A), grid)
     A_t = sample_potential(gauged_spec, grid)
     div_rel = float(np.linalg.norm(spectral_divergence(grid, A_t))
                     / max(np.linalg.norm(A_t), 1e-300))
-    curl_dev = float(np.linalg.norm(spectral_curl(grid, A_t) - spectral_curl(grid, A))
-                     / max(np.linalg.norm(spectral_curl(grid, A)), 1e-300))
+    curl_A = spectral_curl(grid, A)
+    curl_dev = float(np.linalg.norm(spectral_curl(grid, A_t) - curl_A)
+                     / max(np.linalg.norm(curl_A), 1e-300))
     checks = [
         _check("divergence_relative", div_rel, cfg.tol("div")),
         _check("curl_deviation", curl_dev, cfg.tol("curl")),
@@ -491,7 +497,7 @@ def cmd_gauge(cfg: RunConfig) -> int:
         # the gauged operator must keep its near-kernel eigenvalue
         mode = LossYauMode(phi0=pot.phi0)
         f = gauged_mode(sample_field(mode.eval, grid), chi)
-        op = OperatorHandle(kind="t_a", grid=grid, potential=gauged_spec)
+        op = OperatorHandle(kind="t_a", grid=grid, potential=A_t)
         opts = EigsOptions(seed=cfg.seed, initial_block=initial_block_from_fields(op, [f]))
         rep = eigs_near(op, 0.0, 1, opts)
         converged = rep.converged

@@ -26,8 +26,19 @@ gauge functions) stay periodic whatever the spin structure.
 
 Operator layout is standard pseudo-spectral: sigma.D acts by multiplication
 with sigma.k in Fourier space, sigma.A pointwise in physical space; their sum
-is exact per application (no splitting error). The discrete L2 norm carries
-the cell volume: ||f|| = h^(3/2) * Euclidean norm of the samples, so norms
+is exact per application (no splitting error). One kernel applies every
+operator. It copies the (n, n, n, ..., rank) input once into a contiguous
+component-leading block (rank, ..., n, n, n) and transforms the last three
+axes in place. sigma.k is built from the 1-D frequency axes by broadcasting,
+so no frequency mesh is ever stored and k_x +- i k_y are (n, n, 1) arrays.
+sigma.A reads the contiguous components of the sampled potential
+(sample_potential returns each component C-contiguous). For H = [[m, T],
+[T, -m]] the T-image of each 2-spinor half is written straight into the
+other half's slot and the mass terms are added in place. The result is an
+(n, n, n, ..., rank) view of the block. Real fields (potentials, gauge
+functions) are differentiated with real-input transforms (rfftn/irfftn),
+half the work of complex ones. The discrete L2 norm carries the cell
+volume: ||f|| = h^(3/2) * Euclidean norm of the samples, so norms
 approximate their continuum counterparts.
 """
 
@@ -80,14 +91,6 @@ class GridMismatchError(ValueError):
 
 class GaugeError(RuntimeError):
     """Gauge construction failed to reach its divergence tolerance."""
-
-
-def _fftn(a: ArrayC) -> ArrayC:
-    return sfft.fftn(a, axes=(0, 1, 2), workers=-1)
-
-
-def _ifftn(a: ArrayC) -> ArrayC:
-    return sfft.ifftn(a, axes=(0, 1, 2), workers=-1)
 
 
 SPIN_STRUCTURES = ("periodic", "antiperiodic")
@@ -169,19 +172,24 @@ class Grid3D:
         return np.stack([X, Y, Z], axis=-1)
 
     @cached_property
-    def k_mesh(self) -> tuple[ArrayR, ArrayR, ArrayR]:
-        """Spinor-operator frequencies per axis (full lattice), shape (n, n, n)."""
-        return tuple(np.meshgrid(self.k_axis, self.k_axis, self.k_axis, indexing="ij"))
+    def k_axes(self) -> tuple[ArrayR, ArrayR, ArrayR]:
+        """Spinor dual frequencies shaped (n, 1, 1), (1, n, 1), (1, 1, n): they
+        broadcast to the full lattice over the last three axes of a block."""
+        k = self.k_axis
+        return k[:, None, None], k[None, :, None], k[None, None, :]
 
     @cached_property
     def k2_mesh(self) -> ArrayR:
-        kx, ky, kz = self.k_mesh
+        """|k|^2 on the spinor lattice, shape (n, n, n)."""
+        kx, ky, kz = self.k_axes
         return kx**2 + ky**2 + kz**2
 
     @cached_property
-    def k_mesh_real(self) -> tuple[ArrayR, ArrayR, ArrayR]:
-        """Real-field derivative frequencies per axis (Nyquist zeroed)."""
-        return tuple(np.meshgrid(self.k_axis_real, self.k_axis_real, self.k_axis_real, indexing="ij"))
+    def k_axes_real(self) -> tuple[ArrayR, ArrayR, ArrayR]:
+        """Real-field derivative frequencies (Nyquist zeroed) shaped for an
+        rfftn half spectrum: (n, 1, 1), (1, n, 1), (1, 1, n // 2 + 1)."""
+        k = self.k_axis_real
+        return k[:, None, None], k[None, :, None], k[None, None, : self.n // 2 + 1]
 
 
 @dataclass
@@ -229,33 +237,42 @@ def sample_field(evaluator: Callable[[ArrayR], np.ndarray], grid: Grid3D) -> Fie
     vals = np.asarray(evaluator(grid.nodes), dtype=np.complex128)
     if vals.shape[:-1] != (grid.n,) * 3 or vals.shape[-1] not in (2, 4):
         raise ValueError(f"evaluator returned shape {vals.shape}")
-    if not np.all(np.isfinite(vals.view(np.float64))):
+    if not np.all(np.isfinite(vals)):
         raise ValueError("non-finite sample encountered")
     return Field(grid, vals)
 
 
 def sample_potential(pot, grid: Grid3D) -> ArrayR:
-    """Sample a vector potential (object with .eval or an array) onto the grid.
+    """Sample a vector potential at the grid nodes.
 
-    Returns a real array of shape (n, n, n, 3). Potentials are real-valued by
+    pot is a PotentialSpec, which samples itself (PotentialSpec.sample: a
+    Scaled, Sampled or Gauged potential on its own grid neither re-evaluates
+    nor interpolates), any other object with .eval, evaluated at grid.nodes,
+    or an array of samples, which is checked and passed on. Call it once per
+    potential and grid and hand the array on: OperatorHandle and
+    build_weyl_quasimode accept it in place of the potential.
+
+    Returns a real array of shape (n, n, n, 3) whose components are each
+    C-contiguous (a view of a (3, n, n, n) block), the layout the operator
+    kernel and the spectral calculus read. Potentials are real-valued by
     construction; a complex-valued evaluator is rejected.
     """
     if isinstance(pot, np.ndarray):
-        a = np.asarray(pot, dtype=np.float64)
-        if a.shape != (grid.n, grid.n, grid.n, 3):
+        vals = np.asarray(pot, dtype=np.float64)
+        if vals.shape != (grid.n, grid.n, grid.n, 3):
             raise ValueError(f"potential samples must have shape {(grid.n,)*3 + (3,)}")
-        return a
-    vals = np.asarray(pot.eval(grid.nodes))
-    if np.iscomplexobj(vals):
-        if np.max(np.abs(vals.imag)) > 1e-12:
-            raise ValueError("vector potential must be real-valued")
-        vals = vals.real
-    vals = vals.astype(np.float64, copy=False)
-    if vals.shape != (grid.n, grid.n, grid.n, 3):
-        raise ValueError(f"potential evaluator returned shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-finite potential sample encountered")
-    return vals
+    else:
+        vals = np.asarray(pot.sample(grid) if hasattr(pot, "sample") else pot.eval(grid.nodes))
+        if np.iscomplexobj(vals):
+            if np.max(np.abs(vals.imag)) > 1e-12:
+                raise ValueError("vector potential must be real-valued")
+            vals = vals.real
+        vals = vals.astype(np.float64, copy=False)
+        if vals.shape != (grid.n, grid.n, grid.n, 3):
+            raise ValueError(f"potential evaluator returned shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite potential sample encountered")
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, -1, 0)), 0, -1)
 
 
 # ----------------------------------------------------------------------------
@@ -296,55 +313,70 @@ class OperatorHandle:
         return self._A
 
 
-def _pad_batch(coeff, block_ndim: int):
-    """Right-pad (n,n,n) coefficient arrays so they broadcast over batch axes."""
-    return coeff.reshape(coeff.shape + (1,) * (block_ndim - coeff.ndim))
+def _component_axes(ndim: int) -> tuple:
+    """Axis order taking (n, n, n, *batch, rank) to (rank, *batch, n, n, n)."""
+    return (ndim - 1, *range(3, ndim - 1), 0, 1, 2)
 
 
 def spinor_fftn(grid: Grid3D, values: ArrayC) -> ArrayC:
-    """Spinor values (n, n, n, ...) to coefficients on the grid's spinor lattice.
+    """Spinor values (n, n, n, ..., rank) to their coefficients on the grid's
+    spinor lattice, as a new contiguous component-leading block
+    (rank, ..., n, n, n).
 
-    On antiperiodic grids the field is untwisted by e^{-is.x} first, so that
-    coefficient index m carries the wavenumber k_axis[m].
+    The values are copied once, untwisted by e^{-is.x} on antiperiodic grids
+    so that coefficient index m carries the wavenumber k_axis[m], and the
+    copy is transformed in place.
     """
+    src = np.asarray(values).transpose(_component_axes(np.ndim(values)))
+    block = np.empty(src.shape, dtype=np.complex128)
     if grid.antiperiodic:
-        values = values * _pad_batch(grid.spin_phase.conj(), values.ndim)
-    return _fftn(values)
+        np.multiply(src, grid.spin_phase.conj(), out=block)
+    else:
+        np.copyto(block, src)
+    return sfft.fftn(block, axes=(-3, -2, -1), overwrite_x=True, workers=-1)
 
 
-def spinor_ifftn(grid: Grid3D, vhat: ArrayC) -> ArrayC:
-    """Inverse of spinor_fftn."""
-    out = _ifftn(vhat)
+def spinor_ifftn(grid: Grid3D, block: ArrayC) -> ArrayC:
+    """Inverse of spinor_fftn, in place on the component-leading block;
+    returns the (n, n, n, ..., rank) view of the result."""
+    out = sfft.ifftn(block, axes=(-3, -2, -1), overwrite_x=True, workers=-1)
     if grid.antiperiodic:
-        out *= _pad_batch(grid.spin_phase, out.ndim)
-    return out
+        out *= grid.spin_phase
+    return out.transpose(np.argsort(_component_axes(out.ndim)))
 
 
-def _apply_sigma_d(grid: Grid3D, values: ArrayC) -> ArrayC:
-    """sigma.D on each 2-spinor block of a (n,n,n,2 or 4) array."""
+def _halves(block: ArrayC, swap: bool = False) -> ArrayC:
+    """Spin-leading view (2, rank // 2, ...) of a component-leading block: the
+    2-spinor halves side by side on the second axis, in reverse order when
+    swap is set."""
+    pairs = block.reshape((block.shape[0] // 2, 2) + block.shape[1:])
+    return (pairs[::-1] if swap else pairs).swapaxes(0, 1)
+
+
+def _apply(grid: Grid3D, values: ArrayC, A: Optional[ArrayR] = None,
+           mass: Optional[float] = None) -> ArrayC:
+    """sigma.D (no A), T_A (no mass) or H_A on (n, n, n, ..., rank) values.
+
+    sigma.k acts on every 2-spinor half of the transformed block in one
+    sigma_mul call. For H = [[m, T], [T, -m]] over (upper, lower) each half's
+    image goes into the other half's slot, and sigma.A and the mass terms are
+    then taken from the input values. Returns an (n, n, n, ..., rank) view of
+    a new block.
+    """
+    swap = mass is not None
     vhat = spinor_fftn(grid, values)
-    kx, ky, kz = (_pad_batch(k, vhat.ndim - 1) for k in grid.k_mesh)
     out = np.empty_like(vhat)
-    for c in range(0, values.shape[-1], 2):
-        sigma_mul(kx, ky, kz, vhat[..., c : c + 2], out=out[..., c : c + 2])
-    return spinor_ifftn(grid, out)
-
-
-def _apply_t(grid: Grid3D, A: ArrayR, values: ArrayC) -> ArrayC:
-    out = _apply_sigma_d(grid, values)
-    ax, ay, az = (_pad_batch(A[..., j], values.ndim - 1) for j in range(3))
-    for c in range(0, values.shape[-1], 2):
-        out[..., c : c + 2] -= sigma_mul(ax, ay, az, values[..., c : c + 2])
-    return out
-
-
-def _apply_h(grid: Grid3D, A: ArrayR, mass: float, values: ArrayC) -> ArrayC:
-    # H = [[m, T], [T, -m]] in 2x2 block form over (upper, lower).
-    t = _apply_t(grid, A, values)
-    out = np.empty_like(values)
-    out[..., 0:2] = mass * values[..., 0:2] + t[..., 2:4]
-    out[..., 2:4] = t[..., 0:2] - mass * values[..., 2:4]
-    return out
+    sigma_mul(*grid.k_axes, _halves(vhat), out=_halves(out, swap))
+    del vhat
+    result = spinor_ifftn(grid, out)
+    v = np.asarray(values).transpose(_component_axes(np.ndim(values)))
+    if A is not None:
+        images = _halves(out, swap)
+        images -= sigma_mul(A[..., 0], A[..., 1], A[..., 2], _halves(v))
+    if mass is not None:
+        out[0:2] += mass * v[0:2]
+        out[2:4] -= mass * v[2:4]
+    return result
 
 
 def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
@@ -352,25 +384,26 @@ def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
 
     Fast path without Field wrapping; extra axes between the grid axes and
     the component axis are treated as a batch (one transform pass covers the
-    whole block, which is what the iterative eigensolver leans on).
+    whole block, which is what the iterative eigensolver leans on). The
+    result has the shape of values and is a view of a new component-leading
+    block (see the module docstring).
     """
+    if np.shape(values)[-1] != op.rank:
+        raise ValueError(f"operator {op.kind} expects rank {op.rank}, "
+                         f"got rank {np.shape(values)[-1]}")
     if op.kind == "sigma_d":
-        return _apply_sigma_d(op.grid, values)
+        return _apply(op.grid, values)
+    A = op.sampled_potential()
     if op.kind == "t_a":
-        return _apply_t(op.grid, op.sampled_potential(), values)
-    if op.kind == "h_a":
-        return _apply_h(op.grid, op.sampled_potential(), op.mass, values)
-    # h_squared
-    A, m = op.sampled_potential(), op.mass
-    return _apply_h(op.grid, A, m, _apply_h(op.grid, A, m, values))
+        return _apply(op.grid, values, A)
+    hv = _apply(op.grid, values, A, op.mass)
+    return hv if op.kind == "h_a" else _apply(op.grid, hv, A, op.mass)
 
 
 def apply(op: OperatorHandle, f: Field) -> Field:
     """Apply the discretized operator to a field of matching grid and rank."""
     if f.grid != op.grid:
         raise GridMismatchError("field grid does not match operator grid")
-    if f.rank != op.rank:
-        raise ValueError(f"operator {op.kind} expects rank {op.rank}, got rank {f.rank}")
     out = apply_values(op, f.values)
     return Field(f.grid, out)
 
@@ -380,7 +413,8 @@ def residual_norm(op: OperatorHandle, f: Field, lam: float) -> float:
     nf = float(np.linalg.norm(f.values))
     if nf == 0.0:
         raise ValueError("residual of the zero field is undefined")
-    r = apply_values(op, f.values) - lam * f.values
+    r = apply_values(op, f.values)
+    r -= lam * f.values
     return float(np.linalg.norm(r) / nf)
 
 
@@ -403,8 +437,8 @@ def susy_square_check(
     worst = 0.0
     for _ in range(trials):
         v = rng.standard_normal((grid.n,) * 3 + (4,)) + 1j * rng.standard_normal((grid.n,) * 3 + (4,))
-        hh = _apply_h(grid, A, mass, _apply_h(grid, A, mass, v))
-        tt = _apply_t(grid, A, _apply_t(grid, A, v))
+        hh = _apply(grid, _apply(grid, v, A, mass), A, mass)
+        tt = _apply(grid, _apply(grid, v, A), A)
         dev = hh - tt - mass**2 * v
         worst = max(worst, float(np.linalg.norm(dev) / np.linalg.norm(v)))
     return worst
@@ -414,34 +448,47 @@ def susy_square_check(
 # Gauge pipeline
 
 
+def _rfftn(values: ArrayR) -> ArrayC:
+    return sfft.rfftn(values, workers=-1)
+
+
+def _irfftn(grid: Grid3D, half: ArrayC) -> ArrayR:
+    return sfft.irfftn(half, s=(grid.n,) * 3, workers=-1)
+
+
+def _vector_field(grid: Grid3D, halves) -> ArrayR:
+    """Real (n, n, n, 3) field, components C-contiguous, from three half
+    spectra (taken one at a time from the iterable)."""
+    out = np.empty((3,) + (grid.n,) * 3)
+    for j, half in enumerate(halves):
+        out[j] = _irfftn(grid, half)
+    return np.moveaxis(out, 0, -1)
+
+
 def spectral_scalar_gradient(grid: Grid3D, values: ArrayR) -> ArrayR:
     """Gradient of a real scalar grid field via Fourier differentiation."""
-    vhat = sfft.fftn(np.asarray(values, dtype=np.float64), workers=-1)
-    kx, ky, kz = grid.k_mesh_real
-    out = np.empty((grid.n,) * 3 + (3,))
-    out[..., 0] = sfft.ifftn(1j * kx * vhat, workers=-1).real
-    out[..., 1] = sfft.ifftn(1j * ky * vhat, workers=-1).real
-    out[..., 2] = sfft.ifftn(1j * kz * vhat, workers=-1).real
-    return out
+    vhat = _rfftn(np.asarray(values, dtype=np.float64))
+    return _vector_field(grid, (1j * k * vhat for k in grid.k_axes_real))
+
+
+def _divergence_half(grid: Grid3D, A: ArrayR) -> ArrayC:
+    """Half spectrum of the divergence of a real (n, n, n, 3) field."""
+    kx, ky, kz = grid.k_axes_real
+    return 1j * (kx * _rfftn(A[..., 0]) + ky * _rfftn(A[..., 1]) + kz * _rfftn(A[..., 2]))
 
 
 def spectral_divergence(grid: Grid3D, A: ArrayR) -> ArrayR:
     """Divergence of a real vector grid field via Fourier differentiation."""
-    kx, ky, kz = grid.k_mesh_real
-    ahat = sfft.fftn(np.asarray(A, dtype=np.float64), axes=(0, 1, 2), workers=-1)
-    div_hat = 1j * (kx * ahat[..., 0] + ky * ahat[..., 1] + kz * ahat[..., 2])
-    return sfft.ifftn(div_hat, workers=-1).real
+    return _irfftn(grid, _divergence_half(grid, np.asarray(A, dtype=np.float64)))
 
 
 def spectral_curl(grid: Grid3D, A: ArrayR) -> ArrayR:
     """Curl of a real vector grid field via Fourier differentiation."""
-    kx, ky, kz = grid.k_mesh_real
-    ahat = sfft.fftn(np.asarray(A, dtype=np.float64), axes=(0, 1, 2), workers=-1)
-    out = np.empty_like(np.asarray(A, dtype=np.float64))
-    out[..., 0] = sfft.ifftn(1j * (ky * ahat[..., 2] - kz * ahat[..., 1]), workers=-1).real
-    out[..., 1] = sfft.ifftn(1j * (kz * ahat[..., 0] - kx * ahat[..., 2]), workers=-1).real
-    out[..., 2] = sfft.ifftn(1j * (kx * ahat[..., 1] - ky * ahat[..., 0]), workers=-1).real
-    return out
+    A = np.asarray(A, dtype=np.float64)
+    kx, ky, kz = grid.k_axes_real
+    a0, a1, a2 = (_rfftn(A[..., j]) for j in range(3))
+    return _vector_field(grid, (1j * (ky * a2 - kz * a1), 1j * (kz * a0 - kx * a2),
+                                1j * (kx * a1 - ky * a0)))
 
 
 def helmholtz_project(grid: Grid3D, A: ArrayR) -> tuple[ArrayR, ArrayR]:
@@ -455,17 +502,14 @@ def helmholtz_project(grid: Grid3D, A: ArrayR) -> tuple[ArrayR, ArrayR]:
     identically and its curl equals curl A.
     """
     A = np.asarray(A, dtype=np.float64)
-    kx, ky, kz = grid.k_mesh_real
+    kx, ky, kz = grid.k_axes_real
     k2 = kx**2 + ky**2 + kz**2
-    ahat = sfft.fftn(A, axes=(0, 1, 2), workers=-1)
-    div_hat = 1j * (kx * ahat[..., 0] + ky * ahat[..., 1] + kz * ahat[..., 2])
+    div_hat = _divergence_half(grid, A)
     # -Laplace(chi) = div A reads k^2 chi_hat = div_hat fiberwise
     chi_hat = np.where(k2 > 0.0, div_hat / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    chi = sfft.ifftn(chi_hat, workers=-1).real
-    grad = np.empty_like(A)
-    grad[..., 0] = sfft.ifftn(1j * kx * chi_hat, workers=-1).real
-    grad[..., 1] = sfft.ifftn(1j * ky * chi_hat, workers=-1).real
-    grad[..., 2] = sfft.ifftn(1j * kz * chi_hat, workers=-1).real
+    del div_hat
+    chi = _irfftn(grid, chi_hat)
+    grad = _vector_field(grid, (1j * k * chi_hat for k in (kx, ky, kz)))
     return A + grad, chi
 
 

@@ -95,9 +95,9 @@ class LossYauMode(ZeroModeSpec):
         return np.array([a_re + 1j * a_im, b_re + 1j * b_im])
 
     def _sigma_phi0(self, v: ArrayR) -> ArrayC:
-        """(sigma.v) phi0 for vectors v (..., 3)."""
-        phi0 = np.broadcast_to(self.phi0_spinor(), v.shape[:-1] + (2,))
-        return sigma_mul(*np.moveaxis(v, -1, 0), phi0)
+        """(sigma.v) phi0 for vectors v (..., 3), shape (..., 2), C-ordered."""
+        phi0 = self.phi0_spinor().reshape((2,) + (1,) * (v.ndim - 1))
+        return np.ascontiguousarray(np.moveaxis(sigma_mul(*np.moveaxis(v, -1, 0), phi0), 0, -1))
 
     def eval(self, points) -> ArrayC:
         pts = np.asarray(points, dtype=np.float64)
@@ -175,7 +175,8 @@ def t_residual_analytic(spec: ZeroModeSpec, pot: PotentialSpec, points) -> Array
     """Pointwise |sigma.(D - A) phi| from analytic derivatives; grid-free oracle."""
     pts = np.asarray(points, dtype=np.float64)
     A = np.moveaxis(pot.eval(pts), -1, 0)
-    res = sigma_d_analytic(spec, pts) - sigma_mul(*A, spec.eval(pts))
+    phi = np.moveaxis(spec.eval(pts), -1, 0)
+    res = sigma_d_analytic(spec, pts) - np.moveaxis(sigma_mul(*A, phi), 0, -1)
     return np.linalg.norm(res, axis=-1)
 
 

@@ -92,8 +92,8 @@ def w0_of(phi0) -> ArrayR:
 class ScalarFieldHandle:
     """A real scalar field (gauge function chi) sampled on a grid.
 
-    The spectral gradient is computed once on first use and interpolated
-    trilinearly for off-node evaluation.
+    The spectral gradient is computed once on first use; it is read directly
+    at the grid's own nodes and interpolated trilinearly elsewhere.
     """
 
     grid: Grid3D
@@ -121,15 +121,27 @@ class ScalarFieldHandle:
         return interp_trilinear(self.grid, self.values, points)
 
 
+def _same_nodes(a: Grid3D, b: Grid3D) -> bool:
+    """Whether two grids share their nodes (the spin structure does not move
+    them; real fields are periodic on both)."""
+    return a.n == b.n and a.L == b.L
+
+
 class PotentialSpec:
     """Base class for declarative vector-potential descriptions.
 
     Subclasses implement eval(points) -> real values of shape (..., 3) and are
-    immutable after construction.
+    immutable after construction. sample(grid) gives the values at the grid
+    nodes; variants built on grid data override it so that they neither
+    re-evaluate nor interpolate on their own grid.
     """
 
     def eval(self, points) -> ArrayR:
         raise NotImplementedError
+
+    def sample(self, grid: Grid3D) -> ArrayR:
+        """Values at the nodes of grid, shape (n, n, n, 3)."""
+        return self.eval(grid.nodes)
 
     def norm_at(self, points) -> ArrayR:
         """|A(x)| pointwise; shape (...)."""
@@ -184,6 +196,9 @@ class Scaled(PotentialSpec):
     def eval(self, points) -> ArrayR:
         return self.t * self.inner.eval(points)
 
+    def sample(self, grid: Grid3D) -> ArrayR:
+        return self.t * self.inner.sample(grid)
+
 
 @dataclass(frozen=True)
 class Gauged(PotentialSpec):
@@ -194,6 +209,13 @@ class Gauged(PotentialSpec):
 
     def eval(self, points) -> ArrayR:
         return self.inner.eval(points) + self.chi.grad_at(points)
+
+    def sample(self, grid: Grid3D) -> ArrayR:
+        """On the gauge function's own grid: the inner samples plus the cached
+        spectral gradient, no interpolation."""
+        if not _same_nodes(grid, self.chi.grid):
+            return self.eval(grid.nodes)
+        return self.inner.sample(grid) + self.chi.gradient_values()
 
 
 # Registered spinor ansatz evaluators for the c<x>^-2 family, keyed by level.
@@ -278,6 +300,10 @@ class Sampled(PotentialSpec):
 
     def eval(self, points) -> ArrayR:
         return interp_trilinear(self.grid, self.values, points)
+
+    def sample(self, grid: Grid3D) -> ArrayR:
+        """The stored values on their own grid, else interpolated."""
+        return self.values if _same_nodes(grid, self.grid) else self.eval(grid.nodes)
 
 
 # ----------------------------------------------------------------------------
@@ -469,9 +495,11 @@ def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
 
     The entry's grid_n and box_l, when given, must match the file's header.
     """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object, got {entry!r}")
     fname = entry.get("file")
-    if not fname:
-        raise ValueError(f"{what} needs a companion file")
+    if not fname or not isinstance(fname, str):
+        raise ValueError(f"{what} needs a companion file name, got {fname!r}")
     path = Path(fname)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
@@ -483,28 +511,51 @@ def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
     return grid, values
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number (bool is not one) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not (abs(value) <= np.finfo(np.float64).max):  # NaN, infinities, huge ints
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _phi0(value) -> tuple:
+    """((re, im), (re, im)) from a JSON [[re, im], [re, im]]."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(c, (list, tuple)) and len(c) == 2 for c in value)):
+        raise ValueError(f"phi0 must be [[re, im], [re, im]], got {value!r}")
+    return tuple(tuple(_number(x, "phi0 entry") for x in c) for c in value)
+
+
 def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> PotentialSpec:
     """Rebuild a PotentialSpec from its JSON dict.
 
     File-backed variants resolve their companion DTL1 file relative to
-    base_dir; a grid_n or box_l that disagrees with the file is refused.
+    base_dir; a grid_n or box_l that disagrees with the file is refused. An
+    entry of the wrong JSON type anywhere raises ValueError.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a potential must be a JSON object, got {obj!r}")
     variant = obj.get("variant")
     if variant == "loss_yau":
-        phi0 = obj.get("phi0", [[1.0, 0.0], [0.0, 0.0]])
-        return LossYau(phi0=((phi0[0][0], phi0[0][1]), (phi0[1][0], phi0[1][1])))
+        return LossYau(phi0=_phi0(obj.get("phi0", [[1.0, 0.0], [0.0, 0.0]])))
     if variant == "scaled":
-        return Scaled(t=float(obj["t"]), inner=potential_from_json(obj["inner"], base_dir))
+        return Scaled(t=_number(obj.get("t"), "t"),
+                      inner=potential_from_json(obj.get("inner"), base_dir))
     if variant == "amn":
-        return AMN(ell=int(obj["ell"]), c_ell=float(obj["c_ell"]))
+        ell = obj.get("ell")
+        if isinstance(ell, bool) or not isinstance(ell, int):
+            raise ValueError(f"ell must be an integer, got {ell!r}")
+        return AMN(ell=ell, c_ell=_number(obj.get("c_ell"), "c_ell"))
     if variant == "sampled":
         return Sampled(*_read_companion(obj, base_dir, 3, "sampled potential"))
     if variant == "gauged":
-        grid, chi = _read_companion(obj.get("chi", {}), base_dir, 1, "gauge function")
+        grid, chi = _read_companion(obj.get("chi"), base_dir, 1, "gauge function")
         handle = ScalarFieldHandle(grid=grid, values=chi[..., 0])
-        return Gauged(inner=potential_from_json(obj["inner"], base_dir), chi=handle)
+        return Gauged(inner=potential_from_json(obj.get("inner"), base_dir), chi=handle)
     raise UnsupportedVariant(f"unknown potential variant {variant!r}")
 
 

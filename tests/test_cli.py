@@ -5,6 +5,7 @@ exit codes (0 pass, 1 config, 2 failed check, 3 solver), report files, CSV
 shapes, and the config round trip.
 """
 
+import copy
 import json
 import math
 import struct
@@ -329,3 +330,80 @@ def test_grid_beyond_physical_memory_is_config_error(capsys):
     code, _, err = run(capsys, "weyl", "--grid-n", "4096", "--potential", FREE)
     assert code == 1
     assert "physical memory" in err
+
+
+# A valid entry of each potential variant, and the key paths a random JSON
+# value is put at (the empty path replaces the whole entry).
+POTENTIAL_ENTRIES = {
+    "loss_yau": {"variant": "loss_yau", "phi0": [[1.0, 0.0], [0.0, 0.0]]},
+    "scaled": {"variant": "scaled", "t": 0.5, "inner": {"variant": "loss_yau"}},
+    "amn": {"variant": "amn", "ell": 0, "c_ell": 3.0},
+    "sampled": {"variant": "sampled", "grid_n": 8, "box_l": 4.0, "file": "a.dtl"},
+    "gauged": {"variant": "gauged", "inner": {"variant": "loss_yau"},
+               "chi": {"grid_n": 8, "box_l": 4.0, "file": "chi.dtl"}},
+}
+POTENTIAL_KEYS = [("loss_yau", ()), ("loss_yau", ("variant",)), ("loss_yau", ("phi0",)),
+                  ("scaled", ("t",)), ("scaled", ("inner",)), ("scaled", ("inner", "phi0")),
+                  ("amn", ("ell",)), ("amn", ("c_ell",)),
+                  ("sampled", ("grid_n",)), ("sampled", ("box_l",)), ("sampled", ("file",)),
+                  ("gauged", ("inner",)), ("gauged", ("chi",)), ("gauged", ("chi", "grid_n")),
+                  ("gauged", ("chi", "box_l")), ("gauged", ("chi", "file"))]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _potential_info_code(tmp_path, capsys, entry):
+    from diraclab.grid import Grid3D, _write_dtl1
+
+    g = Grid3D(n=8, L=4.0)
+    _write_dtl1(tmp_path / "a.dtl", g, np.zeros((8, 8, 8, 3)))
+    _write_dtl1(tmp_path / "chi.dtl", g, np.zeros((8, 8, 8, 1)))
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps(entry))
+    return run(capsys, "potential-info", "--potential", str(pot), "--out", str(tmp_path / "i.json"))
+
+
+def test_potential_of_wrong_json_type_is_config_error(tmp_path, capsys):
+    for entry in ({"variant": "loss_yau", "phi0": 5},
+                  {"variant": "scaled", "t": [1], "inner": {"variant": "loss_yau"}},
+                  dict(POTENTIAL_ENTRIES["gauged"], chi=5), 5):
+        code, _, err = _potential_info_code(tmp_path, capsys, entry)
+        assert code == 1 and "error: cannot build potential" in err, entry
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(where=st.sampled_from(POTENTIAL_KEYS), value=JSON_VALUES)
+def test_any_json_value_in_a_potential_runs_or_exits_1(tmp_path, capsys, where, value):
+    # never a traceback: main returns, with exit code 1 unless the entry is
+    # a usable potential
+    variant, path = where
+    entry = copy.deepcopy(POTENTIAL_ENTRIES[variant])
+    if not path:
+        entry = value
+    else:
+        node = entry
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    code, _, err = _potential_info_code(tmp_path, capsys, entry)
+    assert code in (0, 1, 2), (entry, code, err)
+    if code == 1:
+        assert err.startswith("error: "), (entry, err)
+
+
+def test_weyl_sweep_evaluates_the_potential_once(tmp_path, capsys, monkeypatch):
+    from diraclab.potentials import LossYau
+
+    calls = []
+    original = LossYau.eval
+    monkeypatch.setattr(LossYau, "eval", lambda self, pts: calls.append(1) or original(self, pts))
+    code, out, _ = run(capsys, "weyl", "--grid-n", "16", "--box-l", "20", "--sweep", "4",
+                       "--potential", LY, "--out", str(tmp_path / "w.json"))
+    assert code in (0, 2)
+    assert out.count("n_index") == 4
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "w.json").read_text())
+    assert len(report["result"]["quasimodes"]) == 4

@@ -157,6 +157,10 @@ def test_operator_handle_validation():
         OperatorHandle(kind="t_a", grid=g, potential=None)
     with pytest.raises(ValueError):
         OperatorHandle(kind="nope", grid=g, potential=LossYau())
+    # H acts on 4-spinors only: a 2-spinor block is refused, not half-applied
+    h = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=0.8)
+    with pytest.raises(ValueError, match="expects rank 4"):
+        apply_values(h, np.zeros((8, 8, 8, 3, 2), dtype=complex))
 
 
 def test_gradient_exact_on_lattice_waves():
@@ -255,3 +259,99 @@ def test_grid_refuses_more_than_physical_memory():
     with pytest.raises(ValueError, match="physical memory"):
         Grid3D(n=4096, L=1.0)
     assert Grid3D(n=128, L=20.0).n == 128
+
+
+KINDS = (("sigma_d", 2), ("t_a", 2), ("h_a", 4), ("h_squared", 4))
+
+
+def _handle(kind, grid):
+    return OperatorHandle(kind=kind, grid=grid, potential=None if kind == "sigma_d" else LossYau(),
+                          mass=0.7 if kind in ("h_a", "h_squared") else None)
+
+
+def test_batch_apply_equals_column_applies():
+    # one transform pass over a (n, n, n, nb, rank) block, C-ordered or the
+    # strided view the eigensolver passes, gives each column's apply exactly
+    rng = np.random.default_rng(3)
+    for spin, _ in SPINS:
+        g = Grid3D(n=8, L=5.0, spin=spin)
+        for kind, rank in KINDS:
+            op = _handle(kind, g)
+            block = rng.normal(size=(8, 8, 8, 3, rank)) + 1j * rng.normal(size=(8, 8, 8, 3, rank))
+            cols = np.asfortranarray(block.transpose(0, 1, 2, 4, 3).reshape(-1, 3))
+            strided = cols.reshape(8, 8, 8, rank, 3).transpose(0, 1, 2, 4, 3)
+            for v in (block, strided):
+                out = apply_values(op, v)
+                assert out.shape == v.shape, (spin, kind)
+                for j in range(3):
+                    col = apply_values(op, np.ascontiguousarray(v[..., j, :]))
+                    assert np.array_equal(out[..., j, :], col), (spin, kind, j)
+
+
+def test_h_a_is_block_assembly_of_t_a():
+    # H = [[m, T], [T, -m]] over (upper, lower), exactly as assembled from T
+    rng = np.random.default_rng(4)
+    m = 0.7
+    for spin, _ in SPINS:
+        g = Grid3D(n=8, L=5.0, spin=spin)
+        v = rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4))
+        t_op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+        t_up = apply_values(t_op, np.ascontiguousarray(v[..., 0:2]))
+        t_low = apply_values(t_op, np.ascontiguousarray(v[..., 2:4]))
+        want = np.concatenate([m * v[..., 0:2] + t_low, t_up - m * v[..., 2:4]], axis=-1)
+        got = apply_values(OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=m), v)
+        assert np.array_equal(got, want), spin
+
+
+def _complex_reference(grid, A):
+    """Gradient of A[..., 0], divergence, curl and Helmholtz projection of a
+    real field through complex transforms, the Nyquist-zeroed lattice as a
+    full mesh."""
+    k = np.meshgrid(*(grid.k_axis_real,) * 3, indexing="ij")
+    fft = lambda f: np.fft.fftn(f)
+    ifft = lambda f: np.fft.ifftn(f).real
+    ahat = [fft(A[..., j]) for j in range(3)]
+    grad = np.stack([ifft(1j * k[j] * ahat[0]) for j in range(3)], axis=-1)
+    div_hat = 1j * (k[0] * ahat[0] + k[1] * ahat[1] + k[2] * ahat[2])
+    curl = np.stack([ifft(1j * (k[(j + 1) % 3] * ahat[(j + 2) % 3] - k[(j + 2) % 3] * ahat[(j + 1) % 3]))
+                     for j in range(3)], axis=-1)
+    k2 = k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    chi_hat = np.where(k2 > 0.0, div_hat / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    proj = A + np.stack([ifft(1j * k[j] * chi_hat) for j in range(3)], axis=-1)
+    return grad, ifft(div_hat), curl, proj, ifft(chi_hat)
+
+
+def test_real_transforms_match_complex_reference():
+    from diraclab.grid import helmholtz_project
+
+    rng = np.random.default_rng(8)
+    g = Grid3D(n=16, L=5.0)
+    A = rng.normal(size=(16, 16, 16, 3))
+    grad, div, curl, proj, chi = _complex_reference(g, A)
+    proj_got, chi_got = helmholtz_project(g, A)
+    for name, got, want in (("gradient", spectral_scalar_gradient(g, A[..., 0]), grad),
+                            ("divergence", spectral_divergence(g, A), div),
+                            ("curl", spectral_curl(g, A), curl),
+                            ("projection", proj_got, proj), ("chi", chi_got, chi)):
+        assert got.shape == want.shape, name
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
+
+
+def test_potential_samples_itself_on_its_grid():
+    # Scaled and Gauged on the gauge function's grid: no interpolation, the
+    # same values as evaluating at the nodes up to round-off
+    from diraclab.potentials import Gauged, Sampled
+
+    g = Grid3D(n=16, L=7.0)
+    gauged, chi = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)
+    for spec in (Scaled(t=1.4, inner=LossYau()), gauged,
+                 Sampled(grid=g, values=sample_potential(LossYau(), g)),
+                 Gauged(inner=Scaled(t=0.5, inner=LossYau()), chi=chi)):
+        got = sample_potential(spec, g)
+        assert got.shape == (16, 16, 16, 3)
+        assert all(got[..., j].flags.c_contiguous for j in range(3))
+        want = spec.eval(g.nodes)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want))), type(spec)
+    # the spin structure does not move the nodes: no interpolation there either
+    ga = Grid3D(n=16, L=7.0, spin="antiperiodic")
+    assert np.array_equal(sample_potential(gauged, ga), sample_potential(gauged, g))

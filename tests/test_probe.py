@@ -255,6 +255,40 @@ def test_decay_fit_verdicts_on_synthetic_profiles():
     assert fit_f.flagged  # |x|^-1 tail is impossible under fast decay
 
 
+def _loss_yau_times_z1(power):
+    """psi_LY z1^power with z1 = 2 (x1 + i x2) / <x>^2: an L^2 zero mode of
+    T for Scaled(t=(2 power + 3)/3, LossYau()), decaying like r^-(2 + power)."""
+    def mode(points):
+        pts = np.asarray(points, dtype=np.float64)
+        z1 = 2.0 * (pts[..., 0] + 1j * pts[..., 1]) / (1.0 + np.sum(pts**2, axis=-1))
+        return LossYauMode().eval(pts) * (z1**power)[..., None]
+    return mode
+
+
+def test_decay_fit_counts_faster_tails_as_modes():
+    from diraclab.algebra import sigma_mul
+
+    pts = np.random.default_rng(9).uniform(-3.0, 3.0, size=(6, 3))
+    for power, want in ((1, 3.0), (2, 4.0)):
+        mode = _loss_yau_times_z1(power)
+        # zero mode of sigma.(D - tA) at t = (2 power + 3)/3, D = -i grad,
+        # by central differences; O(1) off that coupling
+        h = 1e-5
+        grad = [(mode(pts + h * e) - mode(pts - h * e)) / (2 * h) for e in np.eye(3)]
+        sigma_d = sum(-1j * sigma_mul(*e, g.T) for e, g in zip(np.eye(3), grad))
+        A = LossYau().eval(pts).T
+        for t, small in (((2 * power + 3) / 3.0, True), (1.0, False)):
+            res = np.linalg.norm(sigma_d - t * sigma_mul(*A, mode(pts).T)) / np.linalg.norm(sigma_d)
+            assert (res <= 1e-6) == small, (power, t, res)
+        fit = decay_fit(mode, np.geomspace(20.0, 200.0, 24))
+        assert fit.exponent == pytest.approx(want, abs=0.01), power
+        assert fit.verdict == "mode_tail", (power, fit.exponent)
+    # the Loss-Yau mode itself keeps its exponent and verdict
+    fit = decay_fit(LossYauMode().eval, np.geomspace(20.0, 200.0, 24))
+    assert fit.exponent == pytest.approx(1.9991477400657518, rel=1e-12)
+    assert fit.verdict == "mode_tail"
+
+
 def test_decay_fit_noise_floor_is_undetermined():
     tiny = lambda pts: 1e-200 * np.ones(np.asarray(pts).shape[:-1] + (2,))
     fit = decay_fit(tiny, np.geomspace(10.0, 100.0, 8))
