@@ -21,6 +21,7 @@ ArrayR = NDArray[np.float64]
 __all__ = [
     "pauli",
     "sigma_mul",
+    "sigma_mul_ladder",
     "sigma_dot",
     "dirac_alpha",
     "dirac_beta",
@@ -69,23 +70,32 @@ def sigma_mul(vx, vy, vz, phi, out=None) -> ArrayC:
 
     phi[0] and phi[1] are the spinor components; vx, vy, vz broadcast against
     them: scalars, 1-D frequency axes shaped to one grid axis, or potential
-    components. This is the one place the contraction is written; the
-    supercharge (sigma.k and sigma.A), the free-symbol preconditioner, the
-    zero mode and sigma_dot all call it. The result is complex, of shape
-    (2,) + the broadcast shape, and goes into out when given (out must not
-    overlap phi). Each component is built in its own slot with one
-    temporary: out[0] = vz a + (vx - i vy) b, out[1] = (vx + i vy) a - vz b.
+    components. The supercharge (sigma.k and sigma.A), the free-symbol
+    preconditioner, the zero mode and sigma_dot all call it or, when they
+    apply one v many times, sigma_mul_ladder with its ladder combinations
+    formed once. The result is complex, of shape (2,) + the broadcast shape,
+    and goes into out when given (out must not overlap phi).
+    """
+    return sigma_mul_ladder(vx + 1j * vy, vx - 1j * vy, vz, phi, out)
+
+
+def sigma_mul_ladder(vp, vm, vz, phi, out=None) -> ArrayC:
+    """(sigma.v) phi from vp = vx + i vy, vm = vx - i vy and vz.
+
+    This is the one place the contraction is written. Each component is
+    built in its own slot with one temporary: out[0] = vz a + vm b,
+    out[1] = vp a - vz b. Shapes and out as in sigma_mul.
     """
     a, b = phi[0], phi[1]
     if out is None:
-        shape = np.broadcast_shapes(np.shape(vx), np.shape(vy), np.shape(vz), a.shape)
-        out = np.empty((2,) + shape, dtype=np.result_type(vx, vy, vz, phi, 1j))
+        shape = np.broadcast_shapes(np.shape(vp), np.shape(vm), np.shape(vz), a.shape)
+        out = np.empty((2,) + shape, dtype=np.result_type(vp, vm, vz, phi, 1j))
     up, down = out[0, ...], out[1, ...]  # views, also when 0-d
     np.multiply(vz, b, out=up)  # scratch until down is done
-    np.multiply(vx + 1j * vy, a, out=down)
+    np.multiply(vp, a, out=down)
     down -= up
     np.multiply(vz, a, out=up)
-    up += (vx - 1j * vy) * b
+    up += vm * b
     return out
 
 

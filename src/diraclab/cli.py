@@ -291,10 +291,14 @@ def cmd_verify_zero_mode(cfg: RunConfig) -> int:
     mode = LossYauMode(phi0=pot.phi0)
     grid = cfg.grid()
 
-    # pointwise closed-form residual on the grid nodes, slab by slab
+    # pointwise closed-form residual on the grid nodes, slab by slab; each
+    # slab x = axis[i] is built from the 1-D axis, not from the full mesh
     worst = 0.0
-    for i in range(grid.n):
-        worst = max(worst, float(np.max(t_residual_analytic(mode, pot, grid.nodes[i]))))
+    slab = np.empty((grid.n, grid.n, 3))
+    slab[..., 1:] = np.stack(np.meshgrid(grid.axis, grid.axis, indexing="ij"), axis=-1)
+    for x in grid.axis:
+        slab[..., 0] = x
+        worst = max(worst, float(np.max(t_residual_analytic(mode, pot, slab))))
 
     # discrete L2 norm of the sampled mode vs the radial-quadrature norm
     f = sample_field(mode.eval, grid)

@@ -165,9 +165,10 @@ class Grid3D:
         p = np.exp(1j * (np.pi / (2.0 * self.L)) * self.axis)
         return p[:, None, None] * p[None, :, None] * p[None, None, :]
 
-    @cached_property
+    @property
     def nodes(self) -> ArrayR:
-        """All grid nodes, shape (n, n, n, 3)."""
+        """All grid nodes, shape (n, n, n, 3), built on each access: the mesh
+        (50 MB at n=128) is not held for the grid's lifetime."""
         X, Y, Z = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
         return np.stack([X, Y, Z], axis=-1)
 

@@ -13,6 +13,18 @@ recovered by Rayleigh-Ritz on the wanted columns; every report carries the
 per-pair residuals, the seed, the kernel-counting threshold actually used,
 and a note when a solve ran out of iterations.
 
+The block solver runs on unitary (norm="ortho") spinor Fourier coefficients,
+not on grid values; LOBPCG is invariant under that change of basis. Each
+column is one contiguous (2, n, n, n) coefficient block, so the preconditioner
+is a pointwise 2x2 multiply with no transform, and one apply of (T - tau)^2
+is two FFT pairs with the antiperiodic phases folded in and no layout copy.
+Measured at n=64, L=20 on a 2-core VM (one column, min of 9): the
+preconditioner 1.0 ms against 37.5 ms for the grid-value FFT pair it
+replaced, the squared shift 56 against 73 ms. The start block is transformed
+once on entry (cold blocks are drawn as coefficients), and the wanted Ritz
+vectors once on exit; Rayleigh-Ritz of T, the residuals of H and H^2, the
+constant fractions and the report vectors stay on grid values.
+
 Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
 kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
 every H_A eigenpair is (+-sqrt(m^2 + eps^2), (a v, b v)) and every H^2
@@ -41,11 +53,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.fft as sfft
 from numpy.typing import NDArray
 from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator
 
-from diraclab.algebra import sigma_mul
+from diraclab.algebra import sigma_mul, sigma_mul_ladder
 from diraclab.grid import (
     Field,
     Grid3D,
@@ -53,8 +66,6 @@ from diraclab.grid import (
     apply_values,
     interp_trilinear,
     residual_norm,
-    spinor_fftn,
-    spinor_ifftn,
 )
 from diraclab.potentials import PotentialSpec, Scaled, _fit_loglog
 from diraclab.quadrature import sphere_directions_26
@@ -173,8 +184,53 @@ def _grid_to_cols(values: ArrayC) -> np.ndarray:
     return values.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
 
 
+# The supercharge solves run on unitary spinor Fourier coefficients. A column
+# is one contiguous (2, n, n, n) block, so a Fortran (N, nb) block of columns
+# is the C-ordered (nb, 2, n, n, n) array it is in memory.
+_AXES = (-3, -2, -1)
+
+
+def _coefficient_view(block: np.ndarray, n: int) -> ArrayC:
+    """Solver columns, (N,) or Fortran-ordered (N, nb), as the (nb, 2, n, n, n)
+    coefficient block they are in memory (a copy only for other layouts)."""
+    b = np.atleast_2d(block.T)
+    return b.reshape(b.shape[0], 2, n, n, n)
+
+
+def _solver_columns(coef: ArrayC, like: np.ndarray) -> np.ndarray:
+    """A (nb, 2, n, n, n) coefficient block as columns shaped like `like`."""
+    return coef.reshape(-1) if like.ndim == 1 else coef.reshape(coef.shape[0], -1).T
+
+
+def _forward(grid: Grid3D, block: ArrayC, untwist: Optional[ArrayC] = None) -> ArrayC:
+    """Unitary coefficients of component-leading spinor values (..., n, n, n),
+    in place. Antiperiodic values are untwisted by e^{-is.x} (`untwist`, when
+    the caller holds it) first, so coefficient m carries wavenumber
+    k_axis[m]."""
+    if grid.antiperiodic:
+        block *= grid.spin_phase.conj() if untwist is None else untwist
+    return sfft.fftn(block, axes=_AXES, norm="ortho", overwrite_x=True, workers=-1)
+
+
+def _inverse(grid: Grid3D, block: ArrayC) -> ArrayC:
+    """Inverse of _forward, in place."""
+    out = sfft.ifftn(block, axes=_AXES, norm="ortho", overwrite_x=True, workers=-1)
+    if grid.antiperiodic:
+        out *= grid.spin_phase
+    return out
+
+
+def _grid_columns(grid: Grid3D, coef: np.ndarray) -> np.ndarray:
+    """Coefficient columns (N, c) as grid-value columns (N, c), each laid out
+    (n, n, n, 2) like a warm-start block or a report vector. The inverse
+    transform runs in place on coef."""
+    values = _inverse(grid, _coefficient_view(coef, grid.n))
+    return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1)).reshape(len(values), -1).T
+
+
 def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
-    """Exact fiberwise inverse of (sigma.k - tau)^2 + delta on 2-spinor blocks.
+    """Exact fiberwise inverse of (sigma.k - tau)^2 + delta on coefficient
+    columns.
 
     The free squared shift S0(k) = (sigma.k - tau)^2 is diagonalized by the
     eigenprojections of sigma.k, so (S0 + delta)^{-1} has the closed form
@@ -183,44 +239,88 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
         / (((|k|-tau)^2+delta) ((|k|+tau)^2+delta))
 
     SPD by construction (every fiber eigenvalue is 1/((s-tau)^2+delta) > 0),
-    which LOBPCG requires, and large exactly on the near-singular fibers.
+    which LOBPCG requires, and large exactly on the near-singular fibers. On
+    the solver's Fourier coefficients it is a pointwise 2x2 multiply (at
+    tau = 0 a real scaling) and needs no transform: one n=64 column costs
+    1.0 ms on a 2-core VM, where the FFT pair of the grid-value form cost
+    37.5 ms.
     """
     k2 = grid.k2_mesh
-    kx, ky, kz = grid.k_axes
     kn = np.sqrt(k2)
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
-    c = k2 + tau**2 + delta
+    diag = (k2 + tau**2 + delta) / den
+    off = 2.0 * tau / den
 
     def prec(block: np.ndarray) -> np.ndarray:
-        # component-leading (2, nb, n, n, n) coefficients: the (n, n, n)
-        # symbols broadcast over the spinor and batch axes
-        vhat = spinor_fftn(grid, _cols_to_grid(block, grid.n, 2))
-        what = sigma_mul(kx, ky, kz, vhat)
-        what *= 2.0 * tau
-        what += c * vhat
-        del vhat
-        what /= den
-        out = _grid_to_cols(spinor_ifftn(grid, what))
-        return out if block.ndim == 2 else out[:, 0]
+        x = _coefficient_view(block, grid.n)
+        if tau == 0.0:
+            out = x * diag
+        else:
+            out = np.empty_like(x)
+            sigma_mul(*grid.k_axes, x.swapaxes(0, 1), out=out.swapaxes(0, 1))
+            out *= off
+            out += diag * x
+        return _solver_columns(out, block)
 
     return prec
 
 
-def _block_matvec(op: OperatorHandle, tau: float):
-    """(Op - tau)^2 acting on flattened 2-spinor blocks (N, nb)."""
+class _ShiftedSquare:
+    """(T - tau)^2 on the solver's coefficient columns, for one solve.
 
-    def mv(block: np.ndarray) -> np.ndarray:
-        # apply_values returns a new array, so the first shift goes in place
-        # (one block less at n=64); the second in place too measured no lower
-        # there and raised peak RSS of n=16 solves by 1.3 MB (heap layout)
-        v = _cols_to_grid(block, op.grid.n, 2)
-        w = apply_values(op, v)
-        w -= tau * v
-        w = apply_values(op, w) - tau * w
-        out = _grid_to_cols(w)
-        return out if block.ndim == 2 else out[:, 0]
+    In the unitary spinor basis F the supercharge reads
+    T^ x = sigma.k x - F[sigma.A F^-1 x], so one apply of the square costs
+    exactly two FFT pairs over the block and no layout copy; sigma_d has no
+    sigma.A term and needs none. The tau passes are skipped at tau = 0.
+    What the applies reuse lives as long as this object, the solve: the
+    ladder combinations A_x +- i A_y (two complex n^3 arrays, 8 MB at n=64,
+    not cached on the operator handle) and two work blocks as wide as the
+    last block applied (a wider start block is not kept through the solve).
+    Only the result is allocated per apply.
+    """
 
-    return mv
+    def __init__(self, op: OperatorHandle, tau: float):
+        grid = op.grid
+        self.grid, self.tau = grid, tau
+        kx, ky, kz = grid.k_axes
+        self.k = (kx + 1j * ky, kx - 1j * ky, kz)
+        self.a = None
+        if op.kind != "sigma_d":
+            A = op.sampled_potential()
+            ax, ay = A[..., 0], A[..., 1]
+            self.a = (ax + 1j * ay, ax - 1j * ay, A[..., 2])
+        self.untwist = grid.spin_phase.conj() if grid.antiperiodic else None
+        self.work = np.empty((2, 0, 2) + (grid.n,) * 3, dtype=np.complex128)
+
+    def _t(self, x: ArrayC, dst: ArrayC, scratch: ArrayC) -> ArrayC:
+        """T^ x, in dst (or the array returned); scratch is overwritten."""
+        if self.a is None:
+            sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=dst.swapaxes(0, 1))
+            return dst
+        np.copyto(scratch, x)
+        u = _inverse(self.grid, scratch)
+        sigma_mul_ladder(*self.a, u.swapaxes(0, 1), out=dst.swapaxes(0, 1))
+        dst = _forward(self.grid, dst, self.untwist)
+        sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=u.swapaxes(0, 1))
+        return np.subtract(u, dst, out=dst)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        x = _coefficient_view(block, self.grid.n)
+        if self.work.shape[1:] != x.shape:
+            self.work = None  # the old blocks go before the new ones come
+            self.work = np.empty((2,) + x.shape, dtype=np.complex128)
+        z, u = self.work
+        z = self._t(x, z, u)
+        if self.tau:
+            z -= np.multiply(x, self.tau, out=u)
+        out = self._t(z, np.empty_like(x), u)
+        if self.tau:
+            out -= np.multiply(z, self.tau, out=u)
+        return _solver_columns(out, block)
+
+
+def _linear_operator(fn, N: int) -> LinearOperator:
+    return LinearOperator((N, N), matvec=fn, matmat=fn, dtype=np.complex128)
 
 
 def _constant_fraction(vec: ArrayC, n: int, rank: int) -> float:
@@ -251,17 +351,18 @@ def _resolve_delta(op: OperatorHandle) -> float:
     return max(1e-4, 3.0 * float(np.mean(np.sum(np.abs(A) ** 2, axis=-1))))
 
 
-def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> np.ndarray:
-    """Random 2-spinor fields band-limited to the target's resonant shell
-    |k| = |target| plus margin."""
+def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> ArrayC:
+    """Coefficients (count, 2, n, n, n) of random 2-spinor fields band-limited
+    to the target's resonant shell |k| = |target| plus margin."""
     n = grid.n
     kcut = abs(target) + 6.0 * np.pi / grid.L
-    mask = grid.k2_mesh <= kcut**2
     co = (rng.normal(size=(n, n, n, count, 2))
           + 1j * rng.normal(size=(n, n, n, count, 2)))
-    block = np.ascontiguousarray(co.transpose(4, 3, 0, 1, 2))  # (2, count, n, n, n)
-    block *= mask
-    return _grid_to_cols(spinor_ifftn(grid, block))
+    block = np.ascontiguousarray(co.transpose(3, 4, 0, 1, 2))
+    # the masked draws are the fields' coefficients under the backward
+    # normalization (ifftn divides by n^3); n^(-3/2) makes them unitary ones
+    block *= np.where(grid.k2_mesh <= kcut**2, n**-1.5, 0.0)
+    return block
 
 
 def _constant_columns(grid: Grid3D, rank: int, count: int) -> list:
@@ -277,9 +378,9 @@ def _constant_columns(grid: Grid3D, rank: int, count: int) -> list:
     return cols
 
 
-def _default_block(grid: Grid3D, target: float, nb: int, rng) -> np.ndarray:
-    """Initial block: band-limited random fields, plus the exact constant
-    spinors when 0 is the nearest free eigenvalue.
+def _default_block(grid: Grid3D, target: float, nb: int, rng) -> ArrayC:
+    """Initial coefficient block (nb, 2, n, n, n): band-limited random fields,
+    plus the exact constant spinors when 0 is the nearest free eigenvalue.
 
     The states an eigensolve near a physical target can return are smooth
     (they live at wavenumbers around the resonant shell), so white noise
@@ -291,12 +392,35 @@ def _default_block(grid: Grid3D, target: float, nb: int, rng) -> np.ndarray:
     pi / L: elsewhere they are exact free eigenvectors far from the target,
     which a soft-locking solve would accept as converged wanted pairs.
     """
+    n = grid.n
     near_zero = abs(target) < np.pi / (2.0 * grid.L)
-    cols = _constant_columns(grid, 2, nb - 1) if near_zero else []
-    rand = _lowpass_columns(grid, target, nb - len(cols), rng)
-    if not cols:
-        return rand
-    return np.hstack([np.stack(cols, axis=1), rand])
+    nc = min(2, nb - 1) if near_zero and not grid.antiperiodic else 0
+    X = np.zeros((nb, 2, n, n, n), dtype=np.complex128)
+    for s in range(nc):  # a unit constant has the single coefficient n^(3/2)
+        X[s, s, 0, 0, 0] = n**1.5
+    X[nc:] = _lowpass_columns(grid, target, nb - nc, rng)
+    return X
+
+
+def _start_block(grid: Grid3D, target: float, nb: int, warm, rng) -> np.ndarray:
+    """The solver's start block, Fortran (N, nb) coefficient columns.
+
+    A warm block (grid-value columns) is transformed once, straight into the
+    start block, and topped up with band-limited random columns; without
+    one, the default block is generated as coefficients.
+    """
+    if warm is None:
+        X = _default_block(grid, target, nb, rng)
+    else:
+        n = grid.n
+        warm = np.asarray(warm, dtype=np.complex128)
+        w = min(warm.shape[1], nb)
+        X = np.empty((nb, 2, n, n, n), dtype=np.complex128)
+        np.copyto(X[:w], warm[:, :w].reshape(n, n, n, 2, w).transpose(4, 3, 0, 1, 2))
+        _forward(grid, X[:w])
+        if w < nb:
+            X[w:] = _lowpass_columns(grid, target, nb - w, rng)
+    return X.reshape(nb, -1).T
 
 
 def initial_block_from_fields(op: OperatorHandle, fields, opts: Optional[EigsOptions] = None) -> np.ndarray:
@@ -379,7 +503,33 @@ def _svqb(G: np.ndarray) -> tuple[np.ndarray, float]:
     return np.asfortranarray(d[:, None] * U[:, keep] / np.sqrt(lam[keep])), cond
 
 
-def _orthonormalize(S: np.ndarray, lo: int, hi: int, tmp: np.ndarray) -> int:
+# Rows per block of _recombine: a block of a 12-column basis is 768 KB, so
+# each product is written and read back in cache.
+_ROWS = 4096
+
+
+def _recombine(V: np.ndarray, lo: int, hi: int, coef: np.ndarray) -> None:
+    """V[:, lo:lo + r] = V[:, lo:hi] @ coef in place, for coef of shape
+    (hi - lo, r) with r <= hi - lo, a block of rows at a time.
+
+    Each block's product is formed while the block is in cache and copied
+    straight back, so no (N, r) temporary is formed or copied. The product
+    runs through scipy's BLAS, like every other basis product here: numpy's
+    matmul would skip the copy of the strided block, but its BLAS is a
+    second thread pool, and the two pools contended on a 2-core VM (n=16
+    solves ran twice as long).
+    """
+    for r0 in range(0, V.shape[0], _ROWS):
+        rows = V[r0:r0 + _ROWS]
+        rows[:, lo:lo + coef.shape[1]] = blas.zgemm(1.0, rows[:, lo:hi], coef)
+
+
+def _column_norms(R: np.ndarray) -> ArrayR:
+    """Euclidean norms of the columns of R, without a temporary of R's size."""
+    return np.sqrt([blas.zdotc(r, r).real for r in R.T])
+
+
+def _orthonormalize(S: np.ndarray, lo: int, hi: int) -> int:
     """Make columns lo:hi of S orthonormal and orthogonal to columns :lo,
     which must be orthonormal already; returns how many independent columns
     are left, packed from lo.
@@ -403,9 +553,10 @@ def _orthonormalize(S: np.ndarray, lo: int, hi: int, tmp: np.ndarray) -> int:
             shrink = float(np.max(before / np.maximum(after, np.finfo(float).tiny)))
         T, cond = _svqb(Gw)
         r = T.shape[1]
-        if r:
-            blas.zgemm(1.0, S[:, lo:hi], T, c=tmp[:, :r], overwrite_c=1)
-            S[:, lo:lo + r] = tmp[:, :r]
+        if T.shape == (1, 1):  # one column: a scaling, in place
+            S[:, lo] *= T[0, 0]
+        elif r:
+            _recombine(S, lo, hi, T)
         hi = lo + r
         if not r or (shrink <= 1e4 and cond <= 1e4):
             break
@@ -438,22 +589,30 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
     already orthogonal to the new X. A X and A P are carried by linear
     combination, so each iteration applies A only to W, and Rayleigh-Ritz
     needs one Gram matrix, S^H A W: the [X, P] block of S^H A S is carried
-    in the small space too.
+    in the small space too. The combinations are formed in place, a block
+    of rows at a time, so the only (N, k) blocks are the basis, its
+    A-image and what A and M return. eigs_near runs this on Fourier
+    coefficients (LOBPCG is invariant under a unitary change of basis); in
+    its n=64 warm-started solve (3 columns, 1 wanted, 2-core VM) an
+    iteration spends about 70 ms in A, 3 ms in M and 58 ms in this dense
+    algebra, against 94, 36 and 69 ms on grid values with a scratch block
+    for the combinations.
 
     Returns (theta, vectors, iterations, residuals): the block's Ritz values
-    in ascending order, its orthonormal Ritz vectors (N, nb), the number of
-    iterations (each one A apply to W and one M apply to the active
-    residuals), and the residual norms of the `nwanted` wanted pairs.
+    in ascending order, its orthonormal Ritz vectors (N, nb), Fortran-
+    ordered, the number of iterations (each one A apply to W and one M apply
+    to the active residuals), and the residual norms of the `nwanted`
+    wanted pairs.
     """
     N, nb = X.shape
     k = nb if nwanted is None else nwanted
     # [X, P, W]: P and W have a column per active wanted pair at most
     S = np.empty((N, nb + 2 * k), dtype=np.complex128, order="F")
     AS = np.empty_like(S)
-    tmp = np.empty((N, nb + k), dtype=np.complex128, order="F")
 
     S[:, :nb] = X
-    nx = _orthonormalize(S, 0, nb, tmp)
+    del X  # frees a block the caller passed unnamed (CPython 3.11 and later)
+    nx = _orthonormalize(S, 0, nb)
     if nx < k:
         raise SolverError(f"start block has rank {nx}, fewer than the {k} wanted pairs")
     AS[:, :nx] = A @ S[:, :nx]
@@ -479,27 +638,26 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
             Cp = Cp @ _svqb(Cp.conj().T @ Cp)[0]
         coef = np.asfortranarray(np.hstack([C, Cp]))
         lo = coef.shape[1]
-        for V in (S, AS):
-            blas.zgemm(1.0, V[:, :m], coef, c=tmp[:, :lo], overwrite_c=1)
-            V[:, :lo] = tmp[:, :lo]
+        _recombine(S, 0, m, coef)
+        _recombine(AS, 0, m, coef)
         H = coef.conj().T @ G @ coef
 
         # residuals of the wanted pairs, written where W goes
         R = S[:, lo:lo + k]
         np.multiply(S[:, :k], theta[:k], out=R)
         np.subtract(AS[:, :k], R, out=R)
-        resid = np.linalg.norm(R, axis=0)
+        resid = _column_norms(R)
         if np.all(resid <= tol) or iterations >= maxiter:
             break
         active = np.flatnonzero(resid > tol)
         W = R if len(active) == k else R[:, active]
         S[:, lo:lo + len(active)] = W if M is None else M @ W
-        m = lo + _orthonormalize(S, lo, lo + len(active), tmp)
+        m = lo + _orthonormalize(S, lo, lo + len(active))
         if m == lo:  # no direction left that the basis does not hold
             break
         AS[:, lo:m] = A @ S[:, lo:m]
         iterations += 1
-    return theta, S[:, :nx].copy(), iterations, resid
+    return theta, S[:, :nx].copy(order="F"), iterations, resid
 
 
 def _solve_near(op: OperatorHandle, target: float, count: int,
@@ -519,25 +677,14 @@ def _solve_near(op: OperatorHandle, target: float, count: int,
     extra = opts.extra if opts.extra is not None else max(2, count)
     nb = min(count + extra, N)
 
-    mv = _block_matvec(op, target)
-    prec = _free_symbol_preconditioner(grid, target, _resolve_delta(op))
-    A = LinearOperator((N, N), matvec=mv, matmat=mv, dtype=np.complex128)
-    M = LinearOperator((N, N), matvec=prec, matmat=prec, dtype=np.complex128)
-
-    rng = np.random.default_rng(opts.seed)
-    if opts.initial_block is not None:
-        X = np.array(opts.initial_block, dtype=np.complex128)
-        if X.shape[1] < nb:  # top up with band-limited random columns
-            pad = _lowpass_columns(grid, target, nb - X.shape[1], rng)
-            X = np.hstack([X, pad])
-        else:
-            X = X[:, :nb]
-    else:
-        X = _default_block(grid, target, nb, rng)
-
+    # the start block is passed without a name here, so lobpcg can free it
+    # once it is copied into the solver's basis
     try:
-        _, vecs, iterations, resid = lobpcg(A, X, M=M, tol=opts.tol,
-                                            maxiter=opts.maxiter, nwanted=count)
+        _, vecs, iterations, resid = lobpcg(
+            _linear_operator(_ShiftedSquare(op, target), N),
+            _start_block(grid, target, nb, opts.initial_block, np.random.default_rng(opts.seed)),
+            M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
+            tol=opts.tol, maxiter=opts.maxiter, nwanted=count)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
     if not np.all(np.isfinite(vecs)):
@@ -547,7 +694,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int,
         note = (f"{op.kind} solve near {target:.6g}: wanted residuals above tol "
                 f"{opts.tol:.1e} after {iterations} iterations (maxiter "
                 f"{opts.maxiter}), worst {float(np.max(resid)):.3e}")
-    mu, V = _rayleigh_ritz(op, vecs[:, :count])
+    mu, V = _rayleigh_ritz(op, _grid_columns(grid, vecs[:, :count]))
     return mu, V, iterations, note
 
 

@@ -355,3 +355,13 @@ def test_potential_samples_itself_on_its_grid():
     # the spin structure does not move the nodes: no interpolation there either
     ga = Grid3D(n=16, L=7.0, spin="antiperiodic")
     assert np.array_equal(sample_potential(gauged, ga), sample_potential(gauged, g))
+
+
+def test_grid_holds_no_node_mesh_after_sampling():
+    g = Grid3D(n=16, L=7.0)
+    A = sample_potential(LossYau(), g)
+    sample_field(LossYauMode(phi0=LossYau().phi0).eval, g)
+    assert g.nodes.shape == (16, 16, 16, 3)
+    held = [k for k, v in vars(g).items() if np.shape(v) == (16, 16, 16, 3)]
+    assert not held, held
+    assert np.array_equal(A, LossYau().eval(g.nodes))

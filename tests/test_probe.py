@@ -437,3 +437,125 @@ def test_maxiter_hit_is_noted():
     assert any("maxiter 2" in note and "worst" in note for note in rep.notes), rep.notes
     rep = eigs_near(op, 0.0, 2)
     assert rep.converged and not any("maxiter" in note for note in rep.notes)
+
+
+# ----------------------------------------------------------------------------
+# The solver's Fourier basis: equivalence with the grid-value operators
+
+FOURIER_CASES = [(n, spin, tau) for n in (8, 16) for spin in ("periodic", "antiperiodic")
+                 for tau in (0.0, 0.8)]
+
+
+def _random_columns(grid, count, seed):
+    """Grid-value columns (N, count) as a warm-start block lays them out."""
+    rng = np.random.default_rng(seed)
+    shape = (grid.n**3 * 2, count)
+    return np.asfortranarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _coefficients(grid, cols):
+    from diraclab.probe import _start_block
+
+    return _start_block(grid, 0.0, cols.shape[1], cols, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
+def test_fourier_square_equals_grid_square(n, spin, tau):
+    from diraclab.grid import apply_values
+    from diraclab.probe import _ShiftedSquare, _cols_to_grid, _grid_columns, _grid_to_cols
+
+    g = Grid3D(n=n, L=6.0, spin=spin)
+    for kind in ("sigma_d", "t_a"):
+        op = OperatorHandle(kind=kind, grid=g, potential=LossYau())
+        square = _ShiftedSquare(op, tau)
+        V = _random_columns(g, 3, seed=n)
+        v = _cols_to_grid(V, n, 2)
+        w = apply_values(op, v) - tau * v
+        want = _grid_to_cols(apply_values(op, w) - tau * w)
+        X = _coefficients(g, V)
+        got = _grid_columns(g, square(X))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (kind, "block")
+        # a single column, (N,), as matvec passes it; the work blocks resize
+        got1 = _grid_columns(g, square(np.array(X[:, 1]))[:, None])
+        assert np.linalg.norm(got1[:, 0] - want[:, 1]) <= 1e-13 * np.linalg.norm(want[:, 1]), kind
+
+
+@pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
+def test_fourier_preconditioner_equals_closed_form_in_real_space(n, spin, tau):
+    from diraclab.algebra import sigma_mul
+    from diraclab.grid import spinor_fftn, spinor_ifftn
+    from diraclab.probe import _cols_to_grid, _free_symbol_preconditioner, _grid_columns, _grid_to_cols
+
+    g = Grid3D(n=n, L=6.0, spin=spin)
+    delta = 0.03
+    V = _random_columns(g, 3, seed=n + 1)
+    # reference: the closed form applied between grid values and coefficients
+    vhat = spinor_fftn(g, _cols_to_grid(V, n, 2))
+    kn = np.sqrt(g.k2_mesh)
+    den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
+    what = ((g.k2_mesh + tau**2 + delta) * vhat + 2.0 * tau * sigma_mul(*g.k_axes, vhat)) / den
+    want = _grid_to_cols(spinor_ifftn(g, what))
+    prec = _free_symbol_preconditioner(g, tau, delta)
+    X = _coefficients(g, V)
+    got = _grid_columns(g, prec(X))
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    got1 = _grid_columns(g, prec(np.array(X[:, 2]))[:, None])
+    assert np.linalg.norm(got1[:, 0] - want[:, 2]) <= 1e-13 * np.linalg.norm(want[:, 2])
+
+
+@pytest.mark.parametrize("n,spin", [(n, spin) for n in (8, 16)
+                                    for spin in ("periodic", "antiperiodic")])
+def test_fourier_transforms_are_unitary(n, spin):
+    from diraclab.probe import _grid_columns
+
+    g = Grid3D(n=n, L=6.0, spin=spin)
+    V = _random_columns(g, 4, seed=2 * n)
+    X = _coefficients(g, V)
+    norms = np.linalg.norm(V, axis=0)
+    assert np.max(np.abs(np.linalg.norm(X, axis=0) / norms - 1.0)) <= 1e-14
+    back = _grid_columns(g, X.copy(order="F"))
+    assert np.max(np.abs(np.linalg.norm(back, axis=0) / norms - 1.0)) <= 1e-14
+    assert np.linalg.norm(back - V) <= 1e-14 * np.linalg.norm(V)
+
+
+def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
+    """Counts, not timings: inside lobpcg every M @ W makes no transform and
+    every A @ S exactly four, two FFT pairs over the whole block."""
+    import scipy.fft
+    from scipy.sparse.linalg import LinearOperator
+
+    from diraclab import probe
+
+    calls = {"n": 0}
+    for name in ("fftn", "ifftn"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls["n"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, counted)
+
+    per_apply = {"A": [], "M": []}
+
+    def counting(op, key):
+        def mat(block):
+            before = calls["n"]
+            out = op @ block
+            per_apply[key].append(calls["n"] - before)
+            return out
+
+        return LinearOperator(op.shape, matvec=mat, matmat=mat, dtype=op.dtype)
+
+    original_lobpcg = probe.lobpcg
+
+    def traced(A, X, M=None, **kwargs):
+        return original_lobpcg(counting(A, "A"), X, M=counting(M, "M"), **kwargs)
+
+    monkeypatch.setattr(probe, "lobpcg", traced)
+    for spin in ("periodic", "antiperiodic"):
+        op = OperatorHandle(kind="t_a", grid=Grid3D(n=16, L=20.0, spin=spin), potential=LossYau())
+        rep = eigs_near(op, 0.0, 3, EigsOptions(seed=5))
+        assert rep.converged and rep.iterations > 10
+    assert per_apply["M"] and set(per_apply["M"]) == {0}
+    assert per_apply["A"] and set(per_apply["A"]) == {4}
