@@ -283,6 +283,17 @@ def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=N
 # Commands
 
 
+def _warm_options(op: OperatorHandle, f, seed: int, whole: bool = False) -> EigsOptions:
+    """Solver options warm-started from f (plus the constant spinors on
+    periodic grids); whole=True makes the warm block the whole block, with no
+    random guard columns. Pass the result to eigs_near without naming it: the
+    solver then holds the warm block's only reference and frees it once it is
+    transformed."""
+    warm = initial_block_from_fields(op, [f])
+    return EigsOptions(seed=seed, initial_block=warm,
+                       extra=warm.shape[1] - 1 if whole else None)
+
+
 def cmd_verify_zero_mode(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     if cfg.potential.get("variant") != "loss_yau":
@@ -309,9 +320,7 @@ def cmd_verify_zero_mode(cfg: RunConfig) -> int:
     # (plus the constant spinors on periodic grids); the warm block is the
     # whole block, no random guard columns
     op = OperatorHandle(kind="t_a", grid=grid, potential=pot)
-    warm = initial_block_from_fields(op, [f])
-    opts = EigsOptions(seed=cfg.seed, initial_block=warm, extra=warm.shape[1] - 1)
-    rep = eigs_near(op, 0.0, 1, opts)
+    rep = eigs_near(op, 0.0, 1, _warm_options(op, f, cfg.seed, whole=True))
     lam_min = abs(rep.eigenvalues[0])
 
     checks = [
@@ -453,8 +462,7 @@ def cmd_weyl(cfg: RunConfig) -> int:
     sweep = int(cfg.options.get("sweep", 1))
     if sweep < 1:
         raise ConfigError("sweep must be >= 1")
-    # one evaluation of the potential serves the whole sweep; each quasi-mode
-    # keeps its report, not its field
+    # one evaluation of the potential serves the whole sweep
     try:
         A = sample_potential(pot, grid)
         modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
@@ -502,8 +510,7 @@ def cmd_gauge(cfg: RunConfig) -> int:
         mode = LossYauMode(phi0=pot.phi0)
         f = gauged_mode(sample_field(mode.eval, grid), chi)
         op = OperatorHandle(kind="t_a", grid=grid, potential=A_t)
-        opts = EigsOptions(seed=cfg.seed, initial_block=initial_block_from_fields(op, [f]))
-        rep = eigs_near(op, 0.0, 1, opts)
+        rep = eigs_near(op, 0.0, 1, _warm_options(op, f, cfg.seed))
         converged = rep.converged
         checks.append(_check("gauged_grid_residual", abs(rep.eigenvalues[0]), cfg.tol("gauged")))
         result["eigensolve"] = rep.to_dict()

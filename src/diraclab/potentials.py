@@ -149,15 +149,25 @@ class PotentialSpec:
 
 
 def _loss_yau_values(w0: ArrayR, points: ArrayR) -> ArrayR:
+    """A at points (..., 3), built component by component into a contiguous
+    (3, ...) block and returned as its (..., 3) view: sample_potential takes
+    that layout without a copy. The arithmetic is term for term that of the
+    bracket formula (w.x by tensordot on the points, the cross product as
+    np.cross forms it), so the values are bit-identical to it."""
     pts = np.asarray(points, dtype=np.float64)
     r2 = np.sum(pts**2, axis=-1)
-    wdx = np.tensordot(pts, w0, axes=([-1], [0]))
-    bracket = (
-        (1.0 - r2)[..., None] * w0
-        + 2.0 * wdx[..., None] * pts
-        + 2.0 * np.cross(np.broadcast_to(w0, pts.shape), pts)
-    )
-    return 3.0 * (1.0 + r2)[..., None] ** -2 * bracket
+    wdx2 = 2.0 * np.tensordot(pts, w0, axes=([-1], [0]))
+    scale = 3.0 * (1.0 + r2) ** -2
+    one_m_r2 = 1.0 - r2
+    out = np.empty((3,) + r2.shape)
+    for c in range(3):
+        j, k = (c + 1) % 3, (c + 2) % 3
+        term = out[c, ...]  # a view, also for a single point
+        np.multiply(one_m_r2, w0[c], out=term)
+        term += wdx2 * pts[..., c]
+        term += 2.0 * (w0[j] * pts[..., k] - w0[k] * pts[..., j])
+        term *= scale
+    return np.moveaxis(out, 0, -1)
 
 
 @dataclass(frozen=True)

@@ -407,3 +407,33 @@ def test_weyl_sweep_evaluates_the_potential_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     report = json.loads((tmp_path / "w.json").read_text())
     assert len(report["result"]["quasimodes"]) == 4
+
+
+def test_weyl_sweep_makes_no_3d_transform_and_no_grid_apply(tmp_path, capsys, monkeypatch):
+    """Counts, not timings: the quasi-mode residuals come from 1-D factors."""
+    import scipy.fft
+
+    from diraclab import grid, probe
+
+    calls = {"fftn": 0, "ifftn": 0, "fft": 0, "apply_values": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("fftn", "ifftn", "fft"):
+        counted(scipy.fft, name)
+    counted(grid, "apply_values")
+    # probe imports apply_values by name; count its calls too
+    monkeypatch.setattr(probe, "apply_values", grid.apply_values)
+    code, out, _ = run(capsys, "weyl", "--grid-n", "16", "--box-l", "20", "--sweep", "4",
+                       "--potential", LY, "--out", str(tmp_path / "w.json"))
+    assert code in (0, 2)
+    assert out.count("n_index") == 4
+    assert (calls["fftn"], calls["ifftn"], calls["apply_values"]) == (0, 0, 0)
+    assert calls["fft"] == 4 * 3  # one 1-D derivative per axis and quasi-mode

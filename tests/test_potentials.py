@@ -73,6 +73,48 @@ def test_loss_yau_batch_matches_scalar(x):
     assert np.allclose(batch[2], batch[0])
 
 
+def _loss_yau_bracket_formula(w0, points):
+    """The closed form as one bracket expression over (..., 3) points: the
+    reference the component-by-component evaluation must reproduce bit for
+    bit."""
+    pts = np.asarray(points, dtype=np.float64)
+    r2 = np.sum(pts**2, axis=-1)
+    wdx = np.tensordot(pts, w0, axes=([-1], [0]))
+    bracket = (
+        (1.0 - r2)[..., None] * w0
+        + 2.0 * wdx[..., None] * pts
+        + 2.0 * np.cross(np.broadcast_to(w0, pts.shape), pts)
+    )
+    return 3.0 * (1.0 + r2)[..., None] ** -2 * bracket
+
+
+def test_loss_yau_samples_are_bit_identical_to_the_bracket_formula(monkeypatch):
+    from diraclab.grid import Grid3D, sample_potential
+
+    rng = np.random.default_rng(3)
+    phis = [((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (0.0, 1.0))]
+    for v in rng.normal(size=(5, 4)):
+        v /= np.linalg.norm(v)
+        phis.append(((v[0], v[1]), (v[2], v[3])))
+    points = rng.normal(scale=30.0, size=(200, 3))
+    for n, L in ((16, 20.0), (32, 5.0)):
+        grid = Grid3D(n, L)
+        for phi0 in phis:
+            pot = LossYau(phi0=phi0)
+            A = sample_potential(pot, grid)
+            assert np.array_equal(A, _loss_yau_bracket_formula(pot.w0(), grid.nodes))
+            assert np.array_equal(pot.eval(points), _loss_yau_bracket_formula(pot.w0(), points))
+            assert np.array_equal(pot.eval(points[0]), _loss_yau_bracket_formula(pot.w0(), points[0]))
+    # the components come as one (3, n, n, n) block, which sampling keeps
+    evaluated = []
+    original = LossYau.eval
+    monkeypatch.setattr(LossYau, "eval",
+                        lambda self, pts: evaluated.append(original(self, pts)) or evaluated[-1])
+    A = sample_potential(LossYau(), grid)
+    assert np.moveaxis(evaluated[0], -1, 0).flags.c_contiguous
+    assert np.shares_memory(A, evaluated[0])
+
+
 def test_loss_yau_rejects_unnormalized_phi0():
     with pytest.raises(ValueError):
         LossYau(phi0=((2.0, 0.0), (0.0, 0.0)))

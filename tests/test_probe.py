@@ -322,6 +322,53 @@ def test_weyl_quasimode_envelope_grows_with_index():
     assert widths[0] < widths[1]
 
 
+WEYL_CASES = [
+    # (n, L, lambda0, mass, n_index): LossYau at n=16 and 32, negative
+    # lambda0, m = 0
+    (16, 20.0, 1.5, 1.0, 1),
+    (16, 20.0, 1.5, 1.0, 3),
+    (32, 20.0, 1.5, 1.0, 2),
+    (32, 20.0, -1.7, 1.0, 1),
+    (32, 20.0, 0.8, 0.0, 4),
+]
+
+
+@pytest.mark.parametrize("n,L,lam0,mass,n_index", WEYL_CASES)
+def test_weyl_residual_from_factors_equals_grid_residual(n, L, lam0, mass, n_index):
+    g = Grid3D(n=n, L=L)
+    qm = build_weyl_quasimode(LossYau(), mass, lam0, n_index, g)
+    op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=mass)
+    assert qm.residual == pytest.approx(residual_norm(op, qm.field, lam0), rel=1e-12)
+
+
+def test_weyl_residual_from_factors_free_exact_case():
+    g = Grid3D(n=16, L=5.0)
+    lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
+    qm = build_weyl_quasimode(FREE, 1.0, lam0, 1, g)
+    op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=1.0)
+    assert qm.residual <= 1e-10
+    assert residual_norm(op, qm.field, lam0) <= 1e-10
+
+
+def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
+    from diraclab.probe import WeylQuasimode
+
+    g = Grid3D(n=16, L=20.0)
+    qm = build_weyl_quasimode(LossYau(), 1.0, 1.5, 2, g)
+    fx, fy, fz = qm.factors
+    want = (fx[:, None, None, None] * fy[None, :, None, None] * fz[None, None, :, None]
+            * qm.spinor)
+    np.testing.assert_array_equal(qm.field.values, want)
+    assert np.linalg.norm(qm.spinor) == pytest.approx(1.0, rel=1e-14)
+
+    def no_field(self):
+        raise AssertionError("the report assembled the field")
+
+    monkeypatch.setattr(WeylQuasimode, "field", property(no_field))
+    report = qm.to_dict()
+    assert (report["grid_n"], report["box_l"]) == (16, 20.0)
+
+
 def test_weyl_quasimode_validation():
     g = Grid3D(n=16, L=5.0)
     with pytest.raises(ValueError):
