@@ -34,7 +34,6 @@ from diraclab.modes import (
     asymptotic_limit_quadrature,
     lift_to_threshold,
     mode_l2_norm,
-    register_zero_mode,
 )
 from diraclab.potentials import (
     AMN,
@@ -61,7 +60,7 @@ __all__ = [
     "sample_field", "sample_potential", "apply", "residual_norm",
     "susy_square_check", "gauge_transform", "gauged_mode",
     "LossYauMode", "ThresholdMode", "QuadratureParams",
-    "register_zero_mode", "lift_to_threshold",
+    "lift_to_threshold",
     "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
     "classify_decay", "default_classification", "kernel_dim_bound",

@@ -1,4 +1,4 @@
-"""Exact Pauli / Dirac matrix algebra and spinor arithmetic.
+"""Exact Pauli / Dirac matrix algebra and the pointwise sigma-vector product.
 
 All matrices are dense complex128 ndarrays whose entries are 0, +-1 or +-i,
 hence exactly representable; composed products are checked elsewhere against
@@ -25,10 +25,6 @@ __all__ = [
     "sigma_dot",
     "dirac_alpha",
     "dirac_beta",
-    "spinor2",
-    "spinor4",
-    "norm2",
-    "herm_inner",
 ]
 
 
@@ -124,29 +120,3 @@ def dirac_alpha(j: int) -> ArrayC:
 def dirac_beta() -> ArrayC:
     """Dirac matrix beta = diag(I2, -I2)."""
     return _BETA.copy()
-
-
-def spinor2(c0: complex, c1: complex) -> ArrayC:
-    """Two-component spinor value as a length-2 complex array."""
-    s = np.array([c0, c1], dtype=np.complex128)
-    if not np.all(np.isfinite(s.view(np.float64))):
-        raise ValueError("spinor components must be finite")
-    return s
-
-
-def spinor4(upper: ArrayC, lower: ArrayC) -> ArrayC:
-    """Four-component spinor from upper and lower 2-spinor blocks."""
-    upper = np.asarray(upper, dtype=np.complex128).reshape(2)
-    lower = np.asarray(lower, dtype=np.complex128).reshape(2)
-    return np.concatenate([upper, lower])
-
-
-def norm2(s: ArrayC) -> float:
-    """Squared Euclidean norm |s|^2 of a spinor value."""
-    s = np.asarray(s)
-    return float(np.sum(np.abs(s) ** 2))
-
-
-def herm_inner(a: ArrayC, b: ArrayC) -> complex:
-    """Hermitian inner product <a, b>, antilinear in the first slot."""
-    return complex(np.vdot(a, b))

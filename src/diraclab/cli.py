@@ -41,22 +41,18 @@ from diraclab.modes import (
     AccuracyError,
     HypothesisViolation,
     LossYauMode,
-    QuadratureParams,
     asymptotic_convergence,
     lift_to_threshold,
     mode_l2_norm,
     t_residual_analytic,
-    write_convergence_csv,
 )
 from diraclab.quadrature import sphere_directions_26
 from diraclab.potentials import (
     ClassificationUndetermined,
-    LossYau,
     Sampled,
     default_classification,
     kernel_dim_bound,
     potential_from_json,
-    potential_to_json,
 )
 from diraclab.probe import (
     EigsOptions,
@@ -67,9 +63,6 @@ from diraclab.probe import (
     eigs_near,
     gap_scan,
     initial_block_from_fields,
-    write_coupling_csv,
-    write_decay_csv,
-    write_gap_csv,
 )
 
 COMMANDS = (

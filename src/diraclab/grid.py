@@ -220,9 +220,6 @@ class Field:
         _same_grid(self, other)
         return complex(self.grid.h**3 * np.vdot(self.values, other.values))
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
 
 def _same_grid(a, b) -> None:
     if a.grid != b.grid:

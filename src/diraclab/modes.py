@@ -20,7 +20,7 @@ integral A_m phi dy, so one quadrature pass serves every direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,26 +35,18 @@ ArrayR = NDArray[np.float64]
 __all__ = [
     "ZeroModeSpec",
     "LossYauMode",
-    "RegisteredMode",
     "ThresholdMode",
     "AsymptoticReport",
     "QuadratureParams",
     "HypothesisViolation",
     "AccuracyError",
-    "ModeRegistryError",
-    "register_zero_mode",
     "sigma_d_analytic",
     "t_residual_analytic",
     "lift_to_threshold",
     "asymptotic_limit_quadrature",
     "asymptotic_convergence",
     "mode_l2_norm",
-    "write_convergence_csv",
 ]
-
-
-class ModeRegistryError(KeyError):
-    """Requested a zero-mode variant that has not been registered."""
 
 
 class HypothesisViolation(RuntimeError):
@@ -123,46 +115,11 @@ class LossYauMode(ZeroModeSpec):
         return 1j * self._sigma_phi0(np.asarray(omegas, dtype=np.float64))
 
 
-# Registered evaluators: mode_id -> (evaluator, gradient or None).
-_MODE_REGISTRY: dict[str, tuple[Callable, Optional[Callable]]] = {}
-
-
-def register_zero_mode(mode_id: str, evaluator: Callable, gradient: Optional[Callable] = None) -> None:
-    """Register a custom zero-mode evaluator (points (..., 3) -> spinors (..., 2))."""
-    _MODE_REGISTRY[str(mode_id)] = (evaluator, gradient)
-
-
-@dataclass(frozen=True)
-class RegisteredMode(ZeroModeSpec):
-    """Zero mode looked up from the registry by id."""
-
-    mode_id: str
-
-    def _entry(self) -> tuple[Callable, Optional[Callable]]:
-        try:
-            return _MODE_REGISTRY[self.mode_id]
-        except KeyError:
-            raise ModeRegistryError(f"no zero mode registered under id {self.mode_id!r}") from None
-
-    def eval(self, points) -> ArrayC:
-        evaluator, _ = self._entry()
-        values = np.asarray(evaluator(np.asarray(points, dtype=np.float64)), dtype=np.complex128)
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"zero mode {self.mode_id!r} produced non-finite values")
-        return values
-
-    def gradient(self, points) -> Optional[ArrayC]:
-        _, grad = self._entry()
-        if grad is None:
-            return None
-        return np.asarray(grad(np.asarray(points, dtype=np.float64)), dtype=np.complex128)
-
-
 def sigma_d_analytic(spec: ZeroModeSpec, points) -> ArrayC:
     """sigma.D phi with D = (1/i) grad, from the analytic gradient."""
     grad = spec.gradient(points)
     if grad is None:
-        raise ModeRegistryError(f"{type(spec).__name__} carries no analytic gradient")
+        raise ValueError(f"{type(spec).__name__} carries no analytic gradient")
     g1, g2, g3 = grad[..., 0, :], grad[..., 1, :], grad[..., 2, :]
     sig_grad = np.stack(
         [g1[..., 1] - 1j * g2[..., 1] + g3[..., 0], g1[..., 0] + 1j * g2[..., 0] - g3[..., 1]],
@@ -446,16 +403,6 @@ def asymptotic_convergence(
         convergence_table=table,
         quad_error=err,
     )
-
-
-def write_convergence_csv(report: AsymptoticReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "sup_deviation"])
-        for r, d in report.convergence_table:
-            writer.writerow([f"{r:.17g}", f"{d:.17g}"])
 
 
 def mode_l2_norm(spec: ZeroModeSpec, quad: Optional[QuadratureParams] = None) -> float:

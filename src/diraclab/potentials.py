@@ -7,9 +7,9 @@ The central object is the closed-form potential
 (<x> = sqrt(1+|x|^2), w0 the unit Bloch vector of a fixed unit spinor phi0,
 the last term a cross product). Its pointwise norm is exactly 3 <x>^-2, which
 drives every oracle here. Variants wrap it: scaling by a coupling t, gauging
-by a grid-built gauge function chi, the one-parameter family A = c <x>^-2 w(x)
-built from a registered spinor ansatz (the ell = 0 member coincides with the
-closed form above), and raw sampled data.
+by a grid-built gauge function chi, the level-0 member A = c <x>^-2 w(x) of
+the Adam-Muratori-Nash family (c = 3 coincides with the closed form above),
+and raw sampled data.
 
 Decay classes certified by sampling:
 - weighted power bound  |A(x)| <= C <x>^-rho with rho > 1,
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -54,8 +54,6 @@ __all__ = [
     "w0_of",
     "classify_decay",
     "kernel_dim_bound",
-    "register_amn_ansatz",
-    "registered_amn_levels",
     "potential_to_json",
     "potential_from_json",
     "write_sampled_potential",
@@ -68,7 +66,7 @@ class ClassificationUndetermined(RuntimeError):
 
 
 class UnsupportedVariant(ValueError):
-    """Requested a potential variant with no registered construction."""
+    """Requested a potential variant, or an amn level, that is not built."""
 
 
 def w0_of(phi0) -> ArrayR:
@@ -116,9 +114,6 @@ class ScalarFieldHandle:
 
     def grad_at(self, points: ArrayR) -> ArrayR:
         return interp_trilinear(self.grid, self.gradient_values(), points)
-
-    def chi_at(self, points: ArrayR) -> ArrayR:
-        return interp_trilinear(self.grid, self.values, points)
 
 
 def _same_nodes(a: Grid3D, b: Grid3D) -> bool:
@@ -228,25 +223,6 @@ class Gauged(PotentialSpec):
         return self.inner.sample(grid) + self.chi.gradient_values()
 
 
-# Registered spinor ansatz evaluators for the c<x>^-2 family, keyed by level.
-_AMN_REGISTRY: dict[int, Callable[[ArrayR], ArrayC]] = {}
-
-
-def register_amn_ansatz(ell: int, evaluator: Callable[[ArrayR], ArrayC]) -> None:
-    """Register a spinor ansatz psi for level ell >= 1.
-
-    The evaluator maps points (..., 3) to spinor values (..., 2); the family
-    member is then A(x) = c_ell <x>^-2 * (psi . sigma psi)(x) / |psi(x)|^2.
-    """
-    if ell < 1:
-        raise ValueError("level 0 is built in; register levels >= 1 only")
-    _AMN_REGISTRY[int(ell)] = evaluator
-
-
-def registered_amn_levels() -> list[int]:
-    return sorted(_AMN_REGISTRY)
-
-
 def _bloch_field(psi: ArrayC) -> ArrayR:
     """Pointwise unit Bloch vector (psi . sigma psi) / |psi|^2."""
     a, b = psi[..., 0], psi[..., 1]
@@ -258,37 +234,26 @@ def _bloch_field(psi: ArrayC) -> ArrayR:
 
 @dataclass(frozen=True)
 class AMN(PotentialSpec):
-    """Member of the family A = c_ell <x>^-2 w_psi(x).
+    """Member of the family A = c_ell <x>^-2 w_psi(x) at level 0.
 
-    Level 0 is built in (its ansatz is the closed-form zero mode with
-    phi0 = (1, 0), and c_0 = 3 reproduces LossYau exactly). Higher levels
-    need a registered ansatz.
+    Its ansatz psi is the closed-form zero mode with phi0 = (1, 0), and
+    c_0 = 3 reproduces LossYau exactly. No other level is built: the
+    degenerate Adam-Muratori-Nash modes psi_LY z1^a z2^b are scalar multiples
+    of psi_LY with the same Bloch vector, so they give no new field.
     """
 
     ell: int
     c_ell: float
 
     def __post_init__(self) -> None:
-        if self.ell < 0:
-            raise ValueError("level must be a non-negative integer")
-        if self.ell >= 1 and self.ell not in _AMN_REGISTRY:
-            raise UnsupportedVariant(
-                f"no spinor ansatz registered for level {self.ell}; see register_amn_ansatz"
-            )
-
-    def _psi(self, points: ArrayR) -> ArrayC:
-        if self.ell == 0:
-            from diraclab.modes import LossYauMode
-
-            return LossYauMode().eval(points)
-        evaluator = _AMN_REGISTRY.get(self.ell)
-        if evaluator is None:
-            raise UnsupportedVariant(f"ansatz for level {self.ell} was unregistered")
-        return np.asarray(evaluator(points), dtype=np.complex128)
+        if self.ell != 0:
+            raise UnsupportedVariant(f"only level 0 of the amn family is built, got ell={self.ell}")
 
     def eval(self, points) -> ArrayR:
+        from diraclab.modes import LossYauMode
+
         pts = np.asarray(points, dtype=np.float64)
-        w = _bloch_field(self._psi(pts))
+        w = _bloch_field(LossYauMode().eval(pts))
         jb2 = 1.0 + np.sum(pts**2, axis=-1)
         return self.c_ell / jb2[..., None] * w
 

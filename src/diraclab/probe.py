@@ -48,7 +48,6 @@ constant spinors are seeded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -89,9 +88,6 @@ __all__ = [
     "build_weyl_quasimode",
     "decay_fit",
     "coupling_scan",
-    "write_gap_csv",
-    "write_coupling_csv",
-    "write_decay_csv",
 ]
 
 # Verdict margin for decay exponents: separates exponent 1 from 2 with
@@ -124,7 +120,6 @@ class EigsOptions:
     extra: Optional[int] = None  # extra block vectors beyond count
     resid_tol: float = 1e-6  # per-pair residual defining "converged"
     initial_block: Optional[np.ndarray] = None  # warm-start block (N, >=count)
-    deflate_constants: bool = True
 
 
 @dataclass(frozen=True)
@@ -425,7 +420,7 @@ def _start_block(grid: Grid3D, target: float, nb: int, warm, rng) -> np.ndarray:
     return X.reshape(nb, -1).T
 
 
-def initial_block_from_fields(op: OperatorHandle, fields, opts: Optional[EigsOptions] = None) -> np.ndarray:
+def initial_block_from_fields(op: OperatorHandle, fields) -> np.ndarray:
     """Flatten known fields into a warm-start block for eigs_near.
 
     fields is a sequence of Fields (or raw value arrays) on the
@@ -862,7 +857,7 @@ def eigs_near(
     for l, (_, _, _, i) in zip(lam, picked):
         if abs(eps[i]) > thr:
             continue
-        if opts.deflate_constants and not pot_zero and not grid.antiperiodic:
+        if not pot_zero and not grid.antiperiodic:
             frac = _constant_fraction(V[:, i], n, 2)
             if frac > 0.5:
                 notes.append(
@@ -963,7 +958,7 @@ def gap_scan(
 
     op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
     opts = opts or EigsOptions()
-    rep = eigs_near(op, mass, 1, replace(opts, extra=2, deflate_constants=False))
+    rep = eigs_near(op, mass, 1, opts)
     if not rep.converged:
         raise SolverError(
             f"threshold edge solve did not converge (residuals {rep.residuals})"
@@ -1338,26 +1333,3 @@ def coupling_scan(
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
                               eigenvalues=tuple(all_eigs), notes=tuple(notes),
                               seed=opts.seed)
-
-
-# ----------------------------------------------------------------------------
-# CSV writers
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{x:.17g}" for x in row] for row in rows)
-
-
-def write_gap_csv(report: GapScanReport, path) -> None:
-    _write_csv(path, ["lambda", "proxy"], report.rows)
-
-
-def write_coupling_csv(report: CouplingScanReport, path) -> None:
-    _write_csv(path, ["t", "lambda_min"], report.rows)
-
-
-def write_decay_csv(fit: DecayFit, path) -> None:
-    _write_csv(path, ["r", "amplitude"], fit.table)

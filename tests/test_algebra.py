@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from diraclab.algebra import (
     dirac_alpha,
     dirac_beta,
-    herm_inner,
-    norm2,
     pauli,
     sigma_dot,
-    spinor2,
-    spinor4,
 )
 
 I2 = np.eye(2)
@@ -92,20 +88,3 @@ def test_sigma_dot_product_identity(a, b):
 def test_sigma_dot_rejects_bad_shape():
     with pytest.raises(ValueError):
         sigma_dot([1.0, 2.0])
-
-
-def test_spinor_helpers():
-    s = spinor2(1.0, 1j)
-    assert s.shape == (2,)
-    assert norm2(s) == pytest.approx(2.0)  # squared norm
-    f = spinor4(spinor2(1, 0), spinor2(0, 1j))
-    assert f.shape == (4,)
-    assert herm_inner(f, f) == pytest.approx(2.0)
-
-
-@given(vec3, vec3)
-@settings(max_examples=50)
-def test_herm_inner_conjugate_symmetry(a, b):
-    u = spinor2(a[0] + 1j * a[1], a[2])
-    w = spinor2(b[0], b[1] + 1j * b[2])
-    assert herm_inner(u, w) == pytest.approx(np.conj(herm_inner(w, u)))

@@ -6,6 +6,7 @@ shapes, and the config round trip.
 """
 
 import copy
+import importlib
 import json
 import math
 import struct
@@ -32,6 +33,15 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert __version__ in out
+
+
+@pytest.mark.parametrize("module", ["diraclab", "diraclab.algebra", "diraclab.grid",
+                                    "diraclab.modes", "diraclab.potentials",
+                                    "diraclab.probe", "diraclab.quadrature"])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is gone breaks `import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_no_command_is_config_error(capsys):

@@ -16,10 +16,9 @@ from diraclab.modes import (
     asymptotic_limit_quadrature,
     lift_to_threshold,
     mode_l2_norm,
-    register_zero_mode,
-    RegisteredMode,
     sigma_d_analytic,
     t_residual_analytic,
+    ZeroModeSpec,
 )
 from diraclab.potentials import LossYau, Scaled
 from diraclab.quadrature import sphere_directions_26
@@ -132,20 +131,7 @@ def test_convergence_table_slope():
     assert rep.sup_deviation <= 1e-3
 
 
-def test_registered_mode_round_trip():
-    mode = LossYauMode()
-    register_zero_mode("ly-copy", mode.eval, mode.gradient)
-    reg = RegisteredMode(mode_id="ly-copy")
-    x = (0.1, 0.2, -0.3)
-    assert np.allclose(reg.eval(x), mode.eval(x))
-    assert np.allclose(
-        sigma_d_analytic(reg, np.asarray(x)), sigma_d_analytic(mode, np.asarray(x))
-    )
-    with pytest.raises(KeyError):
-        RegisteredMode(mode_id="never-registered").eval(x)
-
-
-def test_registered_mode_refuses_non_finite_values():
-    register_zero_mode("ly-nan", lambda pts: np.full(pts.shape[:-1] + (2,), np.nan))
-    with pytest.raises(ValueError, match="non-finite"):
-        RegisteredMode(mode_id="ly-nan").eval((0.1, 0.2, -0.3))
+def test_sigma_d_analytic_needs_a_gradient():
+    # a spec without an analytic gradient is a bad argument, not a lookup miss
+    with pytest.raises(ValueError, match="no analytic gradient"):
+        sigma_d_analytic(ZeroModeSpec(), np.zeros((4, 3)))

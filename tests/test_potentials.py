@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diraclab.grid import Grid3D
 from diraclab.potentials import (
     AMN,
     ClassificationUndetermined,
@@ -20,7 +21,6 @@ from diraclab.potentials import (
     kernel_dim_bound,
     potential_from_json,
     potential_to_json,
-    registered_amn_levels,
     w0_of,
 )
 from diraclab.quadrature import sphere_directions_26
@@ -164,10 +164,16 @@ def test_kernel_dim_bound_scales_linearly():
         kernel_dim_bound(pot, -1.0)
 
 
-def test_amn_requires_registered_level():
-    assert registered_amn_levels() == []
-    with pytest.raises(UnsupportedVariant):
-        AMN(ell=1, c_ell=1.0)
+def test_amn_is_loss_yau_at_level_0():
+    amn, ly = AMN(ell=0, c_ell=3.0), LossYau()
+    rng = np.random.default_rng(7)
+    for pts in (rng.uniform(-40.0, 40.0, size=(500, 3)), Grid3D(n=16, L=5.0).nodes):
+        want = ly.eval(pts)
+        err = np.linalg.norm(amn.eval(pts) - want, axis=-1)
+        assert np.all(err <= 1e-14 * np.linalg.norm(want, axis=-1))
+    for ell in (1, -1):
+        with pytest.raises(UnsupportedVariant):
+            AMN(ell=ell, c_ell=1.0)
 
 
 def test_json_round_trip_loss_yau_and_scaled():

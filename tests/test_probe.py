@@ -22,9 +22,6 @@ from diraclab.probe import (
     initial_block_from_fields,
     kernel_threshold,
     lobpcg,
-    write_coupling_csv,
-    write_decay_csv,
-    write_gap_csv,
 )
 
 FREE = Scaled(t=0.0, inner=LossYau())
@@ -377,28 +374,6 @@ def test_weyl_quasimode_validation():
         build_weyl_quasimode(FREE, 1.0, 1.5, 0, g)
     with pytest.raises(ValueError, match="periodic grids only"):
         build_weyl_quasimode(FREE, 1.0, 1.5, 1, Grid3D(n=16, L=5.0, spin="antiperiodic"))
-
-
-def test_csv_writers(tmp_path):
-    g = Grid3D(n=16, L=5.0)
-    gap = gap_scan(FREE, 1.0, g, lambdas=[-0.25, 0.0, 0.25])
-    p = tmp_path / "gap.csv"
-    write_gap_csv(gap, p)
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "lambda,proxy" and len(lines) == 4
-
-    scan = coupling_scan(LossYau(), [0.0, 1.0, 2.0], Grid3D(n=8, L=5.0))
-    p2 = tmp_path / "coupling.csv"
-    write_coupling_csv(scan, p2)
-    lines = p2.read_text().strip().splitlines()
-    assert lines[0] == "t,lambda_min" and len(lines) == 4
-
-    fit = decay_fit(lambda pts: (1.0 / (1.0 + np.sum(np.asarray(pts) ** 2, axis=-1)))[..., None]
-                    * np.ones(2), np.geomspace(5, 50, 6))
-    p3 = tmp_path / "decay.csv"
-    write_decay_csv(fit, p3)
-    lines = p3.read_text().strip().splitlines()
-    assert lines[0] == "r,amplitude" and len(lines) == 7
 
 
 # ----------------------------------------------------------------------------
