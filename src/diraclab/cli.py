@@ -1,5 +1,11 @@
 """Command-line driver: one probe per subcommand, reproducible JSON reports.
 
+One table, COMMANDS, holds each subcommand's interface: the function that
+runs it, its options and their kinds, its tolerances and their defaults, and
+the columns of its CSV table. The argument parser is generated from it, and
+RunConfig.validate checks every option and tolerance against it, whether the
+value came from a flag or a config file.
+
 Every run resolves its configuration as defaults < config file < explicit
 flags, executes exactly one probe, prints one PASS/FAIL line per check, and
 writes a self-describing JSON report (atomically, tmp + rename) that embeds
@@ -19,7 +25,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -65,45 +71,52 @@ from diraclab.probe import (
     initial_block_from_fields,
 )
 
-COMMANDS = (
-    "verify-zero-mode",
-    "spectrum",
-    "gap-scan",
-    "asymptotics",
-    "decay-fit",
-    "weyl",
-    "gauge",
-    "coupling-scan",
-    "potential-info",
-)
-
-# Tolerance names each command accepts (--tol-<name>), with defaults.
-TOLERANCES = {
-    "verify-zero-mode": {"analytic": 1e-10, "grid": 5e-3, "norm": 1e-1},
-    "spectrum": {"eigenvalue": 5e-3, "block": 1e-2, "residual": 1e-6},
-    "gap-scan": {"proxy": 0.9},
-    "asymptotics": {"sup": 1e-3},
-    "decay-fit": {},
-    "weyl": {"free": 1e-10},
-    "gauge": {"div": 1e-8, "curl": 1e-10, "gauged": 1e-2},
-    "coupling-scan": {"residual": 1e-6},
-    "potential-info": {},
-}
-
-# Commands that accept --spin (options.spin): the kernel probes of T_A.
-SPIN_COMMANDS = ("verify-zero-mode", "coupling-scan")
-
-# Commands with a documented CSV table (fixed columns, header always emitted).
-CSV_COMMANDS = {
-    "gap-scan": ("lambda", "proxy"),
-    "coupling-scan": ("t", "lambda_min"),
-    "asymptotics": ("r", "sup_deviation"),
-    "decay-fit": ("r", "amplitude"),
-}
-
 
 class ConfigError(ValueError):
     """Unusable configuration: unknown names, bad values, malformed files."""
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand's interface.
+
+    options maps each option name to its kind: int, float, str, list (a
+    non-empty list of numbers, given on the command line as comma-separated
+    numbers) or a tuple of the allowed strings. Each option is the flag
+    --<name> (underscores as dashes) and the key options.<name>; its default
+    lives in run. tolerances maps each tolerance name to its default, set by
+    --tol-<name> or tolerances.<name>. csv holds the columns of the command's
+    CSV table, empty when it has none.
+    """
+
+    run: Callable[["RunConfig"], int]
+    options: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+    csv: tuple = ()
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(name: str, kind, value):
+    """value, checked against its kind; numbers of a float kind come back as floats."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+    if kind is list:
+        if isinstance(value, list) and value and all(map(_number, value)):
+            return [float(v) for v in value]
+        raise ConfigError(f"{name} must be a non-empty list of numbers, got {value!r}")
+    if kind is float and _number(value):
+        return float(value)
+    if kind is int and _number(value) and isinstance(value, int):
+        return value
+    if kind is str and isinstance(value, str):
+        return value
+    what = {int: "an integer", float: "a number", str: "a string"}[kind]
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -122,49 +135,50 @@ class RunConfig:
     options: dict = field(default_factory=dict)  # per-command extras
 
     def validate(self) -> None:
+        """Check every value against its kind: the top-level fields here, and
+        the options and tolerances against the command's row of COMMANDS."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name, kinds in (("grid_n", int), ("box_l", (int, float)),
-                            ("mass", (int, float)), ("seed", int)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                what = "an integer" if kinds is int else "a number"
-                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        for name, kind in (("grid_n", int), ("box_l", float), ("mass", float), ("seed", int),
+                           ("format", ("json", "csv", "both"))):
+            _checked(name, kind, getattr(self, name))
+        if self.output_path is not None:
+            _checked("output_path", str, self.output_path)
         if self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)) != 0:
             raise ConfigError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
         if not (self.box_l > 0 and np.isfinite(self.box_l)):
             raise ConfigError(f"box_l must be positive, got {self.box_l}")
         if not (self.mass > 0 and np.isfinite(self.mass)):
             raise ConfigError(f"mass must be positive, got {self.mass}")
-        if self.format not in ("json", "csv", "both"):
-            raise ConfigError(f"format must be json, csv, or both, got {self.format!r}")
-        known = TOLERANCES[self.command]
+        command = COMMANDS[self.command]
         for name, value in self.tolerances.items():
-            if name not in known:
+            if name not in command.tolerances:
                 raise ConfigError(
                     f"command {self.command} accepts no tolerance {name!r} "
-                    f"(known: {', '.join(sorted(known)) or 'none'})"
+                    f"(known: {', '.join(command.tolerances) or 'none'})"
                 )
-            if not (isinstance(value, (int, float)) and value > 0 and np.isfinite(value)):
+            value = _checked(f"tolerance {name}", float, value)
+            if not (value > 0 and np.isfinite(value)):
                 raise ConfigError(f"tolerance {name} must be a positive number, got {value!r}")
-        if self.format in ("csv", "both") and self.command not in CSV_COMMANDS:
+        if self.format in ("csv", "both") and not command.csv:
             raise ConfigError(f"command {self.command} emits no CSV table")
-        if "spin" in self.options:
-            if self.command not in SPIN_COMMANDS:
-                raise ConfigError(f"command {self.command} accepts no spin option "
-                                  f"(only {', '.join(SPIN_COMMANDS)})")
-            if self.options["spin"] not in SPIN_STRUCTURES:
-                raise ConfigError(f"spin must be one of {', '.join(SPIN_STRUCTURES)}, "
-                                  f"got {self.options['spin']!r}")
+        # potential_path is recorded by --potential PATH, so that a replayed
+        # config finds the potential's companion files; it has no flag
+        kinds = {**command.options, "potential_path": str}
+        for name, value in self.options.items():
+            if name not in kinds:
+                raise ConfigError(f"command {self.command} accepts no {name} option "
+                                  f"(known: {', '.join(kinds)})")
+            self.options[name] = _checked(name, kinds[name], value)
 
     def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, TOLERANCES[self.command][name]))
+        return float(self.tolerances.get(name, COMMANDS[self.command].tolerances[name]))
 
     def grid(self) -> Grid3D:
         return Grid3D(n=self.grid_n, L=self.box_l, spin=self.options.get("spin", "periodic"))
 
     def to_dict(self) -> dict:
-        full_tols = dict(TOLERANCES[self.command])
+        full_tols = dict(COMMANDS[self.command].tolerances)
         full_tols.update(self.tolerances)
         return {
             "command": self.command,
@@ -223,11 +237,10 @@ def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
         _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"report written to {path}")
     if cfg.format in ("csv", "both"):
-        header = CSV_COMMANDS[cfg.command]
         path = stem + ".csv"
         buf = io.StringIO()
-        out = csv.writer(buf)
-        out.writerow(header)
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(COMMANDS[cfg.command].csv)
         out.writerows([f"{v:.17g}" for v in row] for row in rows or [])
         _atomic_write(path, buf.getvalue())
         print(f"table written to {path}")
@@ -241,13 +254,14 @@ def _load_potential(cfg: RunConfig):
         raise ConfigError(f"cannot build potential: {exc}") from exc
 
 
-def _float_list(text: str, what: str):
+def _number_list(text: str) -> list:
+    """argparse type of a list option: comma-separated numbers."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a comma-separated number list: {exc}") from exc
+    except ValueError:
+        values = []
     if not values:
-        raise ConfigError(f"{what} is empty")
+        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {text!r}")
     return values
 
 
@@ -336,11 +350,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
     kind = cfg.options.get("operator", "h_a")
-    if kind not in ("sigma_d", "t_a", "h_a", "h_squared"):
-        raise ConfigError(f"unknown operator {kind!r}")
-    target = cfg.options.get("target")
-    target = cfg.mass if target is None else float(target)
-    count = int(cfg.options.get("count", 1))
+    target = cfg.options.get("target", cfg.mass)
+    count = cfg.options.get("count", 1)
     op = OperatorHandle(
         kind=kind,
         grid=grid,
@@ -369,12 +380,9 @@ def cmd_gap_scan(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
     lambdas = cfg.options.get("lambdas")
-    resolution = cfg.options.get("resolution")
-    if lambdas is None and resolution is None:
-        resolution = 3
+    resolution = cfg.options.get("resolution", 3 if lambdas is None else None)
     try:
-        scan = gap_scan(pot, cfg.mass, grid,
-                        resolution=None if resolution is None else int(resolution),
+        scan = gap_scan(pot, cfg.mass, grid, resolution=resolution,
                         lambdas=lambdas, opts=EigsOptions(seed=cfg.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -391,7 +399,7 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
         raise ConfigError("asymptotics needs a potential with a known zero mode "
                           "(variant loss_yau)")
     mode = lift_to_threshold(LossYauMode(phi0=pot.phi0), +1, mass=cfg.mass)
-    radii = cfg.options.get("radii") or [10.0, 20.0, 40.0, 80.0]
+    radii = cfg.options.get("radii", [10.0, 20.0, 40.0, 80.0])
     report_obj = asymptotic_convergence(mode, pot, radii, sphere_directions_26())
     checks = [_check("sup_deviation_vs_closed_form", report_obj.sup_deviation, cfg.tol("sup"))]
     return _finish(cfg, checks, report_obj.to_dict(), rows=report_obj.convergence_table)
@@ -411,9 +419,9 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
             raise ConfigError("decay-fit without --field needs variant loss_yau")
         mode = LossYauMode(phi0=pot.phi0).eval
         r_max_default = 200.0
-    r_min = float(cfg.options.get("r_min", 20.0 if not field_path else 4.0))
-    r_max = float(cfg.options.get("r_max", r_max_default))
-    points = int(cfg.options.get("points", 24))
+    r_min = cfg.options.get("r_min", 20.0 if not field_path else 4.0)
+    r_max = cfg.options.get("r_max", r_max_default)
+    points = cfg.options.get("points", 24)
     if not (0 < r_min < r_max) or points < 6:
         raise ConfigError("need 0 < r_min < r_max and at least 6 points")
     radii = np.geomspace(r_min, r_max, points)
@@ -451,8 +459,8 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
 def cmd_weyl(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    lambda0 = float(cfg.options.get("lambda0", 1.5 * cfg.mass))
-    sweep = int(cfg.options.get("sweep", 1))
+    lambda0 = cfg.options.get("lambda0", 1.5 * cfg.mass)
+    sweep = cfg.options.get("sweep", 1)
     if sweep < 1:
         raise ConfigError("sweep must be >= 1")
     # one evaluation of the potential serves the whole sweep
@@ -513,7 +521,7 @@ def cmd_gauge(cfg: RunConfig) -> int:
 def cmd_coupling_scan(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    t_values = cfg.options.get("t_values") or [0.0, 0.5, 1.0, 1.5, 2.0]
+    t_values = cfg.options.get("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
     try:
         scan = coupling_scan(pot, t_values, grid,
                              opts=EigsOptions(seed=cfg.seed, resid_tol=cfg.tol("residual")))
@@ -537,7 +545,7 @@ def cmd_potential_info(cfg: RunConfig) -> int:
     result = dec.to_dict()
     bound_c = cfg.options.get("bound_constant")
     if bound_c is not None:
-        result["kernel_dim_bound"] = kernel_dim_bound(pot, float(bound_c))
+        result["kernel_dim_bound"] = kernel_dim_bound(pot, bound_c)
     print(f"decay exponent rho = {dec.rho_fit:.4f}, "
           f"slowly-decreasing class: {dec.in_SU}, cubic-integrable: {dec.in_BE}")
     print(f"cubic field integral = {dec.cubic_integral:.6g}")
@@ -546,46 +554,35 @@ def cmd_potential_info(cfg: RunConfig) -> int:
     return _finish(cfg, [], result)
 
 
-DISPATCH = {
-    "verify-zero-mode": cmd_verify_zero_mode,
-    "spectrum": cmd_spectrum,
-    "gap-scan": cmd_gap_scan,
-    "asymptotics": cmd_asymptotics,
-    "decay-fit": cmd_decay_fit,
-    "weyl": cmd_weyl,
-    "gauge": cmd_gauge,
-    "coupling-scan": cmd_coupling_scan,
-    "potential-info": cmd_potential_info,
+COMMANDS = {
+    "verify-zero-mode": Command(
+        cmd_verify_zero_mode, {"spin": SPIN_STRUCTURES},
+        {"analytic": 1e-10, "grid": 5e-3, "norm": 1e-1}),
+    "spectrum": Command(
+        cmd_spectrum,
+        {"operator": ("sigma_d", "t_a", "h_a", "h_squared"), "target": float, "count": int},
+        {"eigenvalue": 5e-3, "block": 1e-2, "residual": 1e-6}),
+    "gap-scan": Command(
+        cmd_gap_scan, {"resolution": int, "lambdas": list}, {"proxy": 0.9},
+        ("lambda", "proxy")),
+    "asymptotics": Command(
+        cmd_asymptotics, {"radii": list}, {"sup": 1e-3}, ("r", "sup_deviation")),
+    "decay-fit": Command(
+        cmd_decay_fit,
+        {"field": str, "r_min": float, "r_max": float, "points": int,
+         "expect": ("mode_tail", "resonance_tail", "any")},
+        csv=("r", "amplitude")),
+    "weyl": Command(cmd_weyl, {"lambda0": float, "sweep": int}, {"free": 1e-10}),
+    "gauge": Command(cmd_gauge, tolerances={"div": 1e-8, "curl": 1e-10, "gauged": 1e-2}),
+    "coupling-scan": Command(
+        cmd_coupling_scan, {"spin": SPIN_STRUCTURES, "t_values": list}, {"residual": 1e-6},
+        ("t", "lambda_min")),
+    "potential-info": Command(cmd_potential_info, {"bound_constant": float}),
 }
 
 
 # ----------------------------------------------------------------------------
 # Argument handling
-
-
-def _extract_tolerance_flags(argv):
-    """Split --tol-<name> flags (dynamic names) from the regular arguments."""
-    rest, tols = [], {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol-"):
-            if "=" in arg:
-                name, _, raw = arg[6:].partition("=")
-            else:
-                name = arg[6:]
-                i += 1
-                if i >= len(argv):
-                    raise ConfigError(f"--tol-{name} needs a value")
-                raw = argv[i]
-            try:
-                tols[name.replace("-", "_")] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"--tol-{name} needs a number, got {raw!r}") from exc
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -595,48 +592,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"diraclab {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--grid-n", type=int, default=None)
-        p.add_argument("--box-l", type=float, default=None)
-        p.add_argument("--mass", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", type=str, default=None, choices=["json", "csv", "both"])
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--potential", type=str, default=None,
-                       help="path to a potential JSON description")
-        if name in SPIN_COMMANDS:
-            p.add_argument("--spin", type=str, default=None, choices=list(SPIN_STRUCTURES),
-                           help="boundary condition of spinor fields (default periodic)")
-        if name == "spectrum":
-            p.add_argument("--operator", type=str, default=None,
-                           choices=["sigma_d", "t_a", "h_a", "h_squared"])
-            p.add_argument("--target", type=float, default=None)
-            p.add_argument("--count", type=int, default=None)
-        elif name == "gap-scan":
-            p.add_argument("--resolution", type=int, default=None)
-            p.add_argument("--lambdas", type=str, default=None)
-        elif name == "asymptotics":
-            p.add_argument("--radii", type=str, default=None)
-        elif name == "decay-fit":
-            p.add_argument("--field", type=str, default=None)
-            p.add_argument("--r-min", type=float, default=None)
-            p.add_argument("--r-max", type=float, default=None)
-            p.add_argument("--points", type=int, default=None)
-            p.add_argument("--expect", type=str, default=None,
-                           choices=["mode_tail", "resonance_tail", "any"])
-        elif name == "weyl":
-            p.add_argument("--lambda0", type=float, default=None)
-            p.add_argument("--sweep", type=int, default=None)
-        elif name == "coupling-scan":
-            p.add_argument("--t-values", type=str, default=None)
-        elif name == "potential-info":
-            p.add_argument("--bound-constant", type=float, default=None)
+        p.add_argument("--grid-n", type=int)
+        p.add_argument("--box-l", type=float)
+        p.add_argument("--mass", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", type=str, dest="output_path", metavar="OUT")
+        p.add_argument("--format", type=str, choices=["json", "csv", "both"])
+        p.add_argument("--config", type=str)
+        p.add_argument("--potential", type=str,
+                       help="inline potential JSON (starting with '{') "
+                            "or a path to a potential JSON file")
+        for option, kind in command.options.items():
+            flag = "--" + option.replace("_", "-")
+            if isinstance(kind, tuple):
+                p.add_argument(flag, type=str, choices=kind)
+            else:
+                p.add_argument(flag, type=_number_list if kind is list else kind)
+        for tol, default in command.tolerances.items():
+            p.add_argument(f"--tol-{tol}", type=float, metavar="VALUE",
+                           help=f"tolerance (default {default:g})")
     return parser
 
 
-def _resolve_config(args, tols) -> RunConfig:
+def _resolve_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config is not None:
         try:
@@ -646,29 +626,24 @@ def _resolve_config(args, tols) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        known = cfg.to_dict()
+        unknown = [key for key in data if key not in known]
+        if unknown:
+            raise ConfigError(f"config file has unknown key {unknown[0]!r} "
+                              f"(known: {', '.join(known)})")
         if data.get("command", args.command) != args.command:
             raise ConfigError(
                 f"config file is for command {data['command']!r}, not {args.command!r}"
             )
-        for key in ("grid_n", "box_l", "mass", "seed", "output_path", "format", "potential"):
-            if key in data:
-                setattr(cfg, key, data[key])
-        cfg.tolerances.update(data.get("tolerances", {}))
-        cfg.options.update(data.get("options", {}))
+        for key in ("tolerances", "options"):
+            if not isinstance(data.get(key, {}), dict):
+                raise ConfigError(f"{key} must be a JSON object, got {data[key]!r}")
+        for key, value in data.items():
+            setattr(cfg, key, value)
 
-    if args.grid_n is not None:
-        cfg.grid_n = args.grid_n
-    if args.box_l is not None:
-        cfg.box_l = args.box_l
-    if args.mass is not None:
-        cfg.mass = args.mass
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_path = args.out
-    if args.format is not None:
-        cfg.format = args.format
-    cfg.tolerances.update(tols)
+    for key in ("grid_n", "box_l", "mass", "seed", "output_path", "format"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
 
     if args.potential is not None:
         text = args.potential.strip()
@@ -685,35 +660,19 @@ def _resolve_config(args, tols) -> RunConfig:
                 raise ConfigError(f"cannot read potential file: {exc}") from exc
             cfg.options["potential_path"] = args.potential
 
-    option_flags = {
-        "operator": "operator", "target": "target", "count": "count",
-        "resolution": "resolution", "radii": "radii", "field": "field",
-        "r_min": "r_min", "r_max": "r_max", "points": "points",
-        "expect": "expect", "lambda0": "lambda0", "sweep": "sweep",
-        "bound_constant": "bound_constant", "spin": "spin",
-    }
-    for attr, key in option_flags.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg.options[key] = value
-    if getattr(args, "lambdas", None) is not None:
-        cfg.options["lambdas"] = _float_list(args.lambdas, "--lambdas")
-    if getattr(args, "t_values", None) is not None:
-        cfg.options["t_values"] = _float_list(args.t_values, "--t-values")
-    if isinstance(cfg.options.get("radii"), str):
-        cfg.options["radii"] = _float_list(cfg.options["radii"], "--radii")
+    command = COMMANDS[args.command]
+    for table, names, prefix in ((cfg.tolerances, command.tolerances, "tol_"),
+                                 (cfg.options, command.options, "")):
+        for name in names:
+            value = getattr(args, prefix + name)
+            if value is not None:
+                table[name] = value
 
     cfg.validate()
     return cfg
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv, tols = _extract_tolerance_flags(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -725,8 +684,8 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _resolve_config(args, tols)
-        return DISPATCH[cfg.command](cfg)
+        cfg = _resolve_config(args)
+        return COMMANDS[cfg.command].run(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -736,7 +695,7 @@ def main(argv=None) -> int:
     except (SolverError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a JSON integer past float range
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,7 @@ shapes, and the config round trip.
 """
 
 import copy
+import dataclasses
 import importlib
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diraclab import __version__
+from diraclab import __version__, cli
 from diraclab.cli import RunConfig, _check, _finish, main
 
 FREE = '{"variant": "scaled", "t": 0.0, "inner": {"variant": "loss_yau"}}'
@@ -128,6 +129,7 @@ def test_gap_scan_csv_table(tmp_path, capsys):
                        "--out", str(out_path), "--format", "both")
     assert code == 0
     assert out.count("PASS proxy_at_") == 3
+    assert (tmp_path / "gap.csv").read_bytes().startswith(b"lambda,proxy\n")
     rows = (tmp_path / "gap.csv").read_text().strip().splitlines()
     assert rows[0] == "lambda,proxy"
     assert len(rows) == 4
@@ -299,13 +301,110 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(key=st.sampled_from(["grid_n", "box_l", "mass", "seed"]),
+@given(key=st.sampled_from(["grid_n", "box_l", "mass", "seed", "tolerances", "options"]),
        value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                        st.lists(st.integers(), max_size=2),
                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)))
 def test_config_wrong_types_are_config_errors(tmp_path, capsys, key, value):
     code, err = _config_exit_code(tmp_path, capsys, **{key: value})
-    assert code == 1 and f"{key} must be" in err
+    if key in ("tolerances", "options") and isinstance(value, dict):
+        # the right JSON type: empty is the default, and potential-info
+        # knows no tolerance and no option of at most two characters
+        assert code == (1 if value else 0) and (not value or "accepts no" in err)
+    else:
+        assert code == 1 and f"{key} must be" in err
+
+
+def _exit_before_run(tmp_path, capsys, monkeypatch, cfg):
+    """Exit code and stderr of a config run whose command must not start."""
+    def refuse(_):
+        raise AssertionError("the command ran")
+
+    command = cfg["command"]
+    monkeypatch.setitem(cli.COMMANDS, command, dataclasses.replace(cli.COMMANDS[command], run=refuse))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid_n": 8, **cfg}))
+    code, _, err = run(capsys, command, "--config", str(cfg_path))
+    return code, err
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, cmd in cli.COMMANDS.items()
+                                            for o in cmd.options])
+@pytest.mark.parametrize("value", [None, {}])
+def test_config_option_of_wrong_type_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
+                                                            command, option, value):
+    code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                 {"command": command, "options": {option: value}})
+    assert code == 1 and err.startswith("error: ") and f"{option} must be" in err
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"command": "spectrum", "options": {"count": None}}, "count must be an integer"),
+    ({"command": "spectrum", "options": {"count": "3"}}, "count must be an integer"),
+    ({"command": "spectrum", "options": {"count": 2.7}}, "count must be an integer"),
+    ({"command": "spectrum", "options": {"sweep": 3}}, "accepts no sweep option"),
+    ({"command": "spectrum", "options": {"cont": 3}}, "command spectrum accepts no cont option"),
+    ({"command": "weyl", "options": {"sweep": [2]}}, "sweep must be an integer"),
+    ({"command": "decay-fit", "options": {"expect": "foo"}}, "expect must be one of"),
+    ({"command": "spectrum", "options": [1, 2]}, "options must be a JSON object"),
+    ({"command": "spectrum", "tolerances": [1]}, "tolerances must be a JSON object"),
+    ({"command": "spectrum", "tolerances": {"residual": True}}, "tolerance residual must be"),
+    ({"command": "spectrum", "box_l": 10**400}, "too large"),
+    ({"command": "gauge", "options": {"potential_path": {}}}, "potential_path must be a string"),
+    ({"command": "gauge", "output_path": 5}, "output_path must be a string"),
+])
+def test_config_defects_exit_1_before_the_run(tmp_path, capsys, monkeypatch, cfg, message):
+    code, err = _exit_before_run(tmp_path, capsys, monkeypatch, cfg)
+    assert code == 1 and err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_help_lists_every_flag_of_the_table(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    entry = cli.COMMANDS[command]
+    flags = ["--" + o.replace("_", "-") for o in entry.options]
+    flags += [f"--tol-{t}" for t in entry.tolerances]
+    assert [flag for flag in flags if flag not in out.split()] == []
+
+
+def test_config_unknown_top_level_key_exits_1(tmp_path, capsys):
+    code, err = _config_exit_code(tmp_path, capsys, **{"grid-n": 8})
+    assert code == 1 and "unknown key 'grid-n'" in err
+    # a whole report is not a config; its config block is
+    code, _, _ = run(capsys, "potential-info", "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text((tmp_path / "r.json").read_text())
+    code, _, err = run(capsys, "potential-info", "--config", str(cfg_path))
+    assert code == 1 and "unknown key" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a", "--count", "2"],
+    ["gap-scan", "--grid-n", "8", "--box-l", "4"],
+])
+def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
+    from diraclab.grid import Grid3D, _write_dtl1, sample_potential
+    from diraclab.potentials import LossYau
+
+    # the companion file is found next to the potential file, so the replay
+    # must carry options.potential_path
+    g = Grid3D(n=8, L=4.0)
+    (tmp_path / "pot").mkdir()
+    _write_dtl1(tmp_path / "pot" / "a.dtl", g, sample_potential(LossYau(), g))
+    pot = tmp_path / "pot" / "pot.json"
+    pot.write_text(json.dumps({"variant": "sampled", "grid_n": 8, "box_l": 4.0,
+                               "file": "a.dtl"}))
+    code, _, _ = run(capsys, *argv, "--potential", str(pot), "--out", str(tmp_path / "a.json"))
+    assert code in (0, 2)
+    first = json.loads((tmp_path / "a.json").read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(first["config"]))
+    replay_code, _, _ = run(capsys, argv[0], "--config", str(cfg_path),
+                            "--out", str(tmp_path / "b.json"))
+    assert replay_code == code
+    assert json.loads((tmp_path / "b.json").read_text())["result"] == first["result"]
 
 
 def test_tolerance_override_flag(tmp_path, capsys):
