@@ -43,7 +43,6 @@ from diraclab.potentials import (
     Scaled,
     classify_decay,
     default_classification,
-    kernel_dim_bound,
 )
 from diraclab.probe import (
     EigsOptions,
@@ -63,7 +62,7 @@ __all__ = [
     "lift_to_threshold",
     "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
-    "classify_decay", "default_classification", "kernel_dim_bound",
+    "classify_decay", "default_classification",
     "EigsOptions", "eigs_near", "gap_scan", "build_weyl_quasimode",
     "decay_fit", "coupling_scan",
     "__version__",

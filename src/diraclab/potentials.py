@@ -21,7 +21,7 @@ Classification is evidence on samples, not proof; reports say which.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -53,7 +53,6 @@ __all__ = [
     "UnsupportedVariant",
     "w0_of",
     "classify_decay",
-    "kernel_dim_bound",
     "potential_to_json",
     "potential_from_json",
     "write_sampled_potential",
@@ -143,25 +142,42 @@ class PotentialSpec:
         return np.linalg.norm(self.eval(points), axis=-1)
 
 
+_SLAB_POINTS = 2**14
+
+
 def _loss_yau_values(w0: ArrayR, points: ArrayR) -> ArrayR:
     """A at points (..., 3), built component by component into a contiguous
     (3, ...) block and returned as its (..., 3) view: sample_potential takes
     that layout without a copy. The arithmetic is term for term that of the
     bracket formula (w.x by tensordot on the points, the cross product as
-    np.cross forms it), so the values are bit-identical to it."""
+    np.cross forms it), so the values are bit-identical to it.
+
+    Points of three or more axes are filled in slabs of whole rows of their
+    first axis, about _SLAB_POINTS points each (one x-plane of an n=128
+    grid), so the temporaries are slab-sized: at the nodes of an n=128 grid
+    the peak is the node mesh and the result (50 MB each) plus about 1 MB,
+    where whole-array temporaries took 190 MB above the result. A list of
+    points (N, 3) is one slab, as is any set whose rows hold one point.
+    """
     pts = np.asarray(points, dtype=np.float64)
-    r2 = np.sum(pts**2, axis=-1)
-    wdx2 = 2.0 * np.tensordot(pts, w0, axes=([-1], [0]))
-    scale = 3.0 * (1.0 + r2) ** -2
-    one_m_r2 = 1.0 - r2
-    out = np.empty((3,) + r2.shape)
-    for c in range(3):
-        j, k = (c + 1) % 3, (c + 2) % 3
-        term = out[c, ...]  # a view, also for a single point
-        np.multiply(one_m_r2, w0[c], out=term)
-        term += wdx2 * pts[..., c]
-        term += 2.0 * (w0[j] * pts[..., k] - w0[k] * pts[..., j])
-        term *= scale
+    out = np.empty((3,) + pts.shape[:-1])
+    slabs = [(pts, out)]
+    per_row = int(np.prod(pts.shape[1:-1])) if pts.ndim > 2 else 1
+    if per_row > 1:  # a one-point slab would take np.dot's vector path, other bits
+        rows = max(1, _SLAB_POINTS // per_row)
+        slabs = ((pts[i:i + rows], out[:, i:i + rows]) for i in range(0, len(pts), rows))
+    for p, o in slabs:
+        r2 = np.sum(p**2, axis=-1)
+        wdx2 = 2.0 * np.tensordot(p, w0, axes=([-1], [0]))
+        scale = 3.0 * (1.0 + r2) ** -2
+        one_m_r2 = 1.0 - r2
+        for c in range(3):
+            j, k = (c + 1) % 3, (c + 2) % 3
+            term = o[c, ...]  # a view, also for a single point
+            np.multiply(one_m_r2, w0[c], out=term)
+            term += wdx2 * p[..., c]
+            term += 2.0 * (w0[j] * p[..., k] - w0[k] * p[..., j])
+            term *= scale
     return np.moveaxis(out, 0, -1)
 
 
@@ -207,19 +223,27 @@ class Scaled(PotentialSpec):
 
 @dataclass(frozen=True)
 class Gauged(PotentialSpec):
-    """A_inner + grad chi for a grid-sampled gauge function chi."""
+    """A_inner + grad chi for a grid-sampled gauge function chi.
+
+    samples, when given, are the values at the nodes of chi's grid, as
+    grid.gauge_transform forms them from the spectrum of A_inner in the pass
+    that finds chi; they take no part in comparisons or the JSON form.
+    """
 
     inner: PotentialSpec
     chi: ScalarFieldHandle
+    samples: Optional[ArrayR] = field(default=None, compare=False, repr=False)
 
     def eval(self, points) -> ArrayR:
         return self.inner.eval(points) + self.chi.grad_at(points)
 
     def sample(self, grid: Grid3D) -> ArrayR:
-        """On the gauge function's own grid: the inner samples plus the cached
-        spectral gradient, no interpolation."""
+        """On the gauge function's own grid: the stored samples, else the
+        inner samples plus the cached spectral gradient, no interpolation."""
         if not _same_nodes(grid, self.chi.grid):
             return self.eval(grid.nodes)
+        if self.samples is not None:
+            return self.samples
         return self.inner.sample(grid) + self.chi.gradient_values()
 
 
@@ -417,22 +441,6 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
 
     radii = np.geomspace(0.05, 2000.0, 240)
     return classify_decay(spec, radii, sphere_directions_26())
-
-
-def kernel_dim_bound(spec: PotentialSpec, c: float) -> float:
-    """Upper-bound estimate c * integral |A|^3 for the threshold kernel dimension.
-
-    The proportionality constant is supplied by the caller (the sharp value is
-    not fixed here). c = 0 short-circuits to 0 for any potential.
-    """
-    if c < 0 or not np.isfinite(c):
-        raise ValueError("bound constant must be finite and >= 0")
-    if c == 0.0:
-        return 0.0
-    report = default_classification(spec)
-    if not report.in_BE:
-        raise ValueError("kernel-dimension bound requires a cubically integrable potential")
-    return c * report.cubic_integral
 
 
 # ----------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_criterion_08_spectrum_filling_quasimodes(lossyau):
 
 
 def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
-    gauged_spec, chi = gauge_transform(lossyau, grid32)
+    gauged_spec, chi, _, _ = gauge_transform(lossyau, grid32)
 
     A = sample_potential(lossyau, grid32)
     A_t = sample_potential(gauged_spec, grid32)

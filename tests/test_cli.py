@@ -546,3 +546,43 @@ def test_weyl_sweep_makes_no_3d_transform_and_no_grid_apply(tmp_path, capsys, mo
     assert out.count("n_index") == 4
     assert (calls["fftn"], calls["ifftn"], calls["apply_values"]) == (0, 0, 0)
     assert calls["fft"] == 4 * 3  # one 1-D derivative per axis and quasi-mode
+
+
+def test_gauge_makes_17_real_transforms(tmp_path, capsys, monkeypatch):
+    """Counts, not timings: one pass over half spectra. A is transformed
+    once (3), chi and the gauged samples come from that spectrum (1 + 3),
+    and the samples are transformed once (3) for the divergence (1) and the
+    curl of A and of the change (3 + 3)."""
+    import scipy.fft
+
+    calls = {"rfftn": 0, "irfftn": 0}
+
+    def counted(name):
+        original = getattr(scipy.fft, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    scaled = '{"variant": "scaled", "t": 1.0, "inner": {"variant": "loss_yau"}}'
+    code, out, _ = run(capsys, "gauge", "--grid-n", "16", "--box-l", "20",
+                       "--potential", scaled, "--out", str(tmp_path / "g.json"))
+    assert code == 0
+    assert "PASS divergence_relative" in out and "PASS curl_deviation" in out
+    assert (calls["rfftn"], calls["irfftn"]) == (6, 11)
+    assert sum(calls.values()) <= 17
+
+
+def test_potential_info_has_no_bound_constant(tmp_path, capsys):
+    code, _, err = run(capsys, "potential-info", "--potential", LY, "--bound-constant", "1")
+    assert code == 1 and "unrecognized arguments" in err
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"command": "potential-info",
+                                    "options": {"bound_constant": 1}}))
+    code, _, err = run(capsys, "potential-info", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "i.json"))
+    assert code == 1 and "accepts no bound_constant option" in err

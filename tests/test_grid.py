@@ -185,7 +185,7 @@ def test_divergence_of_curl_vanishes():
 def test_gauge_transform_pipeline():
     g = Grid3D(n=16, L=10.0)
     pot = LossYau()
-    gauged_spec, chi = gauge_transform(pot, g)
+    gauged_spec, chi, _, _ = gauge_transform(pot, g)
     A_t = sample_potential(gauged_spec, g)
     A_0 = sample_potential(pot, g)
     assert np.linalg.norm(spectral_divergence(g, A_t)) <= 1e-8 * np.linalg.norm(A_t)
@@ -195,10 +195,70 @@ def test_gauge_transform_pipeline():
     assert np.allclose(A_t, A_0 + chi.gradient_values(), atol=1e-10)
 
 
+def _random_sampled(g, seed):
+    from diraclab.potentials import Sampled
+
+    return Sampled(grid=g, values=np.random.default_rng(seed).normal(size=(g.n,) * 3 + (3,)))
+
+
+@pytest.mark.parametrize("pot,g", [
+    (LossYau(), Grid3D(n=16, L=10.0)),
+    (Scaled(t=1.4, inner=LossYau()), Grid3D(n=32, L=7.0)),
+    ("random", Grid3D(n=16, L=5.0)),
+])
+def test_gauge_transform_is_one_pass_over_the_spectrum_of_a(pot, g):
+    from diraclab.grid import helmholtz_project
+
+    if pot == "random":
+        pot = _random_sampled(g, 2)
+    gauged, chi, div_rel, curl_dev = gauge_transform(pot, g)
+    A = sample_potential(pot, g)
+    # chi is helmholtz_project's, bit for bit
+    assert np.array_equal(chi.values, helmholtz_project(g, A)[1])
+    # the gauged samples are handed on as formed, and they are A + grad chi
+    A_t = sample_potential(gauged, g)
+    assert np.shares_memory(A_t, gauged.samples)
+    grad = spectral_scalar_gradient(g, chi.values)
+    assert np.linalg.norm(A_t - (A + grad)) <= 1e-13 * np.linalg.norm(A)
+    # both numbers are those of the spectral calculus on the returned samples
+    div = np.linalg.norm(spectral_divergence(g, A_t)) / np.linalg.norm(A_t)
+    assert div_rel == pytest.approx(div, rel=1e-12, abs=0.0)
+    curl_A = spectral_curl(g, A)
+    curl = np.linalg.norm(spectral_curl(g, A_t) - curl_A) / np.linalg.norm(curl_A)
+    assert max(curl_dev, curl) <= 1e-14 and abs(curl_dev - curl) <= 1e-14
+
+
+def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
+    # samples that are not A + grad chi: both numbers must see the change,
+    # and agree with the spectral calculus far above round-off
+    from diraclab import grid
+
+    g = Grid3D(n=16, L=5.0)
+    bump = 1e-6 * _random_sampled(g, 4).values
+    original = grid._transverse_part
+
+    def off(grid_, a_hat):
+        A_t, chi = original(grid_, a_hat)
+        return sample_potential(A_t + bump, grid_), chi
+
+    monkeypatch.setattr(grid, "_transverse_part", off)
+    pot = Scaled(t=1.4, inner=LossYau())
+    with pytest.raises(grid.GaugeError):
+        gauge_transform(pot, g)
+    gauged, _, div_rel, curl_dev = gauge_transform(pot, g, div_tol=1.0)
+    A, A_t = sample_potential(pot, g), gauged.samples
+    div = np.linalg.norm(spectral_divergence(g, A_t)) / np.linalg.norm(A_t)
+    curl_A = spectral_curl(g, A)
+    curl = np.linalg.norm(spectral_curl(g, A_t) - curl_A) / np.linalg.norm(curl_A)
+    assert min(div, curl) > 1e-8
+    assert div_rel == pytest.approx(div, rel=1e-12)
+    assert curl_dev == pytest.approx(curl, rel=1e-8)
+
+
 def test_gauged_mode_preserves_pointwise_norm():
     g = Grid3D(n=16, L=10.0)
     f = sample_field(LossYauMode().eval, g)
-    _, chi = gauge_transform(LossYau(), g)
+    _, chi, _, _ = gauge_transform(LossYau(), g)
     ft = gauged_mode(f, chi)
     assert np.allclose(np.abs(ft.values), np.abs(f.values), atol=1e-14)
     with pytest.raises(GridMismatchError):
@@ -343,7 +403,7 @@ def test_potential_samples_itself_on_its_grid():
     from diraclab.potentials import Gauged, Sampled
 
     g = Grid3D(n=16, L=7.0)
-    gauged, chi = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)
+    gauged, chi, _, _ = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)
     for spec in (Scaled(t=1.4, inner=LossYau()), gauged,
                  Sampled(grid=g, values=sample_potential(LossYau(), g)),
                  Gauged(inner=Scaled(t=0.5, inner=LossYau()), chi=chi)):

@@ -18,7 +18,6 @@ from diraclab.potentials import (
     UnsupportedVariant,
     classify_decay,
     default_classification,
-    kernel_dim_bound,
     potential_from_json,
     potential_to_json,
     w0_of,
@@ -115,6 +114,33 @@ def test_loss_yau_samples_are_bit_identical_to_the_bracket_formula(monkeypatch):
     assert np.shares_memory(A, evaluated[0])
 
 
+def test_loss_yau_sampling_peak_is_slab_sized():
+    # slab by slab, the temporaries beside the result are the node mesh (one
+    # result's size, twice while meshgrid stacks it) and one slab's; whole
+    # arrays of temporaries took three results' size above the result
+    import tracemalloc
+
+    from diraclab.grid import Grid3D, sample_potential
+
+    grid = Grid3D(64, 20.0)
+    tracemalloc.start()
+    try:
+        A = sample_potential(LossYau(), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - A.nbytes <= 1.5 * A.nbytes, (peak, A.nbytes)
+    # other point blocks, over several slabs or with one point a row, keep
+    # their bits too; a one-point slab at the end of (16385, 1, 3) would
+    # differ from the bracket formula in about one draw of four
+    rng = np.random.default_rng(5)
+    v = np.array([0.3, -0.5, 0.7, 0.4]) / np.linalg.norm([0.3, -0.5, 0.7, 0.4])
+    pot = LossYau(phi0=((v[0], v[1]), (v[2], v[3])))
+    for shape in [(2000, 26, 3), (3, 5, 7, 3)] + [(16385, 1, 3)] * 20:
+        pts = rng.normal(scale=20.0, size=shape)
+        assert np.array_equal(pot.eval(pts), _loss_yau_bracket_formula(pot.w0(), pts)), shape
+
+
 def test_loss_yau_rejects_unnormalized_phi0():
     with pytest.raises(ValueError):
         LossYau(phi0=((2.0, 0.0), (0.0, 0.0)))
@@ -152,16 +178,6 @@ def test_classify_decay_needs_usable_window():
     with pytest.raises(ClassificationUndetermined):
         classify_decay(Scaled(t=0.0, inner=LossYau()), np.geomspace(1, 100, 40),
                        sphere_directions_26())
-
-
-def test_kernel_dim_bound_scales_linearly():
-    pot = LossYau()
-    b1 = kernel_dim_bound(pot, 1.0)
-    assert b1 == pytest.approx(27.0 * np.pi**2 / 4.0, rel=0.01)
-    assert kernel_dim_bound(pot, 2.0) == pytest.approx(2.0 * b1, rel=1e-12)
-    assert kernel_dim_bound(pot, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        kernel_dim_bound(pot, -1.0)
 
 
 def test_amn_is_loss_yau_at_level_0():
@@ -218,7 +234,7 @@ def test_gauged_companion_round_trip(tmp_path):
     from diraclab.potentials import write_gauge_function
 
     g = Grid3D(n=8, L=4.0)
-    spec, chi = gauge_transform(Scaled(t=0.5, inner=LossYau()), g)
+    spec, chi, _, _ = gauge_transform(Scaled(t=0.5, inner=LossYau()), g)
     write_gauge_function(tmp_path / "chi.dtl", chi)
     obj = potential_to_json(spec)
     obj["chi"]["file"] = "chi.dtl"
