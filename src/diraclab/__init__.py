@@ -28,7 +28,6 @@ from diraclab.grid import (
 )
 from diraclab.modes import (
     LossYauMode,
-    QuadratureParams,
     ThresholdMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
@@ -58,8 +57,7 @@ __all__ = [
     "Grid3D", "Field", "OperatorHandle",
     "sample_field", "sample_potential", "apply", "residual_norm",
     "susy_square_check", "gauge_transform", "gauged_mode",
-    "LossYauMode", "ThresholdMode", "QuadratureParams",
-    "lift_to_threshold",
+    "LossYauMode", "ThresholdMode", "lift_to_threshold",
     "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
     "classify_decay", "default_classification",

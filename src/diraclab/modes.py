@@ -26,7 +26,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from diraclab.algebra import sigma_mul
-from diraclab.potentials import PotentialSpec, _fit_loglog, default_classification
+from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
 from diraclab.quadrature import radial_panels, sphere_product_rule
 
 ArrayC = NDArray[np.complex128]
@@ -37,7 +37,6 @@ __all__ = [
     "LossYauMode",
     "ThresholdMode",
     "AsymptoticReport",
-    "QuadratureParams",
     "HypothesisViolation",
     "AccuracyError",
     "sigma_d_analytic",
@@ -73,18 +72,8 @@ class ZeroModeSpec:
 
 
 @dataclass(frozen=True)
-class LossYauMode(ZeroModeSpec):
+class LossYauMode(_Phi0, ZeroModeSpec):
     """phi(x) = <x>^-3 (I + i sigma.x) phi0 for a unit reference spinor phi0."""
-
-    phi0: tuple = ((1.0, 0.0), (0.0, 0.0))  # ((re, im), (re, im))
-
-    def __post_init__(self) -> None:
-        if abs(np.linalg.norm(self.phi0_spinor()) - 1.0) > 1e-12:
-            raise ValueError("phi0 must have unit norm")
-
-    def phi0_spinor(self) -> ArrayC:
-        (a_re, a_im), (b_re, b_im) = self.phi0
-        return np.array([a_re + 1j * a_im, b_re + 1j * b_im])
 
     def _sigma_phi0(self, v: ArrayR) -> ArrayC:
         """(sigma.v) phi0 for vectors v (..., 3), shape (..., 2), C-ordered."""
@@ -176,28 +165,18 @@ def lift_to_threshold(spec: ZeroModeSpec, sign: int, mass: float) -> ThresholdMo
 # Asymptotic limit by quadrature
 
 
-@dataclass(frozen=True)
-class QuadratureParams:
-    """Product rule: geometric Gauss-Legendre panels in r x sphere rule in omega.
-
-    The ball is truncated at r_max and the radial tail is added back from a
-    power-law fit of the shell integrand over the outer panels; tol bounds the
-    accepted error estimate.
-    """
-
-    r_min: float = 1e-3
-    r_max: float = 2000.0
-    panels: int = 36
-    nodes_per_panel: int = 8
-    n_theta: int = 12
-    n_phi: int = 24
-    tol: float = 1e-3
-
-    def __post_init__(self) -> None:
-        if not (0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max")
-        if self.panels < 8 or self.nodes_per_panel < 2:
-            raise ValueError("need >= 8 panels and >= 2 nodes per panel")
+# The product rule behind the limit integral and the L2 norm: geometric
+# Gauss-Legendre panels in r on (R_MIN, R_MAX) times the sphere rule in omega.
+# The ball is truncated at R_MAX and the radial tail is added back from a
+# power-law fit of the shell integrand over the outer panels; QUAD_TOL bounds
+# the accepted error estimate.
+R_MIN = 1e-3
+R_MAX = 2000.0
+PANELS = 36
+NODES_PER_PANEL = 8
+N_THETA = 12
+N_PHI = 24
+QUAD_TOL = 1e-3
 
 
 # sig_eps[j, m] = sum_l eps_{l j m} sigma_l, the 2x2 blocks behind sigma.(omega x A)
@@ -216,15 +195,15 @@ _SIG_EPS = _sig_eps_tensor()
 
 
 def _shell_sums(
-    spec: ZeroModeSpec, pot: Optional[PotentialSpec], quad: QuadratureParams
+    spec: ZeroModeSpec, pot: Optional[PotentialSpec]
 ) -> tuple[ArrayR, ArrayR, ArrayC]:
     """Radial nodes, weights, and shell integrands S(r) = r^2 * sphere-avg.
 
     With a potential the shells are the moment integrands (shape (nr, 3, 2));
     without one they are the scalar |phi|^2 shells (shape (nr,)).
     """
-    r, w = radial_panels(quad.r_min, quad.r_max, quad.panels, quad.nodes_per_panel)
-    dirs, dw = sphere_product_rule(quad.n_theta, quad.n_phi)
+    r, w = radial_panels(R_MIN, R_MAX, PANELS, NODES_PER_PANEL)
+    dirs, dw = sphere_product_rule(N_THETA, N_PHI)
     pts = r[:, None, None] * dirs[None, :, :]
     phi = spec.eval(pts)  # (nr, ns, 2)
     if pot is None:
@@ -237,8 +216,8 @@ def _shell_sums(
     return r, w, shells
 
 
-def _integrate_with_tail(r: ArrayR, w: ArrayR, shells, quad: QuadratureParams):
-    """Integral of the shells over (r_min, inf): core sum + power-law tail.
+def _integrate_with_tail(r: ArrayR, w: ArrayR, shells):
+    """Integral of the shells over (R_MIN, inf): core sum + power-law tail.
 
     Returns (value, error_estimate). The power p is fit over the outermost
     three panels and the tail S(edge) edge / (p-1) is attached at the panel
@@ -246,8 +225,8 @@ def _integrate_with_tail(r: ArrayR, w: ArrayR, shells, quad: QuadratureParams):
     construction truncated at 7/8 of the panels and takes the difference.
     """
     amp = np.abs(shells) if shells.ndim == 1 else np.linalg.norm(shells, axis=(1, 2))
-    edges = np.geomspace(quad.r_min, quad.r_max, quad.panels + 1)
-    npp = quad.nodes_per_panel
+    edges = np.geomspace(R_MIN, R_MAX, PANELS + 1)
+    npp = NODES_PER_PANEL
 
     def truncated_value(panel_count: int):
         idx = panel_count * npp
@@ -261,8 +240,8 @@ def _integrate_with_tail(r: ArrayR, w: ArrayR, shells, quad: QuadratureParams):
         tail = shells[idx - 1] * (edge / r[idx - 1]) ** -p * (edge / (p - 1.0))
         return np.tensordot(w[:idx], shells[:idx], axes=(0, 0)) + tail
 
-    full = truncated_value(quad.panels)
-    alt = truncated_value((7 * quad.panels) // 8)
+    full = truncated_value(PANELS)
+    alt = truncated_value((7 * PANELS) // 8)
     err = float(np.max(np.abs(full - alt)))
     return full, err
 
@@ -276,19 +255,16 @@ def _check_su(pot: PotentialSpec) -> None:
         )
 
 
-def _moment_integrals(
-    spec: ZeroModeSpec, pot: PotentialSpec, quad: QuadratureParams
-) -> tuple[ArrayC, float]:
+def _moment_integrals(spec: ZeroModeSpec, pot: PotentialSpec) -> tuple[ArrayC, float]:
     """I[m] = integral A_m(y) phi(y) dy as a (3, 2) block, with error estimate."""
-    r, w, shells = _shell_sums(spec, pot, quad)
+    r, w, shells = _shell_sums(spec, pot)
     if np.max(np.linalg.norm(shells, axis=(1, 2))) < 1e-300:
         return np.zeros((3, 2), dtype=np.complex128), 0.0
     _check_su(pot)
-    moments, err = _integrate_with_tail(r, w, shells, quad)
-    if err > quad.tol * 4.0 * np.pi:
+    moments, err = _integrate_with_tail(r, w, shells)
+    if err > QUAD_TOL * 4.0 * np.pi:
         raise AccuracyError(
-            f"moment-integral error estimate {err:.2e} exceeds tolerance; "
-            "raise r_max or the panel count"
+            f"moment-integral error estimate {err:.2e} exceeds tolerance"
         )
     return moments, err
 
@@ -301,25 +277,24 @@ def _u_from_moments(moments: ArrayC, omegas: ArrayR) -> ArrayC:
 
 
 def asymptotic_limit_quadrature(
-    spec: ZeroModeSpec,
-    pot: PotentialSpec,
-    omega,
-    quad: Optional[QuadratureParams] = None,
+    spec: ZeroModeSpec, pot: PotentialSpec, omega
 ) -> tuple[ArrayC, float]:
     """u(omega) from the limit integral, with an error estimate.
+
+    The rule is the module's fixed one: PANELS x NODES_PER_PANEL radial nodes
+    on (R_MIN, R_MAX) plus the fitted tail, times N_THETA x N_PHI directions.
 
     Returns (u, err) where err bounds the estimated quadrature error on u.
     Raises HypothesisViolation when the potential lacks the required decay and
     AccuracyError when the radial tail refuses to converge within tolerance.
     A numerically zero potential short-circuits to ((0, 0), 0).
     """
-    quad = quad or QuadratureParams()
     om = np.asarray(omega, dtype=np.float64)
     single = om.ndim == 1
     om = np.atleast_2d(om)
     if om.shape[-1] != 3 or np.any(np.abs(np.linalg.norm(om, axis=-1) - 1.0) > 1e-9):
         raise ValueError("omega must be a unit 3-vector")
-    moments, err_m = _moment_integrals(spec, pot, quad)
+    moments, err_m = _moment_integrals(spec, pot)
     u = _u_from_moments(moments, om)
     err = err_m / (2.0 * np.pi)  # |omega| = 1 and the sig_eps blocks have unit norm
     return (u[0], err) if single else (u, err)
@@ -361,9 +336,8 @@ def asymptotic_convergence(
     pot: PotentialSpec,
     radii,
     omegas,
-    quad: Optional[QuadratureParams] = None,
 ) -> AsymptoticReport:
-    """Tabulate sup_omega |r^2 f(r omega) - u(omega)| over increasing radii.
+    """Tabulate sup_omega |r^2 f(r omega) - u(omega)| over increasing positive radii.
 
     u is the closed form when the source mode carries one, else the quadrature
     value; the quadrature is always run for the report. The comparison embeds
@@ -371,12 +345,12 @@ def asymptotic_convergence(
     """
     radii = np.asarray(radii, dtype=np.float64)
     om = np.asarray(omegas, dtype=np.float64)
-    if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing")
+    if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
+        raise ValueError("radii must be strictly increasing and positive")
     if om.ndim != 2 or om.shape[1] != 3 or np.any(np.abs(np.linalg.norm(om, axis=1) - 1) > 1e-9):
         raise ValueError("omegas must be unit 3-vectors")
 
-    u_quad, err = asymptotic_limit_quadrature(mode.source, pot, om, quad)
+    u_quad, err = asymptotic_limit_quadrature(mode.source, pot, om)
     u_closed = mode.source.closed_form_limit(om)
     u_ref = u_closed if u_closed is not None else u_quad
 
@@ -405,14 +379,14 @@ def asymptotic_convergence(
     )
 
 
-def mode_l2_norm(spec: ZeroModeSpec, quad: Optional[QuadratureParams] = None) -> float:
-    """L2 norm of the mode over R^3 by radial quadrature with tail correction."""
-    quad = quad or QuadratureParams()
-    r, w, shells = _shell_sums(spec, None, quad)
+def mode_l2_norm(spec: ZeroModeSpec) -> float:
+    """L2 norm of the mode over R^3 by the module's fixed radial and sphere
+    rule, with the fitted tail; QUAD_TOL bounds the relative error estimate."""
+    r, w, shells = _shell_sums(spec, None)
     if np.max(shells) < 1e-300:
         return 0.0
-    total, err = _integrate_with_tail(r, w, shells, quad)
+    total, err = _integrate_with_tail(r, w, shells)
     norm2 = float(np.real(total))
-    if norm2 < 0 or err > quad.tol * max(norm2, 1.0):
+    if norm2 < 0 or err > QUAD_TOL * max(norm2, 1.0):
         raise AccuracyError(f"norm quadrature failed to converge (estimate {err:.2e})")
     return float(np.sqrt(norm2))

@@ -56,7 +56,6 @@ __all__ = [
     "potential_to_json",
     "potential_from_json",
     "write_sampled_potential",
-    "read_sampled_potential",
 ]
 
 
@@ -182,8 +181,8 @@ def _loss_yau_values(w0: ArrayR, points: ArrayR) -> ArrayR:
 
 
 @dataclass(frozen=True)
-class LossYau(PotentialSpec):
-    """The closed-form potential with zero mode <x>^-3 (I + i sigma.x) phi0."""
+class _Phi0:
+    """The unit reference spinor phi0 that LossYau and its zero mode share."""
 
     phi0: tuple = ((1.0, 0.0), (0.0, 0.0))  # ((re, im), (re, im))
 
@@ -195,6 +194,11 @@ class LossYau(PotentialSpec):
     def phi0_spinor(self) -> ArrayC:
         (a_re, a_im), (b_re, b_im) = self.phi0
         return np.array([a_re + 1j * a_im, b_re + 1j * b_im])
+
+
+@dataclass(frozen=True)
+class LossYau(_Phi0, PotentialSpec):
+    """The closed-form potential with zero mode <x>^-3 (I + i sigma.x) phi0."""
 
     def w0(self) -> ArrayR:
         return w0_of(self.phi0_spinor())
@@ -545,10 +549,6 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
 def write_sampled_potential(path, spec: Sampled) -> None:
     """Companion DTL1 file of a sampled potential: three real components."""
     _write_dtl1(path, spec.grid, spec.values)
-
-
-def read_sampled_potential(path) -> Sampled:
-    return Sampled(*_read_dtl1(path, (3,), real=True))
 
 
 def write_gauge_function(path, handle: ScalarFieldHandle) -> None:

@@ -94,6 +94,9 @@ __all__ = [
 # symmetric margins at desk-scale fit windows.
 VERDICT_DELTA = 0.25
 
+# LOBPCG tolerance on the squared-shift residual of the wanted columns.
+LOBPCG_TOL = 1e-8
+
 
 class SolverError(RuntimeError):
     """The iterative solver failed outright (not mere non-convergence)."""
@@ -115,7 +118,6 @@ class EigsOptions:
     """Solver knobs; defaults tuned on the n=64, L=20 reference grid."""
 
     seed: int = 0
-    tol: float = 1e-8  # LOBPCG tolerance on the squared-shift residual
     maxiter: int = 400
     extra: Optional[int] = None  # extra block vectors beyond count
     resid_tol: float = 1e-6  # per-pair residual defining "converged"
@@ -139,7 +141,7 @@ class EigenReport:
     box_l: float
     mass: Optional[float]
     notes: tuple
-    vectors: Optional[np.ndarray] = None  # (N, count) ritz vectors, flattened
+    vectors: np.ndarray  # (N, count) ritz vectors, flattened
 
     def to_dict(self) -> dict:
         return {
@@ -160,8 +162,6 @@ class EigenReport:
 
     def vector_field(self, grid: Grid3D, index: int = 0):
         """Ritz vector as a Field on the solve's grid."""
-        if self.vectors is None:
-            raise ValueError("report was built without vectors")
         rank = 2 if self.kind in ("sigma_d", "t_a") else 4
         values = self.vectors[:, index].reshape((grid.n,) * 3 + (rank,))
         return Field(grid=grid, values=values.copy())
@@ -685,15 +685,15 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
             _start_block(grid, target, nb, warm.pop() if warm else None,
                          np.random.default_rng(opts.seed)),
             M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
-            tol=opts.tol, maxiter=opts.maxiter, nwanted=count)
+            tol=LOBPCG_TOL, maxiter=opts.maxiter, nwanted=count)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
     if not np.all(np.isfinite(vecs)):
         raise SolverError("lobpcg returned non-finite vectors")
     note = None
-    if np.any(resid > opts.tol):
+    if np.any(resid > LOBPCG_TOL):
         note = (f"{op.kind} solve near {target:.6g}: wanted residuals above tol "
-                f"{opts.tol:.1e} after {iterations} iterations (maxiter "
+                f"{LOBPCG_TOL:.1e} after {iterations} iterations (maxiter "
                 f"{opts.maxiter}), worst {float(np.max(resid)):.3e}")
     mu, V = _rayleigh_ritz(op, _grid_columns(grid, vecs[:, :count]))
     return mu, V, iterations, note
@@ -1192,32 +1192,22 @@ class DecayFit:
         }
 
 
-def decay_fit(
-    mode,
-    radii,
-    directions=None,
-    potential_rho: Optional[float] = None,
-) -> DecayFit:
+def decay_fit(mode, radii, potential_rho: Optional[float] = None) -> DecayFit:
     """Fit the radial decay exponent of a mode over a window of radii.
 
-    mode is a Field on a periodic grid (interpolated trilinearly;
-    window must stay inside the box) or a callable evaluator points (..., 3)
-    -> spinor values. A field
-    below the noise floor across the window yields verdict "undetermined"
-    rather than an error.
+    The amplitude at each radius is the mean spinor norm over the 26 lattice
+    directions (sphere_directions_26). mode is a Field on a periodic grid
+    (interpolated trilinearly; window must stay inside the box) or a callable
+    evaluator points (..., 3) -> spinor values. A field below the noise floor
+    across the window yields verdict "undetermined" rather than an error.
+    With potential_rho, the potential's decay exponent, a resonance tail is
+    flagged when rho > 3/2, where a |x|^-1 tail cannot occur.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    if directions is None:
-        directions = sphere_directions_26()
-    dirs = np.asarray(directions, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 6 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("need >= 6 strictly increasing positive radii")
-    if dirs.ndim != 2 or dirs.shape[1] != 3 or len(dirs) < 6:
-        raise ValueError("need >= 6 direction vectors")
-    if np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) > 1e-9):
-        raise ValueError("directions must be unit vectors")
 
-    pts = radii[:, None, None] * dirs[None, :, :]
+    pts = radii[:, None, None] * sphere_directions_26()[None, :, :]
     if isinstance(mode, Field):
         if mode.grid.antiperiodic:
             raise ValueError("decay_fit interpolates fields on periodic grids only")

@@ -23,16 +23,14 @@ __all__ = [
 
 
 def radial_panels(
-    r_min: float,
-    r_max: float,
-    panels: int = 32,
-    nodes_per_panel: int = 8,
+    r_min: float, r_max: float, panels: int, nodes_per_panel: int
 ) -> tuple[ArrayR, ArrayR]:
     """Gauss-Legendre nodes/weights on [r_min, r_max], geometrically graded.
 
     Panel edges grow geometrically from r_min (or from a small head panel when
     r_min = 0), so a fixed node budget resolves both the O(1) core and the
     power-law tail. Returns (r, w) with sum(w * f(r)) ~ integral f dr.
+    diraclab.modes passes its module constants as the sizes.
     """
     if not (r_max > r_min >= 0.0):
         raise ValueError("need 0 <= r_min < r_max")
@@ -50,12 +48,13 @@ def radial_panels(
     return np.concatenate(rs), np.concatenate(ws)
 
 
-def sphere_product_rule(n_theta: int = 16, n_phi: int = 32) -> tuple[ArrayR, ArrayR]:
+def sphere_product_rule(n_theta: int, n_phi: int) -> tuple[ArrayR, ArrayR]:
     """Product quadrature on the unit sphere.
 
     Returns (points, weights): points of shape (n_theta*n_phi, 3), weights
     summing to 4*pi. Gauss-Legendre in cos(theta) times a uniform (trapezoid,
-    exact for trigonometric polynomials) rule in phi.
+    exact for trigonometric polynomials) rule in phi. diraclab.modes passes
+    its module constants as the sizes.
     """
     if n_theta < 2 or n_phi < 4:
         raise ValueError("sphere rule too coarse")

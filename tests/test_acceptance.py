@@ -127,7 +127,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
 
 
 def test_criterion_05_square_identity_and_gap(lossyau, grid32):
-    dev = susy_square_check(grid32, lossyau, 1.0, trials=20, seed=0)
+    dev = susy_square_check(grid32, lossyau, 1.0)
     assert dev <= 1e-10, f"squared-operator identity deviation {dev:.3e}"
 
     scan = gap_scan(lossyau, 1.0, grid32, lambdas=(-0.5, 0.0, 0.5),

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from diraclab import __version__, cli
 from diraclab.cli import RunConfig, _check, _finish, main
+from diraclab.grid import Grid3D, sample_field, write_field
+from diraclab.modes import LossYauMode
 
 FREE = '{"variant": "scaled", "t": 0.0, "inner": {"variant": "loss_yau"}}'
 LY = '{"variant": "loss_yau"}'
@@ -183,6 +185,23 @@ def test_decay_fit_wrong_expectation_fails(tmp_path, capsys):
                        "--out", str(tmp_path / "d.json"))
     assert code == 2
     assert "FAIL verdict" in out
+
+
+def _inverse_bracket(pts):
+    """<x>^-1 times a constant spinor: a resonance-like tail."""
+    return (1.0 + np.sum(pts**2, axis=-1))[..., None] ** -0.5 * np.ones(2)
+
+
+@pytest.mark.parametrize("evaluator,code,verdict", [
+    (LossYauMode().eval, 0, "mode_tail"),
+    (_inverse_bracket, 2, "resonance_tail"),
+])
+def test_decay_fit_of_a_field_file(tmp_path, capsys, evaluator, code, verdict):
+    path = tmp_path / "mode.dtl"
+    write_field(path, sample_field(evaluator, Grid3D(n=32, L=20.0)))
+    got, out, _ = run(capsys, "decay-fit", "--field", str(path), "--expect", "mode_tail",
+                      "--out", str(tmp_path / "d.json"))
+    assert got == code and f"verdict {verdict}" in out, out
 
 
 def test_asymptotics_closed_form_agreement(tmp_path, capsys):
@@ -352,9 +371,26 @@ def test_config_option_of_wrong_type_exits_1_before_the_run(tmp_path, capsys, mo
     ({"command": "spectrum", "box_l": 10**400}, "too large"),
     ({"command": "gauge", "options": {"potential_path": {}}}, "potential_path must be a string"),
     ({"command": "gauge", "output_path": 5}, "output_path must be a string"),
+    ({"command": "spectrum", "options": {"target": math.nan}}, "target must be a finite number"),
+    ({"command": "spectrum", "options": {"target": math.inf}}, "target must be a finite number"),
+    ({"command": "gap-scan", "options": {"lambdas": [math.nan]}},
+     "lambdas must be a non-empty list of finite numbers"),
+    ({"command": "asymptotics", "options": {"radii": [math.nan, 10, 20]}},
+     "radii must be a non-empty list of finite numbers"),
+    ({"command": "weyl", "options": {"lambda0": math.nan}}, "lambda0 must be a finite number"),
 ])
 def test_config_defects_exit_1_before_the_run(tmp_path, capsys, monkeypatch, cfg, message):
     code, err = _exit_before_run(tmp_path, capsys, monkeypatch, cfg)
+    assert code == 1 and err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectrum", "--grid-n", "8", "--box-l", "5", "--operator", "t_a", "--target", "nan"],
+     "target must be a finite number"),
+    (["asymptotics", "--radii=-10,10,20"], "radii must be strictly increasing and positive"),
+])
+def test_out_of_range_flag_values_exit_1(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "r.json"))
     assert code == 1 and err.startswith("error: ") and message in err, err
 
 

@@ -120,7 +120,7 @@ def test_operator_hermitian_on_random_fields():
 def test_susy_square_identity():
     for spin, _ in SPINS:
         g = Grid3D(n=16, L=10.0, spin=spin)
-        assert susy_square_check(g, LossYau(), 1.0, trials=20, seed=0) <= 1e-10, spin
+        assert susy_square_check(g, LossYau(), 1.0) <= 1e-10, spin
 
 
 def test_antiperiodic_twist_is_unitary_equivalence():

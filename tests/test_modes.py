@@ -10,7 +10,6 @@ from diraclab.modes import (
     AccuracyError,
     HypothesisViolation,
     LossYauMode,
-    QuadratureParams,
     ThresholdMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
@@ -60,15 +59,6 @@ def test_analytic_gradient_matches_finite_differences():
 
 def test_mode_l2_norm_is_pi():
     assert mode_l2_norm(LossYauMode()) == pytest.approx(np.pi, abs=1e-3)
-
-
-def test_quadrature_params_validation():
-    with pytest.raises(ValueError):
-        QuadratureParams(r_min=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureParams(r_min=10.0, r_max=1.0)
-    with pytest.raises(ValueError):
-        QuadratureParams(panels=1)
 
 
 def test_lift_to_threshold():

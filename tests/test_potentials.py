@@ -261,15 +261,12 @@ def test_companion_header_must_match_entry(tmp_path):
 
 
 def test_companion_refuses_headerless_and_complex_files(tmp_path):
-    from diraclab.potentials import read_sampled_potential
-
     n = 8
-    headerless = tmp_path / "old.bin"
-    headerless.write_bytes(struct.pack("<4d", n, n, n, 4.0) + np.zeros(3 * n**3).tobytes())
+    (tmp_path / "old.bin").write_bytes(struct.pack("<4d", n, n, n, 4.0)
+                                       + np.zeros(3 * n**3).tobytes())
     with pytest.raises(ValueError, match="DTL1"):
-        read_sampled_potential(headerless)
-    complex_file = tmp_path / "complex.dtl"
-    complex_file.write_bytes(b"DTL1" + struct.pack("<3d", 3, n, 4.0)
-                             + np.full(3 * n**3, 1.0 + 0.5j).astype("<c16").tobytes())
+        potential_from_json({"variant": "sampled", "file": "old.bin"}, base_dir=tmp_path)
+    (tmp_path / "complex.dtl").write_bytes(b"DTL1" + struct.pack("<3d", 3, n, 4.0)
+                                           + np.full(3 * n**3, 1.0 + 0.5j).astype("<c16").tobytes())
     with pytest.raises(ValueError, match="imaginary"):
-        read_sampled_potential(complex_file)
+        potential_from_json({"variant": "sampled", "file": "complex.dtl"}, base_dir=tmp_path)
