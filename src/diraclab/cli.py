@@ -252,7 +252,10 @@ def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
 
 
 def _load_potential(cfg: RunConfig):
-    base_dir = os.path.dirname(os.path.abspath(cfg.options.get("potential_path") or "."))
+    # companion files resolve against the potential file's directory, or
+    # against the working directory for inline JSON
+    path = cfg.options.get("potential_path")
+    base_dir = os.path.dirname(os.path.abspath(path)) if path else os.getcwd()
     try:
         return potential_from_json(cfg.potential, base_dir=base_dir)
     except (ValueError, KeyError, OSError) as exc:

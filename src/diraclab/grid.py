@@ -29,8 +29,11 @@ with sigma.k in Fourier space, sigma.A pointwise in physical space; their sum
 is exact per application (no splitting error). One kernel applies every
 operator. It copies the (n, n, n, ..., rank) input once into a contiguous
 component-leading block (rank, ..., n, n, n) and transforms the last three
-axes in place. sigma.k is built from the 1-D frequency axes by broadcasting,
-so no frequency mesh is ever stored and k_x +- i k_y are (n, n, 1) arrays.
+axes in place with spinor_fftn/spinor_ifftn: the unitary (norm="ortho")
+pair, antiperiodic phases folded in, that the eigensolver's coefficient
+columns (such blocks) also use. sigma.k is built from the 1-D frequency
+axes by broadcasting, so no frequency mesh is ever stored and k_x +- i k_y
+are (n, n, 1) arrays.
 sigma.A reads the contiguous components of the sampled potential
 (sample_potential returns each component C-contiguous). For H = [[m, T],
 [T, -m]] the T-image of each 2-spinor half is written straight into the
@@ -165,6 +168,13 @@ class Grid3D:
         p = np.exp(1j * (np.pi / (2.0 * self.L)) * self.axis)
         return p[:, None, None] * p[None, :, None] * p[None, None, :]
 
+    @cached_property
+    def spin_untwist(self) -> ArrayC:
+        """e^{-is.x} at the nodes, the conjugate of spin_phase, kept so that
+        spinor_fftn untwists without allocating; only antiperiodic grids
+        build it."""
+        return self.spin_phase.conj()
+
     @property
     def nodes(self) -> ArrayR:
         """All grid nodes, shape (n, n, n, 3), built on each access: the mesh
@@ -245,10 +255,10 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
 
     pot is a PotentialSpec, which samples itself (PotentialSpec.sample: a
     Scaled, Sampled or Gauged potential on its own grid neither re-evaluates
-    nor interpolates), any other object with .eval, evaluated at grid.nodes,
-    or an array of samples, which is checked and passed on. Call it once per
-    potential and grid and hand the array on: OperatorHandle and
-    build_weyl_quasimode accept it in place of the potential.
+    nor interpolates), or an array of samples, which is checked and passed
+    on. Call it once per potential and grid and hand the array on:
+    OperatorHandle and build_weyl_quasimode accept it in place of the
+    potential.
 
     Returns a real array of shape (n, n, n, 3) whose components are each
     C-contiguous (a view of a (3, n, n, n) block), the layout the operator
@@ -260,7 +270,7 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
         if vals.shape != (grid.n, grid.n, grid.n, 3):
             raise ValueError(f"potential samples must have shape {(grid.n,)*3 + (3,)}")
     else:
-        vals = np.asarray(pot.sample(grid) if hasattr(pot, "sample") else pot.eval(grid.nodes))
+        vals = np.asarray(pot.sample(grid))
         if np.iscomplexobj(vals):
             if np.max(np.abs(vals.imag)) > 1e-12:
                 raise ValueError("vector potential must be real-valued")
@@ -316,31 +326,22 @@ def _component_axes(ndim: int) -> tuple:
     return (ndim - 1, *range(3, ndim - 1), 0, 1, 2)
 
 
-def spinor_fftn(grid: Grid3D, values: ArrayC) -> ArrayC:
-    """Spinor values (n, n, n, ..., rank) to their coefficients on the grid's
-    spinor lattice, as a new contiguous component-leading block
-    (rank, ..., n, n, n).
-
-    The values are copied once, untwisted by e^{-is.x} on antiperiodic grids
-    so that coefficient index m carries the wavenumber k_axis[m], and the
-    copy is transformed in place.
-    """
-    src = np.asarray(values).transpose(_component_axes(np.ndim(values)))
-    block = np.empty(src.shape, dtype=np.complex128)
+def spinor_fftn(grid: Grid3D, block: ArrayC) -> ArrayC:
+    """Unitary (norm="ortho") coefficients of a component-leading spinor block
+    (..., n, n, n) on the grid's spinor lattice, in place: on antiperiodic
+    grids the values are untwisted by e^{-is.x} first, so that coefficient
+    index m carries the wavenumber k_axis[m]."""
     if grid.antiperiodic:
-        np.multiply(src, grid.spin_phase.conj(), out=block)
-    else:
-        np.copyto(block, src)
-    return sfft.fftn(block, axes=(-3, -2, -1), overwrite_x=True, workers=-1)
+        block *= grid.spin_untwist
+    return sfft.fftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
 
 
 def spinor_ifftn(grid: Grid3D, block: ArrayC) -> ArrayC:
-    """Inverse of spinor_fftn, in place on the component-leading block;
-    returns the (n, n, n, ..., rank) view of the result."""
-    out = sfft.ifftn(block, axes=(-3, -2, -1), overwrite_x=True, workers=-1)
+    """Inverse of spinor_fftn, in place on the component-leading block."""
+    out = sfft.ifftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
     if grid.antiperiodic:
         out *= grid.spin_phase
-    return out.transpose(np.argsort(_component_axes(out.ndim)))
+    return out
 
 
 def _halves(block: ArrayC, swap: bool = False) -> ArrayC:
@@ -362,19 +363,19 @@ def _apply(grid: Grid3D, values: ArrayC, A: Optional[ArrayR] = None,
     a new block.
     """
     swap = mass is not None
-    vhat = spinor_fftn(grid, values)
+    v = np.asarray(values).transpose(_component_axes(np.ndim(values)))
+    vhat = spinor_fftn(grid, np.array(v, dtype=np.complex128, order="C"))
     out = np.empty_like(vhat)
     sigma_mul(*grid.k_axes, _halves(vhat), out=_halves(out, swap))
     del vhat
-    result = spinor_ifftn(grid, out)
-    v = np.asarray(values).transpose(_component_axes(np.ndim(values)))
+    out = spinor_ifftn(grid, out)
     if A is not None:
         images = _halves(out, swap)
         images -= sigma_mul(A[..., 0], A[..., 1], A[..., 2], _halves(v))
     if mass is not None:
         out[0:2] += mass * v[0:2]
         out[2:4] -= mass * v[2:4]
-    return result
+    return out.transpose(np.argsort(_component_axes(out.ndim)))
 
 
 def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
@@ -585,16 +586,12 @@ def gauge_transform(pot, grid: Grid3D, div_tol: float = 1e-8):
 def gauged_mode(mode: Field, chi) -> Field:
     """Multiply a spinor field pointwise by e^{i chi(x)}.
 
-    chi is a ScalarFieldHandle (or bare real array) over the same grid; the
-    pointwise norm is preserved exactly.
+    chi is a ScalarFieldHandle over the same grid (it checks its own shape);
+    the pointwise norm is preserved exactly.
     """
-    values = chi.values if hasattr(chi, "values") else np.asarray(chi, dtype=np.float64)
-    chi_grid = getattr(chi, "grid", mode.grid)
-    if chi_grid != mode.grid:
+    if chi.grid != mode.grid:
         raise GridMismatchError("gauge function grid does not match mode grid")
-    if values.shape != (mode.grid.n,) * 3:
-        raise ValueError(f"gauge function has shape {values.shape}")
-    phase = np.exp(1j * values)
+    phase = np.exp(1j * chi.values)
     return Field(mode.grid, mode.values * phase[..., None])
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from diraclab.algebra import sigma_mul
+from diraclab.algebra import pauli, sigma_mul
 from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
 from diraclab.quadrature import radial_panels, sphere_product_rule
 
@@ -89,11 +89,9 @@ class LossYauMode(_Phi0, ZeroModeSpec):
     def gradient(self, points) -> ArrayC:
         # d_j phi = -3 x_j <x>^-5 (I + i sigma.x) phi0 + i <x>^-3 sigma_j phi0
         pts = np.asarray(points, dtype=np.float64)
-        phi0 = self.phi0_spinor()
-        a, b = phi0
         jb2 = 1.0 + np.sum(pts**2, axis=-1)
-        core = phi0 + 1j * self._sigma_phi0(pts)
-        sig_phi0 = np.array([[b, a], [-1j * b, 1j * a], [a, -b]])  # sigma_j phi0 rows
+        core = self.phi0_spinor() + 1j * self._sigma_phi0(pts)
+        sig_phi0 = self._sigma_phi0(np.eye(3))  # row j: sigma_j phi0
         grad = (
             -3.0 * pts[..., :, None] * jb2[..., None, None] ** -2.5 * core[..., None, :]
             + 1j * jb2[..., None, None] ** -1.5 * sig_phi0
@@ -181,9 +179,7 @@ QUAD_TOL = 1e-3
 
 # sig_eps[j, m] = sum_l eps_{l j m} sigma_l, the 2x2 blocks behind sigma.(omega x A)
 def _sig_eps_tensor() -> ArrayC:
-    sig = np.array(
-        [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128
-    )
+    sig = np.stack([pauli(j) for j in (1, 2, 3)])
     eps = np.zeros((3, 3, 3))
     for (l, j, m), s in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
                          (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.items():

@@ -20,10 +20,11 @@ is a pointwise 2x2 multiply with no transform, and one apply of (T - tau)^2
 is two FFT pairs with the antiperiodic phases folded in and no layout copy.
 Measured at n=64, L=20 on a 2-core VM (one column, min of 9): the
 preconditioner 1.0 ms against 37.5 ms for the grid-value FFT pair it
-replaced, the squared shift 56 against 73 ms. The start block is transformed
-once on entry (cold blocks are drawn as coefficients), and the wanted Ritz
-vectors once on exit; Rayleigh-Ritz of T, the residuals of H and H^2, the
-constant fractions and the report vectors stay on grid values.
+replaced, the squared shift 56 against 73 ms. The transforms are the grid's
+pair, spinor_fftn/spinor_ifftn: a warm block is transformed once on entry
+(cold blocks are drawn as coefficients), Rayleigh-Ritz of T and widening
+restarts stay on coefficients, and only the returned vectors go to grid
+values, once, where one apply_values measures their residuals.
 
 Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
 kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
@@ -65,6 +66,8 @@ from diraclab.grid import (
     apply_values,
     interp_trilinear,
     sample_potential,
+    spinor_fftn,
+    spinor_ifftn,
 )
 from diraclab.potentials import PotentialSpec, Scaled, _fit_loglog
 from diraclab.quadrature import sphere_directions_26
@@ -173,16 +176,9 @@ def _cols_to_grid(block: np.ndarray, n: int, rank: int) -> ArrayC:
     return b.reshape((n, n, n, rank, b.shape[1])).transpose(0, 1, 2, 4, 3)
 
 
-def _grid_to_cols(values: ArrayC) -> np.ndarray:
-    """Inverse of _cols_to_grid: grid values (n, n, n, nb, rank) to (N, nb)."""
-    n, nb, rank = values.shape[0], values.shape[3], values.shape[4]
-    return values.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
-
-
 # The supercharge solves run on unitary spinor Fourier coefficients. A column
 # is one contiguous (2, n, n, n) block, so a Fortran (N, nb) block of columns
 # is the C-ordered (nb, 2, n, n, n) array it is in memory.
-_AXES = (-3, -2, -1)
 
 
 def _coefficient_view(block: np.ndarray, n: int) -> ArrayC:
@@ -197,30 +193,21 @@ def _solver_columns(coef: ArrayC, like: np.ndarray) -> np.ndarray:
     return coef.reshape(-1) if like.ndim == 1 else coef.reshape(coef.shape[0], -1).T
 
 
-def _forward(grid: Grid3D, block: ArrayC, untwist: Optional[ArrayC] = None) -> ArrayC:
-    """Unitary coefficients of component-leading spinor values (..., n, n, n),
-    in place. Antiperiodic values are untwisted by e^{-is.x} (`untwist`, when
-    the caller holds it) first, so coefficient m carries wavenumber
-    k_axis[m]."""
-    if grid.antiperiodic:
-        block *= grid.spin_phase.conj() if untwist is None else untwist
-    return sfft.fftn(block, axes=_AXES, norm="ortho", overwrite_x=True, workers=-1)
-
-
-def _inverse(grid: Grid3D, block: ArrayC) -> ArrayC:
-    """Inverse of _forward, in place."""
-    out = sfft.ifftn(block, axes=_AXES, norm="ortho", overwrite_x=True, workers=-1)
-    if grid.antiperiodic:
-        out *= grid.spin_phase
-    return out
-
-
 def _grid_columns(grid: Grid3D, coef: np.ndarray) -> np.ndarray:
     """Coefficient columns (N, c) as grid-value columns (N, c), each laid out
     (n, n, n, 2) like a warm-start block or a report vector. The inverse
     transform runs in place on coef."""
-    values = _inverse(grid, _coefficient_view(coef, grid.n))
+    values = spinor_ifftn(grid, _coefficient_view(coef, grid.n))
     return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1)).reshape(len(values), -1).T
+
+
+def _coefficient_columns(grid: Grid3D, values: np.ndarray) -> np.ndarray:
+    """Inverse of _grid_columns: grid-value columns (N, c) as Fortran (N, c)
+    coefficient columns, transformed in place in one new block."""
+    n, c = grid.n, values.shape[1]
+    X = np.empty((c, 2, n, n, n), dtype=np.complex128)
+    np.copyto(X, values.reshape(n, n, n, 2, c).transpose(4, 3, 0, 1, 2))
+    return spinor_fftn(grid, X).reshape(c, -1).T
 
 
 def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
@@ -271,7 +258,8 @@ class _ShiftedSquare:
     ladder combinations A_x +- i A_y (two complex n^3 arrays, 8 MB at n=64,
     not cached on the operator handle) and two work blocks as wide as the
     last block applied (a wider start block is not kept through the solve).
-    Only the result is allocated per apply.
+    Only the result is allocated per apply. `t` applies T itself, for the
+    Rayleigh-Ritz of T on the solve's coefficient columns.
     """
 
     def __init__(self, op: OperatorHandle, tau: float):
@@ -284,7 +272,6 @@ class _ShiftedSquare:
             A = op.sampled_potential()
             ax, ay = A[..., 0], A[..., 1]
             self.a = (ax + 1j * ay, ax - 1j * ay, A[..., 2])
-        self.untwist = grid.spin_phase.conj() if grid.antiperiodic else None
         self.work = np.empty((2, 0, 2) + (grid.n,) * 3, dtype=np.complex128)
 
     def _t(self, x: ArrayC, dst: ArrayC, scratch: ArrayC) -> ArrayC:
@@ -293,18 +280,27 @@ class _ShiftedSquare:
             sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=dst.swapaxes(0, 1))
             return dst
         np.copyto(scratch, x)
-        u = _inverse(self.grid, scratch)
+        u = spinor_ifftn(self.grid, scratch)
         sigma_mul_ladder(*self.a, u.swapaxes(0, 1), out=dst.swapaxes(0, 1))
-        dst = _forward(self.grid, dst, self.untwist)
+        dst = spinor_fftn(self.grid, dst)
         sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=u.swapaxes(0, 1))
         return np.subtract(u, dst, out=dst)
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
-        x = _coefficient_view(block, self.grid.n)
+    def _work(self, x: ArrayC) -> ArrayC:
+        """The two work blocks, resized to x's shape."""
         if self.work.shape[1:] != x.shape:
             self.work = None  # the old blocks go before the new ones come
             self.work = np.empty((2,) + x.shape, dtype=np.complex128)
-        z, u = self.work
+        return self.work
+
+    def t(self, block: np.ndarray) -> np.ndarray:
+        """T on coefficient columns, shaped like block."""
+        x = _coefficient_view(block, self.grid.n)
+        return _solver_columns(self._t(x, np.empty_like(x), self._work(x)[1]), block)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        x = _coefficient_view(block, self.grid.n)
+        z, u = self._work(x)
         z = self._t(x, z, u)
         if self.tau:
             z -= np.multiply(x, self.tau, out=u)
@@ -400,21 +396,18 @@ def _default_block(grid: Grid3D, target: float, nb: int, rng) -> ArrayC:
 def _start_block(grid: Grid3D, target: float, nb: int, warm, rng) -> np.ndarray:
     """The solver's start block, Fortran (N, nb) coefficient columns.
 
-    A warm block (grid-value columns) is transformed once, straight into the
-    start block, and topped up with band-limited random columns; a block
-    passed unnamed is freed once it is copied. Without one, the default block
-    is generated as coefficients.
+    A warm block (coefficient columns) gives the first columns, at most nb,
+    and is topped up with band-limited random columns; a block passed
+    unnamed is freed once it is copied. Without one, the default block is
+    generated as coefficients.
     """
     if warm is None:
         X = _default_block(grid, target, nb, rng)
     else:
-        n = grid.n
-        warm = np.asarray(warm, dtype=np.complex128)
         w = min(warm.shape[1], nb)
-        X = np.empty((nb, 2, n, n, n), dtype=np.complex128)
-        np.copyto(X[:w], warm[:, :w].reshape(n, n, n, 2, w).transpose(4, 3, 0, 1, 2))
+        X = np.empty((nb, 2) + (grid.n,) * 3, dtype=np.complex128)
+        X[:w].reshape(w, -1)[:] = warm[:, :w].T
         del warm
-        _forward(grid, X[:w])
         if w < nb:
             X[w:] = _lowpass_columns(grid, target, nb - w, rng)
     return X.reshape(nb, -1).T
@@ -443,12 +436,10 @@ def initial_block_from_fields(op: OperatorHandle, fields) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _rayleigh_ritz(op: OperatorHandle, Q: np.ndarray) -> tuple[ArrayR, np.ndarray]:
-    """Ritz values and vectors of a 2-spinor operator on the span of the
-    orthonormal columns Q."""
-    AQ = np.empty_like(Q)
-    AQ[:] = _grid_to_cols(apply_values(op, _cols_to_grid(Q, op.grid.n, 2)))
-    small = Q.conj().T @ AQ
+def _rayleigh_ritz(t, Q: np.ndarray) -> tuple[ArrayR, np.ndarray]:
+    """Ritz values and vectors of the supercharge, applied by t to coefficient
+    columns, on the span of the orthonormal columns Q."""
+    small = Q.conj().T @ t(Q)
     small = (small + small.conj().T) / 2.0
     mu, W = np.linalg.eigh(small)
     return mu, Q @ W
@@ -661,15 +652,16 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
                 warm: list) -> tuple[ArrayR, np.ndarray, int, Optional[str]]:
     """Soft-locking LOBPCG on (Op - target)^2 for a 2-spinor operator, then
     Rayleigh-Ritz of Op itself on the `count` wanted columns. warm is a list
-    holding the solve's warm block, if any; the block is popped into
-    _start_block, so this frame does not hold it through the solve.
+    holding the solve's warm block (coefficient columns), if any; the block
+    is popped into _start_block, so this frame does not hold it through the
+    solve.
 
     Only the wanted columns go into that Rayleigh-Ritz: a guard column can
     mix eigenvalues on both sides of the target, whose Op-Rayleigh quotient
     then reads near the target while its squared-shift value is not small.
-    Returns the `count` Ritz values (ascending), their vectors (N, count),
-    the iteration count, and a note when the wanted pairs were left above
-    tol (else None).
+    Returns the `count` Ritz values (ascending), their coefficient columns
+    (N, count), the iteration count, and a note when the wanted pairs were
+    left above tol (else None).
     """
     grid = op.grid
     N = grid.n**3 * 2
@@ -679,9 +671,10 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
     # the warm block and the start block are passed without a name here, so
     # _start_block frees the one once it is copied, and lobpcg the other once
     # it is in the solver's basis
+    square = _ShiftedSquare(op, target)
     try:
         _, vecs, iterations, resid = lobpcg(
-            _linear_operator(_ShiftedSquare(op, target), N),
+            _linear_operator(square, N),
             _start_block(grid, target, nb, warm.pop() if warm else None,
                          np.random.default_rng(opts.seed)),
             M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
@@ -695,7 +688,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
         note = (f"{op.kind} solve near {target:.6g}: wanted residuals above tol "
                 f"{LOBPCG_TOL:.1e} after {iterations} iterations (maxiter "
                 f"{opts.maxiter}), worst {float(np.max(resid)):.3e}")
-    mu, V = _rayleigh_ritz(op, _grid_columns(grid, vecs[:, :count]))
+    mu, V = _rayleigh_ritz(square.t, vecs[:, :count])
     return mu, V, iterations, note
 
 
@@ -775,10 +768,10 @@ def eigs_near(
     eigenvalue nearer the target than the returned ones can lie outside
     their windows; an answer left uncertified reports converged=False.
 
-    opts.initial_block is read once. Options built in the call and kept by
-    no one else hand it over: it is then freed as soon as the first solves
-    have transformed it into their start blocks (CPython 3.11 and later,
-    where a call takes over its arguments), instead of living through them.
+    opts.initial_block is read once and transformed to coefficients on
+    entry, once for both solves. Options built in the call and kept by no
+    one else hand it over: it is then freed as soon as it is transformed
+    (CPython 3.11 and later, where a call takes over its arguments).
 
     Deterministic under a fixed seed. Non-convergence is reported through
     converged=False with the partial results left in place, never raised.
@@ -801,6 +794,8 @@ def eigs_near(
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
         if warm is not None:
             warm = _warm_halves(warm, n)
+    if warm is not None:
+        warm = _coefficient_columns(grid, np.asarray(warm))
     starts = [[] if warm is None else [warm] for _ in shifts]
     del warm
 
@@ -818,7 +813,7 @@ def eigs_near(
             eps, V = solves[0][:2]
         else:
             joint = np.hstack([v for _, v, _, _ in solves])
-            eps, V = _rayleigh_ritz(t_op, _orthonormal_span(joint))
+            eps, V = _rayleigh_ritz(_ShiftedSquare(t_op, 0.0).t, _orthonormal_span(joint))
         cand = _lift(op, eps)
         values = np.array([c[0] for c in cand])
         order = _nearest(values, target, count)
@@ -838,12 +833,13 @@ def eigs_near(
                      f"{', '.join(f'{s:.6g}' for s in shifts)} (nearest {width} each): {lift}")
     picked = [cand[j] for j in order]
     lam = values[order]
-    if rank == 2:
-        vectors = V[:, order]
-    else:
-        Vn = V.reshape(n**3, 2, -1)
-        vectors = np.stack([np.concatenate([a * Vn[..., i], b * Vn[..., i]], axis=1).ravel()
-                            for _, a, b, i in picked], axis=1)
+    # the picked supercharge vectors, transformed to grid values once
+    vectors = _grid_columns(grid, V[:, [i for _, _, _, i in picked]])
+    del solves, V
+    if rank == 4:
+        Vn = vectors.reshape(n**3, 2, -1)
+        vectors = np.stack([np.concatenate([a * Vn[..., j], b * Vn[..., j]], axis=1).ravel()
+                            for j, (_, a, b, _) in enumerate(picked)], axis=1)
 
     Vg = _cols_to_grid(vectors, n, rank)
     R = apply_values(op, Vg)
@@ -854,11 +850,11 @@ def eigs_near(
     thr = kernel_threshold(grid)
     pot_zero = _potential_is_zero(op)
     kernel = 0
-    for l, (_, _, _, i) in zip(lam, picked):
+    for j, (l, (_, _, _, i)) in enumerate(zip(lam, picked)):
         if abs(eps[i]) > thr:
             continue
         if not pot_zero and not grid.antiperiodic:
-            frac = _constant_fraction(V[:, i], n, 2)
+            frac = _constant_fraction(vectors[:, j], n, rank)
             if frac > 0.5:
                 notes.append(
                     f"excluded eigenvalue {l:.3e} from kernel count: "
@@ -1295,11 +1291,12 @@ def coupling_scan(
     converged = []
     all_eigs = []
     notes: list[str] = []
-    block = None
+    # each row's vectors warm-start the next row's solve; they are popped into
+    # it unnamed, so eigs_near frees them once it has transformed them
+    warm: list = []
     for t in ts:
         op = OperatorHandle(kind="t_a", grid=grid, potential=Scaled(t=float(t), inner=base))
-        rep = eigs_near(op, 0.0, 3, replace(opts, initial_block=block))
-        block = rep.vectors
+        rep = eigs_near(op, 0.0, 3, replace(opts, initial_block=warm.pop() if warm else None))
         lam = np.array(rep.eigenvalues)
         keep = list(range(len(lam)))
         if not grid.antiperiodic and t == 0.0:
@@ -1320,6 +1317,8 @@ def coupling_scan(
         rows.append((float(t), float(np.min(np.abs(lam[keep])))))
         converged.append(rep.converged)
         all_eigs.append(tuple(float(l) for l in lam))
+        warm.append(rep.vectors)
+        del rep
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
                               eigenvalues=tuple(all_eigs), notes=tuple(notes),
                               seed=opts.seed)

@@ -81,6 +81,22 @@ def test_potential_file_missing(capsys):
     assert "cannot read potential file" in err
 
 
+def test_inline_potential_companion_resolves_in_the_working_directory(tmp_path, capsys,
+                                                                     monkeypatch):
+    from diraclab.grid import sample_potential
+    from diraclab.potentials import LossYau, Sampled, write_sampled_potential
+
+    g = Grid3D(n=8, L=4.0)
+    write_sampled_potential(tmp_path / "a.dtl", Sampled(g, sample_potential(LossYau(), g)))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a",
+                       "--target", "0", "--count", "1", "--tol-eigenvalue", "1",
+                       "--potential", '{"variant": "sampled", "file": "a.dtl"}',
+                       "--out", "spectrum.json")
+    assert code == 0, err
+    assert json.loads((tmp_path / "spectrum.json").read_text())["result"]["eigensolve"]["converged"]
+
+
 def test_weyl_free_exact_lattice(tmp_path, capsys):
     # smallest dual-lattice wavenumber of the L=5 box; off by even 1e-6 the
     # quasi-mode residual jumps above the free tolerance

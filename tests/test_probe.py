@@ -476,15 +476,21 @@ def _random_columns(grid, count, seed):
 
 
 def _coefficients(grid, cols):
-    from diraclab.probe import _start_block
+    from diraclab.probe import _coefficient_columns
 
-    return _start_block(grid, 0.0, cols.shape[1], cols, np.random.default_rng(0))
+    return _coefficient_columns(grid, cols)
+
+
+def _grid_to_cols(values):
+    """Grid values (n, n, n, nb, rank) to flattened columns (N, nb)."""
+    n, nb, rank = values.shape[0], values.shape[3], values.shape[4]
+    return values.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
 
 
 @pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
 def test_fourier_square_equals_grid_square(n, spin, tau):
     from diraclab.grid import apply_values
-    from diraclab.probe import _ShiftedSquare, _cols_to_grid, _grid_columns, _grid_to_cols
+    from diraclab.probe import _ShiftedSquare, _cols_to_grid, _grid_columns
 
     g = Grid3D(n=n, L=6.0, spin=spin)
     for kind in ("sigma_d", "t_a"):
@@ -506,17 +512,18 @@ def test_fourier_square_equals_grid_square(n, spin, tau):
 def test_fourier_preconditioner_equals_closed_form_in_real_space(n, spin, tau):
     from diraclab.algebra import sigma_mul
     from diraclab.grid import spinor_fftn, spinor_ifftn
-    from diraclab.probe import _cols_to_grid, _free_symbol_preconditioner, _grid_columns, _grid_to_cols
+    from diraclab.probe import _cols_to_grid, _free_symbol_preconditioner, _grid_columns
 
     g = Grid3D(n=n, L=6.0, spin=spin)
     delta = 0.03
     V = _random_columns(g, 3, seed=n + 1)
-    # reference: the closed form applied between grid values and coefficients
-    vhat = spinor_fftn(g, _cols_to_grid(V, n, 2))
+    # reference: the closed form applied between grid values and coefficients,
+    # on a component-leading (2, 3, n, n, n) copy transformed in place
+    vhat = spinor_fftn(g, np.ascontiguousarray(_cols_to_grid(V, n, 2).transpose(4, 3, 0, 1, 2)))
     kn = np.sqrt(g.k2_mesh)
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
     what = ((g.k2_mesh + tau**2 + delta) * vhat + 2.0 * tau * sigma_mul(*g.k_axes, vhat)) / den
-    want = _grid_to_cols(spinor_ifftn(g, what))
+    want = _grid_to_cols(spinor_ifftn(g, what).transpose(2, 3, 4, 1, 0))
     prec = _free_symbol_preconditioner(g, tau, delta)
     X = _coefficients(g, V)
     got = _grid_columns(g, prec(X))
@@ -581,3 +588,20 @@ def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
         assert rep.converged and rep.iterations > 10
     assert per_apply["M"] and set(per_apply["M"]) == {0}
     assert per_apply["A"] and set(per_apply["A"]) == {4}
+
+
+def test_eigs_near_applies_the_grid_operator_once(monkeypatch):
+    """Rayleigh-Ritz of T runs on coefficients; only the final residuals of
+    the returned vectors apply the grid operator."""
+    from diraclab import probe
+
+    calls = []
+    original = probe.apply_values
+    monkeypatch.setattr(probe, "apply_values",
+                        lambda op, values: calls.append(op.kind) or original(op, values))
+    g = Grid3D(n=16, L=20.0, spin="antiperiodic")
+    for kind, target in (("t_a", 0.0), ("h_a", 1.0)):
+        calls.clear()
+        op = OperatorHandle(kind=kind, grid=g, potential=LossYau(), mass=1.0)
+        assert eigs_near(op, target, 1, EigsOptions(seed=3)).converged
+        assert calls == [kind]
