@@ -67,7 +67,6 @@ from diraclab.probe import (
     decay_fit,
     eigs_near,
     gap_scan,
-    initial_block_from_fields,
 )
 
 
@@ -298,17 +297,6 @@ def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=N
 # Commands
 
 
-def _warm_options(op: OperatorHandle, f, seed: int, whole: bool = False) -> EigsOptions:
-    """Solver options warm-started from f (plus the constant spinors on
-    periodic grids); whole=True makes the warm block the whole block, with no
-    random guard columns. Pass the result to eigs_near without naming it: the
-    solver then holds the warm block's only reference and frees it once it is
-    transformed."""
-    warm = initial_block_from_fields(op, [f])
-    return EigsOptions(seed=seed, initial_block=warm,
-                       extra=warm.shape[1] - 1 if whole else None)
-
-
 def cmd_verify_zero_mode(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     if cfg.potential.get("variant") != "loss_yau":
@@ -326,16 +314,19 @@ def cmd_verify_zero_mode(cfg: RunConfig) -> int:
         slab[..., 0] = x
         worst = max(worst, float(np.max(t_residual_analytic(mode, pot, slab))))
 
-    # discrete L2 norm of the sampled mode vs the radial-quadrature norm
-    f = sample_field(mode.eval, grid)
+    # discrete L2 norm of the sampled mode vs the radial-quadrature norm, and
+    # the mode's own residual; the list is the mode's only holder
+    warm = [sample_field(mode.eval, grid)]
     norm_quad = mode_l2_norm(mode)
-    norm_dev = abs(f.norm() - norm_quad)
-
-    # near-kernel eigenvalue of the discretized operator, seeded with the mode
-    # (plus the constant spinors on periodic grids); the warm block is the
-    # whole block, no random guard columns
+    norm_grid = warm[0].norm()
+    norm_dev = abs(norm_grid - norm_quad)
     op = OperatorHandle(kind="t_a", grid=grid, potential=pot)
-    rep = eigs_near(op, 0.0, 1, _warm_options(op, f, cfg.seed, whole=True))
+    sampled_residual = residual_norm(op, warm[0], 0.0)
+
+    # near-kernel eigenvalue of the discretized operator, started from the
+    # mode (plus the constant spinors on periodic grids), no random columns;
+    # eigs_near empties the list, so the mode is freed before the solver runs
+    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=cfg.seed, extra=0), warm)
     lam_min = abs(rep.eigenvalues[0])
 
     checks = [
@@ -347,8 +338,8 @@ def cmd_verify_zero_mode(cfg: RunConfig) -> int:
         "analytic_residual": worst,
         "grid_residual": lam_min,
         "norm_quadrature": norm_quad,
-        "norm_grid": f.norm(),
-        "sampled_application_residual": residual_norm(op, f, 0.0),
+        "norm_grid": norm_grid,
+        "sampled_application_residual": sampled_residual,
         "eigensolve": rep.to_dict(),
     }
     return _finish(cfg, checks, result, rep.converged)
@@ -501,9 +492,9 @@ def cmd_gauge(cfg: RunConfig) -> int:
     if cfg.potential.get("variant") == "loss_yau":
         # the gauged operator must keep its near-kernel eigenvalue
         mode = LossYauMode(phi0=pot.phi0)
-        f = gauged_mode(sample_field(mode.eval, grid), chi)
         op = OperatorHandle(kind="t_a", grid=grid, potential=gauged_spec)
-        rep = eigs_near(op, 0.0, 1, _warm_options(op, f, cfg.seed))
+        rep = eigs_near(op, 0.0, 1, EigsOptions(seed=cfg.seed, extra=0),
+                        [gauged_mode(sample_field(mode.eval, grid), chi)])
         converged = rep.converged
         checks.append(_check("gauged_grid_residual", abs(rep.eigenvalues[0]), cfg.tol("gauged")))
         result["eigensolve"] = rep.to_dict()
@@ -530,6 +521,10 @@ def cmd_potential_info(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     try:
         dec = default_classification(pot)
+    except ValueError as exc:  # a grid-backed potential sampled outside its box
+        raise ConfigError(
+            "potential-info samples |A| out to r = 2000, and a grid-backed potential "
+            f"(sampled, gauged) is known only inside its box: {exc}") from exc
     except ClassificationUndetermined as exc:
         print(f"FAIL classification: {exc}")
         return _finish(cfg, [{"name": "classification", "value": None, "threshold": 0.0,

@@ -21,10 +21,12 @@ is two FFT pairs with the antiperiodic phases folded in and no layout copy.
 Measured at n=64, L=20 on a 2-core VM (one column, min of 9): the
 preconditioner 1.0 ms against 37.5 ms for the grid-value FFT pair it
 replaced, the squared shift 56 against 73 ms. The transforms are the grid's
-pair, spinor_fftn/spinor_ifftn: a warm block is transformed once on entry
-(cold blocks are drawn as coefficients), Rayleigh-Ritz of T and widening
-restarts stay on coefficients, and only the returned vectors go to grid
-values, once, where one apply_values measures their residuals.
+pair, spinor_fftn/spinor_ifftn. Warm starts enter eigs_near as a list of
+fields, which the start block takes out one at a time, copying each into its
+coefficient column and transforming those columns in place (random columns
+and constant spinors are drawn as coefficients). Rayleigh-Ritz of T stays on
+coefficients, and only the returned vectors go to grid values, once, where
+one apply_values measures their residuals.
 
 Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
 kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
@@ -40,16 +42,16 @@ anything normalizable on R^3. A nonzero torus mean of A lifts this pair only
 to about +-|mean A|, where it hybridizes with the zero-mode branch. On
 periodic grids, kernel counts and coupling scans therefore deflate
 eigenvectors that are mostly constant whenever the potential is nonzero, and
-every exclusion is logged in the report's notes. Cold starts seed the
-constant spinors only for targets nearer 0 than the first free shell
-(|tau| < pi / (2L)). Antiperiodic grids (Grid3D(..., spin="antiperiodic"))
-have no k = 0 fiber, hence no artifact: there nothing is deflated and no
-constant spinors are seeded.
+every exclusion is logged in the report's notes. Every start block, warm
+or cold, seeds the constant spinors for targets nearer 0 than the first free
+shell (|tau| < pi / (2L)), and only there. Antiperiodic grids
+(Grid3D(..., spin="antiperiodic")) have no k = 0 fiber, hence no artifact:
+there nothing is deflated and no constant spinors are seeded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,6 +64,7 @@ from diraclab.algebra import sigma_mul, sigma_mul_ladder
 from diraclab.grid import (
     Field,
     Grid3D,
+    GridMismatchError,
     OperatorHandle,
     apply_values,
     interp_trilinear,
@@ -85,7 +88,6 @@ __all__ = [
     "SolverError",
     "eigs_near",
     "lobpcg",
-    "initial_block_from_fields",
     "kernel_threshold",
     "gap_scan",
     "build_weyl_quasimode",
@@ -124,7 +126,6 @@ class EigsOptions:
     maxiter: int = 400
     extra: Optional[int] = None  # extra block vectors beyond count
     resid_tol: float = 1e-6  # per-pair residual defining "converged"
-    initial_block: Optional[np.ndarray] = None  # warm-start block (N, >=count)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,7 @@ class EigenReport:
     threshold: float
     seed: int
     kind: str
-    grid_n: int
-    box_l: float
+    grid: Grid3D
     mass: Optional[float]
     notes: tuple
     vectors: np.ndarray  # (N, count) ritz vectors, flattened
@@ -157,14 +157,17 @@ class EigenReport:
             "threshold": self.threshold,
             "seed": self.seed,
             "kind": self.kind,
-            "grid_n": self.grid_n,
-            "box_l": self.box_l,
+            "grid_n": self.grid.n,
+            "box_l": self.grid.L,
             "mass": self.mass,
             "notes": list(self.notes),
         }
 
     def vector_field(self, grid: Grid3D, index: int = 0):
-        """Ritz vector as a Field on the solve's grid."""
+        """Ritz vector as a Field on the solve's grid; any other grid raises
+        GridMismatchError."""
+        if grid != self.grid:
+            raise GridMismatchError(f"report solved on {self.grid}, read on {grid}")
         rank = 2 if self.kind in ("sigma_d", "t_a") else 4
         values = self.vectors[:, index].reshape((grid.n,) * 3 + (rank,))
         return Field(grid=grid, values=values.copy())
@@ -195,19 +198,10 @@ def _solver_columns(coef: ArrayC, like: np.ndarray) -> np.ndarray:
 
 def _grid_columns(grid: Grid3D, coef: np.ndarray) -> np.ndarray:
     """Coefficient columns (N, c) as grid-value columns (N, c), each laid out
-    (n, n, n, 2) like a warm-start block or a report vector. The inverse
+    (n, n, n, 2) like a warm-start field or a report vector. The inverse
     transform runs in place on coef."""
     values = spinor_ifftn(grid, _coefficient_view(coef, grid.n))
     return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1)).reshape(len(values), -1).T
-
-
-def _coefficient_columns(grid: Grid3D, values: np.ndarray) -> np.ndarray:
-    """Inverse of _grid_columns: grid-value columns (N, c) as Fortran (N, c)
-    coefficient columns, transformed in place in one new block."""
-    n, c = grid.n, values.shape[1]
-    X = np.empty((c, 2, n, n, n), dtype=np.complex128)
-    np.copyto(X, values.reshape(n, n, n, 2, c).transpose(4, 3, 0, 1, 2))
-    return spinor_fftn(grid, X).reshape(c, -1).T
 
 
 def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
@@ -356,84 +350,41 @@ def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> ArrayC:
     return block
 
 
-def _constant_columns(grid: Grid3D, rank: int, count: int) -> list:
-    """The first `count` constant unit spinors, flattened; none on antiperiodic
-    grids, where constants are not admissible fields."""
-    if grid.antiperiodic:
-        return []
-    cols = []
-    for s in range(min(rank, count)):
-        c = np.zeros((grid.n,) * 3 + (rank,), dtype=np.complex128)
-        c[..., s] = 1.0
-        cols.append(c.reshape(-1))
-    return cols
+def _start_block(grid: Grid3D, target: float, nb: int, warm: list, rng) -> np.ndarray:
+    """The solver's start block, Fortran (N, >= nb) coefficient columns.
 
-
-def _default_block(grid: Grid3D, target: float, nb: int, rng) -> ArrayC:
-    """Initial coefficient block (nb, 2, n, n, n): band-limited random fields,
-    plus the exact constant spinors when 0 is the nearest free eigenvalue.
+    The warm fields, (n, n, n, 2) values, come first: each is taken out of
+    `warm`, which ends empty, and copied straight into its column, and those
+    columns are transformed in place, so no grid-value copy outlives the
+    block. Next, on periodic grids with |target| < pi / (2L), nearer 0 than
+    the first free shell at pi / L, come the exact constant spinors, each the
+    single unitary coefficient n^(3/2) at k = 0; elsewhere they are exact
+    free eigenvectors far from the target, which a soft-locking solve would
+    accept as converged wanted pairs. Band-limited random fields fill the
+    block up to nb columns. A warm start is never truncated, the block widens
+    to hold every field and both constants; a cold start keeps at least one
+    random column.
 
     The states an eigensolve near a physical target can return are smooth
     (they live at wavenumbers around the resonant shell), so white noise
     mostly seeds components the iteration must then grind away. Restricting
     the random part below the resonant shell plus a few lattice steps, and
-    including the k = 0 fiber exactly (periodic grids, at most nb - 1
-    columns), cuts iteration counts several-fold. The constants are seeded
-    only for |target| < pi / (2L), nearer 0 than the first free shell at
-    pi / L: elsewhere they are exact free eigenvectors far from the target,
-    which a soft-locking solve would accept as converged wanted pairs.
+    including the k = 0 fiber exactly, cuts iteration counts several-fold.
     """
-    n = grid.n
-    near_zero = abs(target) < np.pi / (2.0 * grid.L)
-    nc = min(2, nb - 1) if near_zero and not grid.antiperiodic else 0
-    X = np.zeros((nb, 2, n, n, n), dtype=np.complex128)
-    for s in range(nc):  # a unit constant has the single coefficient n^(3/2)
-        X[s, s, 0, 0, 0] = n**1.5
-    X[nc:] = _lowpass_columns(grid, target, nb - nc, rng)
-    return X
-
-
-def _start_block(grid: Grid3D, target: float, nb: int, warm, rng) -> np.ndarray:
-    """The solver's start block, Fortran (N, nb) coefficient columns.
-
-    A warm block (coefficient columns) gives the first columns, at most nb,
-    and is topped up with band-limited random columns; a block passed
-    unnamed is freed once it is copied. Without one, the default block is
-    generated as coefficients.
-    """
-    if warm is None:
-        X = _default_block(grid, target, nb, rng)
-    else:
-        w = min(warm.shape[1], nb)
-        X = np.empty((nb, 2) + (grid.n,) * 3, dtype=np.complex128)
-        X[:w].reshape(w, -1)[:] = warm[:, :w].T
-        del warm
-        if w < nb:
-            X[w:] = _lowpass_columns(grid, target, nb - w, rng)
+    n, nw = grid.n, len(warm)
+    nc = 0
+    if not grid.antiperiodic and abs(target) < np.pi / (2.0 * grid.L):
+        nc = 2 if nw else min(2, nb - 1)
+    nb = max(nb, nw + nc)
+    X = np.empty((nb, 2, n, n, n), dtype=np.complex128)
+    for i in range(nw):
+        X[i] = np.moveaxis(warm.pop(0), -1, 0)
+    spinor_fftn(grid, X[:nw])
+    X[nw:nw + nc] = 0.0
+    for s in range(nc):
+        X[nw + s, s, 0, 0, 0] = n**1.5
+    X[nw + nc:] = _lowpass_columns(grid, target, nb - nw - nc, rng)
     return X.reshape(nb, -1).T
-
-
-def initial_block_from_fields(op: OperatorHandle, fields) -> np.ndarray:
-    """Flatten known fields into a warm-start block for eigs_near.
-
-    fields is a sequence of Fields (or raw value arrays) on the
-    operator's grid; a good guess for even one member of the target cluster
-    cuts the iteration count severalfold. On periodic grids the constant
-    spinors are appended automatically; eigs_near pads the rest.
-    """
-    grid, rank = op.grid, op.rank
-    N = grid.n**3 * rank
-    cols = []
-    for f in fields:
-        values = getattr(f, "values", f)
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (grid.n,) * 3 + (rank,):
-            raise ValueError(f"field shape {values.shape} does not fit operator {op.kind}")
-        cols.append(values.reshape(N))
-    cols += _constant_columns(grid, rank, rank)
-    if not cols:
-        raise ValueError("need at least one field for a warm start")
-    return np.stack(cols, axis=1)
 
 
 def _rayleigh_ritz(t, Q: np.ndarray) -> tuple[ArrayR, np.ndarray]:
@@ -651,10 +602,8 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
 def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions,
                 warm: list) -> tuple[ArrayR, np.ndarray, int, Optional[str]]:
     """Soft-locking LOBPCG on (Op - target)^2 for a 2-spinor operator, then
-    Rayleigh-Ritz of Op itself on the `count` wanted columns. warm is a list
-    holding the solve's warm block (coefficient columns), if any; the block
-    is popped into _start_block, so this frame does not hold it through the
-    solve.
+    Rayleigh-Ritz of Op itself on the `count` wanted columns. warm holds the
+    solve's warm fields, (n, n, n, 2) values, which _start_block takes out.
 
     Only the wanted columns go into that Rayleigh-Ritz: a guard column can
     mix eigenvalues on both sides of the target, whose Op-Rayleigh quotient
@@ -668,15 +617,13 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
     extra = opts.extra if opts.extra is not None else max(2, count)
     nb = min(count + extra, N)
 
-    # the warm block and the start block are passed without a name here, so
-    # _start_block frees the one once it is copied, and lobpcg the other once
-    # it is in the solver's basis
+    # the start block is passed without a name, so lobpcg frees it once it is
+    # in the solver's basis
     square = _ShiftedSquare(op, target)
     try:
         _, vecs, iterations, resid = lobpcg(
             _linear_operator(square, N),
-            _start_block(grid, target, nb, warm.pop() if warm else None,
-                         np.random.default_rng(opts.seed)),
+            _start_block(grid, target, nb, warm, np.random.default_rng(opts.seed)),
             M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
             tol=LOBPCG_TOL, maxiter=opts.maxiter, nwanted=count)
     except np.linalg.LinAlgError as exc:
@@ -704,16 +651,20 @@ def _threshold_pair(lambda0: float, mass: float, nu0: float) -> tuple[float, flo
     return a / norm, b / norm
 
 
-def _warm_halves(block: np.ndarray, n: int) -> np.ndarray:
-    """Each 4-spinor column reduced to its larger 2-spinor half.
-
-    For an exact lift (a v, b v) that half is a multiple of v itself.
-    Dependent halves (the upper and lower constants, say) are merged.
-    """
-    X = np.asarray(block, dtype=np.complex128).reshape(n**3, 2, 2, -1)
-    upper_wins = np.linalg.norm(X[:, 0], axis=(0, 1)) >= np.linalg.norm(X[:, 1], axis=(0, 1))
-    halves = np.where(upper_wins, X[:, 0], X[:, 1])
-    return _orthonormal_span(halves.reshape(n**3 * 2, -1))
+def _warm_values(grid: Grid3D, rank: int, field) -> np.ndarray:
+    """A warm-start field's (n, n, n, 2) supercharge values, as a view: the
+    values of a 2-spinor field, the larger half of a 4-spinor one (for an
+    exact lift (a v, b v) a multiple of v itself)."""
+    if isinstance(field, Field) and field.grid != grid:
+        raise GridMismatchError(f"warm-start field on {field.grid}, operator on {grid}")
+    values = np.asarray(getattr(field, "values", field))
+    if values.shape != (grid.n,) * 3 + (rank,):
+        raise ValueError(f"warm-start field shape {values.shape} does not fit a "
+                         f"rank-{rank} operator on n={grid.n}")
+    if rank == 4:
+        upper, lower = values[..., :2], values[..., 2:]
+        values = upper if np.linalg.norm(upper) >= np.linalg.norm(lower) else lower
+    return values
 
 
 def _lift(op: OperatorHandle, eps: ArrayR) -> list:
@@ -752,6 +703,7 @@ def eigs_near(
     target: float,
     count: int,
     opts: Optional[EigsOptions] = None,
+    warm: Optional[list] = None,
 ) -> EigenReport:
     """The `count` eigenvalues of the discretized operator nearest `target`.
 
@@ -760,18 +712,21 @@ def eigs_near(
     scale nu = sqrt(max(tau^2 - m^2, 0)) (h_squared: sqrt(max(tau - m^2, 0))),
     and T is solved near 0 when nu = 0, else near +nu and -nu, merged by one
     rank-revealing Rayleigh-Ritz of T on the joint span. The lifts nearest
-    the target are returned with residuals of H (or H^2) itself; a rank-4
-    initial_block is reduced to the larger half of each column, and
+    the target are returned with residuals of H (or H^2) itself, and
     iterations sums over the supercharge solves. A solve ranks by |eps - s|,
     which orders the lifts differently when nu > 0, so the solves are
     widened (doubling the pairs per solve, at most to 16 * count) until no
     eigenvalue nearer the target than the returned ones can lie outside
     their windows; an answer left uncertified reports converged=False.
 
-    opts.initial_block is read once and transformed to coefficients on
-    entry, once for both solves. Options built in the call and kept by no
-    one else hand it over: it is then freed as soon as it is transformed
-    (CPython 3.11 and later, where a call takes over its arguments).
+    warm is a list of fields to start from: Field objects or (n, n, n, rank)
+    values on the operator's grid, a 4-spinor one reduced to its larger
+    2-spinor half. eigs_near empties the list, and each solve's start block
+    takes the fields out as it copies them into coefficient columns, so a
+    field no one else holds is freed before the solver runs. On periodic
+    grids near 0 the two constant spinors follow the fields (see
+    _start_block); the block holds all of them, at least count + extra
+    columns.
 
     Deterministic under a fixed seed. Non-convergence is reported through
     converged=False with the partial results left in place, never raised.
@@ -781,9 +736,9 @@ def eigs_near(
         raise ValueError("count must be >= 1")
     grid = op.grid
     n, rank = grid.n, op.rank
-    warm, opts = opts.initial_block, replace(opts, initial_block=None)
-    if warm is not None and np.shape(warm)[0] != n**3 * rank:
-        raise ValueError("warm-start block has the wrong dimension")
+    fields = [_warm_values(grid, rank, f) for f in warm or ()]
+    if warm:
+        warm.clear()
 
     notes: list[str] = []
     t_op, shifts = op, (target,)
@@ -792,12 +747,8 @@ def eigs_near(
         m2 = op.mass**2
         nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
-        if warm is not None:
-            warm = _warm_halves(warm, n)
-    if warm is not None:
-        warm = _coefficient_columns(grid, np.asarray(warm))
-    starts = [[] if warm is None else [warm] for _ in shifts]
-    del warm
+    starts = [list(fields) for _ in shifts]
+    del fields
 
     # Each solve ranks by |eps - s|, the target by the lift's distance; the
     # two disagree when nu > 0, so widen the solves until the nearest lifts
@@ -824,7 +775,9 @@ def eigs_near(
         if certified or exhausted or width >= min(16 * count, max(count, 2**20 // n**3)):
             break
         width *= 2
-        starts = [[v] for _, v, _, _ in solves]
+        # each solve restarts from its vectors, as fields
+        starts = [list(_grid_columns(grid, v).T.reshape(-1, n, n, n, 2))
+                  for _, v, _, _ in solves]
     notes += exhausted
     if rank == 4:
         lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
@@ -884,8 +837,7 @@ def eigs_near(
         threshold=thr,
         seed=opts.seed,
         kind=op.kind,
-        grid_n=n,
-        box_l=grid.L,
+        grid=grid,
         mass=op.mass,
         notes=tuple(notes),
         vectors=vectors,
@@ -1282,21 +1234,25 @@ def coupling_scan(
     grid: Grid3D,
     opts: Optional[EigsOptions] = None,
 ) -> CouplingScanReport:
-    """Scan the coupling t, reporting |lambda_min| of T_{tA} at each value."""
+    """Scan the coupling t, reporting |lambda_min| of T_{tA} at each value.
+
+    Each row's solve starts from the previous row's vectors (the first row
+    cold); the report goes before the next solve, which empties the list of
+    fields it is given, so no row's vectors live through the next solve.
+    """
     ts = np.asarray(t_values, dtype=np.float64)
     if ts.ndim != 1 or len(ts) < 3 or not np.all(np.isfinite(ts)):
         raise ValueError("need >= 3 finite coupling values")
     opts = opts or EigsOptions()
+    n = grid.n
     rows = []
     converged = []
     all_eigs = []
     notes: list[str] = []
-    # each row's vectors warm-start the next row's solve; they are popped into
-    # it unnamed, so eigs_near frees them once it has transformed them
     warm: list = []
     for t in ts:
         op = OperatorHandle(kind="t_a", grid=grid, potential=Scaled(t=float(t), inner=base))
-        rep = eigs_near(op, 0.0, 3, replace(opts, initial_block=warm.pop() if warm else None))
+        rep = eigs_near(op, 0.0, 3, opts, warm)
         lam = np.array(rep.eigenvalues)
         keep = list(range(len(lam)))
         if not grid.antiperiodic and t == 0.0:
@@ -1305,7 +1261,7 @@ def coupling_scan(
                 "a discretization artifact absent on R^3"
             )
         elif not grid.antiperiodic:
-            keep = [i for i in keep if _constant_fraction(rep.vectors[:, i], grid.n, 2) <= 0.5]
+            keep = [i for i in keep if _constant_fraction(rep.vectors[:, i], n, 2) <= 0.5]
             if not keep:
                 keep = list(range(len(lam)))
                 notes.append(f"t={t:g}: all candidates constant-dominated; raw minimum kept")
@@ -1317,7 +1273,7 @@ def coupling_scan(
         rows.append((float(t), float(np.min(np.abs(lam[keep])))))
         converged.append(rep.converged)
         all_eigs.append(tuple(float(l) for l in lam))
-        warm.append(rep.vectors)
+        warm = list(rep.vectors.T.reshape(-1, n, n, n, 2))
         del rep
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
                               eigenvalues=tuple(all_eigs), notes=tuple(notes),

@@ -12,7 +12,7 @@ import pytest
 from diraclab.grid import Grid3D, OperatorHandle, sample_field
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau
-from diraclab.probe import EigsOptions, eigs_near, initial_block_from_fields
+from diraclab.probe import EigsOptions, eigs_near
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,8 @@ def cluster32(lossyau, grid32):
 
 
 def lifted_block(rep, grid, mass, sign, members):
-    """Exact 4-spinor eigenvector guesses built from supercharge pairs.
+    """Exact 4-spinor eigenvector guesses built from supercharge pairs, a list
+    of (n, n, n, 4) warm-start fields.
 
     For T v = eps v the full operator acts on span{(v,0),(0,v)} as the 2x2
     matrix [[m, eps],[eps, -m]]; its eigenvectors lift v to the +-sqrt(m^2 +
@@ -55,9 +56,9 @@ def lifted_block(rep, grid, mass, sign, members):
         small = np.array([[mass, eps], [eps, -mass]])
         _, U = np.linalg.eigh(small)  # columns ordered -lam, +lam
         a, b = U[:, 1] if sign > 0 else U[:, 0]
-        col = np.concatenate([a * v, b * v], axis=-1).ravel()
+        col = np.concatenate([a * v, b * v], axis=-1).reshape((grid.n,) * 3 + (4,))
         cols.append(col / np.linalg.norm(col))
-    return np.stack(cols, axis=1)
+    return cols
 
 
 @pytest.fixture(scope="session")
@@ -67,8 +68,7 @@ def dirac_pair32(lossyau, grid32, cluster32):
     out = {}
     for sign in (+1, -1):
         warm = lifted_block(cluster32, grid32, 1.0, sign, range(3))
-        rep = eigs_near(op, float(sign), 3,
-                        EigsOptions(seed=7, extra=0, initial_block=warm))
+        rep = eigs_near(op, float(sign), 3, EigsOptions(seed=7, extra=0), warm)
         assert rep.converged, rep.residuals
         out[sign] = rep
     return out
@@ -93,8 +93,7 @@ def lam_min_refined(lossyau):
     grid = Grid3D(64, 20.0, spin="antiperiodic")
     op = OperatorHandle(kind="t_a", grid=grid, potential=lossyau)
     mode = sample_field(LossYauMode().eval, grid)
-    warm = initial_block_from_fields(op, [mode])
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0, initial_block=warm))
+    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0), [mode])
     assert rep.converged, rep.residuals
     overlap = mode_overlap(rep, grid)
     assert overlap >= 0.99, f"eigenvector overlaps the analytic mode by only {overlap:.4f}"

@@ -113,7 +113,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
     for mass in (0.5, 1.0, 2.0):
         op = OperatorHandle(kind="h_a", grid=grid32, potential=lossyau, mass=mass)
         warm = lifted_block(cluster32, grid32, mass, +1, [i_min])
-        rep = eigs_near(op, mass, 1, EigsOptions(seed=7, extra=0, initial_block=warm))
+        rep = eigs_near(op, mass, 1, EigsOptions(seed=7, extra=0), warm)
         assert rep.converged
         assert abs(rep.eigenvalues[0] - mass) <= 5e-3
         v = rep.vector_field(grid32, 0).values.reshape(-1, 4)
@@ -214,10 +214,8 @@ def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
     assert curl_dev <= 1e-10, f"curl moved by {curl_dev:.3e}"
 
     op = OperatorHandle(kind="t_a", grid=grid32, potential=gauged_spec)
-    warm = np.stack(
-        [gauged_mode(cluster32.vector_field(grid32, i), chi).values.reshape(-1)
-         for i in range(3)], axis=1)
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0, initial_block=warm))
+    warm = [gauged_mode(cluster32.vector_field(grid32, i), chi) for i in range(3)]
+    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0), warm)
     assert rep.converged
     lam_min = min(abs(e) for e in rep.eigenvalues)
     assert lam_min <= 1e-2, f"gauged kernel offset {lam_min:.4e}"

@@ -69,6 +69,20 @@ def test_potential_info(tmp_path, capsys):
     assert report["version"] == __version__
 
 
+def test_potential_info_on_a_grid_backed_potential_says_why_it_exits_1(tmp_path, capsys,
+                                                                    monkeypatch):
+    from diraclab.grid import sample_potential
+    from diraclab.potentials import LossYau, Sampled, write_sampled_potential
+
+    g = Grid3D(n=8, L=4.0)
+    write_sampled_potential(tmp_path / "a.dtl", Sampled(g, sample_potential(LossYau(), g)))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "potential-info",
+                       "--potential", '{"variant": "sampled", "file": "a.dtl"}')
+    assert code == 1
+    assert "samples |A| out to r = 2000" in err and "known only inside its box" in err
+
+
 def test_potential_inline_json_malformed(capsys):
     code, _, err = run(capsys, "potential-info", "--potential", '{"variant": bad')
     assert code == 1

@@ -5,10 +5,19 @@ the kernel of sigma.D, plane-wave shells sit at exactly degenerate +-|k|, and
 the squared operator's floor is m^2. Everything here runs in seconds.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
-from diraclab.grid import Grid3D, OperatorHandle, residual_norm, sample_field
+from diraclab.grid import (
+    Field,
+    Grid3D,
+    GridMismatchError,
+    OperatorHandle,
+    residual_norm,
+    sample_field,
+)
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau, Scaled
 from diraclab.probe import (
@@ -19,7 +28,6 @@ from diraclab.probe import (
     decay_fit,
     eigs_near,
     gap_scan,
-    initial_block_from_fields,
     kernel_threshold,
     lobpcg,
 )
@@ -132,37 +140,82 @@ def test_eigs_near_validation():
     op = OperatorHandle(kind="t_a", grid=g, potential=FREE)
     with pytest.raises(ValueError):
         eigs_near(op, 0.0, 0)
-    with pytest.raises(ValueError):
-        eigs_near(op, 0.0, 1, EigsOptions(initial_block=np.zeros((7, 2), dtype=complex)))
-
-
-def test_initial_block_from_fields():
-    g = Grid3D(n=8, L=5.0)
-    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
     f = sample_field(LossYauMode().eval, g)
-    X = initial_block_from_fields(op, [f])
-    assert X.shape == (8**3 * 2, 3)  # field + one constant per component
-    assert np.allclose(X[:, 0], f.values.reshape(-1))
-    with pytest.raises(ValueError):
-        initial_block_from_fields(op, [f.values[..., :1]])
-    # a 4-spinor warm start: its upper and lower constants reduce to the same
-    # two supercharge columns, which must be merged, not passed twice
+    for bad in (np.zeros((7, 2), dtype=complex), f.values[..., :1]):
+        with pytest.raises(ValueError):
+            eigs_near(op, 0.0, 1, warm=[bad])
+    with pytest.raises(GridMismatchError):
+        eigs_near(op, 0.0, 1, warm=[sample_field(LossYauMode().eval, Grid3D(n=8, L=7.0))])
+
+
+def _start(grid, target, nb, warm):
+    from diraclab.probe import _start_block
+
+    return _start_block(grid, target, nb, warm, np.random.default_rng(0))
+
+
+def test_start_block_puts_the_fields_first_then_the_constants():
+    # periodic, near 0: the field as its coefficients, then one constant
+    # spinor per component; a block of nb = 1 widens to hold all three
+    g = Grid3D(n=8, L=5.0)
+    f = sample_field(LossYauMode().eval, g)
+    warm = [f.values]
+    X = _start(g, 0.0, 1, warm)
+    assert warm == [] and X.shape == (8**3 * 2, 3)
+    want = _coefficients(g, f.values.reshape(-1, 1))[:, 0]
+    assert np.linalg.norm(X[:, 0] - want) <= 1e-14 * np.linalg.norm(want)
+    from diraclab.probe import _grid_columns
+
+    constants = _grid_columns(g, X[:, 1:].copy(order="F")).reshape(8, 8, 8, 2, 2)
+    np.testing.assert_allclose(constants, np.broadcast_to(np.eye(2), constants.shape),
+                               rtol=0, atol=1e-14)
+    # constants are not antiperiodic fields; on periodic grids they are seeded
+    # only nearer 0 than the first free shell, |target| < pi / (2L)
+    ga = Grid3D(n=8, L=5.0, spin="antiperiodic")
+    assert _start(ga, 0.0, 1, [sample_field(LossYauMode().eval, ga).values]).shape[1] == 1
+    assert _start(g, np.pi / 10.0, 1, [f.values]).shape[1] == 1
+    assert _start(g, -0.99 * np.pi / 10.0, 1, [f.values]).shape[1] == 3
+    # cold: the block keeps its width (test_single_vector_cold_start pins the
+    # random column that a one-column block keeps)
+    assert _start(g, 0.0, 3, []).shape[1] == 3
+
+
+def test_eigs_near_takes_the_warm_fields(monkeypatch):
+    # three fields with count 1 and extra 0 give three columns plus the two
+    # constants; eigs_near empties the list, and a field no one else holds is
+    # freed before the solver runs
+    from diraclab import probe
+
+    seen = {}
+    original = probe.lobpcg
+
+    def spy(A, X, *args, **kwargs):
+        seen.update(cols=X.shape[1], alive=[r() is not None for r in refs])
+        return original(A, X, *args, **kwargs)
+
+    monkeypatch.setattr(probe, "lobpcg", spy)
+    g = Grid3D(n=8, L=5.0)
+    rng = np.random.default_rng(1)
+    warm = [Field(g, rng.normal(size=(8, 8, 8, 2))) for _ in range(3)]
+    refs = [weakref.ref(f.values) for f in warm]
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    rep = eigs_near(op, 0.0, 1, EigsOptions(extra=0), warm)
+    assert warm == [] and len(rep.eigenvalues) == 1
+    assert seen == {"cols": 5, "alive": [False] * 3}
+
+
+def test_rank4_warm_start_uses_the_larger_half():
+    from diraclab.probe import _warm_values
+
+    g = Grid3D(n=8, L=5.0)
+    f = sample_field(LossYauMode().eval, g)
+    f4 = np.concatenate([0.1 * f.values, f.values], axis=-1)
+    half = _warm_values(g, 4, f4)
+    assert np.array_equal(half, f.values) and np.shares_memory(half, f4)
     h = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=0.5)
     f4 = np.concatenate([f.values, np.zeros_like(f.values)], axis=-1)
-    X4 = initial_block_from_fields(h, [f4])
-    assert X4.shape == (8**3 * 4, 5)
-    rep = eigs_near(h, 0.5, 2, EigsOptions(extra=3, initial_block=X4))
+    rep = eigs_near(h, 0.5, 2, EigsOptions(extra=3), [f4])
     assert rep.converged and np.allclose(rep.eigenvalues, 0.5, atol=1e-10)
-
-
-def test_warm_start_has_no_constants_on_antiperiodic_grid():
-    g = Grid3D(n=8, L=5.0, spin="antiperiodic")
-    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
-    f = sample_field(LossYauMode().eval, g)
-    X = initial_block_from_fields(op, [f])
-    assert X.shape == (8**3 * 2, 1)  # constants are not antiperiodic fields
-    with pytest.raises(ValueError):
-        initial_block_from_fields(op, [])
 
 
 def test_single_vector_cold_start():
@@ -188,6 +241,17 @@ def test_eigen_report_round_trip():
     assert v.values.shape == (8, 8, 8, 2)
     # ritz vectors come out unit in flat coordinates; the field norm carries h^3
     assert v.norm() == pytest.approx(g.h ** 1.5, rel=1e-6)
+
+
+def test_vector_field_refuses_another_grid():
+    # an antiperiodic solve read through a periodic grid, or a box of another
+    # size, would be a different field with the same values
+    g = Grid3D(n=8, L=5.0, spin="antiperiodic")
+    rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0, 1)
+    assert rep.vector_field(g, 0).grid == g
+    for other in (Grid3D(n=8, L=5.0), Grid3D(n=8, L=7.0, spin="antiperiodic")):
+        with pytest.raises(GridMismatchError):
+            rep.vector_field(other, 0)
 
 
 def test_gap_scan_validation():
@@ -476,9 +540,12 @@ def _random_columns(grid, count, seed):
 
 
 def _coefficients(grid, cols):
-    from diraclab.probe import _coefficient_columns
+    """Grid-value columns (N, c) as Fortran (N, c) unitary coefficient columns."""
+    from diraclab.grid import spinor_fftn
 
-    return _coefficient_columns(grid, cols)
+    n, c = grid.n, cols.shape[1]
+    X = np.ascontiguousarray(cols.reshape(n, n, n, 2, c).transpose(4, 3, 0, 1, 2))
+    return spinor_fftn(grid, X).reshape(c, -1).T
 
 
 def _grid_to_cols(values):
