@@ -56,6 +56,7 @@ from diraclab.modes import (
 from diraclab.quadrature import sphere_directions_26
 from diraclab.potentials import (
     ClassificationUndetermined,
+    Sampled,
     default_classification,
     potential_from_json,
 )
@@ -365,7 +366,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     ]
     result = {"eigensolve": rep.to_dict()}
     if kind == "h_a" and abs(abs(target) - cfg.mass) < 1e-12:
-        v = rep.vector_field(grid, best).values
+        v = rep.fields[best].values
         upper = float(np.linalg.norm(v[..., 0:2]))
         lower = float(np.linalg.norm(v[..., 2:4]))
         total = float(np.hypot(upper, lower))
@@ -455,14 +456,14 @@ def cmd_weyl(cfg: RunConfig) -> int:
         raise ConfigError("sweep must be >= 1")
     # one evaluation of the potential serves the whole sweep
     try:
-        A = sample_potential(pot, grid)
+        A = Sampled(grid, sample_potential(pot, grid))
         modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
                  for idx in range(1, sweep + 1)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     residuals = [m["residual"] for m in modes]
     checks = []
-    if float(np.max(np.abs(A))) == 0.0:
+    if not A.values.any():
         checks.append(_check("free_residual", residuals[0], cfg.tol("free")))
     if sweep > 1:
         worst_ratio = max(residuals[i + 1] / residuals[i] for i in range(sweep - 1))

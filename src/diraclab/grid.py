@@ -250,36 +250,37 @@ def sample_field(evaluator: Callable[[ArrayR], np.ndarray], grid: Grid3D) -> Fie
     return Field(grid, vals)
 
 
-def sample_potential(pot, grid: Grid3D) -> ArrayR:
-    """Sample a vector potential at the grid nodes.
+def _require_spec(pot) -> None:
+    from diraclab.potentials import PotentialSpec
 
-    pot is a PotentialSpec, which samples itself (PotentialSpec.sample: a
-    Scaled, Sampled or Gauged potential on its own grid neither re-evaluates
-    nor interpolates), or an array of samples, which is checked and passed
-    on. Call it once per potential and grid and hand the array on:
-    OperatorHandle and build_weyl_quasimode accept it in place of the
-    potential.
+    if not isinstance(pot, PotentialSpec):
+        raise TypeError(f"a potential must be a PotentialSpec, got {type(pot).__name__} "
+                        "(grid samples travel as Sampled(grid, values))")
+
+
+def sample_potential(pot, grid: Grid3D) -> ArrayR:
+    """Sample a PotentialSpec at the grid nodes (anything else raises
+    TypeError). The spec samples itself: a Scaled, Sampled or Gauged potential
+    on its own grid neither re-evaluates nor interpolates. Call it once per
+    potential and grid; the samples travel on as Sampled(grid, A), which hands
+    them back without a copy.
 
     Returns a real array of shape (n, n, n, 3) whose components are each
     C-contiguous (a view of a (3, n, n, n) block), the layout the operator
-    kernel and the spectral calculus read. Potentials are real-valued by
-    construction; a complex-valued evaluator is rejected.
+    kernel and the spectral calculus read. Complex-valued or non-finite
+    samples are rejected.
     """
-    if isinstance(pot, np.ndarray):
-        vals = np.asarray(pot, dtype=np.float64)
-        if vals.shape != (grid.n, grid.n, grid.n, 3):
-            raise ValueError(f"potential samples must have shape {(grid.n,)*3 + (3,)}")
-    else:
-        vals = np.asarray(pot.sample(grid))
-        if np.iscomplexobj(vals):
-            if np.max(np.abs(vals.imag)) > 1e-12:
-                raise ValueError("vector potential must be real-valued")
-            vals = vals.real
-        vals = vals.astype(np.float64, copy=False)
-        if vals.shape != (grid.n, grid.n, grid.n, 3):
-            raise ValueError(f"potential evaluator returned shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite potential sample encountered")
+    _require_spec(pot)
+    vals = np.asarray(pot.sample(grid))
+    if np.iscomplexobj(vals):
+        if np.max(np.abs(vals.imag)) > 1e-12:
+            raise ValueError("vector potential must be real-valued")
+        vals = vals.real
+    vals = vals.astype(np.float64, copy=False)
+    if vals.shape != (grid.n, grid.n, grid.n, 3):
+        raise ValueError(f"potential evaluator returned shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("non-finite potential sample encountered")
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, -1, 0)), 0, -1)
 
 
@@ -291,7 +292,7 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
 class OperatorHandle:
     """Discretized operator: kind in {sigma_d, t_a, h_a, h_squared}.
 
-    t_a / h_a / h_squared need a potential; h_a / h_squared need a mass
+    t_a / h_a / h_squared need a PotentialSpec; h_a / h_squared need a mass
     (mass 0 is accepted as the degenerate edge of the square identity, though
     threshold semantics only make sense for mass > 0).
     """
@@ -306,6 +307,8 @@ class OperatorHandle:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind in ("t_a", "h_a", "h_squared") and self.potential is None:
             raise ValueError(f"{self.kind} requires a potential")
+        if self.potential is not None:
+            _require_spec(self.potential)
         if self.kind in ("h_a", "h_squared"):
             if self.mass is None or self.mass < 0 or not np.isfinite(self.mass):
                 raise ValueError(f"{self.kind} requires a finite mass >= 0")

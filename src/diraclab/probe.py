@@ -25,8 +25,8 @@ pair, spinor_fftn/spinor_ifftn. Warm starts enter eigs_near as a list of
 fields, which the start block takes out one at a time, copying each into its
 coefficient column and transforming those columns in place (random columns
 and constant spinors are drawn as coefficients). Rayleigh-Ritz of T stays on
-coefficients, and only the returned vectors go to grid values, once, where
-one apply_values measures their residuals.
+coefficients, and only the returned pairs go to grid values, once, into the
+one block of the report's fields, where one apply_values measures residuals.
 
 Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
 kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
@@ -40,9 +40,9 @@ spinors span the k = 0 fiber, so sigma.D has a 2-dim exact kernel (and the
 free 4x4 operator has exact eigenvalues +-m) that does not correspond to
 anything normalizable on R^3. A nonzero torus mean of A lifts this pair only
 to about +-|mean A|, where it hybridizes with the zero-mode branch. On
-periodic grids, kernel counts and coupling scans therefore deflate
-eigenvectors that are mostly constant whenever the potential is nonzero, and
-every exclusion is logged in the report's notes. Every start block, warm
+periodic grids reports carry each pair's constant fraction, and kernel counts
+and coupling scans deflate mostly constant pairs when the potential is
+nonzero, logging every exclusion in the report's notes. Every start block, warm
 or cold, seeds the constant spinors for targets nearer 0 than the first free
 shell (|tau| < pi / (2L)), and only there. Antiperiodic grids
 (Grid3D(..., spin="antiperiodic")) have no k = 0 fiber, hence no artifact:
@@ -72,7 +72,7 @@ from diraclab.grid import (
     spinor_fftn,
     spinor_ifftn,
 )
-from diraclab.potentials import PotentialSpec, Scaled, _fit_loglog
+from diraclab.potentials import PotentialSpec, Sampled, Scaled, _fit_loglog
 from diraclab.quadrature import sphere_directions_26
 
 ArrayC = NDArray[np.complex128]
@@ -99,8 +99,13 @@ __all__ = [
 # symmetric margins at desk-scale fit windows.
 VERDICT_DELTA = 0.25
 
-# LOBPCG tolerance on the squared-shift residual of the wanted columns.
+# LOBPCG tolerance on the squared-shift residual of the wanted columns, and
+# its iteration cap per supercharge solve.
 LOBPCG_TOL = 1e-8
+MAXITER = 400
+
+# Pairs with a larger constant fraction are on the torus constant branch.
+CONSTANT_BRANCH_FRACTION = 0.5
 
 
 class SolverError(RuntimeError):
@@ -123,18 +128,21 @@ class EigsOptions:
     """Solver knobs; defaults tuned on the n=64, L=20 reference grid."""
 
     seed: int = 0
-    maxiter: int = 400
     extra: Optional[int] = None  # extra block vectors beyond count
     resid_tol: float = 1e-6  # per-pair residual defining "converged"
 
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Eigenpairs nearest a target, with enough context to reproduce them."""
+    """Eigenpairs nearest a target, with enough context to reproduce them:
+    fields, the eigenvectors on the solve's grid (views of one block), and
+    per pair the norm fraction in the constant spinors (None on antiperiodic
+    grids, which have none)."""
 
     target: float
     eigenvalues: tuple
     residuals: tuple
+    constant_fractions: tuple
     kernel_dim_estimate: int
     iterations: int
     converged: bool
@@ -144,13 +152,14 @@ class EigenReport:
     grid: Grid3D
     mass: Optional[float]
     notes: tuple
-    vectors: np.ndarray  # (N, count) ritz vectors, flattened
+    fields: tuple
 
     def to_dict(self) -> dict:
         return {
             "target": self.target,
             "eigenvalues": list(self.eigenvalues),
             "residuals": list(self.residuals),
+            "constant_fractions": list(self.constant_fractions),
             "kernel_dim_estimate": self.kernel_dim_estimate,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -162,21 +171,6 @@ class EigenReport:
             "mass": self.mass,
             "notes": list(self.notes),
         }
-
-    def vector_field(self, grid: Grid3D, index: int = 0):
-        """Ritz vector as a Field on the solve's grid; any other grid raises
-        GridMismatchError."""
-        if grid != self.grid:
-            raise GridMismatchError(f"report solved on {self.grid}, read on {grid}")
-        rank = 2 if self.kind in ("sigma_d", "t_a") else 4
-        values = self.vectors[:, index].reshape((grid.n,) * 3 + (rank,))
-        return Field(grid=grid, values=values.copy())
-
-
-def _cols_to_grid(block: np.ndarray, n: int, rank: int) -> ArrayC:
-    """Flattened columns (N,) or (N, nb) to grid values (n, n, n, nb, rank)."""
-    b = np.atleast_2d(block.T).T
-    return b.reshape((n, n, n, rank, b.shape[1])).transpose(0, 1, 2, 4, 3)
 
 
 # The supercharge solves run on unitary spinor Fourier coefficients. A column
@@ -196,12 +190,11 @@ def _solver_columns(coef: ArrayC, like: np.ndarray) -> np.ndarray:
     return coef.reshape(-1) if like.ndim == 1 else coef.reshape(coef.shape[0], -1).T
 
 
-def _grid_columns(grid: Grid3D, coef: np.ndarray) -> np.ndarray:
-    """Coefficient columns (N, c) as grid-value columns (N, c), each laid out
-    (n, n, n, 2) like a warm-start field or a report vector. The inverse
-    transform runs in place on coef."""
+def _grid_fields(grid: Grid3D, coef: np.ndarray) -> ArrayC:
+    """Coefficient columns (N, c) as the grid values (c, n, n, n, 2) of c
+    fields, in one copy; the inverse transform runs in place on coef."""
     values = spinor_ifftn(grid, _coefficient_view(coef, grid.n))
-    return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1)).reshape(len(values), -1).T
+    return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1))
 
 
 def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
@@ -308,17 +301,16 @@ def _linear_operator(fn, N: int) -> LinearOperator:
     return LinearOperator((N, N), matvec=fn, matmat=fn, dtype=np.complex128)
 
 
-def _constant_fraction(vec: ArrayC, n: int, rank: int) -> float:
-    """Norm fraction of a flattened eigenvector lying in the constant subspace."""
-    v = vec.reshape((n, n, n, rank))
-    means = v.mean(axis=(0, 1, 2))
-    return float(n**3 * np.sum(np.abs(means) ** 2) / np.sum(np.abs(v) ** 2))
+def _constant_fraction(values: ArrayC) -> float:
+    """Norm fraction of (n, n, n, rank) field values lying in the constant
+    spinors."""
+    means = values.mean(axis=(0, 1, 2))
+    nodes = values.size // values.shape[-1]
+    return float(nodes * np.sum(np.abs(means) ** 2) / np.sum(np.abs(values) ** 2))
 
 
 def _potential_is_zero(op: OperatorHandle) -> bool:
-    if op.kind == "sigma_d" or op.potential is None:
-        return True
-    return float(np.max(np.abs(op.sampled_potential()))) == 0.0
+    return op.kind == "sigma_d" or not op.sampled_potential().any()
 
 
 def _resolve_delta(op: OperatorHandle) -> float:
@@ -625,7 +617,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
             _linear_operator(square, N),
             _start_block(grid, target, nb, warm, np.random.default_rng(opts.seed)),
             M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
-            tol=LOBPCG_TOL, maxiter=opts.maxiter, nwanted=count)
+            tol=LOBPCG_TOL, maxiter=MAXITER, nwanted=count)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
     if not np.all(np.isfinite(vecs)):
@@ -634,7 +626,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
     if np.any(resid > LOBPCG_TOL):
         note = (f"{op.kind} solve near {target:.6g}: wanted residuals above tol "
                 f"{LOBPCG_TOL:.1e} after {iterations} iterations (maxiter "
-                f"{opts.maxiter}), worst {float(np.max(resid)):.3e}")
+                f"{MAXITER}), worst {float(np.max(resid)):.3e}")
     mu, V = _rayleigh_ritz(square.t, vecs[:, :count])
     return mu, V, iterations, note
 
@@ -651,20 +643,20 @@ def _threshold_pair(lambda0: float, mass: float, nu0: float) -> tuple[float, flo
     return a / norm, b / norm
 
 
-def _warm_values(grid: Grid3D, rank: int, field) -> np.ndarray:
-    """A warm-start field's (n, n, n, 2) supercharge values, as a view: the
+def _warm_values(grid: Grid3D, rank: int, field: Field) -> np.ndarray:
+    """A warm-start Field's (n, n, n, 2) supercharge values, as a view: the
     values of a 2-spinor field, the larger half of a 4-spinor one (for an
     exact lift (a v, b v) a multiple of v itself)."""
-    if isinstance(field, Field) and field.grid != grid:
+    if not isinstance(field, Field):
+        raise TypeError(f"a warm start must be a Field, got {type(field).__name__}")
+    if field.grid != grid:
         raise GridMismatchError(f"warm-start field on {field.grid}, operator on {grid}")
-    values = np.asarray(getattr(field, "values", field))
-    if values.shape != (grid.n,) * 3 + (rank,):
-        raise ValueError(f"warm-start field shape {values.shape} does not fit a "
-                         f"rank-{rank} operator on n={grid.n}")
-    if rank == 4:
-        upper, lower = values[..., :2], values[..., 2:]
-        values = upper if np.linalg.norm(upper) >= np.linalg.norm(lower) else lower
-    return values
+    if field.rank != rank:
+        raise ValueError(f"warm-start field of rank {field.rank} for a rank-{rank} operator")
+    if rank == 2:
+        return field.values
+    upper, lower = field.values[..., :2], field.values[..., 2:]
+    return upper if np.linalg.norm(upper) >= np.linalg.norm(lower) else lower
 
 
 def _lift(op: OperatorHandle, eps: ArrayR) -> list:
@@ -719,17 +711,18 @@ def eigs_near(
     eigenvalue nearer the target than the returned ones can lie outside
     their windows; an answer left uncertified reports converged=False.
 
-    warm is a list of fields to start from: Field objects or (n, n, n, rank)
-    values on the operator's grid, a 4-spinor one reduced to its larger
-    2-spinor half. eigs_near empties the list, and each solve's start block
+    warm is a list of Fields of the operator's grid and rank to start from,
+    a 4-spinor one reduced to its larger 2-spinor half; anything else raises
+    TypeError. eigs_near empties the list, and each solve's start block
     takes the fields out as it copies them into coefficient columns, so a
     field no one else holds is freed before the solver runs. On periodic
     grids near 0 the two constant spinors follow the fields (see
     _start_block); the block holds all of them, at least count + extra
     columns.
 
-    Deterministic under a fixed seed. Non-convergence is reported through
-    converged=False with the partial results left in place, never raised.
+    The report holds the eigenvectors as Fields and each pair's constant
+    fraction. Deterministic under a fixed seed. Non-convergence is reported
+    through converged=False with the partial results left in place, never raised.
     """
     opts = opts or EigsOptions()
     if count < 1:
@@ -743,7 +736,7 @@ def eigs_near(
     notes: list[str] = []
     t_op, shifts = op, (target,)
     if rank == 4:
-        t_op = OperatorHandle(kind="t_a", grid=grid, potential=op.sampled_potential())
+        t_op = OperatorHandle("t_a", grid, Sampled(grid, op.sampled_potential()))
         m2 = op.mass**2
         nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
@@ -776,8 +769,7 @@ def eigs_near(
             break
         width *= 2
         # each solve restarts from its vectors, as fields
-        starts = [list(_grid_columns(grid, v).T.reshape(-1, n, n, n, 2))
-                  for _, v, _, _ in solves]
+        starts = [list(_grid_fields(grid, v)) for _, v, _, _ in solves]
     notes += exhausted
     if rank == 4:
         lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
@@ -787,50 +779,42 @@ def eigs_near(
     picked = [cand[j] for j in order]
     lam = values[order]
     # the picked supercharge vectors, transformed to grid values once
-    vectors = _grid_columns(grid, V[:, [i for _, _, _, i in picked]])
+    block = _grid_fields(grid, V[:, [i for _, _, _, i in picked]])
     del solves, V
     if rank == 4:
-        Vn = vectors.reshape(n**3, 2, -1)
-        vectors = np.stack([np.concatenate([a * Vn[..., j], b * Vn[..., j]], axis=1).ravel()
-                            for j, (_, a, b, _) in enumerate(picked)], axis=1)
+        a, b = (np.array([c[k] for c in picked])[:, None, None, None, None] for k in (1, 2))
+        block = np.concatenate([a * block, b * block], axis=-1)
 
-    Vg = _cols_to_grid(vectors, n, rank)
-    R = apply_values(op, Vg)
-    R -= lam[None, None, None, :, None] * Vg
-    residuals = [float(np.linalg.norm(R[..., i, :]) / np.linalg.norm(Vg[..., i, :]))
+    R = apply_values(op, np.moveaxis(block, 0, 3))
+    R -= lam[None, None, None, :, None] * np.moveaxis(block, 0, 3)
+    residuals = [float(np.linalg.norm(R[..., i, :]) / np.linalg.norm(block[i]))
                  for i in range(len(order))]
+    fractions = tuple(None if grid.antiperiodic else _constant_fraction(v) for v in block)
 
     thr = kernel_threshold(grid)
-    pot_zero = _potential_is_zero(op)
+    deflate = not (_potential_is_zero(op) or grid.antiperiodic)
     kernel = 0
-    for j, (l, (_, _, _, i)) in enumerate(zip(lam, picked)):
+    for l, (_, _, _, i), frac in zip(lam, picked, fractions):
         if abs(eps[i]) > thr:
             continue
-        if not pot_zero and not grid.antiperiodic:
-            frac = _constant_fraction(vectors[:, j], n, rank)
-            if frac > 0.5:
-                notes.append(
-                    f"excluded eigenvalue {l:.3e} from kernel count: "
-                    f"constant-subspace overlap {frac:.2f} (torus artifact)"
-                )
-                continue
+        if deflate and frac > CONSTANT_BRANCH_FRACTION:
+            notes.append(f"excluded eigenvalue {l:.3e} from kernel count: "
+                         f"constant-subspace overlap {frac:.2f} (torus artifact)")
+            continue
         kernel += 1
 
     converged = bool(np.all(np.array(residuals) <= opts.resid_tol))
     if not converged:
-        notes.append(
-            f"residuals above {opts.resid_tol:.1e} after {iterations} iterations"
-        )
+        notes.append(f"residuals above {opts.resid_tol:.1e} after {iterations} iterations")
     if not certified:
         converged = False
-        notes.append(
-            f"nearest pairs not certified: an eigenvalue within {reach:.3e} "
-            f"of the target may be missing"
-        )
+        notes.append(f"nearest pairs not certified: an eigenvalue within {reach:.3e} "
+                     f"of the target may be missing")
     return EigenReport(
         target=float(target),
         eigenvalues=tuple(float(l) for l in lam),
         residuals=tuple(residuals),
+        constant_fractions=fractions,
         kernel_dim_estimate=kernel,
         iterations=int(iterations),
         converged=converged,
@@ -840,7 +824,7 @@ def eigs_near(
         grid=grid,
         mass=op.mass,
         notes=tuple(notes),
-        vectors=vectors,
+        fields=tuple(Field(grid, v) for v in block),
     )
 
 
@@ -1042,7 +1026,7 @@ def _weyl_residual(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
 
 
 def build_weyl_quasimode(
-    pot,
+    pot: PotentialSpec,
     mass: float,
     lambda0: float,
     n_index: int,
@@ -1056,8 +1040,8 @@ def build_weyl_quasimode(
     bulk, and its residual decreases as n_index widens the envelope.
     Periodic grids only: the wave vector and envelope are periodic fields.
 
-    pot is a PotentialSpec or its samples on grid (sample_potential); a
-    sweep over n_index samples once and passes the array. The quasi-mode is a
+    A sweep over n_index samples once and passes Sampled(grid, A), which
+    hands the samples back without a copy. The quasi-mode is a
     product f = c (x) f_x(x) f_y(y) f_z(z): the phase e^{ik.x} and the
     envelope have one factor per axis. The spectral derivative acts on one
     axis at a time, so D_j f is the same product with f_j replaced by its
@@ -1084,7 +1068,7 @@ def build_weyl_quasimode(
 
     factors = [np.exp(1j * kj * grid.axis) for kj in k]
     notes = []
-    if float(np.max(np.abs(A))) == 0.0:
+    if not A.any():
         width = None
         notes.append("zero potential: plane wave used without envelope")
     else:
@@ -1236,7 +1220,7 @@ def coupling_scan(
 ) -> CouplingScanReport:
     """Scan the coupling t, reporting |lambda_min| of T_{tA} at each value.
 
-    Each row's solve starts from the previous row's vectors (the first row
+    Each row's solve starts from the previous row's fields (the first row
     cold); the report goes before the next solve, which empties the list of
     fields it is given, so no row's vectors live through the next solve.
     """
@@ -1244,7 +1228,6 @@ def coupling_scan(
     if ts.ndim != 1 or len(ts) < 3 or not np.all(np.isfinite(ts)):
         raise ValueError("need >= 3 finite coupling values")
     opts = opts or EigsOptions()
-    n = grid.n
     rows = []
     converged = []
     all_eigs = []
@@ -1261,7 +1244,7 @@ def coupling_scan(
                 "a discretization artifact absent on R^3"
             )
         elif not grid.antiperiodic:
-            keep = [i for i in keep if _constant_fraction(rep.vectors[:, i], n, 2) <= 0.5]
+            keep = [i for i in keep if rep.constant_fractions[i] <= CONSTANT_BRANCH_FRACTION]
             if not keep:
                 keep = list(range(len(lam)))
                 notes.append(f"t={t:g}: all candidates constant-dominated; raw minimum kept")
@@ -1273,7 +1256,7 @@ def coupling_scan(
         rows.append((float(t), float(np.min(np.abs(lam[keep])))))
         converged.append(rep.converged)
         all_eigs.append(tuple(float(l) for l in lam))
-        warm = list(rep.vectors.T.reshape(-1, n, n, n, 2))
+        warm = list(rep.fields)
         del rep
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
                               eigenvalues=tuple(all_eigs), notes=tuple(notes),

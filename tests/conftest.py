@@ -9,7 +9,7 @@ derived objects from these.
 import numpy as np
 import pytest
 
-from diraclab.grid import Grid3D, OperatorHandle, sample_field
+from diraclab.grid import Field, Grid3D, OperatorHandle, sample_field
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau
 from diraclab.probe import EigsOptions, eigs_near
@@ -42,7 +42,7 @@ def cluster32(lossyau, grid32):
 
 def lifted_block(rep, grid, mass, sign, members):
     """Exact 4-spinor eigenvector guesses built from supercharge pairs, a list
-    of (n, n, n, 4) warm-start fields.
+    of 4-spinor warm-start Fields.
 
     For T v = eps v the full operator acts on span{(v,0),(0,v)} as the 2x2
     matrix [[m, eps],[eps, -m]]; its eigenvectors lift v to the +-sqrt(m^2 +
@@ -51,13 +51,13 @@ def lifted_block(rep, grid, mass, sign, members):
     """
     cols = []
     for i in members:
-        v = rep.vector_field(grid, i).values.reshape(-1, 2)
+        v = rep.fields[i].values.reshape(-1, 2)
         eps = rep.eigenvalues[i]
         small = np.array([[mass, eps], [eps, -mass]])
         _, U = np.linalg.eigh(small)  # columns ordered -lam, +lam
         a, b = U[:, 1] if sign > 0 else U[:, 0]
         col = np.concatenate([a * v, b * v], axis=-1).reshape((grid.n,) * 3 + (4,))
-        cols.append(col / np.linalg.norm(col))
+        cols.append(Field(grid, col / np.linalg.norm(col)))
     return cols
 
 
@@ -78,7 +78,7 @@ def mode_overlap(rep, grid, index=0):
     """|<phi, v>| / (|phi| |v|) between a Ritz vector and the sampled
     analytic Loss-Yau mode phi."""
     phi = sample_field(LossYauMode().eval, grid).values.reshape(-1)
-    v = rep.vectors[:, index]
+    v = rep.fields[index].values.reshape(-1)
     return float(abs(np.vdot(phi, v)) / (np.linalg.norm(phi) * np.linalg.norm(v)))
 
 

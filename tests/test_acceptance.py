@@ -99,7 +99,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
         for lam in rep.eigenvalues:
             assert abs(lam - sign) <= 5e-3, f"eigenvalue {lam} vs target {sign}"
         for i in range(3):
-            v = rep.vector_field(grid32, i).values.reshape(-1, 4)
+            v = rep.fields[i].values.reshape(-1, 4)
             v = v / np.linalg.norm(v)
             off = np.linalg.norm(v[:, 2:] if sign > 0 else v[:, :2])
             assert off <= 1e-2, f"off-block norm {off:.3e} at sign {sign}"
@@ -116,7 +116,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
         rep = eigs_near(op, mass, 1, EigsOptions(seed=7, extra=0), warm)
         assert rep.converged
         assert abs(rep.eigenvalues[0] - mass) <= 5e-3
-        v = rep.vector_field(grid32, 0).values.reshape(-1, 4)
+        v = rep.fields[0].values.reshape(-1, 4)
         u = v[:, :2].ravel()
         uppers[mass] = u / np.linalg.norm(u)
     for m1, m2 in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0)):
@@ -152,14 +152,8 @@ def test_criterion_06_long_range_limit(lossyau):
     assert abs(slope + 1.0) <= 0.15, f"log-log slope {slope:.3f}"
 
 
-def _least_constant_member(rep, grid):
-    best_i, best_cf = 0, np.inf
-    for i in range(len(rep.eigenvalues)):
-        v = rep.vector_field(grid, i).values.reshape(-1, 4)
-        cf = np.linalg.norm(v.mean(axis=0)) * np.sqrt(v.shape[0]) / np.linalg.norm(v)
-        if cf < best_cf:
-            best_i, best_cf = i, cf
-    return best_i
+def _least_constant_member(rep):
+    return int(np.argmin(rep.constant_fractions))
 
 
 def test_criterion_07_decay_discrimination(lossyau, grid32, dirac_pair32):
@@ -168,8 +162,8 @@ def test_criterion_07_decay_discrimination(lossyau, grid32, dirac_pair32):
     radii = np.linspace(5.0, 16.0, 8)
     for sign in (+1, -1):
         rep = dirac_pair32[sign]
-        i = _least_constant_member(rep, grid32)
-        vals = rep.vector_field(grid32, i).values
+        i = _least_constant_member(rep)
+        vals = rep.fields[i].values
         vals = vals - vals.mean(axis=(0, 1, 2), keepdims=True)
         fit = decay_fit(Field(grid32, np.ascontiguousarray(vals)), radii)
         assert fit.verdict == "mode_tail", f"sign {sign}: {fit.verdict}"
@@ -214,7 +208,7 @@ def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
     assert curl_dev <= 1e-10, f"curl moved by {curl_dev:.3e}"
 
     op = OperatorHandle(kind="t_a", grid=grid32, potential=gauged_spec)
-    warm = [gauged_mode(cluster32.vector_field(grid32, i), chi) for i in range(3)]
+    warm = [gauged_mode(f, chi) for f in cluster32.fields]
     rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0), warm)
     assert rep.converged
     lam_min = min(abs(e) for e in rep.eigenvalues)

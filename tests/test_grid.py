@@ -28,7 +28,7 @@ from diraclab.grid import (
     write_field,
 )
 from diraclab.modes import LossYauMode
-from diraclab.potentials import LossYau, Scaled
+from diraclab.potentials import LossYau, Sampled, Scaled
 
 FREE = Scaled(t=0.0, inner=LossYau())
 
@@ -131,8 +131,9 @@ def test_antiperiodic_twist_is_unitary_equivalence():
     rng = np.random.default_rng(5)
     v = rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2))
     twist = ga.spin_phase[..., None]
-    lhs = apply_values(OperatorHandle(kind="t_a", grid=ga, potential=A), v)
-    rhs = twist * apply_values(OperatorHandle(kind="t_a", grid=gp, potential=A - np.pi / (2 * L)),
+    lhs = apply_values(OperatorHandle(kind="t_a", grid=ga, potential=Sampled(gp, A)), v)
+    shifted = Sampled(gp, A - np.pi / (2 * L))
+    rhs = twist * apply_values(OperatorHandle(kind="t_a", grid=gp, potential=shifted),
                                twist.conj() * v)
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(lhs)
 
@@ -196,8 +197,6 @@ def test_gauge_transform_pipeline():
 
 
 def _random_sampled(g, seed):
-    from diraclab.potentials import Sampled
-
     return Sampled(grid=g, values=np.random.default_rng(seed).normal(size=(g.n,) * 3 + (3,)))
 
 
@@ -239,7 +238,7 @@ def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
 
     def off(grid_, a_hat):
         A_t, chi = original(grid_, a_hat)
-        return sample_potential(A_t + bump, grid_), chi
+        return sample_potential(Sampled(grid_, A_t + bump), grid_), chi
 
     monkeypatch.setattr(grid, "_transverse_part", off)
     pot = Scaled(t=1.4, inner=LossYau())
@@ -400,7 +399,7 @@ def test_real_transforms_match_complex_reference():
 def test_potential_samples_itself_on_its_grid():
     # Scaled and Gauged on the gauge function's grid: no interpolation, the
     # same values as evaluating at the nodes up to round-off
-    from diraclab.potentials import Gauged, Sampled
+    from diraclab.potentials import Gauged
 
     g = Grid3D(n=16, L=7.0)
     gauged, chi, _, _ = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)

@@ -95,7 +95,7 @@ def test_h_a_threshold_is_lift_of_supercharge():
     rep = eigs_near(op, 1.0, 1)
     assert rep.converged, rep.residuals
     assert abs(rep.eigenvalues[0] - np.sqrt(1.0 + eps**2)) <= 1e-9
-    f = rep.vector_field(g, 0)
+    f = rep.fields[0]
     assert residual_norm(op, f, rep.eigenvalues[0]) <= 1e-6
     assert any("lifted" in note for note in rep.notes)
 
@@ -115,7 +115,7 @@ def test_h_a_above_threshold_reports_each_pair_once():
         rep = eigs_near(op, tau, len(want))
         assert rep.converged, rep.residuals
         assert np.max(np.abs(np.array(rep.eigenvalues) - want)) <= 1e-9, rep.eigenvalues
-        V = rep.vectors
+        V = np.stack([f.values.ravel() for f in rep.fields], axis=1)
         assert np.max(np.abs(V.conj().T @ V - np.eye(len(want)))) <= 1e-9
 
 
@@ -141,9 +141,12 @@ def test_eigs_near_validation():
     with pytest.raises(ValueError):
         eigs_near(op, 0.0, 0)
     f = sample_field(LossYauMode().eval, g)
-    for bad in (np.zeros((7, 2), dtype=complex), f.values[..., :1]):
-        with pytest.raises(ValueError):
-            eigs_near(op, 0.0, 1, warm=[bad])
+    f4 = Field(g, np.concatenate([f.values, f.values], axis=-1))
+    with pytest.raises(ValueError):  # a rank the operator does not act on
+        eigs_near(op, 0.0, 1, warm=[f4])
+    for raw in (np.zeros((7, 2), dtype=complex), f.values):
+        with pytest.raises(TypeError):  # warm starts are Fields only
+            eigs_near(op, 0.0, 1, warm=[raw])
     with pytest.raises(GridMismatchError):
         eigs_near(op, 0.0, 1, warm=[sample_field(LossYauMode().eval, Grid3D(n=8, L=7.0))])
 
@@ -162,11 +165,11 @@ def test_start_block_puts_the_fields_first_then_the_constants():
     warm = [f.values]
     X = _start(g, 0.0, 1, warm)
     assert warm == [] and X.shape == (8**3 * 2, 3)
-    want = _coefficients(g, f.values.reshape(-1, 1))[:, 0]
+    want = _coefficients(g, f.values[None])[:, 0]
     assert np.linalg.norm(X[:, 0] - want) <= 1e-14 * np.linalg.norm(want)
-    from diraclab.probe import _grid_columns
+    from diraclab.probe import _grid_fields
 
-    constants = _grid_columns(g, X[:, 1:].copy(order="F")).reshape(8, 8, 8, 2, 2)
+    constants = np.moveaxis(_grid_fields(g, X[:, 1:].copy(order="F")), 0, -1)
     np.testing.assert_allclose(constants, np.broadcast_to(np.eye(2), constants.shape),
                                rtol=0, atol=1e-14)
     # constants are not antiperiodic fields; on periodic grids they are seeded
@@ -209,11 +212,11 @@ def test_rank4_warm_start_uses_the_larger_half():
 
     g = Grid3D(n=8, L=5.0)
     f = sample_field(LossYauMode().eval, g)
-    f4 = np.concatenate([0.1 * f.values, f.values], axis=-1)
+    f4 = Field(g, np.concatenate([0.1 * f.values, f.values], axis=-1))
     half = _warm_values(g, 4, f4)
-    assert np.array_equal(half, f.values) and np.shares_memory(half, f4)
+    assert np.array_equal(half, f.values) and np.shares_memory(half, f4.values)
     h = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=0.5)
-    f4 = np.concatenate([f.values, np.zeros_like(f.values)], axis=-1)
+    f4 = Field(g, np.concatenate([f.values, np.zeros_like(f.values)], axis=-1))
     rep = eigs_near(h, 0.5, 2, EigsOptions(extra=3), [f4])
     assert rep.converged and np.allclose(rep.eigenvalues, 0.5, atol=1e-10)
 
@@ -237,21 +240,60 @@ def test_eigen_report_round_trip():
     rep = eigs_near(op, 0.0, 1)
     d = rep.to_dict()
     assert d["kind"] == "t_a" and d["grid_n"] == 8 and d["target"] == 0.0
-    v = rep.vector_field(g, 0)
+    v = rep.fields[0]
     assert v.values.shape == (8, 8, 8, 2)
     # ritz vectors come out unit in flat coordinates; the field norm carries h^3
     assert v.norm() == pytest.approx(g.h ** 1.5, rel=1e-6)
 
 
-def test_vector_field_refuses_another_grid():
-    # an antiperiodic solve read through a periodic grid, or a box of another
-    # size, would be a different field with the same values
+def test_report_fields_live_on_the_solve_grid():
+    # an antiperiodic solve read as periodic would be a different field with
+    # the same values, so the fields carry the solve's grid, spin included
     g = Grid3D(n=8, L=5.0, spin="antiperiodic")
     rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0, 1)
-    assert rep.vector_field(g, 0).grid == g
-    for other in (Grid3D(n=8, L=5.0), Grid3D(n=8, L=7.0, spin="antiperiodic")):
-        with pytest.raises(GridMismatchError):
-            rep.vector_field(other, 0)
+    assert rep.fields[0].grid == g and rep.fields[0].grid.spin == "antiperiodic"
+
+
+def test_constant_fractions_are_measured_once_per_pair():
+    from diraclab.probe import _constant_fraction
+
+    for spin in ("periodic", "antiperiodic"):
+        g = Grid3D(n=8, L=5.0, spin=spin)
+        for op, target in ((OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0),
+                           (OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.0), 1.0)):
+            rep = eigs_near(op, target, 2, EigsOptions(seed=3))
+            fractions = rep.constant_fractions
+            assert rep.to_dict()["constant_fractions"] == list(fractions)
+            if g.antiperiodic:
+                assert fractions == (None, None)
+            else:
+                assert fractions == tuple(_constant_fraction(f.values) for f in rep.fields)
+                assert all(0.0 <= c <= 1.0 for c in fractions)
+    # the free periodic kernel is the two constant spinors themselves
+    g = Grid3D(n=8, L=5.0)
+    rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=FREE), 0.0, 2)
+    assert np.allclose(rep.constant_fractions, 1.0, atol=1e-12)
+
+
+def test_non_spec_potentials_are_refused():
+    # grid samples travel as Sampled, which refuses non-finite ones; a bare
+    # array is no potential, not even a finite one
+    from diraclab.grid import sample_potential
+    from diraclab.potentials import Sampled
+
+    g = Grid3D(n=8, L=5.0)
+    bad = np.full((8, 8, 8, 3), np.nan)
+    with pytest.raises(ValueError, match="non-finite"):
+        Sampled(g, bad)
+    for A in (bad, np.zeros((8, 8, 8, 3))):
+        with pytest.raises(TypeError):
+            OperatorHandle(kind="t_a", grid=g, potential=A)
+        with pytest.raises(TypeError):
+            sample_potential(A, g)
+        with pytest.raises(TypeError):
+            build_weyl_quasimode(A, 1.0, 1.5, 1, g)
+    A = sample_potential(LossYau(), g)
+    assert np.shares_memory(sample_potential(Sampled(g, A), g), A)
 
 
 def test_gap_scan_validation():
@@ -489,7 +531,8 @@ def test_lobpcg_is_deterministic():
     g = Grid3D(n=8, L=5.0)
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
     r1, r2 = (eigs_near(op, 0.0, 2, EigsOptions(seed=7)) for _ in range(2))
-    assert r1.eigenvalues == r2.eigenvalues and np.array_equal(r1.vectors, r2.vectors)
+    assert r1.eigenvalues == r2.eigenvalues and all(
+        np.array_equal(f1.values, f2.values) for f1, f2 in zip(r1.fields, r2.fields))
 
 
 class _Poisoned:
@@ -515,12 +558,16 @@ def test_lobpcg_non_finite_operator_raises():
         lobpcg(A, X, M=_Poisoned(np.eye(len(A)), 1), tol=1e-8, maxiter=200, nwanted=3)
 
 
-def test_maxiter_hit_is_noted():
+def test_maxiter_hit_is_noted(monkeypatch):
+    from diraclab import probe
+
     g = Grid3D(n=8, L=5.0)
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
-    rep = eigs_near(op, 0.0, 2, EigsOptions(maxiter=2))
+    monkeypatch.setattr(probe, "MAXITER", 2)
+    rep = eigs_near(op, 0.0, 2)
     assert rep.iterations == 2 and not rep.converged
     assert any("maxiter 2" in note and "worst" in note for note in rep.notes), rep.notes
+    monkeypatch.undo()
     rep = eigs_near(op, 0.0, 2)
     assert rep.converged and not any("maxiter" in note for note in rep.notes)
 
@@ -532,86 +579,86 @@ FOURIER_CASES = [(n, spin, tau) for n in (8, 16) for spin in ("periodic", "antip
                  for tau in (0.0, 0.8)]
 
 
-def _random_columns(grid, count, seed):
-    """Grid-value columns (N, count) as a warm-start block lays them out."""
+def _random_fields(grid, count, seed):
+    """Grid values (count, n, n, n, 2) of random 2-spinor fields."""
     rng = np.random.default_rng(seed)
     shape = (grid.n**3 * 2, count)
-    return np.asfortranarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    cols = np.asfortranarray(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return cols.T.reshape((count,) + (grid.n,) * 3 + (2,))
 
 
-def _coefficients(grid, cols):
-    """Grid-value columns (N, c) as Fortran (N, c) unitary coefficient columns."""
+def _coefficients(grid, fields):
+    """Grid values (c, n, n, n, 2) as Fortran (N, c) unitary coefficient columns."""
     from diraclab.grid import spinor_fftn
 
-    n, c = grid.n, cols.shape[1]
-    X = np.ascontiguousarray(cols.reshape(n, n, n, 2, c).transpose(4, 3, 0, 1, 2))
+    c = len(fields)
+    X = np.ascontiguousarray(np.moveaxis(fields, -1, 1))
     return spinor_fftn(grid, X).reshape(c, -1).T
 
 
-def _grid_to_cols(values):
-    """Grid values (n, n, n, nb, rank) to flattened columns (N, nb)."""
-    n, nb, rank = values.shape[0], values.shape[3], values.shape[4]
-    return values.transpose(0, 1, 2, 4, 3).reshape(n**3 * rank, nb)
+def _apply_fields(op, fields):
+    """An operator applied to each of the fields (c, n, n, n, rank)."""
+    from diraclab.grid import apply_values
+
+    return np.moveaxis(apply_values(op, np.moveaxis(fields, 0, 3)), 3, 0)
 
 
 @pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
 def test_fourier_square_equals_grid_square(n, spin, tau):
-    from diraclab.grid import apply_values
-    from diraclab.probe import _ShiftedSquare, _cols_to_grid, _grid_columns
+    from diraclab.probe import _ShiftedSquare, _grid_fields
 
     g = Grid3D(n=n, L=6.0, spin=spin)
     for kind in ("sigma_d", "t_a"):
         op = OperatorHandle(kind=kind, grid=g, potential=LossYau())
         square = _ShiftedSquare(op, tau)
-        V = _random_columns(g, 3, seed=n)
-        v = _cols_to_grid(V, n, 2)
-        w = apply_values(op, v) - tau * v
-        want = _grid_to_cols(apply_values(op, w) - tau * w)
-        X = _coefficients(g, V)
-        got = _grid_columns(g, square(X))
+        v = _random_fields(g, 3, seed=n)
+        w = _apply_fields(op, v) - tau * v
+        want = _apply_fields(op, w) - tau * w
+        X = _coefficients(g, v)
+        got = _grid_fields(g, square(X))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (kind, "block")
         # a single column, (N,), as matvec passes it; the work blocks resize
-        got1 = _grid_columns(g, square(np.array(X[:, 1]))[:, None])
-        assert np.linalg.norm(got1[:, 0] - want[:, 1]) <= 1e-13 * np.linalg.norm(want[:, 1]), kind
+        got1 = _grid_fields(g, square(np.array(X[:, 1]))[:, None])
+        assert np.linalg.norm(got1[0] - want[1]) <= 1e-13 * np.linalg.norm(want[1]), kind
 
 
 @pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
 def test_fourier_preconditioner_equals_closed_form_in_real_space(n, spin, tau):
     from diraclab.algebra import sigma_mul
     from diraclab.grid import spinor_fftn, spinor_ifftn
-    from diraclab.probe import _cols_to_grid, _free_symbol_preconditioner, _grid_columns
+    from diraclab.probe import _free_symbol_preconditioner, _grid_fields
 
     g = Grid3D(n=n, L=6.0, spin=spin)
     delta = 0.03
-    V = _random_columns(g, 3, seed=n + 1)
+    v = _random_fields(g, 3, seed=n + 1)
     # reference: the closed form applied between grid values and coefficients,
     # on a component-leading (2, 3, n, n, n) copy transformed in place
-    vhat = spinor_fftn(g, np.ascontiguousarray(_cols_to_grid(V, n, 2).transpose(4, 3, 0, 1, 2)))
+    vhat = spinor_fftn(g, np.ascontiguousarray(v.transpose(4, 0, 1, 2, 3)))
     kn = np.sqrt(g.k2_mesh)
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
     what = ((g.k2_mesh + tau**2 + delta) * vhat + 2.0 * tau * sigma_mul(*g.k_axes, vhat)) / den
-    want = _grid_to_cols(spinor_ifftn(g, what).transpose(2, 3, 4, 1, 0))
+    want = spinor_ifftn(g, what).transpose(1, 2, 3, 4, 0)
     prec = _free_symbol_preconditioner(g, tau, delta)
-    X = _coefficients(g, V)
-    got = _grid_columns(g, prec(X))
+    X = _coefficients(g, v)
+    got = _grid_fields(g, prec(X))
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    got1 = _grid_columns(g, prec(np.array(X[:, 2]))[:, None])
-    assert np.linalg.norm(got1[:, 0] - want[:, 2]) <= 1e-13 * np.linalg.norm(want[:, 2])
+    got1 = _grid_fields(g, prec(np.array(X[:, 2]))[:, None])
+    assert np.linalg.norm(got1[0] - want[2]) <= 1e-13 * np.linalg.norm(want[2])
 
 
 @pytest.mark.parametrize("n,spin", [(n, spin) for n in (8, 16)
                                     for spin in ("periodic", "antiperiodic")])
 def test_fourier_transforms_are_unitary(n, spin):
-    from diraclab.probe import _grid_columns
+    from diraclab.probe import _grid_fields
 
     g = Grid3D(n=n, L=6.0, spin=spin)
-    V = _random_columns(g, 4, seed=2 * n)
-    X = _coefficients(g, V)
-    norms = np.linalg.norm(V, axis=0)
+    v = _random_fields(g, 4, seed=2 * n)
+    X = _coefficients(g, v)
+    norms = np.linalg.norm(v.reshape(4, -1), axis=1)
     assert np.max(np.abs(np.linalg.norm(X, axis=0) / norms - 1.0)) <= 1e-14
-    back = _grid_columns(g, X.copy(order="F"))
-    assert np.max(np.abs(np.linalg.norm(back, axis=0) / norms - 1.0)) <= 1e-14
-    assert np.linalg.norm(back - V) <= 1e-14 * np.linalg.norm(V)
+    back = _grid_fields(g, X.copy(order="F"))
+    assert np.max(np.abs(np.linalg.norm(back.reshape(4, -1), axis=1) / norms - 1.0)) <= 1e-14
+    assert np.linalg.norm(back - v) <= 1e-14 * np.linalg.norm(v)
 
 
 def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
