@@ -28,10 +28,8 @@ from diraclab.grid import (
 )
 from diraclab.modes import (
     LossYauMode,
-    ThresholdMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
-    lift_to_threshold,
     mode_l2_norm,
 )
 from diraclab.potentials import (
@@ -40,7 +38,6 @@ from diraclab.potentials import (
     LossYau,
     Sampled,
     Scaled,
-    classify_decay,
     default_classification,
 )
 from diraclab.probe import (
@@ -57,10 +54,9 @@ __all__ = [
     "Grid3D", "Field", "OperatorHandle",
     "sample_field", "sample_potential", "apply", "residual_norm",
     "susy_square_check", "gauge_transform", "gauged_mode",
-    "LossYauMode", "ThresholdMode", "lift_to_threshold",
-    "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
+    "LossYauMode", "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
-    "classify_decay", "default_classification",
+    "default_classification",
     "EigsOptions", "eigs_near", "gap_scan", "build_weyl_quasimode",
     "decay_fit", "coupling_scan",
     "__version__",

@@ -49,11 +49,9 @@ from diraclab.modes import (
     HypothesisViolation,
     LossYauMode,
     asymptotic_convergence,
-    lift_to_threshold,
     mode_l2_norm,
     t_residual_analytic,
 )
-from diraclab.quadrature import sphere_directions_26
 from diraclab.potentials import (
     ClassificationUndetermined,
     Sampled,
@@ -398,9 +396,8 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
     if cfg.potential.get("variant") != "loss_yau":
         raise ConfigError("asymptotics needs a potential with a known zero mode "
                           "(variant loss_yau)")
-    mode = lift_to_threshold(LossYauMode(phi0=pot.phi0), +1, mass=cfg.mass)
     radii = cfg.options.get("radii", [10.0, 20.0, 40.0, 80.0])
-    report_obj = asymptotic_convergence(mode, pot, radii, sphere_directions_26())
+    report_obj = asymptotic_convergence(LossYauMode(phi0=pot.phi0), pot, radii)
     checks = [_check("sup_deviation_vs_closed_form", report_obj.sup_deviation, cfg.tol("sup"))]
     return _finish(cfg, checks, report_obj.to_dict(), rows=report_obj.convergence_table)
 
@@ -466,8 +463,11 @@ def cmd_weyl(cfg: RunConfig) -> int:
     if not A.values.any():
         checks.append(_check("free_residual", residuals[0], cfg.tol("free")))
     if sweep > 1:
-        worst_ratio = max(residuals[i + 1] / residuals[i] for i in range(sweep - 1))
-        checks.append(_check("residual_decrease_ratio", worst_ratio, 1.0))
+        # equal residuals read 1, exact zeros included (lambda0 = m gives the
+        # k = 0 plane wave at every index); zero then nonzero reads inf
+        ratios = [1.0 if later == earlier else later / earlier if earlier else math.inf
+                  for earlier, later in zip(residuals[:-1], residuals[1:])]
+        checks.append(_check("residual_decrease_ratio", max(ratios), 1.0))
     for idx, m in enumerate(modes, start=1):
         print(f"n_index {idx}: residual {m['residual']:.6g} "
               f"(k = {np.array(m['k_vector']).round(6).tolist()}, nu0 = {m['nu0']:.6g})")

@@ -67,7 +67,6 @@ __all__ = [
     "Field",
     "OperatorHandle",
     "GridMismatchError",
-    "GaugeError",
     "sample_field",
     "sample_potential",
     "apply",
@@ -90,10 +89,6 @@ _MAGIC = b"DTL1"
 
 class GridMismatchError(ValueError):
     """Fields or operators built over different grids were combined."""
-
-
-class GaugeError(RuntimeError):
-    """Gauge construction failed to reach its divergence tolerance."""
 
 
 SPIN_STRUCTURES = ("periodic", "antiperiodic")
@@ -539,7 +534,7 @@ def helmholtz_project(grid: Grid3D, A: ArrayR) -> tuple[ArrayR, ArrayR]:
     return _transverse_part(grid, _half_spectra(A))
 
 
-def gauge_transform(pot, grid: Grid3D, div_tol: float = 1e-8):
+def gauge_transform(pot, grid: Grid3D):
     """Gauge a potential to its divergence-free representative on the grid.
 
     Returns (gauged_spec, chi_handle, divergence_relative, curl_deviation).
@@ -549,8 +544,8 @@ def gauge_transform(pot, grid: Grid3D, div_tol: float = 1e-8):
     The two numbers are measured on A_t: ||div A_t|| / ||A_t||, equal to what
     spectral_divergence gives on A_t, and ||curl(A_t - A)|| / ||curl A||,
     which equals ||curl A_t - curl A|| / ||curl A|| from spectral_curl up
-    to round-off. Raises GaugeError if the divergence fails div_tol (cannot
-    happen for finite samples; kept as a hard guarantee).
+    to round-off. Both are returned, not judged: the caller holds the
+    tolerance (the `gauge` command's --tol-div and --tol-curl).
 
     One pass over half spectra, 17 real transforms: pot is sampled once and
     transformed (3 rfftn), and the samples are dropped; chi and A_t come
@@ -579,8 +574,6 @@ def gauge_transform(pot, grid: Grid3D, div_tol: float = 1e-8):
     div_hat *= 1j
     div_rel = float(np.linalg.norm(_irfftn(grid, div_hat)) / max(np.linalg.norm(A_t), 1e-300))
     del div_hat
-    if div_rel > div_tol:
-        raise GaugeError(f"projected divergence {div_rel:.3e} exceeds tolerance {div_tol:.1e}")
     curl_dev = _curl_norm(grid, a_hat) / max(curl_norm, 1e-300)
     handle = ScalarFieldHandle(grid=grid, values=chi)
     return Gauged(inner=pot, chi=handle, samples=A_t), handle, div_rel, curl_dev

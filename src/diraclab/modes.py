@@ -1,4 +1,4 @@
-"""Closed-form zero modes, threshold lifts, and the large-r asymptotic limit.
+"""Closed-form zero modes and their large-r asymptotic limit.
 
 The reference mode is phi(x) = <x>^-3 (I + i sigma.x) phi0 with |phi(x)| =
 <x>^-2 exactly. Paired with the matching potential it satisfies
@@ -6,9 +6,12 @@ sigma.(D - A) phi = 0 pointwise, which this module checks with the
 hand-differentiated gradient (machine precision, no grid involved).
 
 A zero mode lifts to a pair of threshold eigenfunctions of the 4x4 operator:
-(phi, 0) at +m and (0, phi) at -m, the field independent of the mass. Its
-large-r limit u(omega) = lim r^2 phi(r omega) is recovered two ways: in
-closed form, u(omega) = i (sigma.omega) phi0, and by the limit integral
+(phi, 0) at +m and (0, phi) at -m, the field independent of the mass. The
+lift adds only zero components, so every number here is computed on phi
+itself; the numerical lift is eigs_near's h_a path. The large-r limit
+u(omega) = lim r^2 phi(r omega), whose lifts are (u, 0) and (0, u), is
+recovered two ways: in closed form, u(omega) = i (sigma.omega) phi0, and by
+the limit integral
 
     u(omega) = (i/4pi) integral { (omega.A(y)) I + i sigma.(omega x A(y)) } phi(y) dy,
 
@@ -27,7 +30,7 @@ from numpy.typing import NDArray
 
 from diraclab.algebra import pauli, sigma_mul
 from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
-from diraclab.quadrature import radial_panels, sphere_product_rule
+from diraclab.quadrature import radial_panels, sphere_directions_26, sphere_product_rule
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -35,13 +38,11 @@ ArrayR = NDArray[np.float64]
 __all__ = [
     "ZeroModeSpec",
     "LossYauMode",
-    "ThresholdMode",
     "AsymptoticReport",
     "HypothesisViolation",
     "AccuracyError",
     "sigma_d_analytic",
     "t_residual_analytic",
-    "lift_to_threshold",
     "asymptotic_limit_quadrature",
     "asymptotic_convergence",
     "mode_l2_norm",
@@ -122,41 +123,6 @@ def t_residual_analytic(spec: ZeroModeSpec, pot: PotentialSpec, points) -> Array
     phi = np.moveaxis(spec.eval(pts), -1, 0)
     res = sigma_d_analytic(spec, pts) - np.moveaxis(sigma_mul(*A, phi), 0, -1)
     return np.linalg.norm(res, axis=-1)
-
-
-@dataclass(frozen=True)
-class ThresholdMode:
-    """Threshold eigenfunction f of the 4x4 operator at sign * mass.
-
-    sign=+1 puts the zero mode in the upper block (f = (phi, 0)), sign=-1 in
-    the lower ((0, phi)); the field itself never depends on the mass.
-    """
-
-    source: ZeroModeSpec
-    sign: int
-    mass: float
-
-    def eval(self, points) -> ArrayC:
-        pts = np.asarray(points, dtype=np.float64)
-        phi = self.source.eval(pts)
-        out = np.zeros(pts.shape[:-1] + (4,), dtype=np.complex128)
-        if self.sign > 0:
-            out[..., 0:2] = phi
-        else:
-            out[..., 2:4] = phi
-        return out
-
-    def eigenvalue(self) -> float:
-        return self.sign * self.mass
-
-
-def lift_to_threshold(spec: ZeroModeSpec, sign: int, mass: float) -> ThresholdMode:
-    """Lift a zero mode of sigma.(D - A) to the eigenvalue sign * mass."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if not (np.isfinite(mass) and mass > 0):
-        raise ValueError("mass must be positive")
-    return ThresholdMode(source=spec, sign=int(sign), mass=float(mass))
 
 
 # ----------------------------------------------------------------------------
@@ -300,8 +266,7 @@ def asymptotic_limit_quadrature(
 class AsymptoticReport:
     """Asymptotic-limit comparison: quadrature u, optional closed form, decay table.
 
-    convergence_table rows are (r, sup_omega |r^2 f(r omega) - u(omega)|) with
-    u taken in the 4-component block layout of the threshold mode.
+    convergence_table rows are (r, sup_omega |r^2 phi(r omega) - u(omega)|).
     sup_deviation is sup_omega |u_quadrature - u_closed| when a closed form
     exists, otherwise the quadrature error estimate.
     """
@@ -328,37 +293,27 @@ class AsymptoticReport:
 
 
 def asymptotic_convergence(
-    mode: ThresholdMode,
-    pot: PotentialSpec,
-    radii,
-    omegas,
+    spec: ZeroModeSpec, pot: PotentialSpec, radii
 ) -> AsymptoticReport:
-    """Tabulate sup_omega |r^2 f(r omega) - u(omega)| over increasing positive radii.
+    """Tabulate sup_omega |r^2 phi(r omega) - u(omega)| over increasing positive
+    radii, omega over the 26 lattice directions (sphere_directions_26).
 
-    u is the closed form when the source mode carries one, else the quadrature
-    value; the quadrature is always run for the report. The comparison embeds
-    u in the upper or lower block according to the mode's sign.
+    u is the closed form when the mode carries one, else the quadrature value;
+    the quadrature is always run for the report. The lifts (phi, 0) and
+    (0, phi) give the same table, since their zero components add exact zeros.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    om = np.asarray(omegas, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be strictly increasing and positive")
-    if om.ndim != 2 or om.shape[1] != 3 or np.any(np.abs(np.linalg.norm(om, axis=1) - 1) > 1e-9):
-        raise ValueError("omegas must be unit 3-vectors")
+    om = sphere_directions_26()
 
-    u_quad, err = asymptotic_limit_quadrature(mode.source, pot, om)
-    u_closed = mode.source.closed_form_limit(om)
+    u_quad, err = asymptotic_limit_quadrature(spec, pot, om)
+    u_closed = spec.closed_form_limit(om)
     u_ref = u_closed if u_closed is not None else u_quad
 
-    u4 = np.zeros(om.shape[:-1] + (4,), dtype=np.complex128)
-    if mode.sign > 0:
-        u4[..., 0:2] = u_ref
-    else:
-        u4[..., 2:4] = u_ref
-
     pts = radii[:, None, None] * om[None, :, :]
-    f = mode.eval(pts)  # (nr, no, 4)
-    dev = np.linalg.norm(radii[:, None, None] ** 2 * f - u4[None, :, :], axis=-1)
+    phi = spec.eval(pts)  # (nr, no, 2)
+    dev = np.linalg.norm(radii[:, None, None] ** 2 * phi - u_ref[None, :, :], axis=-1)
     table = tuple((float(r), float(d)) for r, d in zip(radii, dev.max(axis=1)))
 
     if u_closed is not None:

@@ -52,7 +52,7 @@ __all__ = [
     "ClassificationUndetermined",
     "UnsupportedVariant",
     "w0_of",
-    "classify_decay",
+    "default_classification",
     "potential_to_json",
     "potential_from_json",
     "write_sampled_potential",
@@ -363,24 +363,22 @@ def _fit_loglog(r: ArrayR, amp: ArrayR) -> tuple[float, float]:
     return -slope, stderr
 
 
-def classify_decay(spec: PotentialSpec, radii, directions) -> DecayClassReport:
-    """Classify a potential's decay from samples |A(r * omega)|.
+def default_classification(spec: PotentialSpec) -> DecayClassReport:
+    """Classify a potential's decay from samples |A(r omega)|.
 
-    radii must be strictly increasing with at least two entries; directions
-    are unit vectors. The cubic integral uses Simpson over the given radii,
-    a constant-|A| head below the smallest radius and a fitted power-law tail
-    beyond the largest one.
+    r runs over 240 geometric radii on [0.05, 2000] and omega over the 26
+    lattice directions (sphere_directions_26). rho_fit fits the
+    direction-averaged |A| over all radii, tail_exponent over the last decade.
+    The cubic integral uses Simpson over the radii, a constant-|A| head below
+    the smallest radius and a power-law tail beyond the largest. in_BE also
+    asks each |A|^3 shell increment over four geometric splits of [500, 2000]
+    to stay below 0.9 times the one before. Raises ClassificationUndetermined
+    when A is numerically zero on all samples.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    dirs = np.asarray(directions, dtype=np.float64)
-    if radii.ndim != 1 or len(radii) < 2 or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be strictly increasing with >= 2 entries")
-    if np.any(radii <= 0):
-        raise ValueError("radii must be positive")
-    if dirs.ndim != 2 or dirs.shape[1] != 3 or np.any(np.abs(np.linalg.norm(dirs, axis=1) - 1) > 1e-9):
-        raise ValueError("directions must be unit 3-vectors")
+    from diraclab.quadrature import sphere_directions_26
 
-    pts = radii[:, None, None] * dirs[None, :, :]  # (nr, nd, 3)
+    radii = np.geomspace(0.05, 2000.0, 240)
+    pts = radii[:, None, None] * sphere_directions_26()[None, :, :]  # (nr, nd, 3)
     amp = spec.norm_at(pts)  # (nr, nd)
     if np.max(amp) < 1e-300:
         raise ClassificationUndetermined("potential is numerically zero on all samples")
@@ -391,16 +389,12 @@ def classify_decay(spec: PotentialSpec, radii, directions) -> DecayClassReport:
     jb = np.sqrt(1.0 + radii**2)
     sup_weighted = float(np.max(jb[:, None] ** rho_fit * amp))
 
-    # tail exponent from the last decade (or last half of the samples)
-    tail_mask = radii >= max(radii[-1] / 10.0, radii[len(radii) // 2])
-    if np.count_nonzero(tail_mask) >= 2:
-        tail_exp, _ = _fit_loglog(radii[tail_mask], np.maximum(mean_amp[tail_mask], 1e-300))
-    else:
-        tail_exp = rho_fit
+    tail_mask = radii >= radii[-1] / 10.0
+    tail_exp, _ = _fit_loglog(radii[tail_mask], np.maximum(mean_amp[tail_mask], 1e-300))
 
     # radial-shell integrand of |A|^3: 4 pi r^2 mean_omega |A|^3
     shell = 4.0 * np.pi * radii**2 * (amp**3).mean(axis=1)
-    cubic_core = float(simpson(shell, x=radii)) if len(radii) >= 3 else float(np.trapezoid(shell, radii))
+    cubic_core = float(simpson(shell, x=radii))
     # head: constant |A| extrapolation below the first radius
     cubic_head = float(4.0 * np.pi * (amp[0] ** 3).mean() * radii[0] ** 3 / 3.0)
     # tail: |A| ~ C r^-tail_exp beyond the last radius, integrable iff 3*tail_exp > 3
@@ -411,18 +405,14 @@ def classify_decay(spec: PotentialSpec, radii, directions) -> DecayClassReport:
 
     # Richardson-style convergence: increments over a dyadic split of the
     # sampled tail must decay geometrically
-    in_be = np.isfinite(cubic_tail)
     splits = np.geomspace(radii[-1] / 4.0, radii[-1], 5)
-    if splits[0] > radii[0]:
-        incs = []
-        for a, b in zip(splits[:-1], splits[1:]):
-            m = (radii >= a) & (radii <= b)
-            if np.count_nonzero(m) >= 2:
-                incs.append(np.trapezoid(shell[m], radii[m]) / max(b - a, 1e-300))
-        if len(incs) >= 2 and not all(
-            later < 0.9 * earlier + 1e-300 for earlier, later in zip(incs[:-1], incs[1:])
-        ):
-            in_be = False
+    incs = []
+    for a, b in zip(splits[:-1], splits[1:]):
+        m = (radii >= a) & (radii <= b)
+        incs.append(np.trapezoid(shell[m], radii[m]) / (b - a))
+    in_be = np.isfinite(cubic_tail) and all(
+        later < 0.9 * earlier + 1e-300 for earlier, later in zip(incs[:-1], incs[1:])
+    )
 
     cubic_total = cubic_core + cubic_head + (cubic_tail if np.isfinite(cubic_tail) else 0.0)
 
@@ -437,14 +427,6 @@ def classify_decay(spec: PotentialSpec, radii, directions) -> DecayClassReport:
         tail_exponent=float(tail_exp),
         cubic_tail_estimate=float(cubic_tail if np.isfinite(cubic_tail) else np.inf),
     )
-
-
-def default_classification(spec: PotentialSpec) -> DecayClassReport:
-    """Classification with the library's default dense sample set."""
-    from diraclab.quadrature import sphere_directions_26
-
-    radii = np.geomspace(0.05, 2000.0, 240)
-    return classify_decay(spec, radii, sphere_directions_26())
 
 
 # ----------------------------------------------------------------------------

@@ -1099,15 +1099,12 @@ class DecayFit:
     verdict: mode_tail for exponent >= 2 - 0.25 (the <x>^-2 decay of a zero
     mode is an upper bound: L^2 modes built on the Loss-Yau one decay like
     r^-3, r^-4, ...), resonance_tail within 0.25 of 1, else undetermined.
-    flagged marks a resonance_tail seen for a potential decaying faster than
-    <x>^-3/2, where theory forbids it.
     """
 
     exponent: float
     exponent_stderr: float
     window: tuple
     verdict: str
-    flagged: bool
     sample_count: int
     table: tuple  # ((r, amplitude), ...)
 
@@ -1118,13 +1115,12 @@ class DecayFit:
             "exponent_stderr": self.exponent_stderr,
             "window": list(self.window),
             "verdict": self.verdict,
-            "flagged": self.flagged,
             "sample_count": self.sample_count,
             "table": [[r, a] for r, a in self.table],
         }
 
 
-def decay_fit(mode, radii, potential_rho: Optional[float] = None) -> DecayFit:
+def decay_fit(mode, radii) -> DecayFit:
     """Fit the radial decay exponent of a mode over a window of radii.
 
     The amplitude at each radius is the mean spinor norm over the 26 lattice
@@ -1132,8 +1128,6 @@ def decay_fit(mode, radii, potential_rho: Optional[float] = None) -> DecayFit:
     (interpolated trilinearly; window must stay inside the box) or a callable
     evaluator points (..., 3) -> spinor values. A field below the noise floor
     across the window yields verdict "undetermined" rather than an error.
-    With potential_rho, the potential's decay exponent, a resonance tail is
-    flagged when rho > 3/2, where a |x|^-1 tail cannot occur.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 6 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
@@ -1159,8 +1153,7 @@ def decay_fit(mode, radii, potential_rho: Optional[float] = None) -> DecayFit:
     if np.max(amp) < 1e-13 * max(1.0, float(np.max(np.abs(vals)))) or np.max(amp) == 0.0:
         return DecayFit(
             exponent=float("nan"), exponent_stderr=float("nan"), window=window,
-            verdict="undetermined", flagged=False, sample_count=int(vals.size),
-            table=table,
+            verdict="undetermined", sample_count=int(vals.size), table=table,
         )
 
     expo, stderr = _fit_loglog(radii, np.maximum(amp, 1e-300))
@@ -1170,14 +1163,9 @@ def decay_fit(mode, radii, potential_rho: Optional[float] = None) -> DecayFit:
         verdict = "resonance_tail"
     else:
         verdict = "undetermined"
-    flagged = bool(
-        verdict == "resonance_tail"
-        and potential_rho is not None
-        and potential_rho > 1.5
-    )
     return DecayFit(
         exponent=float(expo), exponent_stderr=float(stderr), window=window,
-        verdict=verdict, flagged=flagged, sample_count=int(vals.size), table=table,
+        verdict=verdict, sample_count=int(vals.size), table=table,
     )
 
 

@@ -24,7 +24,6 @@ from diraclab.modes import (
     LossYauMode,
     asymptotic_convergence,
     asymptotic_limit_quadrature,
-    lift_to_threshold,
     mode_l2_norm,
     t_residual_analytic,
 )
@@ -144,8 +143,7 @@ def test_criterion_06_long_range_limit(lossyau):
     assert float(np.max(np.linalg.norm(u - u_ref, axis=-1))) <= 1e-3
 
     radii = [10.0, 20.0, 40.0, 80.0]
-    rep = asymptotic_convergence(lift_to_threshold(mode, +1, 1.0), lossyau,
-                                 radii, omegas)
+    rep = asymptotic_convergence(mode, lossyau, radii)
     devs = np.array([d for _, d in rep.convergence_table])
     assert np.all(np.diff(devs) < 0.0), f"deviations not monotone: {devs}"
     slope = np.polyfit(np.log(radii), np.log(devs), 1)[0]

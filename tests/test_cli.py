@@ -24,6 +24,7 @@ from diraclab.modes import LossYauMode
 
 FREE = '{"variant": "scaled", "t": 0.0, "inner": {"variant": "loss_yau"}}'
 LY = '{"variant": "loss_yau"}'
+SCALED = '{"variant": "scaled", "t": 1.4, "inner": {"variant": "loss_yau"}}'
 
 
 def run(capsys, *argv):
@@ -131,6 +132,29 @@ def test_weyl_free_off_lattice_fails(tmp_path, capsys):
                        "--out", str(tmp_path / "w.json"))
     assert code == 2
     assert "FAIL free_residual" in out
+
+
+def test_weyl_sweep_of_equal_zero_residuals_passes(tmp_path, capsys):
+    # at lambda0 = m every index gives the k = 0 plane wave, residual exactly 0
+    code, out, err = run(capsys, "weyl", "--grid-n", "8", "--box-l", "5", "--sweep", "2",
+                         "--lambda0", "1.0", "--potential", FREE,
+                         "--out", str(tmp_path / "w.json"))
+    assert code == 0, err
+    assert "PASS residual_decrease_ratio: 1 <= 1" in out
+
+
+def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypatch):
+    residuals = iter([0.0, 1e-3])
+
+    class Quasimode:
+        def to_dict(self):
+            return {"residual": next(residuals), "k_vector": [0.0, 0.0, 0.0], "nu0": 0.0}
+
+    monkeypatch.setattr(cli, "build_weyl_quasimode", lambda *args: Quasimode())
+    code, out, _ = run(capsys, "weyl", "--grid-n", "8", "--box-l", "5", "--sweep", "2",
+                       "--potential", LY, "--out", str(tmp_path / "w.json"))
+    assert code == 2
+    assert "FAIL residual_decrease_ratio: inf <= 1" in out
 
 
 def test_weyl_rejects_csv_format(tmp_path, capsys):
@@ -255,6 +279,32 @@ def test_gauge_small_grid_flags_coarse_residual(tmp_path, capsys):
     assert "PASS divergence_relative" in out
     assert "PASS curl_deviation" in out
     assert "FAIL gauged_grid_residual" in out
+
+
+def test_gauge_divergence_is_judged_by_tol_div_alone(tmp_path, capsys, monkeypatch):
+    # gauged samples off by a gradient: their divergence, and only it, moves
+    # far above round-off, and --tol-div alone decides the exit code
+    from diraclab import grid as grid_module
+    from diraclab.grid import spectral_scalar_gradient
+
+    original = grid_module._transverse_part
+
+    def off(grid_, a_hat):
+        A_t, chi = original(grid_, a_hat)
+        scalar = 1e-6 * np.random.default_rng(4).normal(size=A_t.shape[:-1])
+        return A_t + spectral_scalar_gradient(grid_, scalar), chi
+
+    monkeypatch.setattr(grid_module, "_transverse_part", off)
+    argv = ["gauge", "--grid-n", "16", "--box-l", "10", "--potential", SCALED,
+            "--out", str(tmp_path / "g.json")]
+    code, out, err = run(capsys, *argv, "--tol-div", "1e-3")
+    assert code == 0, err
+    assert "PASS divergence_relative" in out and "PASS curl_deviation" in out
+    div_rel = json.loads((tmp_path / "g.json").read_text())["result"]["divergence_relative"]
+    assert 1e-8 < div_rel <= 1e-3
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    assert "FAIL divergence_relative" in out and "PASS curl_deviation" in out
 
 
 def test_verify_zero_mode_coarse_grid_fails(tmp_path, capsys):

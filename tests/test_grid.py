@@ -242,9 +242,8 @@ def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
 
     monkeypatch.setattr(grid, "_transverse_part", off)
     pot = Scaled(t=1.4, inner=LossYau())
-    with pytest.raises(grid.GaugeError):
-        gauge_transform(pot, g)
-    gauged, _, div_rel, curl_dev = gauge_transform(pot, g, div_tol=1.0)
+    gauged, _, div_rel, curl_dev = gauge_transform(pot, g)
+    assert div_rel > 1e-8  # returned for the caller to judge, not raised
     A, A_t = sample_potential(pot, g), gauged.samples
     div = np.linalg.norm(spectral_divergence(g, A_t)) / np.linalg.norm(A_t)
     curl_A = spectral_curl(g, A)

@@ -353,9 +353,6 @@ def test_decay_fit_verdicts_on_synthetic_profiles():
     assert fit_m.exponent == pytest.approx(2.0, abs=0.05)
     fit_r = decay_fit(resonance_like, radii)
     assert fit_r.verdict == "resonance_tail"
-    assert not fit_r.flagged  # no potential context given
-    fit_f = decay_fit(resonance_like, radii, potential_rho=2.0)
-    assert fit_f.flagged  # |x|^-1 tail is impossible under fast decay
 
 
 def _loss_yau_times_z1(power):
