@@ -198,10 +198,12 @@ class RunConfig:
 
 
 def _check(name: str, value: float, threshold: float, lower_is_pass: bool = True) -> dict:
+    """One numeric check. Its value stays as measured, inf and NaN included,
+    for the PASS/FAIL line; the report writes a non-finite value as null."""
     ok = bool(value <= threshold) if lower_is_pass else bool(value >= threshold)
     return {
         "name": name,
-        "value": None if value != value else float(value),  # NaN -> null
+        "value": float(value),
         "threshold": float(threshold),
         "comparison": "<=" if lower_is_pass else ">=",
         "passed": ok,
@@ -214,7 +216,7 @@ def _print_checks(checks) -> None:
     for c in checks:
         if c["comparison"] not in ("<=", ">="):
             continue
-        value = "nan" if c["value"] is None else f"{c['value']:.6g}"
+        value = f"{c['value']:.6g}"
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
               f"{value} {c['comparison']} {c['threshold']:.6g}")
 
@@ -233,11 +235,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
+    """The report as strict JSON (a non-finite number left in it raises
+    ValueError, exit 1) and, for --format csv or both, the table rows."""
     base = cfg.output_path or cfg.command.replace("-", "_") + "_report.json"
     stem = next((base[: -len(s)] for s in (".json", ".csv") if base.endswith(s)), base)
     if cfg.format in ("json", "both"):
         path = stem + ".json"
-        _atomic_write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        _atomic_write(path, text + "\n")
         print(f"report written to {path}")
     if cfg.format in ("csv", "both"):
         path = stem + ".csv"
@@ -282,7 +287,8 @@ def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=N
     report = {
         "version": __version__,
         "config": cfg.to_dict(),
-        "checks": checks,
+        # JSON holds no NaN or inf: a non-finite check value is written as null
+        "checks": [dict(c, value=c["value"] if _finite(c["value"]) else None) for c in checks],
         "result": result,
         "passed": checks_pass and converged,
     }

@@ -170,6 +170,14 @@ class Grid3D:
         build it."""
         return self.spin_phase.conj()
 
+    @cached_property
+    def spin_phases_single(self) -> tuple[NDArray[np.complex64], NDArray[np.complex64]]:
+        """spin_phase and spin_untwist rounded to complex64, for the blocks
+        the eigensolver iterates on in single precision, so that no
+        complex128 array enters their transforms; only antiperiodic grids
+        build them."""
+        return self.spin_phase.astype(np.complex64), self.spin_untwist.astype(np.complex64)
+
     @property
     def nodes(self) -> ArrayR:
         """All grid nodes, shape (n, n, n, 3), built on each access: the mesh
@@ -324,13 +332,21 @@ def _component_axes(ndim: int) -> tuple:
     return (ndim - 1, *range(3, ndim - 1), 0, 1, 2)
 
 
+def _spin_phases(grid: Grid3D, block: ArrayC) -> tuple[ArrayC, ArrayC]:
+    """(e^{is.x}, e^{-is.x}) in the precision of block."""
+    if block.dtype == np.complex64:
+        return grid.spin_phases_single
+    return grid.spin_phase, grid.spin_untwist
+
+
 def spinor_fftn(grid: Grid3D, block: ArrayC) -> ArrayC:
     """Unitary (norm="ortho") coefficients of a component-leading spinor block
     (..., n, n, n) on the grid's spinor lattice, in place: on antiperiodic
     grids the values are untwisted by e^{-is.x} first, so that coefficient
-    index m carries the wavenumber k_axis[m]."""
+    index m carries the wavenumber k_axis[m]. A complex64 block is
+    transformed in complex64."""
     if grid.antiperiodic:
-        block *= grid.spin_untwist
+        block *= _spin_phases(grid, block)[1]
     return sfft.fftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
 
 
@@ -338,7 +354,7 @@ def spinor_ifftn(grid: Grid3D, block: ArrayC) -> ArrayC:
     """Inverse of spinor_fftn, in place on the component-leading block."""
     out = sfft.ifftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
     if grid.antiperiodic:
-        out *= grid.spin_phase
+        out *= _spin_phases(grid, out)[0]
     return out
 
 

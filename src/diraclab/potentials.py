@@ -345,7 +345,9 @@ class DecayClassReport:
             "in_E": self.in_E,
             "sample_count": self.sample_count,
             "tail_exponent": self.tail_exponent,
-            "cubic_tail_estimate": self.cubic_tail_estimate,
+            # inf for a tail exponent <= 1, which JSON cannot hold
+            "cubic_tail_estimate": (self.cubic_tail_estimate
+                                    if np.isfinite(self.cubic_tail_estimate) else None),
         }
 
 

@@ -2,8 +2,8 @@
 
 Eigenpairs near a target are found by block LOBPCG on the squared shifted
 supercharge (T - tau)^2, which is Hermitian positive semidefinite and turns
-"nearest tau" into "smallest". The block solver is this module's own
-soft-locking LOBPCG (`lobpcg`): only the `count` wanted pairs decide
+"nearest tau" into "smallest". The block solver is the soft-locking LOBPCG
+of diraclab.blocksolver (`lobpcg`): only the `count` wanted pairs decide
 convergence and cost operator applies until they converge, and the extra
 guard columns only accelerate. The preconditioner inverts the exact
 free-field Fourier symbol of the squared shift (plus a small regularizer), so
@@ -27,6 +27,16 @@ coefficient column and transforming those columns in place (random columns
 and constant spinors are drawn as coefficients). Rayleigh-Ritz of T stays on
 coefficients, and only the returned pairs go to grid values, once, into the
 one block of the report's fields, where one apply_values measures residuals.
+
+Precision is a phase of each supercharge solve, not an option. On grids with
+n >= SINGLE_N (64) the solve first iterates in complex64, which halves the
+bytes that bound every FFT, sigma multiply and block product, until the
+wanted residuals reach SINGLE_TOL (1e-5), or until the worst of them has set
+no new minimum for SINGLE_STALL (10) iterations, the guard for a complex64
+round-off floor above SINGLE_TOL. The complex64 Ritz block then restarts a
+complex128 solve to LOBPCG_TOL, MAXITER counting both phases. Smaller grids
+run the complex128 phase alone. Reports give the complex64 iterations next
+to the total, and a note when the first phase ended at its guard.
 
 Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
 kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
@@ -52,7 +62,7 @@ there nothing is deflated and no constant spinors are seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -61,6 +71,7 @@ from scipy.linalg import blas
 from scipy.sparse.linalg import LinearOperator
 
 from diraclab.algebra import sigma_mul, sigma_mul_ladder
+from diraclab.blocksolver import SolverError, lobpcg
 from diraclab.grid import (
     Field,
     Grid3D,
@@ -100,16 +111,21 @@ __all__ = [
 VERDICT_DELTA = 0.25
 
 # LOBPCG tolerance on the squared-shift residual of the wanted columns, and
-# its iteration cap per supercharge solve.
+# its iteration cap per supercharge solve (both phases together).
 LOBPCG_TOL = 1e-8
 MAXITER = 400
 
+# Supercharge solves on grids with n >= SINGLE_N first iterate in complex64,
+# until the wanted residuals reach SINGLE_TOL or the worst of them has set no
+# new minimum for SINGLE_STALL iterations, then finish in complex128 to
+# LOBPCG_TOL (see _solve_near). The complex64 floors measured at n=64 are
+# about 5e-8 (periodic, L=20) and 1e-6 to 4e-6 (antiperiodic, L=20 and 10).
+SINGLE_N = 64
+SINGLE_TOL = 1e-5
+SINGLE_STALL = 10
+
 # Pairs with a larger constant fraction are on the torus constant branch.
 CONSTANT_BRANCH_FRACTION = 0.5
-
-
-class SolverError(RuntimeError):
-    """The iterative solver failed outright (not mere non-convergence)."""
 
 
 def kernel_threshold(grid: Grid3D) -> float:
@@ -137,7 +153,8 @@ class EigenReport:
     """Eigenpairs nearest a target, with enough context to reproduce them:
     fields, the eigenvectors on the solve's grid (views of one block), and
     per pair the norm fraction in the constant spinors (None on antiperiodic
-    grids, which have none)."""
+    grids, which have none). iterations counts both precision phases of every
+    supercharge solve, complex64_iterations the complex64 ones among them."""
 
     target: float
     eigenvalues: tuple
@@ -145,6 +162,7 @@ class EigenReport:
     constant_fractions: tuple
     kernel_dim_estimate: int
     iterations: int
+    complex64_iterations: int
     converged: bool
     threshold: float
     seed: int
@@ -162,6 +180,7 @@ class EigenReport:
             "constant_fractions": list(self.constant_fractions),
             "kernel_dim_estimate": self.kernel_dim_estimate,
             "iterations": self.iterations,
+            "complex64_iterations": self.complex64_iterations,
             "converged": self.converged,
             "threshold": self.threshold,
             "seed": self.seed,
@@ -197,9 +216,10 @@ def _grid_fields(grid: Grid3D, coef: np.ndarray) -> ArrayC:
     return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1))
 
 
-def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
+def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float,
+                                dtype=np.complex128):
     """Exact fiberwise inverse of (sigma.k - tau)^2 + delta on coefficient
-    columns.
+    columns of the given complex dtype.
 
     The free squared shift S0(k) = (sigma.k - tau)^2 is diagonalized by the
     eigenprojections of sigma.k, so (S0 + delta)^{-1} has the closed form
@@ -212,13 +232,16 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
     the solver's Fourier coefficients it is a pointwise 2x2 multiply (at
     tau = 0 a real scaling) and needs no transform: one n=64 column costs
     1.0 ms on a 2-core VM, where the FFT pair of the grid-value form cost
-    37.5 ms.
+    37.5 ms. The symbol and the frequency axes are rounded to the working
+    precision once, so a complex64 apply reads no complex128 array.
     """
+    real = np.finfo(dtype).dtype
     k2 = grid.k2_mesh
     kn = np.sqrt(k2)
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
-    diag = (k2 + tau**2 + delta) / den
-    off = 2.0 * tau / den
+    diag = ((k2 + tau**2 + delta) / den).astype(real, copy=False)
+    off = (2.0 * tau / den).astype(real, copy=False)
+    k_axes = [k.astype(real, copy=False) for k in grid.k_axes]
 
     def prec(block: np.ndarray) -> np.ndarray:
         x = _coefficient_view(block, grid.n)
@@ -226,7 +249,7 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
             out = x * diag
         else:
             out = np.empty_like(x)
-            sigma_mul(*grid.k_axes, x.swapaxes(0, 1), out=out.swapaxes(0, 1))
+            sigma_mul(*k_axes, x.swapaxes(0, 1), out=out.swapaxes(0, 1))
             out *= off
             out += diag * x
         return _solver_columns(out, block)
@@ -235,7 +258,8 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float):
 
 
 class _ShiftedSquare:
-    """(T - tau)^2 on the solver's coefficient columns, for one solve.
+    """(T - tau)^2 on the solver's coefficient columns, for one solve, in the
+    working precision dtype (complex128 or complex64).
 
     In the unitary spinor basis F the supercharge reads
     T^ x = sigma.k x - F[sigma.A F^-1 x], so one apply of the square costs
@@ -246,20 +270,24 @@ class _ShiftedSquare:
     not cached on the operator handle) and two work blocks as wide as the
     last block applied (a wider start block is not kept through the solve).
     Only the result is allocated per apply. `t` applies T itself, for the
-    Rayleigh-Ritz of T on the solve's coefficient columns.
+    Rayleigh-Ritz of T on the solve's coefficient columns. The ladders, the
+    frequency axes and tau are rounded to the working precision once, so a
+    complex64 apply reads no complex128 array (the transforms take the
+    grid's complex64 spin phases).
     """
 
-    def __init__(self, op: OperatorHandle, tau: float):
+    def __init__(self, op: OperatorHandle, tau: float, dtype=np.complex128):
         grid = op.grid
-        self.grid, self.tau = grid, tau
-        kx, ky, kz = grid.k_axes
+        real = np.finfo(dtype).dtype
+        self.grid, self.tau, self.dtype = grid, float(tau), np.dtype(dtype)
+        kx, ky, kz = (k.astype(real, copy=False) for k in grid.k_axes)
         self.k = (kx + 1j * ky, kx - 1j * ky, kz)
         self.a = None
         if op.kind != "sigma_d":
             A = op.sampled_potential()
-            ax, ay = A[..., 0], A[..., 1]
-            self.a = (ax + 1j * ay, ax - 1j * ay, A[..., 2])
-        self.work = np.empty((2, 0, 2) + (grid.n,) * 3, dtype=np.complex128)
+            ax, ay, az = (A[..., c].astype(real, copy=False) for c in range(3))
+            self.a = (ax + 1j * ay, ax - 1j * ay, az)
+        self.work = np.empty((2, 0, 2) + (grid.n,) * 3, dtype=self.dtype)
 
     def _t(self, x: ArrayC, dst: ArrayC, scratch: ArrayC) -> ArrayC:
         """T^ x, in dst (or the array returned); scratch is overwritten."""
@@ -277,7 +305,7 @@ class _ShiftedSquare:
         """The two work blocks, resized to x's shape."""
         if self.work.shape[1:] != x.shape:
             self.work = None  # the old blocks go before the new ones come
-            self.work = np.empty((2,) + x.shape, dtype=np.complex128)
+            self.work = np.empty((2,) + x.shape, dtype=self.dtype)
         return self.work
 
     def t(self, block: np.ndarray) -> np.ndarray:
@@ -297,8 +325,8 @@ class _ShiftedSquare:
         return _solver_columns(out, block)
 
 
-def _linear_operator(fn, N: int) -> LinearOperator:
-    return LinearOperator((N, N), matvec=fn, matmat=fn, dtype=np.complex128)
+def _linear_operator(fn, N: int, dtype) -> LinearOperator:
+    return LinearOperator((N, N), matvec=fn, matmat=fn, dtype=dtype)
 
 
 def _constant_fraction(values: ArrayC) -> float:
@@ -342,8 +370,10 @@ def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> ArrayC:
     return block
 
 
-def _start_block(grid: Grid3D, target: float, nb: int, warm: list, rng) -> np.ndarray:
-    """The solver's start block, Fortran (N, >= nb) coefficient columns.
+def _start_block(grid: Grid3D, target: float, nb: int, warm: list, rng,
+                 dtype=np.complex128) -> np.ndarray:
+    """The solver's start block, Fortran (N, >= nb) coefficient columns of
+    the given complex dtype.
 
     The warm fields, (n, n, n, 2) values, come first: each is taken out of
     `warm`, which ends empty, and copied straight into its column, and those
@@ -368,7 +398,7 @@ def _start_block(grid: Grid3D, target: float, nb: int, warm: list, rng) -> np.nd
     if not grid.antiperiodic and abs(target) < np.pi / (2.0 * grid.L):
         nc = 2 if nw else min(2, nb - 1)
     nb = max(nb, nw + nc)
-    X = np.empty((nb, 2, n, n, n), dtype=np.complex128)
+    X = np.empty((nb, 2, n, n, n), dtype=dtype)
     for i in range(nw):
         X[i] = np.moveaxis(warm.pop(0), -1, 0)
     spinor_fftn(grid, X[:nw])
@@ -406,220 +436,82 @@ def _orthonormal_span(X: np.ndarray) -> np.ndarray:
     return U[:, s > 1e-3 * s[0]]
 
 
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^H b for Fortran-ordered blocks; BLAS conjugates, no copy of a is made.
+class _Solve(NamedTuple):
+    """One supercharge solve: the Ritz values (ascending) and coefficient
+    columns (N, count) of its wanted pairs, its iterations (complex64 ones
+    included, and counted apart), a note when the wanted pairs were left
+    above LOBPCG_TOL (else None), and a note when the complex64 phase handed
+    off at its stall guard (else None)."""
 
-    Every block the solver builds passes through a Gram matrix, so this is
-    where non-finite operator or preconditioner output is caught.
-    """
-    G = blas.zgemm(1.0, a, b, trans_a=2)
-    if not np.all(np.isfinite(G)):
-        raise SolverError("non-finite values in the operator or preconditioner output")
-    return G
-
-
-def _svqb(G: np.ndarray) -> tuple[np.ndarray, float]:
-    """T with T^H G T = I on the well-conditioned part of the Gram matrix G,
-    and the condition number of that part.
-
-    Rank-revealing: after scaling G to unit diagonal, directions with
-    eigenvalue below 1e-10 of the largest are dropped, so T has as many
-    columns as the block has independent directions (possibly none).
-    """
-    d = np.sqrt(np.maximum(np.real(np.diag(G)), 0.0))
-    d = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
-    lam, U = np.linalg.eigh(d[:, None] * G * d[None, :])
-    keep = lam > max(1e-10 * lam[-1], 0.0)
-    cond = lam[-1] / lam[keep][0] if np.any(keep) else 1.0
-    return np.asfortranarray(d[:, None] * U[:, keep] / np.sqrt(lam[keep])), cond
-
-
-# Rows per block of _recombine: a block of a 12-column basis is 768 KB, so
-# each product is written and read back in cache.
-_ROWS = 4096
-
-
-def _recombine(V: np.ndarray, lo: int, hi: int, coef: np.ndarray) -> None:
-    """V[:, lo:lo + r] = V[:, lo:hi] @ coef in place, for coef of shape
-    (hi - lo, r) with r <= hi - lo, a block of rows at a time.
-
-    Each block's product is formed while the block is in cache and copied
-    straight back, so no (N, r) temporary is formed or copied. The product
-    runs through scipy's BLAS, like every other basis product here: numpy's
-    matmul would skip the copy of the strided block, but its BLAS is a
-    second thread pool, and the two pools contended on a 2-core VM (n=16
-    solves ran twice as long).
-    """
-    for r0 in range(0, V.shape[0], _ROWS):
-        rows = V[r0:r0 + _ROWS]
-        rows[:, lo:lo + coef.shape[1]] = blas.zgemm(1.0, rows[:, lo:hi], coef)
-
-
-def _column_norms(R: np.ndarray) -> ArrayR:
-    """Euclidean norms of the columns of R, without a temporary of R's size."""
-    return np.sqrt([blas.zdotc(r, r).real for r in R.T])
-
-
-def _orthonormalize(S: np.ndarray, lo: int, hi: int) -> int:
-    """Make columns lo:hi of S orthonormal and orthogonal to columns :lo,
-    which must be orthonormal already; returns how many independent columns
-    are left, packed from lo.
-
-    A pass forms one Gram matrix S[:, :hi]^H W, projects W off S[:, :lo]
-    (classical Gram-Schmidt) and normalizes it by SVQB. The projection loses
-    orthogonality in proportion to the fraction of W it removes, SVQB in
-    proportion to the condition of the projected Gram matrix; a second pass
-    runs only when either factor exceeds 1e4, which bounds the loss of
-    orthonormality near 1e-12.
-    """
-    for _ in range(3):
-        G = _gram(S[:, :hi], S[:, lo:hi])
-        C, Gw = G[:lo], G[lo:]
-        shrink = 1.0
-        if lo:
-            blas.zgemm(-1.0, S[:, :lo], C, beta=1.0, c=S[:, lo:hi], overwrite_c=1)
-            before = np.real(np.diag(Gw))
-            Gw = Gw - C.conj().T @ C
-            after = np.real(np.diag(Gw))
-            shrink = float(np.max(before / np.maximum(after, np.finfo(float).tiny)))
-        T, cond = _svqb(Gw)
-        r = T.shape[1]
-        if T.shape == (1, 1):  # one column: a scaling, in place
-            S[:, lo] *= T[0, 0]
-        elif r:
-            _recombine(S, lo, hi, T)
-        hi = lo + r
-        if not r or (shrink <= 1e4 and cond <= 1e4):
-            break
-    return hi - lo
-
-
-def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
-           nwanted: Optional[int] = None):
-    """Soft-locking block LOBPCG for the smallest eigenpairs of a Hermitian
-    positive semidefinite A (Knyazev 2001; the robust basis handling of
-    Duersch, Shao, Yang & Gu 2018).
-
-    A and the preconditioner M are applied only through `@`, to Fortran-
-    ordered (N, k) blocks. Only the first `nwanted` Ritz pairs of the block
-    (all of them by default) decide convergence: the loop ends once each has
-    an absolute residual norm ||A x - theta x|| <= tol. The active set is
-    the wanted columns still above tol; only they get search directions
-    W = M R and P, so A and M are applied to them alone. Converged wanted
-    columns and the guard columns beyond `nwanted` stay in the
-    Rayleigh-Ritz basis, where the guards take up the next eigendirections
-    and so accelerate the wanted ones without holding up the exit. Guards
-    get no directions of their own: on the reference potential that cost
-    operator applies without saving iterations (n=32, count=3, 6 guards, on
-    a 2-core VM: 53 iterations in 15.7 s with active guards, 51 in 5.0 s
-    without).
-
-    The basis [X, P, W] lives in one preallocated buffer and is kept
-    orthonormal: W = M R is projected off X and P and normalized by SVQB,
-    dropping dependent directions, and P is formed in the small space
-    already orthogonal to the new X. A X and A P are carried by linear
-    combination, so each iteration applies A only to W, and Rayleigh-Ritz
-    needs one Gram matrix, S^H A W: the [X, P] block of S^H A S is carried
-    in the small space too. The combinations are formed in place, a block
-    of rows at a time, so the only (N, k) blocks are the basis, its
-    A-image and what A and M return. eigs_near runs this on Fourier
-    coefficients (LOBPCG is invariant under a unitary change of basis); in
-    its n=64 warm-started solve (3 columns, 1 wanted, 2-core VM) an
-    iteration spends about 70 ms in A, 3 ms in M and 58 ms in this dense
-    algebra, against 94, 36 and 69 ms on grid values with a scratch block
-    for the combinations.
-
-    Returns (theta, vectors, iterations, residuals): the block's Ritz values
-    in ascending order, its orthonormal Ritz vectors (N, nb), Fortran-
-    ordered, the number of iterations (each one A apply to W and one M apply
-    to the active residuals), and the residual norms of the `nwanted`
-    wanted pairs.
-    """
-    N, nb = X.shape
-    k = nb if nwanted is None else nwanted
-    # [X, P, W]: P and W have a column per active wanted pair at most
-    S = np.empty((N, nb + 2 * k), dtype=np.complex128, order="F")
-    AS = np.empty_like(S)
-
-    S[:, :nb] = X
-    del X  # frees a block the caller passed unnamed (CPython 3.11 and later)
-    nx = _orthonormalize(S, 0, nb)
-    if nx < k:
-        raise SolverError(f"start block has rank {nx}, fewer than the {k} wanted pairs")
-    AS[:, :nx] = A @ S[:, :nx]
-    lo, m = 0, nx  # the columns lo:m of S are new to the Rayleigh-Ritz basis
-    H = np.zeros((0, 0))  # S[:, :lo]^H A S[:, :lo], known in the small space
-    iterations, active = 0, np.arange(0)
-    while True:
-        # Rayleigh-Ritz on span [X, P, W]: only the new columns need a Gram
-        B = _gram(S[:, :m], AS[:, lo:m])
-        G = np.empty((m, m), dtype=np.complex128)
-        G[:lo, :lo] = H
-        G[:, lo:] = B
-        G[lo:, :lo] = B[:lo].conj().T
-        G = (G + G.conj().T) / 2.0
-        theta, Z = np.linalg.eigh(G)
-        theta, C = theta[:nx], Z[:, :nx]
-        # new P: the active Ritz directions without their X part, made
-        # orthonormal to the new X in the small space
-        Cp = C[:, active]
-        if len(active):
-            Cp[:nx] = 0.0
-            Cp -= C @ (C.conj().T @ Cp)
-            Cp = Cp @ _svqb(Cp.conj().T @ Cp)[0]
-        coef = np.asfortranarray(np.hstack([C, Cp]))
-        lo = coef.shape[1]
-        _recombine(S, 0, m, coef)
-        _recombine(AS, 0, m, coef)
-        H = coef.conj().T @ G @ coef
-
-        # residuals of the wanted pairs, written where W goes
-        R = S[:, lo:lo + k]
-        np.multiply(S[:, :k], theta[:k], out=R)
-        np.subtract(AS[:, :k], R, out=R)
-        resid = _column_norms(R)
-        if np.all(resid <= tol) or iterations >= maxiter:
-            break
-        active = np.flatnonzero(resid > tol)
-        W = R if len(active) == k else R[:, active]
-        S[:, lo:lo + len(active)] = W if M is None else M @ W
-        m = lo + _orthonormalize(S, lo, lo + len(active))
-        if m == lo:  # no direction left that the basis does not hold
-            break
-        AS[:, lo:m] = A @ S[:, lo:m]
-        iterations += 1
-    return theta, S[:, :nx].copy(order="F"), iterations, resid
+    eps: ArrayR
+    vectors: np.ndarray
+    iterations: int
+    complex64_iterations: int
+    exhausted: Optional[str]
+    handoff: Optional[str]
 
 
 def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions,
-                warm: list) -> tuple[ArrayR, np.ndarray, int, Optional[str]]:
+                warm: list) -> _Solve:
     """Soft-locking LOBPCG on (Op - target)^2 for a 2-spinor operator, then
     Rayleigh-Ritz of Op itself on the `count` wanted columns. warm holds the
     solve's warm fields, (n, n, n, 2) values, which _start_block takes out.
 
+    Precision is a phase of the solve, chosen by grid size alone. On grids
+    with n >= SINGLE_N, lobpcg first runs in complex64 (start block,
+    operator, preconditioner and basis), which halves the bytes every FFT,
+    sigma multiply and Gram product moves, until the wanted residuals reach
+    SINGLE_TOL or, at its round-off floor, the worst of them has set no new
+    minimum for SINGLE_STALL iterations. Its Ritz block then restarts a
+    complex128 lobpcg, which finishes to LOBPCG_TOL within what is left of
+    MAXITER. Every complex64 object is gone before the complex128 blocks
+    are allocated, and the block passes between the phases unnamed. At
+    n=64, L=20 on a 2-core VM (medians of 5 processes) the periodic
+    verify-zero-mode solve took 21 complex64 iterations (1.9 s) and 29
+    complex128 ones (4.5 s), against 53 complex128 iterations in 8.4 s; the
+    antiperiodic one took 17 + 14 iterations, 3.5 s against 29 in 4.2 s.
+    Smaller grids run the complex128 phase alone: at n=32 the complex64
+    phase gained nothing, and at n=16 its first use of the complex64 FFT
+    and BLAS code cost about 1 MB of peak memory.
+
     Only the wanted columns go into that Rayleigh-Ritz: a guard column can
     mix eigenvalues on both sides of the target, whose Op-Rayleigh quotient
     then reads near the target while its squared-shift value is not small.
-    Returns the `count` Ritz values (ascending), their coefficient columns
-    (N, count), the iteration count, and a note when the wanted pairs were
-    left above tol (else None).
     """
     grid = op.grid
     N = grid.n**3 * 2
     extra = opts.extra if opts.extra is not None else max(2, count)
     nb = min(count + extra, N)
+    delta = _resolve_delta(op)
+    single = grid.n >= SINGLE_N
 
-    # the start block is passed without a name, so lobpcg frees it once it is
-    # in the solver's basis
+    def run(square: _ShiftedSquare, tol: float, maxiter: int, stall=None):
+        # the block is popped into the call, so lobpcg frees it once it is in
+        # the solver's basis
+        prec = _free_symbol_preconditioner(grid, target, delta, square.dtype)
+        try:
+            return lobpcg(_linear_operator(square, N, square.dtype), start.pop(),
+                          M=_linear_operator(prec, N, square.dtype), tol=tol,
+                          maxiter=maxiter, nwanted=count, stall=stall)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
+
+    start = [_start_block(grid, target, nb, warm, np.random.default_rng(opts.seed),
+                          np.complex64 if single else np.complex128)]
+    single_its, handoff = 0, None
+    if single:
+        _, vecs, single_its, resid = run(_ShiftedSquare(op, target, np.complex64),
+                                         SINGLE_TOL, MAXITER, SINGLE_STALL)
+        start.append(vecs)
+        del vecs
+        if np.any(resid > SINGLE_TOL):
+            guard = "maxiter" if single_its >= MAXITER else "its stall guard"
+            handoff = (f"{op.kind} solve near {target:.6g}: complex64 phase handed off at "
+                       f"{guard} after {single_its} iterations, worst residual "
+                       f"{float(np.max(resid)):.3e} above {SINGLE_TOL:.1e}")
     square = _ShiftedSquare(op, target)
-    try:
-        _, vecs, iterations, resid = lobpcg(
-            _linear_operator(square, N),
-            _start_block(grid, target, nb, warm, np.random.default_rng(opts.seed)),
-            M=_linear_operator(_free_symbol_preconditioner(grid, target, _resolve_delta(op)), N),
-            tol=LOBPCG_TOL, maxiter=MAXITER, nwanted=count)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
+    _, vecs, iterations, resid = run(square, LOBPCG_TOL, MAXITER - single_its)
+    iterations += single_its
     if not np.all(np.isfinite(vecs)):
         raise SolverError("lobpcg returned non-finite vectors")
     note = None
@@ -628,7 +520,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
                 f"{LOBPCG_TOL:.1e} after {iterations} iterations (maxiter "
                 f"{MAXITER}), worst {float(np.max(resid)):.3e}")
     mu, V = _rayleigh_ritz(square.t, vecs[:, :count])
-    return mu, V, iterations, note
+    return _Solve(mu, V, iterations, single_its, note, handoff)
 
 
 def _threshold_pair(lambda0: float, mass: float, nu0: float) -> tuple[float, float]:
@@ -749,27 +641,29 @@ def eigs_near(
     # that ran out of iterations certifies nothing, and its residuals say so;
     # the widening stops at 16 * count pairs, or sooner on fine grids: at
     # 2^20 / n^3 pairs a block of 2 * width columns holds 64 MB.
-    iterations, width = 0, count
+    iterations, single_its, width = 0, 0, count
     while True:
         solves = [_solve_near(t_op, s, width, opts, w) for s, w in zip(shifts, starts)]
-        iterations += sum(it for _, _, it, _ in solves)
+        iterations += sum(sv.iterations for sv in solves)
+        single_its += sum(sv.complex64_iterations for sv in solves)
+        notes += [sv.handoff for sv in solves if sv.handoff]
         if len(solves) == 1:
-            eps, V = solves[0][:2]
+            eps, V = solves[0].eps, solves[0].vectors
         else:
-            joint = np.hstack([v for _, v, _, _ in solves])
+            joint = np.hstack([sv.vectors for sv in solves])
             eps, V = _rayleigh_ritz(_ShiftedSquare(t_op, 0.0).t, _orthonormal_span(joint))
         cand = _lift(op, eps)
         values = np.array([c[0] for c in cand])
         order = _nearest(values, target, count)
         reach = float(np.max(np.abs(values[order] - target)))
-        radii = [float(np.max(np.abs(e - s))) for (e, _, _, _), s in zip(solves, shifts)]
+        radii = [float(np.max(np.abs(sv.eps - s))) for sv, s in zip(solves, shifts)]
         certified = reach <= _covered_distance(op, target, shifts, radii) + 1e-9
-        exhausted = [note for _, _, _, note in solves if note]
+        exhausted = [sv.exhausted for sv in solves if sv.exhausted]
         if certified or exhausted or width >= min(16 * count, max(count, 2**20 // n**3)):
             break
         width *= 2
         # each solve restarts from its vectors, as fields
-        starts = [list(_grid_fields(grid, v)) for _, v, _, _ in solves]
+        starts = [list(_grid_fields(grid, sv.vectors)) for sv in solves]
     notes += exhausted
     if rank == 4:
         lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
@@ -817,6 +711,7 @@ def eigs_near(
         constant_fractions=fractions,
         kernel_dim_estimate=kernel,
         iterations=int(iterations),
+        complex64_iterations=int(single_its),
         converged=converged,
         threshold=thr,
         seed=opts.seed,
@@ -1109,10 +1004,11 @@ class DecayFit:
     table: tuple  # ((r, amplitude), ...)
 
     def to_dict(self) -> dict:
-        expo = None if not np.isfinite(self.exponent) else self.exponent
+        """JSON-ready; the undetermined fit's NaN exponent and stderr are None."""
+        finite = lambda x: x if np.isfinite(x) else None
         return {
-            "exponent": expo,
-            "exponent_stderr": self.exponent_stderr,
+            "exponent": finite(self.exponent),
+            "exponent_stderr": finite(self.exponent_stderr),
             "window": list(self.window),
             "verdict": self.verdict,
             "sample_count": self.sample_count,

@@ -33,13 +33,23 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def strict_json(path) -> dict:
+    """A report parsed as strict JSON: NaN, Infinity and -Infinity raise."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert __version__ in out
 
 
-@pytest.mark.parametrize("module", ["diraclab", "diraclab.algebra", "diraclab.grid",
+@pytest.mark.parametrize("module", ["diraclab", "diraclab.algebra", "diraclab.blocksolver",
+                                    "diraclab.grid",
                                     "diraclab.modes", "diraclab.potentials",
                                     "diraclab.probe", "diraclab.quadrature"])
 def test_every_exported_name_resolves(module):
@@ -141,6 +151,8 @@ def test_weyl_sweep_of_equal_zero_residuals_passes(tmp_path, capsys):
                          "--out", str(tmp_path / "w.json"))
     assert code == 0, err
     assert "PASS residual_decrease_ratio: 1 <= 1" in out
+    checks = {c["name"]: c["value"] for c in strict_json(tmp_path / "w.json")["checks"]}
+    assert checks == {"free_residual": 0.0, "residual_decrease_ratio": 1.0}
 
 
 def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypatch):
@@ -155,6 +167,10 @@ def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypat
                        "--potential", LY, "--out", str(tmp_path / "w.json"))
     assert code == 2
     assert "FAIL residual_decrease_ratio: inf <= 1" in out
+    # the report holds the inf ratio as null
+    report = strict_json(tmp_path / "w.json")
+    assert [(c["name"], c["value"], c["passed"]) for c in report["checks"]] == [
+        ("residual_decrease_ratio", None, False)]
 
 
 def test_weyl_rejects_csv_format(tmp_path, capsys):
@@ -379,6 +395,20 @@ def test_finish_unconverged_with_passing_checks(tmp_path, capsys):
     assert report["passed"] is False
     assert _finish(cfg, [check], {}, converged=True) == 0
     assert json.loads(out_path.read_text())["passed"] is True
+
+
+def test_reports_are_strict_json(tmp_path, capsys):
+    # non-finite check values print as inf and nan and are written as null;
+    # a non-finite number left anywhere else in a report is refused
+    out_path = tmp_path / "r.json"
+    cfg = RunConfig(command="spectrum", output_path=str(out_path))
+    checks = [_check("ratio", math.inf, 1.0), _check("offset", math.nan, 1.0)]
+    assert _finish(cfg, checks, {}) == 2
+    out = capsys.readouterr().out
+    assert "FAIL ratio: inf <= 1" in out and "FAIL offset: nan <= 1" in out
+    assert [c["value"] for c in strict_json(out_path)["checks"]] == [None, None]
+    with pytest.raises(ValueError):
+        _finish(cfg, [], {"value": -math.inf})
 
 
 def _config_exit_code(tmp_path, capsys, **fields):

@@ -176,6 +176,11 @@ def test_classification_flags_slow_decay():
 
     rep = default_classification(Slow())
     assert not rep.in_SU  # |A| ~ 1/r decays too slowly for the uniqueness class
+    # its |A|^3 tail diverges; the report writes the inf estimate as null
+    assert rep.cubic_tail_estimate == np.inf
+    report = json.loads(json.dumps(rep.to_dict()),
+                        parse_constant=lambda token: pytest.fail(f"not JSON: {token}"))
+    assert report["cubic_tail_estimate"] is None
 
 
 def test_classify_decay_needs_usable_window():

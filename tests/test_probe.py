@@ -5,6 +5,7 @@ the kernel of sigma.D, plane-wave shells sit at exactly degenerate +-|k|, and
 the squared operator's floor is m^2. Everything here runs in seconds.
 """
 
+import json
 import weakref
 
 import numpy as np
@@ -393,7 +394,11 @@ def test_decay_fit_noise_floor_is_undetermined():
     tiny = lambda pts: 1e-200 * np.ones(np.asarray(pts).shape[:-1] + (2,))
     fit = decay_fit(tiny, np.geomspace(10.0, 100.0, 8))
     assert fit.verdict == "undetermined"
-    assert np.isnan(fit.exponent)
+    assert np.isnan(fit.exponent) and np.isnan(fit.exponent_stderr)
+    # the report is strict JSON: the NaN exponent and stderr are null
+    text = json.dumps(fit.to_dict())
+    report = json.loads(text, parse_constant=lambda token: pytest.fail(f"not JSON: {token}"))
+    assert report["exponent"] is None and report["exponent_stderr"] is None
 
 
 def test_decay_fit_field_window_must_fit_box():
@@ -538,6 +543,7 @@ class _Poisoned:
 
     def __init__(self, A, after):
         self.A, self.after, self.calls = A, after, 0
+        self.dtype = A.dtype
 
     def __matmul__(self, block):
         self.calls += 1
@@ -567,6 +573,100 @@ def test_maxiter_hit_is_noted(monkeypatch):
     monkeypatch.undo()
     rep = eigs_near(op, 0.0, 2)
     assert rep.converged and not any("maxiter" in note for note in rep.notes)
+
+
+class _Widths:
+    """A dense matrix applied through `@` that records how many columns each
+    apply was given."""
+
+    def __init__(self, A):
+        self.A, self.dtype, self.widths = A, A.dtype, []
+
+    def __matmul__(self, block):
+        self.widths.append(block.shape[1] if block.ndim == 2 else 1)
+        return self.A @ block
+
+
+@pytest.mark.parametrize("nwanted,starts", [(1, [1] * 6), (3, [3, 3]), (4, [4, 2])])
+def test_lobpcg_applies_a_to_at_most_the_wanted_columns(nwanted, starts):
+    # a six-column start block goes in slices of at most nwanted columns, one
+    # column at a time for one wanted pair, and every iteration's W is no wider
+    A, _, X = _dense_psd()
+    op = _Widths(A)
+    _, _, iterations, resid = lobpcg(op, X, tol=1e-8, maxiter=200, nwanted=nwanted)
+    assert np.all(resid <= 1e-8)
+    assert op.widths[:len(starts)] == starts
+    assert len(op.widths) == len(starts) + iterations and max(op.widths) == nwanted
+
+
+def test_lobpcg_takes_its_precision_from_the_operator():
+    # a complex64 operator gives a complex64 basis; the stall guard ends the
+    # loop at the complex64 floor, far above an unreachable tol
+    A, _, X = _dense_psd()
+    A64 = A.astype(np.complex64)
+    theta, V, iterations, resid = lobpcg(A64, X, tol=1e-14, maxiter=200, nwanted=3, stall=5)
+    assert V.dtype == np.complex64 and iterations < 200
+    assert np.max(resid) <= 1e-5 and np.max(np.abs(theta[:3] - [0.0, 1e-3, 2e-3])) <= 1e-5
+
+
+# The complex64 phase, moved down to n=16 grids by lowering its size gate
+TWO_PHASE_CASES = [("t_a", "periodic", 0.0), ("t_a", "antiperiodic", 0.0),
+                   ("t_a", "periodic", 0.3), ("h_a", "periodic", 1.0)]
+
+
+@pytest.mark.parametrize("kind,spin,target", TWO_PHASE_CASES)
+def test_two_phase_solve_matches_the_one_phase_solve(monkeypatch, kind, spin, target):
+    from diraclab import probe
+
+    g = Grid3D(n=16, L=10.0, spin=spin)
+    op = OperatorHandle(kind=kind, grid=g, potential=LossYau(), mass=1.0)
+    one = eigs_near(op, target, 2, EigsOptions(seed=4))
+    assert one.complex64_iterations == 0
+    monkeypatch.setattr(probe, "SINGLE_N", 16)
+    two = eigs_near(op, target, 2, EigsOptions(seed=4))
+    assert one.converged and two.converged, (one.residuals, two.residuals)
+    assert 0 < two.complex64_iterations < two.iterations
+    assert two.to_dict()["complex64_iterations"] == two.complex64_iterations
+    assert np.max(np.abs(np.subtract(two.eigenvalues, one.eigenvalues))) <= 1e-9
+    assert max(two.residuals) <= 1e-6
+
+
+def test_unreachable_single_tol_hands_off_at_the_stall_guard(monkeypatch):
+    from diraclab import probe
+
+    monkeypatch.setattr(probe, "SINGLE_N", 16)
+    monkeypatch.setattr(probe, "SINGLE_TOL", 1e-14)  # far below the complex64 floor
+    g = Grid3D(n=16, L=10.0, spin="antiperiodic")
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=4))
+    assert rep.converged and rep.iterations <= probe.MAXITER, rep.notes
+    assert rep.complex64_iterations < probe.MAXITER
+    assert any("handed off at its stall guard" in note for note in rep.notes), rep.notes
+
+
+@pytest.mark.parametrize("spin", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("tau", [0.0, 0.8])
+def test_complex64_applies_stay_in_complex64(spin, tau):
+    # the complex64 square and preconditioner read only complex64 and float32
+    # arrays (ladders, frequency axes, spin phases) and agree with the
+    # complex128 ones to complex64 round-off
+    from diraclab.grid import _spin_phases
+    from diraclab.probe import _free_symbol_preconditioner, _ShiftedSquare
+
+    g = Grid3D(n=16, L=6.0, spin=spin)
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    X = _coefficients(g, _random_fields(g, 2, seed=3)).copy(order="F")
+    X64 = X.astype(np.complex64)
+    square64 = _ShiftedSquare(op, tau, np.complex64)
+    arrays = square64.k + square64.a + (_spin_phases(g, X64) if g.antiperiodic else ())
+    assert {a.dtype for a in arrays} <= {np.dtype(np.complex64), np.dtype(np.float32)}
+    for name, single, double in (
+            ("square", square64, _ShiftedSquare(op, tau)),
+            ("prec", _free_symbol_preconditioner(g, tau, 0.03, np.complex64),
+             _free_symbol_preconditioner(g, tau, 0.03))):
+        got, want = single(X64), double(X)
+        assert got.dtype == np.complex64, name
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
 
 
 # ----------------------------------------------------------------------------
