@@ -122,7 +122,11 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
     Duersch, Shao, Yang & Gu 2018).
 
     A and the preconditioner M are applied only through `@`, to Fortran-
-    ordered (N, k) blocks. Only the first `nwanted` Ritz pairs of the block
+    ordered (N, k) blocks, and A's `dtype` is read; nothing else of them is
+    used. Any object with `__matmul__` and `dtype` serves (a dense matrix in
+    the tests; eigs_near passes a small wrapper that also carries the
+    (N, N) `shape` the benchmark's tracer reads, so scipy.sparse is never
+    loaded). Only the first `nwanted` Ritz pairs of the block
     (all of them by default) decide convergence: the loop ends once each has
     an absolute residual norm ||A x - theta x|| <= tol. The active set is
     the wanted columns still above tol; only they get search directions

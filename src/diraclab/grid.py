@@ -271,10 +271,14 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
     Returns a real array of shape (n, n, n, 3) whose components are each
     C-contiguous (a view of a (3, n, n, n) block), the layout the operator
     kernel and the spectral calculus read. Complex-valued or non-finite
-    samples are rejected.
+    samples are rejected; the read-only values of a Sampled on its own nodes,
+    checked when it was built, are not checked again (7.6 ms at n=128).
     """
+    from diraclab.potentials import Sampled
+
     _require_spec(pot)
     vals = np.asarray(pot.sample(grid))
+    checked = isinstance(pot, Sampled) and vals is pot.values
     if np.iscomplexobj(vals):
         if np.max(np.abs(vals.imag)) > 1e-12:
             raise ValueError("vector potential must be real-valued")
@@ -282,7 +286,7 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
     vals = vals.astype(np.float64, copy=False)
     if vals.shape != (grid.n, grid.n, grid.n, 3):
         raise ValueError(f"potential evaluator returned shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not checked and not np.all(np.isfinite(vals)):
         raise ValueError("non-finite potential sample encountered")
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(vals, -1, 0)), 0, -1)
 

@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.integrate import simpson
 
 from diraclab.grid import (
     Grid3D,
@@ -288,17 +287,24 @@ class AMN(PotentialSpec):
 
 @dataclass(frozen=True)
 class Sampled(PotentialSpec):
-    """Potential given by grid samples, trilinearly interpolated in the box."""
+    """Potential given by grid samples, trilinearly interpolated in the box.
+
+    values is a read-only view of the samples, checked finite once here, so
+    sample_potential hands them back on their own nodes without a second
+    check. The array passed in is not copied: writing to it afterwards
+    changes values past that check.
+    """
 
     grid: Grid3D
     values: ArrayR  # (n, n, n, 3) real
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64).view()
         if v.shape != (self.grid.n,) * 3 + (3,):
             raise ValueError(f"sampled potential has shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite potential sample")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     def eval(self, points) -> ArrayR:
@@ -377,7 +383,7 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
     to stay below 0.9 times the one before. Raises ClassificationUndetermined
     when A is numerically zero on all samples.
     """
-    from diraclab.quadrature import sphere_directions_26
+    from diraclab.quadrature import simpson, sphere_directions_26
 
     radii = np.geomspace(0.05, 2000.0, 240)
     pts = radii[:, None, None] * sphere_directions_26()[None, :, :]  # (nr, nd, 3)
@@ -396,7 +402,7 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
 
     # radial-shell integrand of |A|^3: 4 pi r^2 mean_omega |A|^3
     shell = 4.0 * np.pi * radii**2 * (amp**3).mean(axis=1)
-    cubic_core = float(simpson(shell, x=radii))
+    cubic_core = simpson(shell, radii)
     # head: constant |A| extrapolation below the first radius
     cubic_head = float(4.0 * np.pi * (amp[0] ** 3).mean() * radii[0] ** 3 / 3.0)
     # tail: |A| ~ C r^-tail_exp beyond the last radius, integrable iff 3*tail_exp > 3

@@ -62,13 +62,12 @@ there nothing is deflated and no constant spinors are seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.typing import NDArray
 from scipy.linalg import blas
-from scipy.sparse.linalg import LinearOperator
 
 from diraclab.algebra import sigma_mul, sigma_mul_ladder
 from diraclab.blocksolver import SolverError, lobpcg
@@ -325,8 +324,18 @@ class _ShiftedSquare:
         return _solver_columns(out, block)
 
 
-def _linear_operator(fn, N: int, dtype) -> LinearOperator:
-    return LinearOperator((N, N), matvec=fn, matmat=fn, dtype=dtype)
+@dataclass(frozen=True)
+class _Operator:
+    """An (N, N) operator on solver columns in the protocol lobpcg applies:
+    `@` on (N, k) blocks and a dtype, with the shape a wrapper reads (a
+    scipy LinearOperator would load scipy.sparse for this alone)."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    shape: tuple[int, int]
+    dtype: np.dtype
+
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
+        return self.apply(block)
 
 
 def _constant_fraction(values: ArrayC) -> float:
@@ -490,8 +499,8 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
         # the solver's basis
         prec = _free_symbol_preconditioner(grid, target, delta, square.dtype)
         try:
-            return lobpcg(_linear_operator(square, N, square.dtype), start.pop(),
-                          M=_linear_operator(prec, N, square.dtype), tol=tol,
+            return lobpcg(_Operator(square, (N, N), square.dtype), start.pop(),
+                          M=_Operator(prec, (N, N), square.dtype), tol=tol,
                           maxiter=maxiter, nwanted=count, stall=stall)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc

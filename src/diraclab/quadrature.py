@@ -17,9 +17,42 @@ ArrayR = NDArray[np.float64]
 
 __all__ = [
     "radial_panels",
+    "simpson",
     "sphere_product_rule",
     "sphere_directions_26",
 ]
+
+
+def simpson(y: ArrayR, x: ArrayR) -> float:
+    """Composite Simpson's rule for samples y at distinct increasing nodes x.
+
+    A port of scipy.integrate.simpson(y, x=x) for 1-D data, with the same
+    operations in the same order, so the result is bit-identical to scipy's
+    (1.11 and later): Simpson's rule for irregular spacing over pairs of
+    intervals and, for an even node count, Cartwright's correction for the
+    last interval. Kept here so that the package does not import
+    scipy.integrate, which loads scipy.optimize, scipy.sparse and
+    scipy.spatial with it (about 16 MB).
+    """
+    y, x = np.asarray(y, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    if y.ndim != 1 or y.shape != x.shape or len(y) < 3:
+        raise ValueError("need 1-D y and x of equal length >= 3")
+    N, h = len(y), np.diff(x)
+    stop = N - 2 if N % 2 else N - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod, h0divh1 = h0 + h1, h0 * h1, h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                                  + y[2:stop + 2:2] * (2.0 - h0divh1)))
+    if N % 2 == 0:
+        # 1-element arrays, as in scipy: numpy's scalar power can round the
+        # cube differently in the last bit
+        g0, g1 = h[-2:-1], h[-1:]
+        alpha = (2 * g1**2 + 3 * g0 * g1) / (6 * (g1 + g0))
+        beta = (g1**2 + 3.0 * g0 * g1) / (6 * g0)
+        eta = (1 * g1**3) / (6 * g0 * (g0 + g1))
+        result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+    return float(result)
 
 
 def radial_panels(

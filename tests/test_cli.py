@@ -10,7 +10,11 @@ import dataclasses
 import importlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +60,23 @@ def test_every_exported_name_resolves(module):
     # a name left in __all__ after its definition is gone breaks `import *`
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_importing_the_cli_loads_only_the_scipy_it_runs():
+    # scipy.integrate alone loads scipy.optimize, scipy.sparse and
+    # scipy.spatial, about 16 MB of every process's peak memory
+    import diraclab
+
+    code = (
+        "import sys, diraclab.cli\n"
+        "heavy = ('scipy.integrate', 'scipy.sparse', 'scipy.optimize', 'scipy.spatial')\n"
+        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
+    )
+    src = str(Path(diraclab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_command_is_config_error(capsys):

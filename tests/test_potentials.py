@@ -167,6 +167,19 @@ def test_loss_yau_classification():
     assert rep.in_BE is True
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 239, 240])
+@pytest.mark.parametrize("nodes", ["uniform", "geometric"])
+def test_simpson_port_is_bit_identical_to_scipy(n, nodes):
+    from scipy.integrate import simpson as scipy_simpson
+
+    from diraclab.quadrature import simpson
+
+    x = np.linspace(-1.0, 3.0, n) if nodes == "uniform" else np.geomspace(0.05, 2000.0, n)
+    rng = np.random.default_rng(n)
+    for y in (4.0 * np.pi * x**2 * (1.0 + x**2) ** -3, rng.standard_normal(n)):
+        assert simpson(y, x) == float(scipy_simpson(y, x=x))
+
+
 def test_classification_flags_slow_decay():
     class Slow(LossYau):
         def eval(self, points):  # |A| ~ 1/r, outside the uniqueness class
@@ -220,6 +233,26 @@ def test_sampled_round_trips_grid_values():
     spec = Sampled(grid=g, values=vals)
     nodes = g.nodes
     assert np.allclose(spec.eval(nodes[2, 3, 4]), vals[2, 3, 4])
+
+
+def test_sampled_values_are_read_only_and_checked():
+    from diraclab.grid import sample_potential
+
+    g = Grid3D(n=8, L=4.0)
+    vals = sample_potential(LossYau(), g)
+    spec = Sampled(grid=g, values=vals)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.values[0, 0, 0, 0] = 1.0
+    assert vals.flags.writeable  # the caller's array is not frozen
+    # read on its own nodes: the checked values come back as they are
+    assert np.array_equal(sample_potential(spec, g), vals)
+    bad = vals.copy()
+    bad[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Sampled(grid=g, values=bad)
+    # a wrapper's samples are new values and are checked again
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        sample_potential(Scaled(t=1e308, inner=spec), g)
 
 
 def test_sampled_companion_round_trip(tmp_path):
