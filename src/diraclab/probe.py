@@ -67,7 +67,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 import scipy.fft as sfft
 from numpy.typing import NDArray
-from scipy.linalg import blas
 
 from diraclab.algebra import sigma_mul, sigma_mul_ladder
 from diraclab.blocksolver import SolverError, lobpcg
@@ -922,10 +921,10 @@ def _weyl_residual(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
             t -= a_chi[c] * psi
             cpsi = chi[c] * psi
             for r in (up * cpsi + b * t, a * t + lo * cpsi):
-                total += blas.zdotc(r.ravel(), r.ravel()).real
-    norm2 = (a * a + b * b) * blas.zdotc(chi, chi).real
+                total += np.vdot(r, r).real
+    norm2 = (a * a + b * b) * np.vdot(chi, chi).real
     for f in factors:
-        norm2 *= blas.zdotc(f, f).real
+        norm2 *= np.vdot(f, f).real
     return float(np.sqrt(total / norm2))
 
 

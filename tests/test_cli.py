@@ -69,7 +69,8 @@ def test_importing_the_cli_loads_only_the_scipy_it_runs():
 
     code = (
         "import sys, diraclab.cli\n"
-        "heavy = ('scipy.integrate', 'scipy.sparse', 'scipy.optimize', 'scipy.spatial')\n"
+        "heavy = ('scipy.integrate', 'scipy.sparse', 'scipy.optimize', 'scipy.spatial',"
+        " 'scipy.linalg')\n"
         "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
     )
     src = str(Path(diraclab.__file__).parents[1])

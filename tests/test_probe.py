@@ -6,7 +6,11 @@ the squared operator's floor is m^2. Everything here runs in seconds.
 """
 
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,6 +611,163 @@ def test_lobpcg_takes_its_precision_from_the_operator():
     theta, V, iterations, resid = lobpcg(A64, X, tol=1e-14, maxiter=200, nwanted=3, stall=5)
     assert V.dtype == np.complex64 and iterations < 200
     assert np.max(resid) <= 1e-5 and np.max(np.abs(theta[:3] - [0.0, 1e-3, 2e-3])) <= 1e-5
+
+
+# ----------------------------------------------------------------------------
+# The block solver's kernels on dense blocks
+
+KERNEL_DTYPES = [(np.complex128, 1e-12), (np.complex64, 1e-5)]
+
+
+def _block(N, cols, dtype, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.asfortranarray(
+        (rng.normal(size=(N, cols)) + 1j * rng.normal(size=(N, cols))).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype,rtol", KERNEL_DTYPES)
+def test_gram_is_the_conjugate_transposed_product(dtype, rtol):
+    # N spans two row blocks and part of a third
+    from diraclab.blocksolver import _GRAM_ROWS, _gram
+
+    S = _block(2 * _GRAM_ROWS + 123, 7, dtype)
+    G = _gram(S[:, :5], S[:, 4:7])
+    want = S[:, :5].astype(np.complex128).conj().T @ S[:, 4:7].astype(np.complex128)
+    assert G.dtype == np.complex128 and G.shape == (5, 3)
+    assert np.max(np.abs(G - want)) <= rtol * np.max(np.abs(want))
+    S[7, 6] = np.inf
+    with pytest.raises(SolverError):
+        _gram(S[:, :5], S[:, 4:7])
+
+
+@pytest.mark.parametrize("dtype,rtol", KERNEL_DTYPES)
+@pytest.mark.parametrize("lo,hi,r,at", [(1, 5, 3, 2), (0, 6, 4, 0), (2, 4, 2, 3)])
+def test_recombine_matches_the_out_of_place_product(dtype, rtol, lo, hi, r, at):
+    # N is no multiple of the row block, and the destination columns
+    # at:at + r overlap the source columns lo:hi
+    from diraclab.blocksolver import _ROWS, _recombine
+
+    V = _block(2 * _ROWS + 123, 6, dtype)
+    coef = _block(hi - lo, r, np.complex128, seed=1)
+    want = V.copy(order="F")
+    want[:, at:at + r] = V[:, lo:hi] @ coef.astype(dtype)
+    _recombine(V, lo, hi, coef, at=at)
+    assert np.max(np.abs(V - want)) <= rtol * np.max(np.abs(want))
+    rest = np.r_[0:at, at + r:6]
+    assert np.array_equal(V[:, rest], want[:, rest])
+
+
+def _orthonormal_errors(S, lo, q):
+    """||Q^H Q - I|| and ||X^H Q|| for X = S[:, :lo], Q = S[:, lo:lo + q]."""
+    X, Q = S[:, :lo], S[:, lo:lo + q]
+    return (np.linalg.norm(Q.conj().T @ Q - np.eye(q)),
+            np.linalg.norm(X.conj().T @ Q) if lo else 0.0)
+
+
+def _counting_grams(monkeypatch):
+    from diraclab import blocksolver
+
+    calls, gram = [], blocksolver._gram
+    monkeypatch.setattr(blocksolver, "_gram", lambda a, b: calls.append(1) or gram(a, b))
+    return calls
+
+
+def test_orthonormalize_runs_a_second_pass_on_w_nearly_inside_x(monkeypatch):
+    # W = X c + 1e-7 noise: the projection removes all but 1e-7 of W, past the
+    # 1e4 bound, so a second pass runs
+    from diraclab.blocksolver import _orthonormalize
+
+    S = _block(5000, 6, np.complex128)
+    S[:, :3] = np.linalg.qr(S[:, :3])[0]
+    S[:, 3:] = S[:, :3] @ _block(3, 3, np.complex128, seed=2) + 1e-7 * S[:, 3:]
+    calls = _counting_grams(monkeypatch)
+    assert _orthonormalize(S, 3, 6) == 3
+    assert len(calls) == 2
+    assert max(_orthonormal_errors(S, 3, 3)) <= 1e-12
+
+
+def test_orthonormalize_drops_dependent_columns(monkeypatch):
+    from diraclab.blocksolver import _orthonormalize
+
+    S = _block(5000, 7, np.complex128)
+    S[:, :2] = np.linalg.qr(S[:, :2])[0]
+    # the last new column is a combination of X and the other new columns
+    S[:, 6] = S[:, :6] @ _block(6, 1, np.complex128, seed=2)[:, 0]
+    calls = _counting_grams(monkeypatch)
+    assert _orthonormalize(S, 2, 7) == 4
+    assert len(calls) == 1
+    assert max(_orthonormal_errors(S, 2, 4)) <= 1e-12
+
+
+@pytest.mark.parametrize("lo", [0, 3])
+def test_orthonormalize_one_column(lo):
+    from diraclab.blocksolver import _orthonormalize
+
+    S = _block(5000, lo + 1, np.complex128)
+    if lo:
+        S[:, :lo] = np.linalg.qr(S[:, :lo])[0]
+    w = S[:, lo].copy()
+    assert _orthonormalize(S, lo, lo + 1) == 1
+    assert max(_orthonormal_errors(S, lo, 1)) <= 1e-12
+    # the column is w without its X part, normalized
+    X = S[:, :lo]
+    w -= X @ (X.conj().T @ w)
+    assert np.allclose(S[:, lo], w / np.linalg.norm(w), rtol=0, atol=1e-12)
+
+
+def test_block_kernels_allocate_less_than_one_column():
+    # on a (2^18, 8) complex128 basis (4 MB per column) no kernel may build a
+    # temporary of the basis height
+    import tracemalloc
+
+    from diraclab.blocksolver import _gram, _orthonormalize, _recombine
+
+    S = _block(2**18, 8, np.complex128)
+    S[:, :5] = np.linalg.qr(S[:, :5])[0]
+    coef = _block(8, 4, np.complex128, seed=1)
+    column = S[:, 0].nbytes
+    for kernel in (lambda: _gram(S, S[:, 5:]), lambda: _orthonormalize(S, 5, 8),
+                   lambda: _recombine(S, 0, 8, coef, at=2)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < column, (peak, column)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_solves_import_no_scipy_linalg():
+    # the solver and the Weyl residual call no scipy BLAS: after a solve and a
+    # quasi-mode no scipy.linalg module is loaded, and the OpenBLAS libraries
+    # mapped are the ones numpy and scipy.special map on import
+    import diraclab
+
+    code = (
+        "import json, sys\n"
+        "def blas():\n"
+        "    with open('/proc/self/maps') as f:\n"
+        "        return sorted({l.split()[-1] for l in f if 'openblas' in l.lower()})\n"
+        "import numpy, scipy.fft, scipy.special\n"
+        "on_import = blas()\n"
+        "from diraclab.grid import Grid3D, OperatorHandle\n"
+        "from diraclab.potentials import LossYau\n"
+        "from diraclab.probe import build_weyl_quasimode, eigs_near\n"
+        "g = Grid3D(n=8, L=5.0)\n"
+        "op = OperatorHandle(kind='t_a', grid=g, potential=LossYau())\n"
+        "assert eigs_near(op, 0.0, 1).converged\n"
+        "build_weyl_quasimode(LossYau(), 1.0, 1.5, 1, g)\n"
+        "print(json.dumps([on_import, blas(),\n"
+        "                  sorted(m for m in sys.modules if m.startswith('scipy.linalg'))]))\n"
+    )
+    src = str(Path(diraclab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+    on_import, after, linalg = json.loads(out.stdout.strip().splitlines()[-1])
+    assert linalg == []
+    assert after == on_import
 
 
 # The complex64 phase, moved down to n=16 grids by lowering its size gate
