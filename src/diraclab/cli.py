@@ -1,10 +1,10 @@
 """Command-line driver: one probe per subcommand, reproducible JSON reports.
 
 One table, COMMANDS, holds each subcommand's interface: the function that
-runs it, its options and their kinds, its tolerances and their defaults, and
-the columns of its CSV table. The argument parser is generated from it, and
-RunConfig.validate checks every option and tolerance against it, whether the
-value came from a flag or a config file.
+runs it, the shared settings it reads, its options and their kinds, its
+tolerances and their defaults, and the columns of its CSV table. The
+argument parser is generated from it, and RunConfig.validate checks every
+value against it, whether it came from a flag or a config file.
 
 Every run resolves its configuration as defaults < config file < explicit
 flags, executes exactly one probe, prints one PASS/FAIL line per check, and
@@ -77,19 +77,26 @@ class ConfigError(ValueError):
 class Command:
     """One subcommand's interface.
 
-    options maps each option name to its kind: int, float, str, list (a
-    non-empty list of numbers, given on the command line as comma-separated
-    numbers) or a tuple of the allowed strings. Each option is the flag
-    --<name> (underscores as dashes) and the key options.<name>; its default
-    lives in run. tolerances maps each tolerance name to its default, set by
-    --tol-<name> or tolerances.<name>. csv holds the columns of the command's
-    CSV table, empty when it has none.
+    settings names the SETTINGS that run reads: the only ones with a flag
+    --<name> (underscores as dashes) and a config key <name>. options maps
+    each option name to its kind: int, float, str, list (a non-empty list of
+    numbers, given on the command line as comma-separated numbers) or a
+    tuple of the allowed strings. Each option is the flag --<name> and the
+    key options.<name>; its default lives in run. tolerances maps each
+    tolerance name to its default, set by --tol-<name> or tolerances.<name>.
+    csv holds the columns of the command's CSV table, empty when it has none.
     """
 
     run: Callable[["RunConfig"], int]
+    settings: tuple = ()
     options: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     csv: tuple = ()
+
+
+# The shared settings a command may read, and their kinds
+SETTINGS = {"grid_n": int, "box_l": float, "mass": float}
+GRID = ("grid_n", "box_l")
 
 
 def _number(value) -> bool:
@@ -124,7 +131,7 @@ def _checked(name: str, kind, value):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters; embedded verbatim in every report."""
+    """Fully resolved run parameters; every report embeds those its command reads."""
 
     command: str
     grid_n: int = 64
@@ -142,18 +149,18 @@ class RunConfig:
         the options and tolerances against the command's row of COMMANDS."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        for name, kind in (("grid_n", int), ("box_l", float), ("mass", float), ("seed", int),
-                           ("format", ("json", "csv", "both"))):
-            _checked(name, kind, getattr(self, name))
+        command = COMMANDS[self.command]
+        for name in command.settings:
+            _checked(name, SETTINGS[name], getattr(self, name))
+        _checked("seed", int, self.seed)
+        _checked("format", ("json", "csv", "both"), self.format)
         if self.output_path is not None:
             _checked("output_path", str, self.output_path)
-        if self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)) != 0:
+        if "grid_n" in command.settings and (self.grid_n < 8 or self.grid_n & (self.grid_n - 1)):
             raise ConfigError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
-        if not self.box_l > 0:
-            raise ConfigError(f"box_l must be positive, got {self.box_l}")
-        if not self.mass > 0:
-            raise ConfigError(f"mass must be positive, got {self.mass}")
-        command = COMMANDS[self.command]
+        for name in ("box_l", "mass"):
+            if name in command.settings and not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name, value in self.tolerances.items():
             if name not in command.tolerances:
                 raise ConfigError(
@@ -181,13 +188,12 @@ class RunConfig:
         return Grid3D(n=self.grid_n, L=self.box_l, spin=self.options.get("spin", "periodic"))
 
     def to_dict(self) -> dict:
-        full_tols = dict(COMMANDS[self.command].tolerances)
+        command = COMMANDS[self.command]
+        full_tols = dict(command.tolerances)
         full_tols.update(self.tolerances)
         return {
             "command": self.command,
-            "grid_n": self.grid_n,
-            "box_l": self.box_l,
-            "mass": self.mass,
+            **{name: getattr(self, name) for name in command.settings},
             "seed": self.seed,
             "tolerances": full_tols,
             "output_path": self.output_path,
@@ -383,11 +389,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_gap_scan(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    lambdas = cfg.options.get("lambdas")
-    resolution = cfg.options.get("resolution", 3 if lambdas is None else None)
     try:
-        scan = gap_scan(pot, cfg.mass, grid, resolution=resolution,
-                        lambdas=lambdas, opts=EigsOptions(seed=cfg.seed))
+        scan = gap_scan(pot, cfg.mass, grid, lambdas=cfg.options.get("lambdas"),
+                        opts=EigsOptions(seed=cfg.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     checks = [
@@ -545,27 +549,26 @@ def cmd_potential_info(cfg: RunConfig) -> int:
 
 COMMANDS = {
     "verify-zero-mode": Command(
-        cmd_verify_zero_mode, {"spin": SPIN_STRUCTURES},
+        cmd_verify_zero_mode, GRID, {"spin": SPIN_STRUCTURES},
         {"analytic": 1e-10, "grid": 5e-3, "norm": 1e-1}),
     "spectrum": Command(
-        cmd_spectrum,
+        cmd_spectrum, GRID + ("mass",),
         {"operator": ("sigma_d", "t_a", "h_a", "h_squared"), "target": float, "count": int},
         {"eigenvalue": 5e-3, "block": 1e-2, "residual": 1e-6}),
     "gap-scan": Command(
-        cmd_gap_scan, {"resolution": int, "lambdas": list}, {"proxy": 0.9},
-        ("lambda", "proxy")),
+        cmd_gap_scan, GRID + ("mass",), {"lambdas": list}, {"proxy": 0.9}, ("lambda", "proxy")),
     "asymptotics": Command(
-        cmd_asymptotics, {"radii": list}, {"sup": 1e-3}, ("r", "sup_deviation")),
+        cmd_asymptotics, (), {"radii": list}, {"sup": 1e-3}, ("r", "sup_deviation")),
     "decay-fit": Command(
-        cmd_decay_fit,
+        cmd_decay_fit, (),
         {"field": str, "r_min": float, "r_max": float, "points": int,
          "expect": ("mode_tail", "resonance_tail", "any")},
         csv=("r", "amplitude")),
-    "weyl": Command(cmd_weyl, {"lambda0": float, "sweep": int}, {"free": 1e-10}),
-    "gauge": Command(cmd_gauge, tolerances={"div": 1e-8, "curl": 1e-10, "gauged": 1e-2}),
+    "weyl": Command(cmd_weyl, GRID + ("mass",), {"lambda0": float, "sweep": int}, {"free": 1e-10}),
+    "gauge": Command(cmd_gauge, GRID, tolerances={"div": 1e-8, "curl": 1e-10, "gauged": 1e-2}),
     "coupling-scan": Command(
-        cmd_coupling_scan, {"spin": SPIN_STRUCTURES, "t_values": list}, {"residual": 1e-6},
-        ("t", "lambda_min")),
+        cmd_coupling_scan, GRID, {"spin": SPIN_STRUCTURES, "t_values": list},
+        {"residual": 1e-6}, ("t", "lambda_min")),
     "potential-info": Command(cmd_potential_info),
 }
 
@@ -583,9 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--grid-n", type=int)
-        p.add_argument("--box-l", type=float)
-        p.add_argument("--mass", type=float)
+        for setting in command.settings:
+            p.add_argument("--" + setting.replace("_", "-"), type=SETTINGS[setting])
         p.add_argument("--seed", type=int)
         p.add_argument("--out", type=str, dest="output_path", metavar="OUT")
         p.add_argument("--format", type=str, choices=["json", "csv", "both"])
@@ -615,22 +617,25 @@ def _resolve_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = cfg.to_dict()
-        unknown = [key for key in data if key not in known]
-        if unknown:
-            raise ConfigError(f"config file has unknown key {unknown[0]!r} "
-                              f"(known: {', '.join(known)})")
         if data.get("command", args.command) != args.command:
             raise ConfigError(
                 f"config file is for command {data['command']!r}, not {args.command!r}"
             )
+        known = cfg.to_dict()
+        unknown = [key for key in data if key not in known]
+        if unknown and unknown[0] in SETTINGS:
+            raise ConfigError(f"command {args.command} reads no {unknown[0]}")
+        if unknown:
+            raise ConfigError(f"config file has unknown key {unknown[0]!r} "
+                              f"(known: {', '.join(known)})")
         for key in ("tolerances", "options"):
             if not isinstance(data.get(key, {}), dict):
                 raise ConfigError(f"{key} must be a JSON object, got {data[key]!r}")
         for key, value in data.items():
             setattr(cfg, key, value)
 
-    for key in ("grid_n", "box_l", "mass", "seed", "output_path", "format"):
+    command = COMMANDS[args.command]
+    for key in (*command.settings, "seed", "output_path", "format"):
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
 
@@ -649,7 +654,6 @@ def _resolve_config(args) -> RunConfig:
                 raise ConfigError(f"cannot read potential file: {exc}") from exc
             cfg.options["potential_path"] = args.potential
 
-    command = COMMANDS[args.command]
     for table, names, prefix in ((cfg.tolerances, command.tolerances, "tol_"),
                                  (cfg.options, command.options, "")):
         for name in names:

@@ -58,18 +58,22 @@ class AccuracyError(RuntimeError):
 
 
 class ZeroModeSpec:
-    """Base class for zero-mode descriptions; evaluators map (..., 3) -> (..., 2)."""
+    """Base class for zero-mode descriptions; evaluators map (..., 3) -> (..., 2).
+
+    A spec gives all three in closed form: the mode, its gradient (which
+    certifies it pointwise) and its far-field limit (which the quadrature is
+    checked against)."""
 
     def eval(self, points) -> ArrayC:
         raise NotImplementedError
 
-    def gradient(self, points) -> Optional[ArrayC]:
-        """Analytic spatial gradient, shape (..., 3, 2), or None when unknown."""
-        return None
+    def gradient(self, points) -> ArrayC:
+        """Analytic spatial gradient, shape (..., 3, 2)."""
+        raise NotImplementedError
 
-    def closed_form_limit(self, omegas) -> Optional[ArrayC]:
-        """u(omega) = lim r^2 phi(r omega) in closed form, or None when unknown."""
-        return None
+    def closed_form_limit(self, omegas) -> ArrayC:
+        """u(omega) = lim r^2 phi(r omega) in closed form."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -106,8 +110,6 @@ class LossYauMode(_Phi0, ZeroModeSpec):
 def sigma_d_analytic(spec: ZeroModeSpec, points) -> ArrayC:
     """sigma.D phi with D = (1/i) grad, from the analytic gradient."""
     grad = spec.gradient(points)
-    if grad is None:
-        raise ValueError(f"{type(spec).__name__} carries no analytic gradient")
     g1, g2, g3 = grad[..., 0, :], grad[..., 1, :], grad[..., 2, :]
     sig_grad = np.stack(
         [g1[..., 1] - 1j * g2[..., 1] + g3[..., 0], g1[..., 0] + 1j * g2[..., 0] - g3[..., 1]],
@@ -264,16 +266,15 @@ def asymptotic_limit_quadrature(
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Asymptotic-limit comparison: quadrature u, optional closed form, decay table.
+    """Asymptotic-limit comparison: quadrature u, closed form, decay table.
 
-    convergence_table rows are (r, sup_omega |r^2 phi(r omega) - u(omega)|).
-    sup_deviation is sup_omega |u_quadrature - u_closed| when a closed form
-    exists, otherwise the quadrature error estimate.
+    convergence_table rows are (r, sup_omega |r^2 phi(r omega) - u_closed(omega)|).
+    sup_deviation is sup_omega |u_quadrature - u_closed|.
     """
 
     omega_samples: ArrayR
     u_quadrature: ArrayC
-    u_closed: Optional[ArrayC]
+    u_closed: ArrayC
     sup_deviation: float
     convergence_table: tuple
     quad_error: float
@@ -285,7 +286,7 @@ class AsymptoticReport:
         return {
             "omega_samples": self.omega_samples.tolist(),
             "u_quadrature": c2(self.u_quadrature),
-            "u_closed": None if self.u_closed is None else c2(self.u_closed),
+            "u_closed": c2(self.u_closed),
             "sup_deviation": self.sup_deviation,
             "convergence_table": [[float(r), float(d)] for r, d in self.convergence_table],
             "quad_error": self.quad_error,
@@ -298,9 +299,9 @@ def asymptotic_convergence(
     """Tabulate sup_omega |r^2 phi(r omega) - u(omega)| over increasing positive
     radii, omega over the 26 lattice directions (sphere_directions_26).
 
-    u is the closed form when the mode carries one, else the quadrature value;
-    the quadrature is always run for the report. The lifts (phi, 0) and
-    (0, phi) give the same table, since their zero components add exact zeros.
+    u is the closed form, and sup_deviation compares the quadrature value with
+    it. The lifts (phi, 0) and (0, phi) give the same table, since their zero
+    components add exact zeros.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
@@ -309,22 +310,17 @@ def asymptotic_convergence(
 
     u_quad, err = asymptotic_limit_quadrature(spec, pot, om)
     u_closed = spec.closed_form_limit(om)
-    u_ref = u_closed if u_closed is not None else u_quad
 
     pts = radii[:, None, None] * om[None, :, :]
     phi = spec.eval(pts)  # (nr, no, 2)
-    dev = np.linalg.norm(radii[:, None, None] ** 2 * phi - u_ref[None, :, :], axis=-1)
+    dev = np.linalg.norm(radii[:, None, None] ** 2 * phi - u_closed[None, :, :], axis=-1)
     table = tuple((float(r), float(d)) for r, d in zip(radii, dev.max(axis=1)))
 
-    if u_closed is not None:
-        sup_dev = float(np.max(np.linalg.norm(u_quad - u_closed, axis=-1)))
-    else:
-        sup_dev = err
     return AsymptoticReport(
         omega_samples=om,
         u_quadrature=u_quad,
         u_closed=u_closed,
-        sup_deviation=sup_dev,
+        sup_deviation=float(np.max(np.linalg.norm(u_quad - u_closed, axis=-1))),
         convergence_table=table,
         quad_error=err,
     )

@@ -759,16 +759,15 @@ def gap_scan(
     pot: PotentialSpec,
     mass: float,
     grid: Grid3D,
-    resolution: Optional[int] = None,
     lambdas: Optional[Sequence[float]] = None,
     opts: Optional[EigsOptions] = None,
 ) -> GapScanReport:
     """Certify the absence of spectrum inside the gap (-m, m).
 
-    Samples lambda over the middle half of the gap, [-m/2, m/2] (the proxy's
-    normalization degenerates at the +-m endpoints, which the theory pins as
-    spectrum anyway): `resolution` uniform points, or an explicit `lambdas`
-    list staying at least m/20 away from +-m. For each lambda the proxy is
+    Samples lambda at `lambdas`, by default (-m/2, 0, m/2), the ends and
+    middle of the gap's middle half; a list must stay at least m/20 away
+    from +-m, where the proxy's normalization degenerates (the theory pins
+    +-m as spectrum anyway). For each lambda the proxy is
     dist(lambda, nearest eigenvalue) / min(|lambda-m|, |lambda+m|); values
     near 1 certify that no discrete eigenvalue intrudes into the gap.
 
@@ -778,18 +777,13 @@ def gap_scan(
     """
     if mass <= 0 or not np.isfinite(mass):
         raise ValueError("gap scan needs mass > 0")
-    if (resolution is None) == (lambdas is None):
-        raise ValueError("give exactly one of resolution or lambdas")
     if lambdas is None:
-        if resolution < 3:
-            raise ValueError("resolution must be >= 3")
-        points = np.linspace(-mass / 2.0, mass / 2.0, resolution)
-    else:
-        points = np.asarray(lambdas, dtype=np.float64)
-        if points.ndim != 1 or len(points) == 0:
-            raise ValueError("lambdas must be a non-empty 1d list")
-        if np.any(np.abs(points) > 0.95 * mass):
-            raise ValueError("gap samples must stay away from the +-m endpoints")
+        lambdas = (-mass / 2.0, 0.0, mass / 2.0)
+    points = np.asarray(lambdas, dtype=np.float64)
+    if points.ndim != 1 or len(points) == 0:
+        raise ValueError("lambdas must be a non-empty 1d list")
+    if np.any(np.abs(points) > 0.95 * mass):
+        raise ValueError("gap samples must stay away from the +-m endpoints")
 
     op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
     opts = opts or EigsOptions()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import roots_legendre
 
 ArrayR = NDArray[np.float64]
 
@@ -60,19 +59,17 @@ def radial_panels(
 ) -> tuple[ArrayR, ArrayR]:
     """Gauss-Legendre nodes/weights on [r_min, r_max], geometrically graded.
 
-    Panel edges grow geometrically from r_min (or from a small head panel when
-    r_min = 0), so a fixed node budget resolves both the O(1) core and the
-    power-law tail. Returns (r, w) with sum(w * f(r)) ~ integral f dr.
-    diraclab.modes passes its module constants as the sizes.
+    Panel edges grow geometrically from r_min > 0, so a fixed node budget
+    resolves both the O(1) core and the power-law tail. Returns (r, w) with
+    sum(w * f(r)) ~ integral f dr. diraclab.modes passes its module
+    constants as the sizes.
     """
-    if not (r_max > r_min >= 0.0):
-        raise ValueError("need 0 <= r_min < r_max")
+    if not (r_max > r_min > 0.0):
+        raise ValueError("need 0 < r_min < r_max")
     if panels < 1 or nodes_per_panel < 2:
         raise ValueError("need at least one panel and two nodes per panel")
-    lo = r_min if r_min > 0.0 else min(1e-3, r_max * 1e-6)
-    edges = np.geomspace(lo, r_max, panels + 1)
-    edges[0] = r_min
-    x, w = roots_legendre(nodes_per_panel)
+    edges = np.geomspace(r_min, r_max, panels + 1)
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
     rs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -91,7 +88,7 @@ def sphere_product_rule(n_theta: int, n_phi: int) -> tuple[ArrayR, ArrayR]:
     """
     if n_theta < 2 or n_phi < 4:
         raise ValueError("sphere rule too coarse")
-    ct, wt = roots_legendre(n_theta)
+    ct, wt = np.polynomial.legendre.leggauss(n_theta)
     st = np.sqrt(1.0 - ct**2)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wp = 2.0 * np.pi / n_phi

@@ -441,13 +441,22 @@ def _config_exit_code(tmp_path, capsys, **fields):
     return code, err
 
 
-def test_config_rejects_non_numeric_values(tmp_path, capsys):
-    code, err = _config_exit_code(tmp_path, capsys, grid_n="16")
-    assert code == 1 and "grid_n must be an integer" in err
-    code, err = _config_exit_code(tmp_path, capsys, grid_n=16.0)
-    assert code == 1 and "grid_n must be an integer" in err
-    code, _ = _config_exit_code(tmp_path, capsys, grid_n=16, box_l=5, mass=2, seed=3)
+def test_config_rejects_non_numeric_values(tmp_path, capsys, monkeypatch):
+    # potential-info reads no grid and no mass; spectrum reads all three
+    for value in ("16", 16.0):
+        code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                     {"command": "spectrum", "grid_n": value})
+        assert code == 1 and "grid_n must be an integer" in err
+    code, _ = _config_exit_code(tmp_path, capsys, seed=3)
     assert code == 0
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", dataclasses.replace(
+        cli.COMMANDS["spectrum"], run=lambda cfg: seen.append(cfg.to_dict()) or 0))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"grid_n": 16, "box_l": 5, "mass": 2, "seed": 3}))
+    code, _, _ = run(capsys, "spectrum", "--config", str(cfg_path))
+    assert code == 0
+    assert [seen[0][key] for key in ("grid_n", "box_l", "mass", "seed")] == [16, 5.0, 2.0, 3]
 
 
 @settings(max_examples=40, deadline=None,
@@ -456,8 +465,13 @@ def test_config_rejects_non_numeric_values(tmp_path, capsys):
        value=st.one_of(st.text(max_size=4), st.booleans(), st.none(),
                        st.lists(st.integers(), max_size=2),
                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)))
-def test_config_wrong_types_are_config_errors(tmp_path, capsys, key, value):
-    code, err = _config_exit_code(tmp_path, capsys, **{key: value})
+def test_config_wrong_types_are_config_errors(tmp_path, capsys, monkeypatch, key, value):
+    if key in cli.SETTINGS:
+        # potential-info reads none of the settings; spectrum reads all three
+        code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                     {"command": "spectrum", key: value})
+    else:
+        code, err = _config_exit_code(tmp_path, capsys, **{key: value})
     if key in ("tolerances", "options") and isinstance(value, dict):
         # the right JSON type: empty is the default, and potential-info
         # knows no tolerance and no option of at most two characters
@@ -474,7 +488,8 @@ def _exit_before_run(tmp_path, capsys, monkeypatch, cfg):
     command = cfg["command"]
     monkeypatch.setitem(cli.COMMANDS, command, dataclasses.replace(cli.COMMANDS[command], run=refuse))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"grid_n": 8, **cfg}))
+    small = {"grid_n": 8} if "grid_n" in cli.COMMANDS[command].settings else {}
+    cfg_path.write_text(json.dumps({**small, **cfg}))
     code, _, err = run(capsys, command, "--config", str(cfg_path))
     return code, err
 
@@ -526,6 +541,20 @@ def test_out_of_range_flag_values_exit_1(tmp_path, capsys, argv, message):
     assert code == 1 and err.startswith("error: ") and message in err, err
 
 
+# The shared settings each command's run reads; the rest it has no flag for.
+GRID = ("grid_n", "box_l")
+READS = {"verify-zero-mode": GRID, "gauge": GRID, "coupling-scan": GRID,
+         "spectrum": GRID + ("mass",), "gap-scan": GRID + ("mass",), "weyl": GRID + ("mass",),
+         "asymptotics": (), "decay-fit": (), "potential-info": ()}
+UNREAD = [(command, name) for command, names in READS.items()
+          for name in ("grid_n", "box_l", "mass") if name not in names]
+
+
+def test_each_command_reads_the_settings_of_its_run():
+    assert {command: entry.settings for command, entry in cli.COMMANDS.items()} == READS
+    assert len(UNREAD) == 12
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_help_lists_every_flag_of_the_table(capsys, command):
     code, out, _ = run(capsys, command, "--help")
@@ -534,6 +563,23 @@ def test_help_lists_every_flag_of_the_table(capsys, command):
     flags = ["--" + o.replace("_", "-") for o in entry.options]
     flags += [f"--tol-{t}" for t in entry.tolerances]
     assert [flag for flag in flags if flag not in out.split()] == []
+    # exactly the settings the command reads: asymptotics --help has no
+    # --mass, gauge --help has --grid-n
+    settings = {"--" + name.replace("_", "-") for name in cli.SETTINGS}
+    assert settings & set(out.split()) == {"--" + name.replace("_", "-") for name in READS[command]}
+
+
+@pytest.mark.parametrize("command,name", UNREAD)
+def test_a_setting_the_command_does_not_read_exits_1(tmp_path, capsys, monkeypatch,
+                                                     command, name):
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, command, "--" + name.replace("_", "-"), "16",
+                       "--out", str(out_path))
+    assert code == 1 and "unrecognized arguments" in err and "Traceback" not in err
+    assert not out_path.exists()
+    code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                 {"command": command, name: 16})
+    assert code == 1 and f"error: command {command} reads no {name}" in err, err
 
 
 def test_config_unknown_top_level_key_exits_1(tmp_path, capsys):
@@ -551,6 +597,7 @@ def test_config_unknown_top_level_key_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a", "--count", "2"],
     ["gap-scan", "--grid-n", "8", "--box-l", "4"],
+    ["potential-info"],
 ])
 def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
     from diraclab.grid import Grid3D, _write_dtl1, sample_potential
@@ -562,11 +609,16 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
     (tmp_path / "pot").mkdir()
     _write_dtl1(tmp_path / "pot" / "a.dtl", g, sample_potential(LossYau(), g))
     pot = tmp_path / "pot" / "pot.json"
-    pot.write_text(json.dumps({"variant": "sampled", "grid_n": 8, "box_l": 4.0,
-                               "file": "a.dtl"}))
+    entry = {"variant": "sampled", "grid_n": 8, "box_l": 4.0, "file": "a.dtl"}
+    if argv[0] == "potential-info":
+        # it classifies out to r = 2000, past a sampled potential's box
+        entry = {"variant": "loss_yau"}
+    pot.write_text(json.dumps(entry))
     code, _, _ = run(capsys, *argv, "--potential", str(pot), "--out", str(tmp_path / "a.json"))
     assert code in (0, 2)
     first = json.loads((tmp_path / "a.json").read_text())
+    # the config records exactly the settings the command reads
+    assert [name for name in cli.SETTINGS if name in first["config"]] == list(READS[argv[0]])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(first["config"]))
     replay_code, _, _ = run(capsys, argv[0], "--config", str(cfg_path),

@@ -13,7 +13,6 @@ from diraclab.modes import (
     asymptotic_convergence,
     asymptotic_limit_quadrature,
     mode_l2_norm,
-    sigma_d_analytic,
     t_residual_analytic,
     ZeroModeSpec,
 )
@@ -109,7 +108,9 @@ def test_convergence_table_slope():
     assert list(devs) == pytest.approx(expected, rel=1e-12)
 
 
-def test_sigma_d_analytic_needs_a_gradient():
-    # a spec without an analytic gradient is a bad argument, not a lookup miss
-    with pytest.raises(ValueError, match="no analytic gradient"):
-        sigma_d_analytic(ZeroModeSpec(), np.zeros((4, 3)))
+@pytest.mark.parametrize("method", ["eval", "gradient", "closed_form_limit"])
+def test_zero_mode_spec_requires_every_closed_form(method):
+    # a spec gives the mode, its gradient and its far-field limit; the base
+    # class has none of them to fall back on
+    with pytest.raises(NotImplementedError):
+        getattr(ZeroModeSpec(), method)(np.zeros((4, 3)))

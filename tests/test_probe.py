@@ -305,15 +305,9 @@ def test_gap_scan_validation():
     g = Grid3D(n=8, L=5.0)
     pot = LossYau()
     with pytest.raises(ValueError):
-        gap_scan(pot, 1.0, g)  # neither resolution nor lambdas
-    with pytest.raises(ValueError):
-        gap_scan(pot, 1.0, g, resolution=3, lambdas=[0.0])
-    with pytest.raises(ValueError):
-        gap_scan(pot, 1.0, g, resolution=2)
-    with pytest.raises(ValueError):
         gap_scan(pot, 1.0, g, lambdas=[0.0, 0.99])  # too close to the edge
     with pytest.raises(ValueError):
-        gap_scan(pot, -1.0, g, resolution=3)
+        gap_scan(pot, -1.0, g)
 
 
 def test_gap_scan_free_proxies_are_clean():
@@ -738,10 +732,12 @@ def test_block_kernels_allocate_less_than_one_column():
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-def test_solves_import_no_scipy_linalg():
-    # the solver and the Weyl residual call no scipy BLAS: after a solve and a
-    # quasi-mode no scipy.linalg module is loaded, and the OpenBLAS libraries
-    # mapped are the ones numpy and scipy.special map on import
+def test_solves_import_no_scipy_linalg(tmp_path):
+    # the solver and the Weyl residual call no scipy BLAS, and the quadrature
+    # takes numpy's Gauss-Legendre rule: after a solve, a quasi-mode and the
+    # two commands that integrate no scipy.linalg module is loaded, and the
+    # OpenBLAS libraries mapped are the ones numpy and scipy.special map on
+    # import
     import diraclab
 
     code = (
@@ -758,13 +754,17 @@ def test_solves_import_no_scipy_linalg():
         "op = OperatorHandle(kind='t_a', grid=g, potential=LossYau())\n"
         "assert eigs_near(op, 0.0, 1).converged\n"
         "build_weyl_quasimode(LossYau(), 1.0, 1.5, 1, g)\n"
+        "from diraclab.cli import main\n"
+        "assert main(['verify-zero-mode', '--grid-n', '8', '--out', 'v.json']) in (0, 2)\n"
+        "assert main(['asymptotics', '--out', 'a.json']) == 0\n"
         "print(json.dumps([on_import, blas(),\n"
         "                  sorted(m for m in sys.modules if m.startswith('scipy.linalg'))]))\n"
     )
     src = str(Path(diraclab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120)
+                         env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
+                         cwd=tmp_path)
     on_import, after, linalg = json.loads(out.stdout.strip().splitlines()[-1])
     assert linalg == []
     assert after == on_import
