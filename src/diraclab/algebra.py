@@ -65,12 +65,10 @@ def sigma_mul(vx, vy, vz, phi, out=None) -> ArrayC:
     """(sigma.v) phi over the leading spinor axis of phi, v = (vx, vy, vz).
 
     phi[0] and phi[1] are the spinor components; vx, vy, vz broadcast against
-    them: scalars, 1-D frequency axes shaped to one grid axis, or potential
-    components. The supercharge (sigma.k and sigma.A), the free-symbol
-    preconditioner, the zero mode and sigma_dot all call it or, when they
-    apply one v many times, sigma_mul_ladder with its ladder combinations
-    formed once. The result is complex, of shape (2,) + the broadcast shape,
-    and goes into out when given (out must not overlap phi).
+    them: scalars, point coordinates or potential components. The supercharge
+    kernel (grid.Supercharge) calls sigma_mul_ladder, ladders formed once.
+    The result is complex, of shape (2,) + the broadcast shape, and goes
+    into out when given (out must not overlap phi).
     """
     return sigma_mul_ladder(vx + 1j * vy, vx - 1j * vy, vz, phi, out)
 

@@ -152,7 +152,8 @@ class RunConfig:
         command = COMMANDS[self.command]
         for name in command.settings:
             _checked(name, SETTINGS[name], getattr(self, name))
-        _checked("seed", int, self.seed)
+        if _checked("seed", int, self.seed) < 0:
+            raise ConfigError("seed must be a non-negative integer")
         _checked("format", ("json", "csv", "both"), self.format)
         if self.output_path is not None:
             _checked("output_path", str, self.output_path)
@@ -181,6 +182,14 @@ class RunConfig:
                                   f"(known: {', '.join(kinds)})")
             self.options[name] = _checked(name, kinds[name], value)
 
+    def potential_unread(self) -> Optional[str]:
+        """'<command> --<option>' of a run that reads no potential, else None."""
+        if self.command == "spectrum" and self.options.get("operator") == "sigma_d":
+            return "spectrum --operator sigma_d"
+        if self.command == "decay-fit" and self.options.get("field"):
+            return "decay-fit --field"
+        return None
+
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, COMMANDS[self.command].tolerances[name]))
 
@@ -198,7 +207,7 @@ class RunConfig:
             "tolerances": full_tols,
             "output_path": self.output_path,
             "format": self.format,
-            "potential": self.potential,
+            **({} if self.potential_unread() else {"potential": self.potential}),
             "options": self.options,
         }
 
@@ -261,6 +270,9 @@ def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
 
 
 def _load_potential(cfg: RunConfig):
+    """The run's potential, None on a path that reads none."""
+    if cfg.potential_unread():
+        return None
     # companion files resolve against the potential file's directory, or
     # against the working directory for inline JSON
     path = cfg.options.get("potential_path")
@@ -362,12 +374,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     kind = cfg.options.get("operator", "h_a")
     target = cfg.options.get("target", cfg.mass)
     count = cfg.options.get("count", 1)
-    op = OperatorHandle(
-        kind=kind,
-        grid=grid,
-        potential=None if kind == "sigma_d" else pot,
-        mass=cfg.mass if kind in ("h_a", "h_squared") else None,
-    )
+    op = OperatorHandle(kind=kind, grid=grid, potential=pot,
+                        mass=cfg.mass if kind in ("h_a", "h_squared") else None)
     rep = eigs_near(op, target, count, EigsOptions(seed=cfg.seed, resid_tol=cfg.tol("residual")))
     best = int(np.argmin(np.abs(np.array(rep.eigenvalues) - target)))
     checks = [
@@ -389,11 +397,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_gap_scan(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    try:
-        scan = gap_scan(pot, cfg.mass, grid, lambdas=cfg.options.get("lambdas"),
-                        opts=EigsOptions(seed=cfg.seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scan = gap_scan(pot, cfg.mass, grid, lambdas=cfg.options.get("lambdas"),
+                    opts=EigsOptions(seed=cfg.seed))
     checks = [
         _check(f"proxy_at_{lam:+.6g}", proxy, cfg.tol("proxy"), lower_is_pass=False)
         for lam, proxy in scan.rows
@@ -432,10 +437,7 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
     if not (0 < r_min < r_max) or points < 6:
         raise ConfigError("need 0 < r_min < r_max and at least 6 points")
     radii = np.geomspace(r_min, r_max, points)
-    try:
-        fit = decay_fit(mode, radii)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fit = decay_fit(mode, radii)
     expect = cfg.options.get("expect", "any")
     checks = []
     if expect != "any":
@@ -462,12 +464,9 @@ def cmd_weyl(cfg: RunConfig) -> int:
     if sweep < 1:
         raise ConfigError("sweep must be >= 1")
     # one evaluation of the potential serves the whole sweep
-    try:
-        A = Sampled(grid, sample_potential(pot, grid))
-        modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
-                 for idx in range(1, sweep + 1)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    A = Sampled(grid, sample_potential(pot, grid))
+    modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
+             for idx in range(1, sweep + 1)]
     residuals = [m["residual"] for m in modes]
     checks = []
     if not A.values.any():
@@ -516,11 +515,8 @@ def cmd_coupling_scan(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
     t_values = cfg.options.get("t_values", [0.0, 0.5, 1.0, 1.5, 2.0])
-    try:
-        scan = coupling_scan(pot, t_values, grid,
-                             opts=EigsOptions(seed=cfg.seed, resid_tol=cfg.tol("residual")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    scan = coupling_scan(pot, t_values, grid,
+                         opts=EigsOptions(seed=cfg.seed, resid_tol=cfg.tol("residual")))
     t_min, lam_min = min(scan.rows, key=lambda row: row[1])
     print(f"minimum |lambda_min| = {lam_min:.6g} at t = {t_min:g}")
     for note in scan.notes:
@@ -609,6 +605,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
+    data = {}
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -661,6 +658,9 @@ def _resolve_config(args) -> RunConfig:
             if value is not None:
                 table[name] = value
 
+    unread = cfg.potential_unread()
+    if unread and (args.potential is not None or "potential" in data):
+        raise ConfigError(f"{unread} reads no potential")
     cfg.validate()
     return cfg
 
@@ -679,16 +679,11 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return COMMANDS[cfg.command].run(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except HypothesisViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SolverError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:  # OverflowError: a JSON integer past float range
+    # ConfigError is a ValueError; OverflowError: a JSON integer past float range
+    except (ValueError, OverflowError, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

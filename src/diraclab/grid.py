@@ -26,21 +26,16 @@ gauge functions) stay periodic whatever the spin structure.
 
 Operator layout is standard pseudo-spectral: sigma.D acts by multiplication
 with sigma.k in Fourier space, sigma.A pointwise in physical space; their sum
-is exact per application (no splitting error). One kernel applies every
-operator. It copies the (n, n, n, ..., rank) input once into a contiguous
-component-leading block (rank, ..., n, n, n) and transforms the last three
-axes in place with spinor_fftn/spinor_ifftn: the unitary (norm="ortho")
-pair, antiperiodic phases folded in, that the eigensolver's coefficient
-columns (such blocks) also use. sigma.k is built from the 1-D frequency
-axes by broadcasting, so no frequency mesh is ever stored and k_x +- i k_y
-are (n, n, 1) arrays.
-sigma.A reads the contiguous components of the sampled potential
-(sample_potential returns each component C-contiguous). For H = [[m, T],
-[T, -m]] the T-image of each 2-spinor half is written straight into the
-other half's slot and the mass terms are added in place. The result is an
-(n, n, n, ..., rank) view of the block. Real fields (potentials, gauge
-functions) are differentiated with real-input transforms (rfftn/irfftn),
-half the work of complex ones. The discrete L2 norm carries the cell
+is exact per application (no splitting error). One kernel, Supercharge,
+applies T on grid values and on the eigensolver's unitary coefficients, at
+one in-place FFT pair (spinor_fftn/spinor_ifftn, antiperiodic phases folded
+in) each; k_x +- i k_y come from the 1-D frequency axes, (n, n, 1) arrays,
+so no frequency mesh is stored. apply_values copies the (n, n, n, ..., rank) input once into a (..., rank, n, n, n)
+block; for H = [[m, T], [T, -m]] the T-image of each 2-spinor half is
+written straight into the other half's slot and the mass terms are added in
+place. The result is an (n, n, n, ..., rank) view of the block. Real fields
+(potentials, gauge functions) are differentiated with real-input transforms
+(rfftn/irfftn), half the work of complex ones. The discrete L2 norm carries the cell
 volume: ||f|| = h^(3/2) * Euclidean norm of the samples, so norms
 approximate their continuum counterparts.
 """
@@ -57,7 +52,7 @@ import numpy as np
 import scipy.fft as sfft
 from numpy.typing import NDArray
 
-from diraclab.algebra import sigma_mul
+from diraclab.algebra import sigma_mul_ladder
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -66,6 +61,7 @@ __all__ = [
     "Grid3D",
     "Field",
     "OperatorHandle",
+    "Supercharge",
     "GridMismatchError",
     "sample_field",
     "sample_potential",
@@ -325,15 +321,17 @@ class OperatorHandle:
     def rank(self) -> int:
         return 2 if self.kind in ("sigma_d", "t_a") else 4
 
-    def sampled_potential(self) -> ArrayR:
+    def sampled_potential(self) -> Optional[ArrayR]:
+        """A of T = sigma.(D - A), sampled once; None for sigma_d."""
+        if self.kind == "sigma_d":
+            return None
         if self._A is None:
             self._A = sample_potential(self.potential, self.grid)
         return self._A
 
-
-def _component_axes(ndim: int) -> tuple:
-    """Axis order taking (n, n, n, *batch, rank) to (rank, *batch, n, n, n)."""
-    return (ndim - 1, *range(3, ndim - 1), 0, 1, 2)
+    def supercharge(self, dtype=np.complex128) -> "Supercharge":
+        """This operator's T in precision dtype, a new kernel per call."""
+        return Supercharge(self.grid, self.sampled_potential(), dtype)
 
 
 def _spin_phases(grid: Grid3D, block: ArrayC) -> tuple[ArrayC, ArrayC]:
@@ -362,59 +360,88 @@ def spinor_ifftn(grid: Grid3D, block: ArrayC) -> ArrayC:
     return out
 
 
-def _halves(block: ArrayC, swap: bool = False) -> ArrayC:
-    """Spin-leading view (2, rank // 2, ...) of a component-leading block: the
-    2-spinor halves side by side on the second axis, in reverse order when
-    swap is set."""
-    pairs = block.reshape((block.shape[0] // 2, 2) + block.shape[1:])
-    return (pairs[::-1] if swap else pairs).swapaxes(0, 1)
+def _sigma(ladder: tuple, phi: ArrayC, out: Optional[ArrayC] = None) -> ArrayC:
+    """(sigma.v) phi over axis -4 of a block (..., 2, n, n, n), v given by
+    its ladder (v_x + i v_y, v_x - i v_y, v_z); in out when given."""
+    spins = sigma_mul_ladder(*ladder, np.moveaxis(phi, -4, 0),
+                             None if out is None else np.moveaxis(out, -4, 0))
+    return np.moveaxis(spins, 0, -4)
 
 
-def _apply(grid: Grid3D, values: ArrayC, A: Optional[ArrayR] = None,
-           mass: Optional[float] = None) -> ArrayC:
-    """sigma.D (no A), T_A (no mass) or H_A on (n, n, n, ..., rank) values.
+class Supercharge:
+    """T = sigma.(D - A), or sigma.D when A is None, on (..., 2, n, n, n)
+    blocks in precision dtype: T^ x = sigma.k x - F[sigma.A F^-1 x] on
+    coefficients (no transform for sigma.D), T v = F^-1[sigma.k F v] -
+    sigma.A v on grid values. The ladders v_x +- i v_y, v_z of k and A (two
+    complex n^3 arrays, 8 MB at n=64) are formed once in dtype."""
 
-    sigma.k acts on every 2-spinor half of the transformed block in one
-    sigma_mul call. For H = [[m, T], [T, -m]] over (upper, lower) each half's
-    image goes into the other half's slot, and sigma.A and the mass terms are
-    then taken from the input values. Returns an (n, n, n, ..., rank) view of
-    a new block.
-    """
-    swap = mass is not None
-    v = np.asarray(values).transpose(_component_axes(np.ndim(values)))
-    vhat = spinor_fftn(grid, np.array(v, dtype=np.complex128, order="C"))
-    out = np.empty_like(vhat)
-    sigma_mul(*grid.k_axes, _halves(vhat), out=_halves(out, swap))
-    del vhat
-    out = spinor_ifftn(grid, out)
-    if A is not None:
-        images = _halves(out, swap)
-        images -= sigma_mul(A[..., 0], A[..., 1], A[..., 2], _halves(v))
-    if mass is not None:
-        out[0:2] += mass * v[0:2]
-        out[2:4] -= mass * v[2:4]
-    return out.transpose(np.argsort(_component_axes(out.ndim)))
+    def __init__(self, grid: Grid3D, A: Optional[ArrayR] = None, dtype=np.complex128):
+        real = np.finfo(dtype).dtype
+        self.grid, self.dtype = grid, np.dtype(dtype)
+        kx, ky, kz = (k.astype(real, copy=False) for k in grid.k_axes)
+        self.k = (kx + 1j * ky, kx - 1j * ky, kz)
+        self.a = None
+        if A is not None:
+            ax, ay, az = (A[..., c].astype(real, copy=False) for c in range(3))
+            self.a = (ax + 1j * ay, ax - 1j * ay, az)
+
+    def coefficients(self, x: ArrayC, out: ArrayC, scratch: ArrayC) -> ArrayC:
+        """T^ x into out, a block shaped like x (or the array returned);
+        scratch, shaped alike, is overwritten."""
+        if self.a is None:
+            return _sigma(self.k, x, out)
+        np.copyto(scratch, x)
+        u = spinor_ifftn(self.grid, scratch)
+        _sigma(self.a, u, out)
+        out = spinor_fftn(self.grid, out)
+        _sigma(self.k, x, u)
+        return np.subtract(u, out, out=out)
+
+    def values(self, v: ArrayC, out: Optional[ArrayC] = None) -> ArrayC:
+        """T v into out (or a new block), or the array returned; v is copied
+        once, in the working precision."""
+        vhat = spinor_fftn(self.grid, np.array(v, dtype=self.dtype, order="C"))
+        if out is None:
+            out = np.empty_like(vhat)
+        _sigma(self.k, vhat, out)
+        del vhat
+        out = spinor_ifftn(self.grid, out)
+        if self.a is not None:
+            out -= _sigma(self.a, v)
+        return out
+
+
+def _dirac(T: Supercharge, v: ArrayC, mass: float) -> ArrayC:
+    """H = [[m, T], [T, -m]] on a block (..., 4, n, n, n) of grid values, as
+    a new block."""
+    halves = v.shape[:-4] + (2, 2) + v.shape[-3:]
+    swapped = np.flip(np.empty(halves, T.dtype), axis=-5)
+    out = np.flip(T.values(v.reshape(halves), swapped), axis=-5).reshape(v.shape)
+    out[..., 0:2, :, :, :] += mass * v[..., 0:2, :, :, :]
+    out[..., 2:4, :, :, :] -= mass * v[..., 2:4, :, :, :]
+    return out
 
 
 def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
     """Apply an operator to raw (n, n, n, ..., rank) values.
 
     Fast path without Field wrapping; extra axes between the grid axes and
-    the component axis are treated as a batch (one transform pass covers the
-    whole block, which is what the iterative eigensolver leans on). The
-    result has the shape of values and is a view of a new component-leading
-    block (see the module docstring).
+    the component axis are a batch, covered by one FFT pair per apply of
+    T. The result has the shape of values and is a view of a new block (see
+    the module docstring).
     """
     if np.shape(values)[-1] != op.rank:
         raise ValueError(f"operator {op.kind} expects rank {op.rank}, "
                          f"got rank {np.shape(values)[-1]}")
-    if op.kind == "sigma_d":
-        return _apply(op.grid, values)
-    A = op.sampled_potential()
-    if op.kind == "t_a":
-        return _apply(op.grid, values, A)
-    hv = _apply(op.grid, values, A, op.mass)
-    return hv if op.kind == "h_a" else _apply(op.grid, hv, A, op.mass)
+    T = op.supercharge()
+    v = np.moveaxis(values, (0, 1, 2), (-3, -2, -1))
+    if op.rank == 2:
+        out = T.values(v)
+    else:
+        out = _dirac(T, v, op.mass)
+        if op.kind == "h_squared":
+            out = _dirac(T, out, op.mass)
+    return np.moveaxis(out, (-3, -2, -1), (0, 1, 2))
 
 
 def apply(op: OperatorHandle, f: Field) -> Field:
@@ -437,19 +464,20 @@ def residual_norm(op: OperatorHandle, f: Field, lam: float) -> float:
 
 def susy_square_check(grid: Grid3D, pot, mass: float) -> float:
     """Max relative deviation of H^2 from blockwise T^2 + m^2 on 20 random
-    fields drawn from default_rng(0).
+    fields drawn from default_rng(0), through one kernel.
 
     The identity is exact at the discrete level (H^2 applies T twice per block
     and the mass terms cancel), so the returned number is floating-point noise.
     """
-    A = sample_potential(pot, grid)
+    T = Supercharge(grid, sample_potential(pot, grid))
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
         v = rng.standard_normal((grid.n,) * 3 + (4,)) + 1j * rng.standard_normal((grid.n,) * 3 + (4,))
-        hh = _apply(grid, _apply(grid, v, A, mass), A, mass)
-        tt = _apply(grid, _apply(grid, v, A), A)
-        dev = hh - tt - mass**2 * v
+        w = np.moveaxis(v, -1, 0)
+        hh = _dirac(T, _dirac(T, w, mass), mass)
+        tt = T.values(T.values(w.reshape((2, 2) + w.shape[1:]))).reshape(w.shape)
+        dev = hh - tt - mass**2 * w
         worst = max(worst, float(np.linalg.norm(dev) / np.linalg.norm(v)))
     return worst
 

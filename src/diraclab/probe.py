@@ -20,8 +20,8 @@ is a pointwise 2x2 multiply with no transform, and one apply of (T - tau)^2
 is two FFT pairs with the antiperiodic phases folded in and no layout copy.
 Measured at n=64, L=20 on a 2-core VM (one column, min of 9): the
 preconditioner 1.0 ms against 37.5 ms for the grid-value FFT pair it
-replaced, the squared shift 56 against 73 ms. The transforms are the grid's
-pair, spinor_fftn/spinor_ifftn. Warm starts enter eigs_near as a list of
+replaced, the squared shift 56 against 73 ms. T is the grid's kernel,
+grid.Supercharge, on coefficients. Warm starts enter eigs_near as a list of
 fields, which the start block takes out one at a time, copying each into its
 coefficient column and transforming those columns in place (random columns
 and constant spinors are drawn as coefficients). Rayleigh-Ritz of T stays on
@@ -68,13 +68,14 @@ import numpy as np
 import scipy.fft as sfft
 from numpy.typing import NDArray
 
-from diraclab.algebra import sigma_mul, sigma_mul_ladder
+from diraclab.algebra import sigma_mul
 from diraclab.blocksolver import SolverError, lobpcg
 from diraclab.grid import (
     Field,
     Grid3D,
     GridMismatchError,
     OperatorHandle,
+    Supercharge,
     apply_values,
     interp_trilinear,
     sample_potential,
@@ -231,7 +232,8 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float,
     tau = 0 a real scaling) and needs no transform: one n=64 column costs
     1.0 ms on a 2-core VM, where the FFT pair of the grid-value form cost
     37.5 ms. The symbol and the frequency axes are rounded to the working
-    precision once, so a complex64 apply reads no complex128 array.
+    precision once (sigma.k is the supercharge kernel of sigma.D), so a
+    complex64 apply reads no complex128 array.
     """
     real = np.finfo(dtype).dtype
     k2 = grid.k2_mesh
@@ -239,15 +241,14 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float,
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
     diag = ((k2 + tau**2 + delta) / den).astype(real, copy=False)
     off = (2.0 * tau / den).astype(real, copy=False)
-    k_axes = [k.astype(real, copy=False) for k in grid.k_axes]
+    sigma_k = Supercharge(grid, None, dtype)
 
     def prec(block: np.ndarray) -> np.ndarray:
         x = _coefficient_view(block, grid.n)
         if tau == 0.0:
             out = x * diag
         else:
-            out = np.empty_like(x)
-            sigma_mul(*k_axes, x.swapaxes(0, 1), out=out.swapaxes(0, 1))
+            out = sigma_k.coefficients(x, np.empty_like(x), None)
             out *= off
             out += diag * x
         return _solver_columns(out, block)
@@ -259,65 +260,37 @@ class _ShiftedSquare:
     """(T - tau)^2 on the solver's coefficient columns, for one solve, in the
     working precision dtype (complex128 or complex64).
 
-    In the unitary spinor basis F the supercharge reads
-    T^ x = sigma.k x - F[sigma.A F^-1 x], so one apply of the square costs
-    exactly two FFT pairs over the block and no layout copy; sigma_d has no
-    sigma.A term and needs none. The tau passes are skipped at tau = 0.
-    What the applies reuse lives as long as this object, the solve: the
-    ladder combinations A_x +- i A_y (two complex n^3 arrays, 8 MB at n=64,
-    not cached on the operator handle) and two work blocks as wide as the
-    last block applied (a wider start block is not kept through the solve).
-    Only the result is allocated per apply. `t` applies T itself, for the
-    Rayleigh-Ritz of T on the solve's coefficient columns. The ladders, the
-    frequency axes and tau are rounded to the working precision once, so a
-    complex64 apply reads no complex128 array (the transforms take the
-    grid's complex64 spin phases).
+    One apply of the square costs two applies of the operator's supercharge
+    kernel, two FFT pairs over the block (none for sigma_d), and no layout
+    copy; the tau passes are skipped at tau = 0. The kernel and two work
+    blocks as wide as the last block applied (a wider start block is not
+    kept) live as long as this object, the solve; only the result is
+    allocated per apply. `t` applies T itself, for the Rayleigh-Ritz of T.
     """
 
     def __init__(self, op: OperatorHandle, tau: float, dtype=np.complex128):
-        grid = op.grid
-        real = np.finfo(dtype).dtype
-        self.grid, self.tau, self.dtype = grid, float(tau), np.dtype(dtype)
-        kx, ky, kz = (k.astype(real, copy=False) for k in grid.k_axes)
-        self.k = (kx + 1j * ky, kx - 1j * ky, kz)
-        self.a = None
-        if op.kind != "sigma_d":
-            A = op.sampled_potential()
-            ax, ay, az = (A[..., c].astype(real, copy=False) for c in range(3))
-            self.a = (ax + 1j * ay, ax - 1j * ay, az)
-        self.work = np.empty((2, 0, 2) + (grid.n,) * 3, dtype=self.dtype)
-
-    def _t(self, x: ArrayC, dst: ArrayC, scratch: ArrayC) -> ArrayC:
-        """T^ x, in dst (or the array returned); scratch is overwritten."""
-        if self.a is None:
-            sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=dst.swapaxes(0, 1))
-            return dst
-        np.copyto(scratch, x)
-        u = spinor_ifftn(self.grid, scratch)
-        sigma_mul_ladder(*self.a, u.swapaxes(0, 1), out=dst.swapaxes(0, 1))
-        dst = spinor_fftn(self.grid, dst)
-        sigma_mul_ladder(*self.k, x.swapaxes(0, 1), out=u.swapaxes(0, 1))
-        return np.subtract(u, dst, out=dst)
+        self.T, self.tau = op.supercharge(dtype), float(tau)
+        self.work = np.empty((2, 0, 2) + (op.grid.n,) * 3, dtype=self.T.dtype)
 
     def _work(self, x: ArrayC) -> ArrayC:
         """The two work blocks, resized to x's shape."""
         if self.work.shape[1:] != x.shape:
             self.work = None  # the old blocks go before the new ones come
-            self.work = np.empty((2,) + x.shape, dtype=self.dtype)
+            self.work = np.empty((2,) + x.shape, dtype=self.T.dtype)
         return self.work
 
     def t(self, block: np.ndarray) -> np.ndarray:
         """T on coefficient columns, shaped like block."""
-        x = _coefficient_view(block, self.grid.n)
-        return _solver_columns(self._t(x, np.empty_like(x), self._work(x)[1]), block)
+        x = _coefficient_view(block, self.T.grid.n)
+        return _solver_columns(self.T.coefficients(x, np.empty_like(x), self._work(x)[1]), block)
 
     def __call__(self, block: np.ndarray) -> np.ndarray:
-        x = _coefficient_view(block, self.grid.n)
+        x = _coefficient_view(block, self.T.grid.n)
         z, u = self._work(x)
-        z = self._t(x, z, u)
+        z = self.T.coefficients(x, z, u)
         if self.tau:
             z -= np.multiply(x, self.tau, out=u)
-        out = self._t(z, np.empty_like(x), u)
+        out = self.T.coefficients(z, np.empty_like(x), u)
         if self.tau:
             out -= np.multiply(z, self.tau, out=u)
         return _solver_columns(out, block)
@@ -346,7 +319,8 @@ def _constant_fraction(values: ArrayC) -> float:
 
 
 def _potential_is_zero(op: OperatorHandle) -> bool:
-    return op.kind == "sigma_d" or not op.sampled_potential().any()
+    A = op.sampled_potential()
+    return A is None or not A.any()
 
 
 def _resolve_delta(op: OperatorHandle) -> float:
@@ -496,10 +470,11 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
     def run(square: _ShiftedSquare, tol: float, maxiter: int, stall=None):
         # the block is popped into the call, so lobpcg frees it once it is in
         # the solver's basis
-        prec = _free_symbol_preconditioner(grid, target, delta, square.dtype)
+        dtype = square.T.dtype
+        prec = _free_symbol_preconditioner(grid, target, delta, dtype)
         try:
-            return lobpcg(_Operator(square, (N, N), square.dtype), start.pop(),
-                          M=_Operator(prec, (N, N), square.dtype), tol=tol,
+            return lobpcg(_Operator(square, (N, N), dtype), start.pop(),
+                          M=_Operator(prec, (N, N), dtype), tol=tol,
                           maxiter=maxiter, nwanted=count, stall=stall)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc

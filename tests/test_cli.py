@@ -598,10 +598,17 @@ def test_config_unknown_top_level_key_exits_1(tmp_path, capsys):
     ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a", "--count", "2"],
     ["gap-scan", "--grid-n", "8", "--box-l", "4"],
     ["potential-info"],
+    ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "sigma_d", "--target", "0.7"],
+    ["decay-fit", "--field", "FIELD", "--r-min", "0.5", "--r-max", "3"],
 ])
 def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
     from diraclab.grid import Grid3D, _write_dtl1, sample_potential
     from diraclab.potentials import LossYau
+
+    # sigma_d and a field file read no potential: none is given or recorded
+    reads_potential = "sigma_d" not in argv and "--field" not in argv
+    write_field(tmp_path / "f.dtl", sample_field(LossYauMode().eval, Grid3D(n=8, L=4.0)))
+    argv = [str(tmp_path / "f.dtl") if a == "FIELD" else a for a in argv]
 
     # the companion file is found next to the potential file, so the replay
     # must carry options.potential_path
@@ -614,9 +621,11 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
         # it classifies out to r = 2000, past a sampled potential's box
         entry = {"variant": "loss_yau"}
     pot.write_text(json.dumps(entry))
-    code, _, _ = run(capsys, *argv, "--potential", str(pot), "--out", str(tmp_path / "a.json"))
+    given = ["--potential", str(pot)] if reads_potential else []
+    code, _, _ = run(capsys, *argv, *given, "--out", str(tmp_path / "a.json"))
     assert code in (0, 2)
     first = json.loads((tmp_path / "a.json").read_text())
+    assert ("potential" in first["config"]) == reads_potential
     # the config records exactly the settings the command reads
     assert [name for name in cli.SETTINGS if name in first["config"]] == list(READS[argv[0]])
     cfg_path = tmp_path / "cfg.json"
@@ -625,6 +634,43 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
                             "--out", str(tmp_path / "b.json"))
     assert replay_code == code
     assert json.loads((tmp_path / "b.json").read_text())["result"] == first["result"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    # a potential on a path that reads none, by flag and by config key
+    (["spectrum", "--grid-n", "8", "--operator", "sigma_d", "--potential", LY],
+     "spectrum --operator sigma_d reads no potential"),
+    (["spectrum", {"grid_n": 8, "potential": json.loads(LY), "options": {"operator": "sigma_d"}}],
+     "spectrum --operator sigma_d reads no potential"),
+    (["decay-fit", "--field", "FIELD", "--potential", LY], "decay-fit --field reads no potential"),
+    (["decay-fit", {"potential": json.loads(LY), "options": {"field": "FIELD"}}],
+     "decay-fit --field reads no potential"),
+    (["spectrum", "--grid-n", "8", "--seed", "-1"], "seed must be a non-negative integer"),
+    (["asymptotics", "--seed", "-1"], "seed must be a non-negative integer"),
+    # library ValueErrors reach main unwrapped and exit 1 there
+    (["gap-scan", "--grid-n", "8", "--box-l", "4", "--lambdas", "0.99"],
+     "gap samples must stay away from the +-m endpoints"),
+    (["weyl", "--grid-n", "8", "--box-l", "4", "--lambda0", "0.5"],
+     "need |lambda0| >= mass, got 0.5 with mass 1.0"),
+    (["coupling-scan", "--grid-n", "8", "--box-l", "4", "--t-values", "0,1"],
+     "need >= 3 finite coupling values"),
+])
+def test_refused_runs_exit_1_with_one_message_and_no_report(tmp_path, capsys, argv, message):
+    field_path = tmp_path / "f.dtl"
+    write_field(field_path, sample_field(LossYauMode().eval, Grid3D(n=8, L=4.0)))
+    args = []
+    for a in argv:
+        if isinstance(a, dict):  # a config file
+            options = {k: str(field_path) if v == "FIELD" else v for k, v in a["options"].items()}
+            cfg = {"command": argv[0], **a, "options": options}
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        else:
+            args.append(str(field_path) if a == "FIELD" else a)
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, *args, "--out", str(out_path))
+    assert (code, err) == (1, f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_tolerance_override_flag(tmp_path, capsys):

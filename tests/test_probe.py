@@ -808,9 +808,9 @@ def test_unreachable_single_tol_hands_off_at_the_stall_guard(monkeypatch):
 @pytest.mark.parametrize("spin", ["periodic", "antiperiodic"])
 @pytest.mark.parametrize("tau", [0.0, 0.8])
 def test_complex64_applies_stay_in_complex64(spin, tau):
-    # the complex64 square and preconditioner read only complex64 and float32
-    # arrays (ladders, frequency axes, spin phases) and agree with the
-    # complex128 ones to complex64 round-off
+    # the complex64 square (its supercharge kernel) and preconditioner read
+    # only complex64 and float32 arrays (ladders, frequency axes, spin phases)
+    # and agree with the complex128 ones to complex64 round-off
     from diraclab.grid import _spin_phases
     from diraclab.probe import _free_symbol_preconditioner, _ShiftedSquare
 
@@ -819,7 +819,7 @@ def test_complex64_applies_stay_in_complex64(spin, tau):
     X = _coefficients(g, _random_fields(g, 2, seed=3)).copy(order="F")
     X64 = X.astype(np.complex64)
     square64 = _ShiftedSquare(op, tau, np.complex64)
-    arrays = square64.k + square64.a + (_spin_phases(g, X64) if g.antiperiodic else ())
+    arrays = square64.T.k + square64.T.a + (_spin_phases(g, X64) if g.antiperiodic else ())
     assert {a.dtype for a in arrays} <= {np.dtype(np.complex64), np.dtype(np.float32)}
     for name, single, double in (
             ("square", square64, _ShiftedSquare(op, tau)),
