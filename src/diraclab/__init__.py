@@ -41,7 +41,6 @@ from diraclab.potentials import (
     default_classification,
 )
 from diraclab.probe import (
-    EigsOptions,
     build_weyl_quasimode,
     coupling_scan,
     decay_fit,
@@ -57,7 +56,7 @@ __all__ = [
     "LossYauMode", "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",
     "default_classification",
-    "EigsOptions", "eigs_near", "gap_scan", "build_weyl_quasimode",
+    "eigs_near", "gap_scan", "build_weyl_quasimode",
     "decay_fit", "coupling_scan",
     "__version__",
 ]

@@ -155,7 +155,7 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
     A and the preconditioner M are applied only through `@`, to Fortran-
     ordered (N, k) blocks, and A's `dtype` is read; nothing else of them is
     used. Any object with `__matmul__` and `dtype` serves (a dense matrix in
-    the tests; eigs_near passes a small wrapper that also carries the
+    the tests; eigs_near's squared shift and preconditioner also carry the
     (N, N) `shape` the benchmark's tracer reads, so scipy.sparse is never
     loaded). Only the first `nwanted` Ritz pairs of the block
     (all of them by default) decide convergence: the loop ends once each has

@@ -11,7 +11,8 @@ the plane-wave bulk collapses in a handful of iterations and only the
 potential-induced states need work. Eigenvalues of the operator itself are
 recovered by Rayleigh-Ritz on the wanted columns; every report carries the
 per-pair residuals, the seed, the kernel-counting threshold actually used,
-and a note when a solve ran out of iterations.
+and a note when a solve ran out of iterations. RESID_TOL is the one
+residual gate: a report is converged when no pair's residual exceeds it.
 
 The block solver runs on unitary (norm="ortho") spinor Fourier coefficients,
 not on grid values; LOBPCG is invariant under that change of basis. Each
@@ -62,7 +63,7 @@ there nothing is deflated and no constant spinors are seeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.fft as sfft
@@ -89,7 +90,6 @@ ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
 
 __all__ = [
-    "EigsOptions",
     "EigenReport",
     "GapScanReport",
     "WeylQuasimode",
@@ -113,6 +113,8 @@ VERDICT_DELTA = 0.25
 # its iteration cap per supercharge solve (both phases together).
 LOBPCG_TOL = 1e-8
 MAXITER = 400
+# A report is converged when no returned pair's residual exceeds RESID_TOL.
+RESID_TOL = 1e-6
 
 # Supercharge solves on grids with n >= SINGLE_N first iterate in complex64,
 # until the wanted residuals reach SINGLE_TOL or the worst of them has set no
@@ -136,15 +138,6 @@ def kernel_threshold(grid: Grid3D) -> float:
     """
     k_max = np.pi * grid.n / (2.0 * grid.L)
     return 0.1 / grid.L + 0.1 * np.exp(-k_max)
-
-
-@dataclass(frozen=True)
-class EigsOptions:
-    """Solver knobs; defaults tuned on the n=64, L=20 reference grid."""
-
-    seed: int = 0
-    extra: Optional[int] = None  # extra block vectors beyond count
-    resid_tol: float = 1e-6  # per-pair residual defining "converged"
 
 
 @dataclass(frozen=True)
@@ -215,10 +208,9 @@ def _grid_fields(grid: Grid3D, coef: np.ndarray) -> ArrayC:
     return np.ascontiguousarray(values.transpose(0, 2, 3, 4, 1))
 
 
-def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float,
-                                dtype=np.complex128):
+class _FreeSymbolPreconditioner:
     """Exact fiberwise inverse of (sigma.k - tau)^2 + delta on coefficient
-    columns of the given complex dtype.
+    columns of the given complex dtype, applied by `@`.
 
     The free squared shift S0(k) = (sigma.k - tau)^2 is diagonalized by the
     eigenprojections of sigma.k, so (S0 + delta)^{-1} has the closed form
@@ -233,32 +225,34 @@ def _free_symbol_preconditioner(grid: Grid3D, tau: float, delta: float,
     1.0 ms on a 2-core VM, where the FFT pair of the grid-value form cost
     37.5 ms. The symbol and the frequency axes are rounded to the working
     precision once (sigma.k is the supercharge kernel of sigma.D), so a
-    complex64 apply reads no complex128 array.
+    complex64 apply reads no complex128 array. (A class made per call would
+    sit in a reference cycle, keeping the symbol alive until the next GC.)
     """
-    real = np.finfo(dtype).dtype
-    k2 = grid.k2_mesh
-    kn = np.sqrt(k2)
-    den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
-    diag = ((k2 + tau**2 + delta) / den).astype(real, copy=False)
-    off = (2.0 * tau / den).astype(real, copy=False)
-    sigma_k = Supercharge(grid, None, dtype)
 
-    def prec(block: np.ndarray) -> np.ndarray:
-        x = _coefficient_view(block, grid.n)
-        if tau == 0.0:
-            out = x * diag
+    def __init__(self, grid: Grid3D, tau: float, delta: float, dtype=np.complex128):
+        real = np.finfo(dtype).dtype
+        k2 = grid.k2_mesh
+        kn = np.sqrt(k2)
+        den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
+        self.diag = ((k2 + tau**2 + delta) / den).astype(real, copy=False)
+        self.off = (2.0 * tau / den).astype(real, copy=False)
+        self.sigma_k, self.tau = Supercharge(grid, None, dtype), tau
+        self.shape, self.dtype = (2 * grid.n**3,) * 2, self.sigma_k.dtype
+
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
+        x = _coefficient_view(block, self.sigma_k.grid.n)
+        if self.tau == 0.0:
+            out = x * self.diag
         else:
-            out = sigma_k.coefficients(x, np.empty_like(x), None)
-            out *= off
-            out += diag * x
+            out = self.sigma_k.coefficients(x, np.empty_like(x), None)
+            out *= self.off
+            out += self.diag * x
         return _solver_columns(out, block)
-
-    return prec
 
 
 class _ShiftedSquare:
     """(T - tau)^2 on the solver's coefficient columns, for one solve, in the
-    working precision dtype (complex128 or complex64).
+    working precision dtype (complex128 or complex64), applied by `@`.
 
     One apply of the square costs two applies of the operator's supercharge
     kernel, two FFT pairs over the block (none for sigma_d), and no layout
@@ -270,6 +264,7 @@ class _ShiftedSquare:
 
     def __init__(self, op: OperatorHandle, tau: float, dtype=np.complex128):
         self.T, self.tau = op.supercharge(dtype), float(tau)
+        self.shape, self.dtype = (2 * op.grid.n**3,) * 2, self.T.dtype
         self.work = np.empty((2, 0, 2) + (op.grid.n,) * 3, dtype=self.T.dtype)
 
     def _work(self, x: ArrayC) -> ArrayC:
@@ -284,7 +279,7 @@ class _ShiftedSquare:
         x = _coefficient_view(block, self.T.grid.n)
         return _solver_columns(self.T.coefficients(x, np.empty_like(x), self._work(x)[1]), block)
 
-    def __call__(self, block: np.ndarray) -> np.ndarray:
+    def __matmul__(self, block: np.ndarray) -> np.ndarray:
         x = _coefficient_view(block, self.T.grid.n)
         z, u = self._work(x)
         z = self.T.coefficients(x, z, u)
@@ -294,20 +289,6 @@ class _ShiftedSquare:
         if self.tau:
             out -= np.multiply(z, self.tau, out=u)
         return _solver_columns(out, block)
-
-
-@dataclass(frozen=True)
-class _Operator:
-    """An (N, N) operator on solver columns in the protocol lobpcg applies:
-    `@` on (N, k) blocks and a dtype, with the shape a wrapper reads (a
-    scipy LinearOperator would load scipy.sparse for this alone)."""
-
-    apply: Callable[[np.ndarray], np.ndarray]
-    shape: tuple[int, int]
-    dtype: np.dtype
-
-    def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        return self.apply(block)
 
 
 def _constant_fraction(values: ArrayC) -> float:
@@ -321,6 +302,14 @@ def _constant_fraction(values: ArrayC) -> float:
 def _potential_is_zero(op: OperatorHandle) -> bool:
     A = op.sampled_potential()
     return A is None or not A.any()
+
+
+def _constant_branch(op: OperatorHandle, fractions) -> list:
+    """Per pair, whether it is on the torus constant branch: a constant
+    fraction above CONSTANT_BRANCH_FRACTION under a nonzero potential."""
+    if op.grid.antiperiodic or _potential_is_zero(op):
+        return [False] * len(fractions)
+    return [frac > CONSTANT_BRANCH_FRACTION for frac in fractions]
 
 
 def _resolve_delta(op: OperatorHandle) -> float:
@@ -433,11 +422,12 @@ class _Solve(NamedTuple):
     handoff: Optional[str]
 
 
-def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions,
-                warm: list) -> _Solve:
+def _solve_near(op: OperatorHandle, target: float, count: int, warm: list, seed: int,
+                extra: Optional[int]) -> _Solve:
     """Soft-locking LOBPCG on (Op - target)^2 for a 2-spinor operator, then
     Rayleigh-Ritz of Op itself on the `count` wanted columns. warm holds the
-    solve's warm fields, (n, n, n, 2) values, which _start_block takes out.
+    solve's warm fields, (n, n, n, 2) values, which _start_block takes out;
+    seed and extra are eigs_near's.
 
     Precision is a phase of the solve, chosen by grid size alone. On grids
     with n >= SINGLE_N, lobpcg first runs in complex64 (start block,
@@ -461,25 +451,22 @@ def _solve_near(op: OperatorHandle, target: float, count: int, opts: EigsOptions
     then reads near the target while its squared-shift value is not small.
     """
     grid = op.grid
-    N = grid.n**3 * 2
-    extra = opts.extra if opts.extra is not None else max(2, count)
-    nb = min(count + extra, N)
+    extra = extra if extra is not None else max(2, count)
+    nb = min(count + extra, grid.n**3 * 2)
     delta = _resolve_delta(op)
     single = grid.n >= SINGLE_N
 
     def run(square: _ShiftedSquare, tol: float, maxiter: int, stall=None):
         # the block is popped into the call, so lobpcg frees it once it is in
         # the solver's basis
-        dtype = square.T.dtype
-        prec = _free_symbol_preconditioner(grid, target, delta, dtype)
+        prec = _FreeSymbolPreconditioner(grid, target, delta, square.dtype)
         try:
-            return lobpcg(_Operator(square, (N, N), dtype), start.pop(),
-                          M=_Operator(prec, (N, N), dtype), tol=tol,
+            return lobpcg(square, start.pop(), M=prec, tol=tol,
                           maxiter=maxiter, nwanted=count, stall=stall)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"lobpcg failed on {op.kind}: {exc}") from exc
 
-    start = [_start_block(grid, target, nb, warm, np.random.default_rng(opts.seed),
+    start = [_start_block(grid, target, nb, warm, np.random.default_rng(seed),
                           np.complex64 if single else np.complex128)]
     single_its, handoff = 0, None
     if single:
@@ -569,8 +556,9 @@ def eigs_near(
     op: OperatorHandle,
     target: float,
     count: int,
-    opts: Optional[EigsOptions] = None,
     warm: Optional[list] = None,
+    seed: int = 0,
+    extra: Optional[int] = None,
 ) -> EigenReport:
     """The `count` eigenvalues of the discretized operator nearest `target`.
 
@@ -595,11 +583,14 @@ def eigs_near(
     _start_block); the block holds all of them, at least count + extra
     columns.
 
+    seed draws the random columns; extra guard columns per solve (None:
+    max(2, pairs)) only accelerate.
+
     The report holds the eigenvectors as Fields and each pair's constant
-    fraction. Deterministic under a fixed seed. Non-convergence is reported
-    through converged=False with the partial results left in place, never raised.
+    fraction. Deterministic under a fixed seed. converged needs every
+    residual <= RESID_TOL; non-convergence is reported through
+    converged=False with the partial results left in place, never raised.
     """
-    opts = opts or EigsOptions()
     if count < 1:
         raise ValueError("count must be >= 1")
     grid = op.grid
@@ -626,7 +617,7 @@ def eigs_near(
     # 2^20 / n^3 pairs a block of 2 * width columns holds 64 MB.
     iterations, single_its, width = 0, 0, count
     while True:
-        solves = [_solve_near(t_op, s, width, opts, w) for s, w in zip(shifts, starts)]
+        solves = [_solve_near(t_op, s, width, w, seed, extra) for s, w in zip(shifts, starts)]
         iterations += sum(sv.iterations for sv in solves)
         single_its += sum(sv.complex64_iterations for sv in solves)
         notes += [sv.handoff for sv in solves if sv.handoff]
@@ -669,20 +660,20 @@ def eigs_near(
     fractions = tuple(None if grid.antiperiodic else _constant_fraction(v) for v in block)
 
     thr = kernel_threshold(grid)
-    deflate = not (_potential_is_zero(op) or grid.antiperiodic)
     kernel = 0
-    for l, (_, _, _, i), frac in zip(lam, picked, fractions):
+    for l, (_, _, _, i), frac, const in zip(lam, picked, fractions,
+                                            _constant_branch(op, fractions)):
         if abs(eps[i]) > thr:
             continue
-        if deflate and frac > CONSTANT_BRANCH_FRACTION:
+        if const:
             notes.append(f"excluded eigenvalue {l:.3e} from kernel count: "
                          f"constant-subspace overlap {frac:.2f} (torus artifact)")
             continue
         kernel += 1
 
-    converged = bool(np.all(np.array(residuals) <= opts.resid_tol))
+    converged = bool(np.all(np.array(residuals) <= RESID_TOL))
     if not converged:
-        notes.append(f"residuals above {opts.resid_tol:.1e} after {iterations} iterations")
+        notes.append(f"residuals above {RESID_TOL:.1e} after {iterations} iterations")
     if not certified:
         converged = False
         notes.append(f"nearest pairs not certified: an eigenvalue within {reach:.3e} "
@@ -697,7 +688,7 @@ def eigs_near(
         complex64_iterations=int(single_its),
         converged=converged,
         threshold=thr,
-        seed=opts.seed,
+        seed=seed,
         kind=op.kind,
         grid=grid,
         mass=op.mass,
@@ -714,12 +705,13 @@ def eigs_near(
 class GapScanReport:
     """Spectral-gap certification: (lambda, proxy) rows with proxy >= 1 - tol
     meaning the nearest eigenvalue keeps the full theoretical distance
-    min(|lambda - m|, |lambda + m|)."""
+    min(|lambda - m|, |lambda + m|), and whether the edge solve converged."""
 
     mass: float
     rows: tuple  # ((lambda, proxy), ...)
     nearest_eigenvalues: tuple
     seed: int
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
@@ -735,7 +727,7 @@ def gap_scan(
     mass: float,
     grid: Grid3D,
     lambdas: Optional[Sequence[float]] = None,
-    opts: Optional[EigsOptions] = None,
+    seed: int = 0,
 ) -> GapScanReport:
     """Certify the absence of spectrum inside the gap (-m, m).
 
@@ -761,12 +753,7 @@ def gap_scan(
         raise ValueError("gap samples must stay away from the +-m endpoints")
 
     op = OperatorHandle(kind="h_a", grid=grid, potential=pot, mass=mass)
-    opts = opts or EigsOptions()
-    rep = eigs_near(op, mass, 1, opts)
-    if not rep.converged:
-        raise SolverError(
-            f"threshold edge solve did not converge (residuals {rep.residuals})"
-        )
+    rep = eigs_near(op, mass, 1, seed=seed)
     edge = rep.eigenvalues[0]
     rows = []
     nearest = []
@@ -776,7 +763,8 @@ def gap_scan(
         rows.append((float(lam), float(abs(mu - lam) / bound)))
         nearest.append(mu)
     return GapScanReport(mass=float(mass), rows=tuple(rows),
-                         nearest_eigenvalues=tuple(nearest), seed=opts.seed)
+                         nearest_eigenvalues=tuple(nearest), seed=seed,
+                         converged=rep.converged)
 
 
 # ----------------------------------------------------------------------------
@@ -1051,9 +1039,10 @@ class CouplingScanReport:
     """|lambda_min(T_{tA})| over a list of couplings t.
 
     rows hold (t, lambda_min) with lambda_min the smallest |eigenvalue|. On
-    periodic grids the torus constant branch is deflated first (kept raw at
-    t = 0, where constants are the honest answer and are reported as the
-    documented artifact); antiperiodic grids have no such branch. converged
+    periodic grids the torus constant branch is deflated first (kept raw
+    under a zero potential, where constants are the honest answer and are
+    reported as the documented artifact); antiperiodic grids have no such
+    branch. converged
     holds, per row, whether that row's eigensolve met its residual tolerance.
     """
 
@@ -1077,7 +1066,7 @@ def coupling_scan(
     base: PotentialSpec,
     t_values: Sequence[float],
     grid: Grid3D,
-    opts: Optional[EigsOptions] = None,
+    seed: int = 0,
 ) -> CouplingScanReport:
     """Scan the coupling t, reporting |lambda_min| of T_{tA} at each value.
 
@@ -1088,7 +1077,6 @@ def coupling_scan(
     ts = np.asarray(t_values, dtype=np.float64)
     if ts.ndim != 1 or len(ts) < 3 or not np.all(np.isfinite(ts)):
         raise ValueError("need >= 3 finite coupling values")
-    opts = opts or EigsOptions()
     rows = []
     converged = []
     all_eigs = []
@@ -1096,24 +1084,23 @@ def coupling_scan(
     warm: list = []
     for t in ts:
         op = OperatorHandle(kind="t_a", grid=grid, potential=Scaled(t=float(t), inner=base))
-        rep = eigs_near(op, 0.0, 3, opts, warm)
+        rep = eigs_near(op, 0.0, 3, warm, seed=seed)
         lam = np.array(rep.eigenvalues)
-        keep = list(range(len(lam)))
-        if not grid.antiperiodic and t == 0.0:
+        keep = [i for i, const in enumerate(_constant_branch(op, rep.constant_fractions))
+                if not const]
+        if not grid.antiperiodic and _potential_is_zero(op):
             notes.append(
-                "t=0: reported minimum is the torus constant-spinor kernel, "
+                f"t={t:g}: reported minimum is the torus constant-spinor kernel, "
                 "a discretization artifact absent on R^3"
             )
-        elif not grid.antiperiodic:
-            keep = [i for i in keep if rep.constant_fractions[i] <= CONSTANT_BRANCH_FRACTION]
-            if not keep:
-                keep = list(range(len(lam)))
-                notes.append(f"t={t:g}: all candidates constant-dominated; raw minimum kept")
-            elif len(keep) < len(lam):
-                notes.append(
-                    f"t={t:g}: deflated {len(lam) - len(keep)} constant-branch "
-                    "eigenpair(s) from the minimum"
-                )
+        elif not keep:
+            keep = list(range(len(lam)))
+            notes.append(f"t={t:g}: all candidates constant-dominated; raw minimum kept")
+        elif len(keep) < len(lam):
+            notes.append(
+                f"t={t:g}: deflated {len(lam) - len(keep)} constant-branch "
+                "eigenpair(s) from the minimum"
+            )
         rows.append((float(t), float(np.min(np.abs(lam[keep])))))
         converged.append(rep.converged)
         all_eigs.append(tuple(float(l) for l in lam))
@@ -1121,4 +1108,4 @@ def coupling_scan(
         del rep
     return CouplingScanReport(rows=tuple(rows), converged=tuple(converged),
                               eigenvalues=tuple(all_eigs), notes=tuple(notes),
-                              seed=opts.seed)
+                              seed=seed)

@@ -12,7 +12,7 @@ import pytest
 from diraclab.grid import Field, Grid3D, OperatorHandle, sample_field
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau
-from diraclab.probe import EigsOptions, eigs_near
+from diraclab.probe import eigs_near
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +35,7 @@ def cluster32(lossyau, grid32):
     hybrids carrying most of the zero-mode content.
     """
     op = OperatorHandle(kind="t_a", grid=grid32, potential=lossyau)
-    rep = eigs_near(op, 0.0, 3, EigsOptions(seed=7, extra=0))
+    rep = eigs_near(op, 0.0, 3, seed=7, extra=0)
     assert rep.converged, rep.residuals
     return rep
 
@@ -68,7 +68,7 @@ def dirac_pair32(lossyau, grid32, cluster32):
     out = {}
     for sign in (+1, -1):
         warm = lifted_block(cluster32, grid32, 1.0, sign, range(3))
-        rep = eigs_near(op, float(sign), 3, EigsOptions(seed=7, extra=0), warm)
+        rep = eigs_near(op, float(sign), 3, warm, seed=7, extra=0)
         assert rep.converged, rep.residuals
         out[sign] = rep
     return out
@@ -93,7 +93,7 @@ def lam_min_refined(lossyau):
     grid = Grid3D(64, 20.0, spin="antiperiodic")
     op = OperatorHandle(kind="t_a", grid=grid, potential=lossyau)
     mode = sample_field(LossYauMode().eval, grid)
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0), [mode])
+    rep = eigs_near(op, 0.0, 1, [mode], seed=7, extra=0)
     assert rep.converged, rep.residuals
     overlap = mode_overlap(rep, grid)
     assert overlap >= 0.99, f"eigenvector overlaps the analytic mode by only {overlap:.4f}"
@@ -106,6 +106,6 @@ def lam_min_half_box(lossyau):
     antiperiodic spinors, cold start."""
     grid = Grid3D(32, 10.0, spin="antiperiodic")
     op = OperatorHandle(kind="t_a", grid=grid, potential=lossyau)
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7))
+    rep = eigs_near(op, 0.0, 1, seed=7)
     assert rep.converged, rep.residuals
     return float(min(abs(e) for e in rep.eigenvalues))

@@ -29,7 +29,6 @@ from diraclab.modes import (
 )
 from diraclab.potentials import LossYau, Scaled, default_classification
 from diraclab.probe import (
-    EigsOptions,
     build_weyl_quasimode,
     coupling_scan,
     decay_fit,
@@ -112,7 +111,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
     for mass in (0.5, 1.0, 2.0):
         op = OperatorHandle(kind="h_a", grid=grid32, potential=lossyau, mass=mass)
         warm = lifted_block(cluster32, grid32, mass, +1, [i_min])
-        rep = eigs_near(op, mass, 1, EigsOptions(seed=7, extra=0), warm)
+        rep = eigs_near(op, mass, 1, warm, seed=7, extra=0)
         assert rep.converged
         assert abs(rep.eigenvalues[0] - mass) <= 5e-3
         v = rep.fields[0].values.reshape(-1, 4)
@@ -129,8 +128,7 @@ def test_criterion_05_square_identity_and_gap(lossyau, grid32):
     dev = susy_square_check(grid32, lossyau, 1.0)
     assert dev <= 1e-10, f"squared-operator identity deviation {dev:.3e}"
 
-    scan = gap_scan(lossyau, 1.0, grid32, lambdas=(-0.5, 0.0, 0.5),
-                    opts=EigsOptions(seed=7))
+    scan = gap_scan(lossyau, 1.0, grid32, lambdas=(-0.5, 0.0, 0.5), seed=7)
     for lam, proxy in scan.rows:
         assert proxy >= 0.9, f"gap proxy {proxy:.4f} at lambda={lam}"
 
@@ -207,7 +205,7 @@ def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
 
     op = OperatorHandle(kind="t_a", grid=grid32, potential=gauged_spec)
     warm = [gauged_mode(f, chi) for f in cluster32.fields]
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=7, extra=0), warm)
+    rep = eigs_near(op, 0.0, 1, warm, seed=7, extra=0)
     assert rep.converged
     lam_min = min(abs(e) for e in rep.eigenvalues)
     assert lam_min <= 1e-2, f"gauged kernel offset {lam_min:.4e}"
@@ -219,7 +217,7 @@ def test_criterion_10_coupling_scan(lossyau):
     # mode-branch offset is 8.1e-3, the same floor as at n=16, L=10.
     grid = Grid3D(32, 10.0, spin="antiperiodic")
     ts = (0.5, 0.75, 1.0, 1.25, 1.5)
-    scan = coupling_scan(lossyau, ts, grid, EigsOptions(seed=7))
+    scan = coupling_scan(lossyau, ts, grid, seed=7)
     lam = {t: v for t, v in scan.rows}
     assert all(scan.converged), f"unconverged coupling solves: {dict(zip(ts, scan.converged))}"
 

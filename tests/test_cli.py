@@ -395,15 +395,43 @@ def test_coupling_scan_minimum_at_unit_coupling(tmp_path, capsys):
     assert lam[1.0] < lam[0.5] and lam[1.0] < lam[1.5]
 
 
-def test_coupling_scan_unconverged_exits_3(tmp_path, capsys):
+def test_coupling_scan_unconverged_exits_3(tmp_path, capsys, monkeypatch):
+    from diraclab import probe
+
+    monkeypatch.setattr(probe, "RESID_TOL", 1e-30)
     out_path = tmp_path / "cs.json"
     code, _, _ = run(capsys, "coupling-scan", "--grid-n", "8", "--box-l", "5",
-                     "--t-values", "0,1,2", "--tol-residual", "1e-30",
-                     "--out", str(out_path))
+                     "--t-values", "0,1,2", "--out", str(out_path))
     assert code == 3
     report = json.loads(out_path.read_text())
     assert report["passed"] is False
     assert report["result"]["converged"] == [False, False, False]
+
+
+def test_gap_scan_unconverged_writes_its_report_and_exits_3(tmp_path, capsys, monkeypatch):
+    # as every other solve command: the report is written, passed false
+    from diraclab import probe
+
+    monkeypatch.setattr(probe, "RESID_TOL", 1e-30)
+    out_path = tmp_path / "gap.json"
+    code, _, err = run(capsys, "gap-scan", "--grid-n", "8", "--box-l", "5",
+                       "--out", str(out_path))
+    assert code == 3 and err == ""
+    report = strict_json(out_path)
+    assert report["passed"] is False and len(report["result"]["rows"]) == 3
+
+
+@pytest.mark.parametrize("command", ["spectrum", "coupling-scan"])
+def test_the_residual_gate_is_no_setting(tmp_path, capsys, monkeypatch, command):
+    # probe.RESID_TOL alone decides convergence: no flag and no config key
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, command, "--grid-n", "8", "--tol-residual", "1e-6",
+                       "--out", str(out_path))
+    assert code == 1 and "unrecognized arguments: --tol-residual" in err
+    assert "Traceback" not in err and not out_path.exists()
+    code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                 {"command": command, "tolerances": {"residual": 1e-6}})
+    assert code == 1 and f"command {command} accepts no tolerance 'residual'" in err, err
 
 
 def test_finish_unconverged_with_passing_checks(tmp_path, capsys):
@@ -514,7 +542,7 @@ def test_config_option_of_wrong_type_exits_1_before_the_run(tmp_path, capsys, mo
     ({"command": "decay-fit", "options": {"expect": "foo"}}, "expect must be one of"),
     ({"command": "spectrum", "options": [1, 2]}, "options must be a JSON object"),
     ({"command": "spectrum", "tolerances": [1]}, "tolerances must be a JSON object"),
-    ({"command": "spectrum", "tolerances": {"residual": True}}, "tolerance residual must be"),
+    ({"command": "spectrum", "tolerances": {"eigenvalue": True}}, "tolerance eigenvalue must be"),
     ({"command": "spectrum", "box_l": 10**400}, "too large"),
     ({"command": "gauge", "options": {"potential_path": {}}}, "potential_path must be a string"),
     ({"command": "gauge", "output_path": 5}, "output_path must be a string"),
@@ -654,6 +682,13 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
      "need |lambda0| >= mass, got 0.5 with mass 1.0"),
     (["coupling-scan", "--grid-n", "8", "--box-l", "4", "--t-values", "0,1"],
      "need >= 3 finite coupling values"),
+    # a potential with no closed-form zero mode, where the run needs one
+    (["verify-zero-mode", "--grid-n", "8", "--potential", SCALED],
+     "verify-zero-mode needs a potential with a known zero mode (variant loss_yau)"),
+    (["asymptotics", "--potential", SCALED],
+     "asymptotics needs a potential with a known zero mode (variant loss_yau)"),
+    (["decay-fit", "--potential", SCALED],
+     "decay-fit needs a potential with a known zero mode (variant loss_yau)"),
 ])
 def test_refused_runs_exit_1_with_one_message_and_no_report(tmp_path, capsys, argv, message):
     field_path = tmp_path / "f.dtl"

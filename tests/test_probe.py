@@ -26,7 +26,6 @@ from diraclab.grid import (
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau, Scaled
 from diraclab.probe import (
-    EigsOptions,
     SolverError,
     build_weyl_quasimode,
     coupling_scan,
@@ -207,7 +206,7 @@ def test_eigs_near_takes_the_warm_fields(monkeypatch):
     warm = [Field(g, rng.normal(size=(8, 8, 8, 2))) for _ in range(3)]
     refs = [weakref.ref(f.values) for f in warm]
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
-    rep = eigs_near(op, 0.0, 1, EigsOptions(extra=0), warm)
+    rep = eigs_near(op, 0.0, 1, warm, extra=0)
     assert warm == [] and len(rep.eigenvalues) == 1
     assert seen == {"cols": 5, "alive": [False] * 3}
 
@@ -222,7 +221,7 @@ def test_rank4_warm_start_uses_the_larger_half():
     assert np.array_equal(half, f.values) and np.shares_memory(half, f4.values)
     h = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=0.5)
     f4 = Field(g, np.concatenate([f.values, np.zeros_like(f.values)], axis=-1))
-    rep = eigs_near(h, 0.5, 2, EigsOptions(extra=3), [f4])
+    rep = eigs_near(h, 0.5, 2, [f4], extra=3)
     assert rep.converged and np.allclose(rep.eigenvalues, 0.5, atol=1e-10)
 
 
@@ -231,11 +230,11 @@ def test_single_vector_cold_start():
     for spin in ("periodic", "antiperiodic"):
         g = Grid3D(n=8, L=5.0, spin=spin)
         op = OperatorHandle(kind="t_a", grid=g, potential=FREE)
-        rep = eigs_near(op, 0.0, 1, EigsOptions(extra=0))
+        rep = eigs_near(op, 0.0, 1, extra=0)
         assert len(rep.eigenvalues) == 1 and rep.iterations >= 1
     # periodic: one vector inside the constant kernel
     g = Grid3D(n=8, L=5.0)
-    rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=FREE), 0.0, 1, EigsOptions(extra=0))
+    rep = eigs_near(OperatorHandle(kind="t_a", grid=g, potential=FREE), 0.0, 1, extra=0)
     assert rep.converged and abs(rep.eigenvalues[0]) <= 1e-10
 
 
@@ -266,7 +265,7 @@ def test_constant_fractions_are_measured_once_per_pair():
         g = Grid3D(n=8, L=5.0, spin=spin)
         for op, target in ((OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0),
                            (OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.0), 1.0)):
-            rep = eigs_near(op, target, 2, EigsOptions(seed=3))
+            rep = eigs_near(op, target, 2, seed=3)
             fractions = rep.constant_fractions
             assert rep.to_dict()["constant_fractions"] == list(fractions)
             if g.antiperiodic:
@@ -325,16 +324,29 @@ def test_coupling_scan_validation():
         coupling_scan(LossYau(), [0.0, 1.0], g)
 
 
-def test_coupling_scan_reports_per_row_convergence():
-    scan = coupling_scan(LossYau(), [0.0, 1.0, 2.0], Grid3D(n=8, L=5.0),
-                         EigsOptions(resid_tol=1e-30))
+def test_coupling_scan_reports_per_row_convergence(monkeypatch):
+    from diraclab import probe
+
+    monkeypatch.setattr(probe, "RESID_TOL", 1e-30)
+    scan = coupling_scan(LossYau(), [0.0, 1.0, 2.0], Grid3D(n=8, L=5.0))
     assert scan.converged == (False, False, False)  # the tolerance is unreachable
     d = scan.to_dict()
     assert d["converged"] == [False, False, False] and len(d["rows"]) == 3
 
+    monkeypatch.undo()
     scan = coupling_scan(LossYau(), [0.5, 1.0, 1.5], Grid3D(n=8, L=5.0, spin="antiperiodic"))
     assert len(scan.converged) == 3 and all(isinstance(c, bool) for c in scan.converged)
     assert not any("constant" in note or "t=0" in note for note in scan.notes)
+
+
+def test_coupling_scan_keeps_the_constant_kernel_of_a_zero_potential():
+    # one rule decides the constant branch: under a zero potential, at any
+    # t, the constant spinors are the exact kernel and are kept raw, as the
+    # kernel count of eigs_near keeps them
+    scan = coupling_scan(FREE, [0.0, 0.5, 1.0], Grid3D(n=8, L=5.0))
+    assert all(lam <= 1e-12 for _, lam in scan.rows), scan.rows
+    assert [note.split(":")[0] for note in scan.notes] == ["t=0", "t=0.5", "t=1"]
+    assert all("torus constant-spinor kernel" in note for note in scan.notes)
 
 
 def test_decay_fit_verdicts_on_synthetic_profiles():
@@ -530,7 +542,7 @@ def test_lobpcg_is_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     g = Grid3D(n=8, L=5.0)
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
-    r1, r2 = (eigs_near(op, 0.0, 2, EigsOptions(seed=7)) for _ in range(2))
+    r1, r2 = (eigs_near(op, 0.0, 2, seed=7) for _ in range(2))
     assert r1.eigenvalues == r2.eigenvalues and all(
         np.array_equal(f1.values, f2.values) for f1, f2 in zip(r1.fields, r2.fields))
 
@@ -781,10 +793,10 @@ def test_two_phase_solve_matches_the_one_phase_solve(monkeypatch, kind, spin, ta
 
     g = Grid3D(n=16, L=10.0, spin=spin)
     op = OperatorHandle(kind=kind, grid=g, potential=LossYau(), mass=1.0)
-    one = eigs_near(op, target, 2, EigsOptions(seed=4))
+    one = eigs_near(op, target, 2, seed=4)
     assert one.complex64_iterations == 0
     monkeypatch.setattr(probe, "SINGLE_N", 16)
-    two = eigs_near(op, target, 2, EigsOptions(seed=4))
+    two = eigs_near(op, target, 2, seed=4)
     assert one.converged and two.converged, (one.residuals, two.residuals)
     assert 0 < two.complex64_iterations < two.iterations
     assert two.to_dict()["complex64_iterations"] == two.complex64_iterations
@@ -799,7 +811,7 @@ def test_unreachable_single_tol_hands_off_at_the_stall_guard(monkeypatch):
     monkeypatch.setattr(probe, "SINGLE_TOL", 1e-14)  # far below the complex64 floor
     g = Grid3D(n=16, L=10.0, spin="antiperiodic")
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
-    rep = eigs_near(op, 0.0, 1, EigsOptions(seed=4))
+    rep = eigs_near(op, 0.0, 1, seed=4)
     assert rep.converged and rep.iterations <= probe.MAXITER, rep.notes
     assert rep.complex64_iterations < probe.MAXITER
     assert any("handed off at its stall guard" in note for note in rep.notes), rep.notes
@@ -812,7 +824,7 @@ def test_complex64_applies_stay_in_complex64(spin, tau):
     # only complex64 and float32 arrays (ladders, frequency axes, spin phases)
     # and agree with the complex128 ones to complex64 round-off
     from diraclab.grid import _spin_phases
-    from diraclab.probe import _free_symbol_preconditioner, _ShiftedSquare
+    from diraclab.probe import _FreeSymbolPreconditioner, _ShiftedSquare
 
     g = Grid3D(n=16, L=6.0, spin=spin)
     op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
@@ -823,9 +835,9 @@ def test_complex64_applies_stay_in_complex64(spin, tau):
     assert {a.dtype for a in arrays} <= {np.dtype(np.complex64), np.dtype(np.float32)}
     for name, single, double in (
             ("square", square64, _ShiftedSquare(op, tau)),
-            ("prec", _free_symbol_preconditioner(g, tau, 0.03, np.complex64),
-             _free_symbol_preconditioner(g, tau, 0.03))):
-        got, want = single(X64), double(X)
+            ("prec", _FreeSymbolPreconditioner(g, tau, 0.03, np.complex64),
+             _FreeSymbolPreconditioner(g, tau, 0.03))):
+        got, want = single @ X64, double @ X
         assert got.dtype == np.complex64, name
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
 
@@ -873,10 +885,10 @@ def test_fourier_square_equals_grid_square(n, spin, tau):
         w = _apply_fields(op, v) - tau * v
         want = _apply_fields(op, w) - tau * w
         X = _coefficients(g, v)
-        got = _grid_fields(g, square(X))
+        got = _grid_fields(g, square @ X)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (kind, "block")
         # a single column, (N,), as matvec passes it; the work blocks resize
-        got1 = _grid_fields(g, square(np.array(X[:, 1]))[:, None])
+        got1 = _grid_fields(g, (square @ np.array(X[:, 1]))[:, None])
         assert np.linalg.norm(got1[0] - want[1]) <= 1e-13 * np.linalg.norm(want[1]), kind
 
 
@@ -884,7 +896,7 @@ def test_fourier_square_equals_grid_square(n, spin, tau):
 def test_fourier_preconditioner_equals_closed_form_in_real_space(n, spin, tau):
     from diraclab.algebra import sigma_mul
     from diraclab.grid import spinor_fftn, spinor_ifftn
-    from diraclab.probe import _free_symbol_preconditioner, _grid_fields
+    from diraclab.probe import _FreeSymbolPreconditioner, _grid_fields
 
     g = Grid3D(n=n, L=6.0, spin=spin)
     delta = 0.03
@@ -896,11 +908,11 @@ def test_fourier_preconditioner_equals_closed_form_in_real_space(n, spin, tau):
     den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
     what = ((g.k2_mesh + tau**2 + delta) * vhat + 2.0 * tau * sigma_mul(*g.k_axes, vhat)) / den
     want = spinor_ifftn(g, what).transpose(1, 2, 3, 4, 0)
-    prec = _free_symbol_preconditioner(g, tau, delta)
+    prec = _FreeSymbolPreconditioner(g, tau, delta)
     X = _coefficients(g, v)
-    got = _grid_fields(g, prec(X))
+    got = _grid_fields(g, prec @ X)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    got1 = _grid_fields(g, prec(np.array(X[:, 2]))[:, None])
+    got1 = _grid_fields(g, (prec @ np.array(X[:, 2]))[:, None])
     assert np.linalg.norm(got1[0] - want[2]) <= 1e-13 * np.linalg.norm(want[2])
 
 
@@ -956,7 +968,7 @@ def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
     monkeypatch.setattr(probe, "lobpcg", traced)
     for spin in ("periodic", "antiperiodic"):
         op = OperatorHandle(kind="t_a", grid=Grid3D(n=16, L=20.0, spin=spin), potential=LossYau())
-        rep = eigs_near(op, 0.0, 3, EigsOptions(seed=5))
+        rep = eigs_near(op, 0.0, 3, seed=5)
         assert rep.converged and rep.iterations > 10
     assert per_apply["M"] and set(per_apply["M"]) == {0}
     assert per_apply["A"] and set(per_apply["A"]) == {4}
@@ -975,5 +987,5 @@ def test_eigs_near_applies_the_grid_operator_once(monkeypatch):
     for kind, target in (("t_a", 0.0), ("h_a", 1.0)):
         calls.clear()
         op = OperatorHandle(kind=kind, grid=g, potential=LossYau(), mass=1.0)
-        assert eigs_near(op, target, 1, EigsOptions(seed=3)).converged
+        assert eigs_near(op, target, 1, seed=3).converged
         assert calls == [kind]
