@@ -599,15 +599,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(what: str, path: Optional[str], text: str = ""):
+    """JSON from the file at path, else from text; unreadable, malformed or
+    too deeply nested JSON is a ConfigError."""
+    try:
+        if path is not None:
+            with open(path) as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def _resolve_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     data = {}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
+        data = _json("cannot read config file", args.config)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         if data.get("command", args.command) != args.command:
@@ -635,16 +643,9 @@ def _resolve_config(args) -> RunConfig:
     if args.potential is not None:
         text = args.potential.strip()
         if text.startswith("{"):  # inline JSON; anything else is a file path
-            try:
-                cfg.potential = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed potential JSON: {exc}") from exc
+            cfg.potential = _json("malformed potential JSON", None, text)
         else:
-            try:
-                with open(args.potential) as fh:
-                    cfg.potential = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read potential file: {exc}") from exc
+            cfg.potential = _json("cannot read potential file", args.potential)
             cfg.options["potential_path"] = args.potential
 
     for table, names, prefix in ((cfg.tolerances, command.tolerances, "tol_"),
@@ -681,6 +682,9 @@ def main(argv=None) -> int:
     # ConfigError is a ValueError; OverflowError: a JSON integer past float range
     except (ValueError, OverflowError, HypothesisViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -20,24 +20,26 @@ no counterpart on R^3 (the torus constant-spinor artifact). spin="antiperiodic"
 continues f(x + 2L e_j) = -f(x): such a field is e^{is.x} g(x) with g periodic
 and s = pi/(2L) (1, 1, 1), so the spinor dual lattice is shifted to
 k = (pi/L)(Z + 1/2)^3. It is symmetric (no Nyquist row), sigma.D has no kernel
-(smallest |eigenvalue| sqrt(3) pi/(2L)), and the spinor transforms are wrapped
-in the phases e^{-is.x} (before) and e^{is.x} (after). Real fields (potentials,
-gauge functions) stay periodic whatever the spin structure.
+(smallest |eigenvalue| sqrt(3) pi/(2L)), and the transforms from and to grid
+values (spinor_fftn/spinor_ifftn) are wrapped in the phases e^{-is.x}
+(before) and e^{is.x} (after). Around the pointwise sigma.A they cancel, so
+T on coefficients reads no phase. Real fields (potentials, gauge functions)
+stay periodic whatever the spin structure.
 
 Operator layout is standard pseudo-spectral: sigma.D acts by multiplication
 with sigma.k in Fourier space, sigma.A pointwise in physical space; their sum
 is exact per application (no splitting error). One kernel, Supercharge,
 applies T on grid values and on the eigensolver's unitary coefficients, at
-one in-place FFT pair (spinor_fftn/spinor_ifftn, antiperiodic phases folded
-in) each; k_x +- i k_y come from the 1-D frequency axes, (n, n, 1) arrays,
-so no frequency mesh is stored. apply_values copies the (n, n, n, ..., rank) input once into a (..., rank, n, n, n)
-block; for H = [[m, T], [T, -m]] the T-image of each 2-spinor half is
-written straight into the other half's slot and the mass terms are added in
-place. The result is an (n, n, n, ..., rank) view of the block. Real fields
-(potentials, gauge functions) are differentiated with real-input transforms
-(rfftn/irfftn), half the work of complex ones. The discrete L2 norm carries the cell
-volume: ||f|| = h^(3/2) * Euclidean norm of the samples, so norms
-approximate their continuum counterparts.
+one in-place FFT pair each; k_x +- i k_y come from the 1-D frequency axes,
+(n, n, 1) arrays, so no frequency mesh is stored. apply_values copies the
+(n, n, n, ..., rank) input once into a (..., rank, n, n, n) block; for
+H = [[m, T], [T, -m]] the T-image of each 2-spinor half is written straight
+into the other half's slot and the mass terms are added in place. The result
+is an (n, n, n, ..., rank) view of the block. Real fields (potentials, gauge
+functions) are differentiated with real-input transforms (rfftn/irfftn), half
+the work of complex ones. The discrete L2 norm carries the cell volume:
+||f|| = h^(3/2) * Euclidean norm of the samples, so norms approximate their
+continuum counterparts.
 """
 
 from __future__ import annotations
@@ -165,14 +167,6 @@ class Grid3D:
         spinor_fftn untwists without allocating; only antiperiodic grids
         build it."""
         return self.spin_phase.conj()
-
-    @cached_property
-    def spin_phases_single(self) -> tuple[NDArray[np.complex64], NDArray[np.complex64]]:
-        """spin_phase and spin_untwist rounded to complex64, for the blocks
-        the eigensolver iterates on in single precision, so that no
-        complex128 array enters their transforms; only antiperiodic grids
-        build them."""
-        return self.spin_phase.astype(np.complex64), self.spin_untwist.astype(np.complex64)
 
     @property
     def nodes(self) -> ArrayR:
@@ -334,29 +328,32 @@ class OperatorHandle:
         return Supercharge(self.grid, self.sampled_potential(), dtype)
 
 
-def _spin_phases(grid: Grid3D, block: ArrayC) -> tuple[ArrayC, ArrayC]:
-    """(e^{is.x}, e^{-is.x}) in the precision of block."""
-    if block.dtype == np.complex64:
-        return grid.spin_phases_single
-    return grid.spin_phase, grid.spin_untwist
+def _fftn(block: ArrayC) -> ArrayC:
+    """Unitary FFT over the last three axes, in place."""
+    return sfft.fftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
+
+
+def _ifftn(block: ArrayC) -> ArrayC:
+    """Inverse of _fftn, in place."""
+    return sfft.ifftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
 
 
 def spinor_fftn(grid: Grid3D, block: ArrayC) -> ArrayC:
     """Unitary (norm="ortho") coefficients of a component-leading spinor block
-    (..., n, n, n) on the grid's spinor lattice, in place: on antiperiodic
-    grids the values are untwisted by e^{-is.x} first, so that coefficient
-    index m carries the wavenumber k_axis[m]. A complex64 block is
-    transformed in complex64."""
+    (..., n, n, n) of grid values on the grid's spinor lattice, in place: on
+    antiperiodic grids the values are untwisted by e^{-is.x} first, so that
+    coefficient index m carries the wavenumber k_axis[m]. A complex64 block
+    stays complex64: the complex128 phase products are rounded in place."""
     if grid.antiperiodic:
-        block *= _spin_phases(grid, block)[1]
-    return sfft.fftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
+        block *= grid.spin_untwist
+    return _fftn(block)
 
 
 def spinor_ifftn(grid: Grid3D, block: ArrayC) -> ArrayC:
     """Inverse of spinor_fftn, in place on the component-leading block."""
-    out = sfft.ifftn(block, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
+    out = _ifftn(block)
     if grid.antiperiodic:
-        out *= _spin_phases(grid, out)[0]
+        out *= grid.spin_phase
     return out
 
 
@@ -372,8 +369,9 @@ class Supercharge:
     """T = sigma.(D - A), or sigma.D when A is None, on (..., 2, n, n, n)
     blocks in precision dtype: T^ x = sigma.k x - F[sigma.A F^-1 x] on
     coefficients (no transform for sigma.D), T v = F^-1[sigma.k F v] -
-    sigma.A v on grid values. The ladders v_x +- i v_y, v_z of k and A (two
-    complex n^3 arrays, 8 MB at n=64) are formed once in dtype."""
+    sigma.A v on grid values; F is spinor_fftn on values and _fftn, with no
+    spin phase, on coefficients. The ladders v_x +- i v_y, v_z of k and A
+    (two complex n^3 arrays, 8 MB at n=64) are formed once in dtype."""
 
     def __init__(self, grid: Grid3D, A: Optional[ArrayR] = None, dtype=np.complex128):
         real = np.finfo(dtype).dtype
@@ -391,9 +389,9 @@ class Supercharge:
         if self.a is None:
             return _sigma(self.k, x, out)
         np.copyto(scratch, x)
-        u = spinor_ifftn(self.grid, scratch)
+        u = _ifftn(scratch)
         _sigma(self.a, u, out)
-        out = spinor_fftn(self.grid, out)
+        out = _fftn(out)
         _sigma(self.k, x, u)
         return np.subtract(u, out, out=out)
 

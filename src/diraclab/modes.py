@@ -108,14 +108,11 @@ class LossYauMode(_Phi0, ZeroModeSpec):
 
 
 def sigma_d_analytic(spec: ZeroModeSpec, points) -> ArrayC:
-    """sigma.D phi with D = (1/i) grad, from the analytic gradient."""
-    grad = spec.gradient(points)
-    g1, g2, g3 = grad[..., 0, :], grad[..., 1, :], grad[..., 2, :]
-    sig_grad = np.stack(
-        [g1[..., 1] - 1j * g2[..., 1] + g3[..., 0], g1[..., 0] + 1j * g2[..., 0] - g3[..., 1]],
-        axis=-1,
-    )
-    return -1j * sig_grad
+    """sigma.D phi = -i sum_j sigma_j d_j phi with D = (1/i) grad, from the
+    analytic gradient."""
+    grad = np.moveaxis(spec.gradient(points), (-2, -1), (0, 1))  # [j, component]
+    sig_grad = sum(sigma_mul(*e, d_phi) for e, d_phi in zip(np.eye(3), grad))
+    return -1j * np.moveaxis(sig_grad, 0, -1)
 
 
 def t_residual_analytic(spec: ZeroModeSpec, pot: PotentialSpec, points) -> ArrayR:

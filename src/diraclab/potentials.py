@@ -72,15 +72,7 @@ def w0_of(phi0) -> ArrayR:
     nrm = np.linalg.norm(phi0)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"phi0 must be a unit spinor, |phi0| = {nrm}")
-    a, b = phi0
-    w = np.array(
-        [
-            2.0 * (np.conj(a) * b).real,
-            2.0 * (np.conj(a) * b).imag,
-            (abs(a) ** 2 - abs(b) ** 2),
-        ]
-    )
-    return w
+    return _bloch_field(phi0)
 
 
 @dataclass(frozen=True)
@@ -505,17 +497,28 @@ def _phi0(value) -> tuple:
     return tuple(tuple(_number(x, "phi0 entry") for x in c) for c in value)
 
 
+# Longest chain of inner entries a potential may hold; sampling one about a
+# thousand deep exhausts the interpreter's stack.
+MAX_DEPTH = 32
+
+
 def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> PotentialSpec:
     """Rebuild a PotentialSpec from its JSON dict.
 
     File-backed variants resolve their companion DTL1 file relative to
     base_dir; a grid_n or box_l that disagrees with the file is refused. An
-    entry of the wrong JSON type anywhere raises ValueError.
+    entry of the wrong JSON type anywhere, or entries nested more than
+    MAX_DEPTH deep, raise ValueError.
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"a potential must be a JSON object, got {obj!r}")
+    depth, entry = 0, obj
+    while isinstance(entry, dict):
+        depth, entry = depth + 1, entry.get("inner")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"potential entries nest {depth} deep, over {MAX_DEPTH}")
     variant = obj.get("variant")
     if variant == "loss_yau":
         return LossYau(phi0=_phi0(obj.get("phi0", [[1.0, 0.0], [0.0, 0.0]])))

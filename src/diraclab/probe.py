@@ -18,7 +18,7 @@ The block solver runs on unitary (norm="ortho") spinor Fourier coefficients,
 not on grid values; LOBPCG is invariant under that change of basis. Each
 column is one contiguous (2, n, n, n) coefficient block, so the preconditioner
 is a pointwise 2x2 multiply with no transform, and one apply of (T - tau)^2
-is two FFT pairs with the antiperiodic phases folded in and no layout copy.
+is two FFT pairs with no spin phase and no layout copy.
 Measured at n=64, L=20 on a 2-core VM (one column, min of 9): the
 preconditioner 1.0 ms against 37.5 ms for the grid-value FFT pair it
 replaced, the squared shift 56 against 73 ms. T is the grid's kernel,
@@ -83,7 +83,7 @@ from diraclab.grid import (
     spinor_fftn,
     spinor_ifftn,
 )
-from diraclab.potentials import PotentialSpec, Sampled, Scaled, _fit_loglog
+from diraclab.potentials import PotentialSpec, Scaled, _fit_loglog
 from diraclab.quadrature import sphere_directions_26
 
 ArrayC = NDArray[np.complex128]
@@ -424,8 +424,8 @@ class _Solve(NamedTuple):
 
 def _solve_near(op: OperatorHandle, target: float, count: int, warm: list, seed: int,
                 extra: Optional[int]) -> _Solve:
-    """Soft-locking LOBPCG on (Op - target)^2 for a 2-spinor operator, then
-    Rayleigh-Ritz of Op itself on the `count` wanted columns. warm holds the
+    """Soft-locking LOBPCG on (T - target)^2, T the operator's supercharge,
+    then Rayleigh-Ritz of T on the `count` wanted columns. warm holds the
     solve's warm fields, (n, n, n, 2) values, which _start_block takes out;
     seed and extra are eigs_near's.
 
@@ -447,7 +447,7 @@ def _solve_near(op: OperatorHandle, target: float, count: int, warm: list, seed:
     and BLAS code cost about 1 MB of peak memory.
 
     Only the wanted columns go into that Rayleigh-Ritz: a guard column can
-    mix eigenvalues on both sides of the target, whose Op-Rayleigh quotient
+    mix eigenvalues on both sides of the target, whose T-Rayleigh quotient
     then reads near the target while its squared-shift value is not small.
     """
     grid = op.grid
@@ -591,18 +591,17 @@ def eigs_near(
     residual <= RESID_TOL; non-convergence is reported through
     converged=False with the partial results left in place, never raised.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     grid = op.grid
     n, rank = grid.n, op.rank
+    if not 1 <= count <= 2 * n**3:
+        raise ValueError(f"count must be in [1, 2 n^3 = {2 * n**3}], got {count}")
     fields = [_warm_values(grid, rank, f) for f in warm or ()]
     if warm:
         warm.clear()
 
     notes: list[str] = []
-    t_op, shifts = op, (target,)
+    shifts = (target,)
     if rank == 4:
-        t_op = OperatorHandle("t_a", grid, Sampled(grid, op.sampled_potential()))
         m2 = op.mass**2
         nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
@@ -617,7 +616,7 @@ def eigs_near(
     # 2^20 / n^3 pairs a block of 2 * width columns holds 64 MB.
     iterations, single_its, width = 0, 0, count
     while True:
-        solves = [_solve_near(t_op, s, width, w, seed, extra) for s, w in zip(shifts, starts)]
+        solves = [_solve_near(op, s, width, w, seed, extra) for s, w in zip(shifts, starts)]
         iterations += sum(sv.iterations for sv in solves)
         single_its += sum(sv.complex64_iterations for sv in solves)
         notes += [sv.handoff for sv in solves if sv.handoff]
@@ -625,7 +624,7 @@ def eigs_near(
             eps, V = solves[0].eps, solves[0].vectors
         else:
             joint = np.hstack([sv.vectors for sv in solves])
-            eps, V = _rayleigh_ritz(_ShiftedSquare(t_op, 0.0).t, _orthonormal_span(joint))
+            eps, V = _rayleigh_ritz(_ShiftedSquare(op, 0.0).t, _orthonormal_span(joint))
         cand = _lift(op, eps)
         values = np.array([c[0] for c in cand])
         order = _nearest(values, target, count)
@@ -834,14 +833,13 @@ def _nearest_lattice_k(grid: Grid3D, nu0: float) -> ArrayR:
 
 
 def _plus_spinor(k: ArrayR) -> ArrayC:
-    """Unit eigenspinor of sigma.k with eigenvalue +|k| (any spinor for k=0)."""
+    """Unit eigenspinor of sigma.k with eigenvalue +|k| (any spinor for k=0):
+    a column of I + sigma.k_hat, the first unless k_hat = -e3 zeroes it."""
     nk = np.linalg.norm(k)
     if nk == 0.0:
         return np.array([1.0, 0.0], dtype=np.complex128)
-    kh = k / nk
-    col = np.array([1.0 + kh[2], kh[0] + 1j * kh[1]])  # (I + sigma.k_hat) e1
-    if np.linalg.norm(col) < 1e-8:  # k_hat = -e3 degenerates the first column
-        col = np.array([kh[0] - 1j * kh[1], 1.0 - kh[2]])
+    plus = np.eye(2) + sigma_mul(*(k / nk), np.eye(2))
+    col = plus[:, 0] if np.linalg.norm(plus[:, 0]) >= 1e-8 else plus[:, 1]
     return col / np.linalg.norm(col)
 
 

@@ -689,6 +689,9 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
      "asymptotics needs a potential with a known zero mode (variant loss_yau)"),
     (["decay-fit", "--potential", SCALED],
      "decay-fit needs a potential with a known zero mode (variant loss_yau)"),
+    # more pairs than the grid's 2-spinor space has dimensions
+    (["spectrum", "--grid-n", "8", "--count", "1025"],
+     "count must be in [1, 2 n^3 = 1024], got 1025"),
 ])
 def test_refused_runs_exit_1_with_one_message_and_no_report(tmp_path, capsys, argv, message):
     field_path = tmp_path / "f.dtl"
@@ -740,6 +743,37 @@ def test_grid_beyond_physical_memory_is_config_error(capsys):
     code, _, err = run(capsys, "weyl", "--grid-n", "4096", "--potential", FREE)
     assert code == 1
     assert "physical memory" in err
+
+
+def test_out_of_memory_exits_1_with_one_message_and_no_report(tmp_path, capsys, monkeypatch):
+    def eigs_near(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(cli, "eigs_near", eigs_near)
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, "spectrum", "--grid-n", "8", "--out", str(out_path))
+    assert (code, err) == (1, "error: out of memory: Unable to allocate 64.0 GiB\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("source", ["inline", "file", "config"])
+@pytest.mark.parametrize("depth", [985, 2000])
+def test_deeply_nested_potential_exits_1_with_one_message(tmp_path, capsys, source, depth):
+    # 985 scaled entries parse and are refused past MAX_DEPTH; 2000 are too
+    # deep for the JSON parser itself
+    text = '{"variant": "scaled", "t": 1.0, "inner": ' * depth + LY + "}" * depth
+    args = ["--potential", text]
+    if source == "file":
+        (tmp_path / "pot.json").write_text(text)
+        args = ["--potential", str(tmp_path / "pot.json")]
+    elif source == "config":
+        (tmp_path / "cfg.json").write_text('{"potential": ' + text + "}")
+        args = ["--config", str(tmp_path / "cfg.json")]
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, "spectrum", "--grid-n", "8", *args, "--out", str(out_path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out_path.exists()
 
 
 # A valid entry of each potential variant, and the key paths a random JSON

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diraclab.algebra import sigma_dot
+from diraclab.algebra import pauli, sigma_dot
 from diraclab.modes import (
     AccuracyError,
     HypothesisViolation,
@@ -13,6 +13,7 @@ from diraclab.modes import (
     asymptotic_convergence,
     asymptotic_limit_quadrature,
     mode_l2_norm,
+    sigma_d_analytic,
     t_residual_analytic,
     ZeroModeSpec,
 )
@@ -52,6 +53,15 @@ def test_analytic_gradient_matches_finite_differences():
         e[j] = h
         fd = (mode.eval(pts + e) - mode.eval(pts - e)) / (2 * h)
         assert np.allclose(grad[..., j, :], fd, atol=1e-7)
+
+
+def test_sigma_d_analytic_equals_dense_pauli_sum():
+    # sigma.D phi = -i sum_j sigma_j d_j phi, with the dense Pauli matrices
+    mode = LossYauMode(phi0=((0.6, 0.0), (0.0, 0.8)))
+    pts = np.random.default_rng(4).uniform(-3, 3, size=(5, 4, 3))
+    grad = mode.gradient(pts)
+    want = -1j * sum(grad[..., j, :] @ pauli(j + 1).T for j in range(3))
+    assert np.allclose(sigma_d_analytic(mode, pts), want, rtol=0, atol=1e-15)
 
 
 def test_mode_l2_norm_is_pi():

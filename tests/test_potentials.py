@@ -44,6 +44,32 @@ def test_w0_of_unit_for_any_normalized_spinor():
         w0_of((2.0, 0.0))
 
 
+def test_w0_of_equals_dense_pauli_expectations():
+    from diraclab.algebra import pauli
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        phi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        phi0 /= np.linalg.norm(phi0)
+        want = [np.vdot(phi0, pauli(j) @ phi0).real for j in (1, 2, 3)]
+        assert np.allclose(w0_of(phi0), want, rtol=0, atol=1e-15)
+
+
+def test_potential_json_nests_at_most_max_depth_entries():
+    from diraclab.potentials import MAX_DEPTH
+
+    def nested(depth):
+        scaled = '{"variant": "scaled", "t": 1.0, "inner": '
+        return scaled * (depth - 1) + '{"variant": "loss_yau"}' + "}" * (depth - 1)
+
+    spec = potential_from_json(nested(MAX_DEPTH))
+    for _ in range(MAX_DEPTH - 1):
+        spec = spec.inner
+    assert spec == LossYau()
+    with pytest.raises(ValueError, match=f"over {MAX_DEPTH}"):
+        potential_from_json(nested(MAX_DEPTH + 1))
+
+
 def test_loss_yau_at_reference_points():
     pot = LossYau()
     # (0,0,1): bracket^2 = 2, (1-1)w0 + 2*1*(0,0,1) + 2 w0 x x = (0,0,2); 3/4*2

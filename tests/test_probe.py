@@ -421,6 +421,20 @@ def test_decay_fit_field_window_must_fit_box():
         decay_fit(fa, np.linspace(0.5, 3.0, 6))
 
 
+@pytest.mark.parametrize("k", [(0.3, -1.2, 0.7), (0.0, 0.0, 2.0), (0.0, 0.0, -2.0)],
+                         ids=["generic", "+e3", "-e3"])
+def test_plus_spinor_is_the_dense_plus_eigenspinor(k):
+    # -e3 takes the fallback column; the lattice tie-break never returns it
+    from diraclab.algebra import pauli
+    from diraclab.probe import _plus_spinor
+
+    k = np.array(k)
+    chi = _plus_spinor(k)
+    sigma_k = sum(kj * pauli(j + 1) for j, kj in enumerate(k))
+    assert np.linalg.norm(chi) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(sigma_k @ chi, np.linalg.norm(k) * chi, rtol=0, atol=1e-15)
+
+
 def test_weyl_quasimode_free_is_exact():
     g = Grid3D(n=16, L=5.0)
     lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
@@ -821,9 +835,8 @@ def test_unreachable_single_tol_hands_off_at_the_stall_guard(monkeypatch):
 @pytest.mark.parametrize("tau", [0.0, 0.8])
 def test_complex64_applies_stay_in_complex64(spin, tau):
     # the complex64 square (its supercharge kernel) and preconditioner read
-    # only complex64 and float32 arrays (ladders, frequency axes, spin phases)
-    # and agree with the complex128 ones to complex64 round-off
-    from diraclab.grid import _spin_phases
+    # only complex64 and float32 arrays (ladders, frequency axes) and agree
+    # with the complex128 ones to complex64 round-off
     from diraclab.probe import _FreeSymbolPreconditioner, _ShiftedSquare
 
     g = Grid3D(n=16, L=6.0, spin=spin)
@@ -831,7 +844,7 @@ def test_complex64_applies_stay_in_complex64(spin, tau):
     X = _coefficients(g, _random_fields(g, 2, seed=3)).copy(order="F")
     X64 = X.astype(np.complex64)
     square64 = _ShiftedSquare(op, tau, np.complex64)
-    arrays = square64.T.k + square64.T.a + (_spin_phases(g, X64) if g.antiperiodic else ())
+    arrays = square64.T.k + square64.T.a
     assert {a.dtype for a in arrays} <= {np.dtype(np.complex64), np.dtype(np.float32)}
     for name, single, double in (
             ("square", square64, _ShiftedSquare(op, tau)),
@@ -840,6 +853,20 @@ def test_complex64_applies_stay_in_complex64(spin, tau):
         got, want = single @ X64, double @ X
         assert got.dtype == np.complex64, name
         assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_coefficient_square_applies_no_spin_phase(dtype):
+    # on coefficients the antiperiodic phases around sigma.A cancel, so the
+    # squared shift neither builds nor reads them
+    from diraclab.probe import _ShiftedSquare
+
+    g = Grid3D(n=8, L=6.0, spin="antiperiodic")
+    op = OperatorHandle(kind="t_a", grid=g, potential=LossYau())
+    X = np.asfortranarray(np.random.default_rng(5).normal(size=(2 * g.n**3, 2))).astype(dtype)
+    out = _ShiftedSquare(op, 0.8, dtype) @ X
+    assert out.dtype == dtype and np.all(np.isfinite(out))
+    assert not {"spin_phase", "spin_untwist"} & set(vars(g))
 
 
 # ----------------------------------------------------------------------------
