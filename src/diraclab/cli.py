@@ -54,6 +54,7 @@ from diraclab.modes import (
 )
 from diraclab.potentials import (
     ClassificationUndetermined,
+    LossYau,
     Sampled,
     default_classification,
     potential_from_json,
@@ -83,7 +84,8 @@ class Command:
     tuple of the allowed strings. Each option is the flag --<name> and the
     key options.<name>; its default lives in run. tolerances maps each
     tolerance name to its default, set by --tol-<name> or tolerances.<name>.
-    csv holds the columns of the command's CSV table, empty when it has none.
+    csv holds the columns of the command's CSV table, empty when it has none;
+    only a command with a table has the flag --format and the key format.
     """
 
     run: Callable[["RunConfig"], int]
@@ -170,8 +172,6 @@ class RunConfig:
             value = _checked(f"tolerance {name}", float, value)
             if not value > 0:
                 raise ConfigError(f"tolerance {name} must be a positive number, got {value!r}")
-        if self.format in ("csv", "both") and not command.csv:
-            raise ConfigError(f"command {self.command} emits no CSV table")
         # potential_path is recorded by --potential PATH, so that a replayed
         # config finds the potential's companion files; it has no flag
         kinds = {**command.options, "potential_path": str}
@@ -205,7 +205,7 @@ class RunConfig:
             "seed": self.seed,
             "tolerances": full_tols,
             "output_path": self.output_path,
-            "format": self.format,
+            **({"format": self.format} if command.csv else {}),
             **({} if self.potential_unread() else {"potential": self.potential}),
             "options": self.options,
         }
@@ -293,14 +293,19 @@ def _number_list(text: str) -> list:
     return values
 
 
+def _closed_form_mode(pot) -> Optional[LossYauMode]:
+    """The potential's closed-form zero mode, None when it has none; of the
+    variants, only loss_yau has one."""
+    return LossYauMode(phi0=pot.phi0) if isinstance(pot, LossYau) else None
+
+
 def _zero_mode(cfg: RunConfig) -> tuple:
-    """The run's potential and its closed-form zero mode; of the variants,
-    only loss_yau has one."""
+    """The run's potential and its closed-form zero mode, which it must have."""
     pot = _load_potential(cfg)
-    if cfg.potential.get("variant") != "loss_yau":
-        raise ConfigError(f"{cfg.command} needs a potential with a known zero mode "
-                          "(variant loss_yau)")
-    return pot, LossYauMode(phi0=pot.phi0)
+    if mode := _closed_form_mode(pot):
+        return pot, mode
+    raise ConfigError(f"{cfg.command} needs a potential with a known zero mode "
+                      "(variant loss_yau)")
 
 
 def _finish(cfg: RunConfig, checks, result: dict, converged: bool = True, rows=None) -> int:
@@ -496,9 +501,8 @@ def cmd_gauge(cfg: RunConfig) -> int:
         "chi_range": [float(chi.values.min()), float(chi.values.max())],
     }
     converged = True
-    if cfg.potential.get("variant") == "loss_yau":
+    if mode := _closed_form_mode(pot):
         # the gauged operator must keep its near-kernel eigenvalue
-        mode = LossYauMode(phi0=pot.phi0)
         op = OperatorHandle(kind="t_a", grid=grid, potential=gauged_spec)
         rep = eigs_near(op, 0.0, 1, [gauged_mode(sample_field(mode.eval, grid), chi)],
                         seed=cfg.seed, extra=0)
@@ -582,7 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + setting.replace("_", "-"), type=SETTINGS[setting])
         p.add_argument("--seed", type=int)
         p.add_argument("--out", type=str, dest="output_path", metavar="OUT")
-        p.add_argument("--format", type=str, choices=["json", "csv", "both"])
+        if command.csv:
+            p.add_argument("--format", type=str, choices=["json", "csv", "both"])
         p.add_argument("--config", type=str)
         p.add_argument("--potential", type=str,
                        help="inline potential JSON (starting with '{') "
@@ -624,7 +629,7 @@ def _resolve_config(args) -> RunConfig:
             )
         known = cfg.to_dict()
         unknown = [key for key in data if key not in known]
-        if unknown and unknown[0] in SETTINGS:
+        if unknown and unknown[0] in (*SETTINGS, "format"):
             raise ConfigError(f"command {args.command} reads no {unknown[0]}")
         if unknown:
             raise ConfigError(f"config file has unknown key {unknown[0]!r} "
@@ -637,7 +642,7 @@ def _resolve_config(args) -> RunConfig:
 
     command = COMMANDS[args.command]
     for key in (*command.settings, "seed", "output_path", "format"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
 
     if args.potential is not None:

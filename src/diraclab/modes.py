@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from diraclab.algebra import pauli, sigma_mul
+from diraclab.algebra import sigma_mul
 from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
 from diraclab.quadrature import radial_panels, sphere_directions_26, sphere_product_rule
 
@@ -142,19 +142,6 @@ N_PHI = 24
 QUAD_TOL = 1e-3
 
 
-# sig_eps[j, m] = sum_l eps_{l j m} sigma_l, the 2x2 blocks behind sigma.(omega x A)
-def _sig_eps_tensor() -> ArrayC:
-    sig = np.stack([pauli(j) for j in (1, 2, 3)])
-    eps = np.zeros((3, 3, 3))
-    for (l, j, m), s in {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-                         (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}.items():
-        eps[l, j, m] = s
-    return np.einsum("ljm,lab->jmab", eps, sig)
-
-
-_SIG_EPS = _sig_eps_tensor()
-
-
 def _shell_sums(
     spec: ZeroModeSpec, pot: Optional[PotentialSpec]
 ) -> tuple[ArrayR, ArrayR, ArrayC]:
@@ -231,10 +218,9 @@ def _moment_integrals(spec: ZeroModeSpec, pot: PotentialSpec) -> tuple[ArrayC, f
 
 
 def _u_from_moments(moments: ArrayC, omegas: ArrayR) -> ArrayC:
-    # u = (i/4pi) [ sum_j w_j I_j + i sum_{j,m} w_j sig_eps[j,m] I_m ]
-    term1 = np.einsum("oj,ja->oa", omegas, moments)
-    term2 = np.einsum("oj,jmab,mb->oa", omegas.astype(np.complex128), _SIG_EPS, moments)
-    return (1j / (4.0 * np.pi)) * (term1 + 1j * term2)
+    # omega.I + i sigma.(omega x I) = (sigma.omega)(sigma.I), sigma.I = sum_m sigma_m I_m
+    sig_moments = sum(sigma_mul(*e, m) for e, m in zip(np.eye(3), moments))
+    return (1j / (4.0 * np.pi)) * sigma_mul(*omegas.T, sig_moments[:, None]).T
 
 
 def asymptotic_limit_quadrature(
@@ -257,7 +243,7 @@ def asymptotic_limit_quadrature(
         raise ValueError("omega must be a unit 3-vector")
     moments, err_m = _moment_integrals(spec, pot)
     u = _u_from_moments(moments, om)
-    err = err_m / (2.0 * np.pi)  # |omega| = 1 and the sig_eps blocks have unit norm
+    err = err_m / (2.0 * np.pi)  # |omega| = 1 and the Pauli matrices have unit norm
     return (u[0], err) if single else (u, err)
 
 

@@ -20,7 +20,6 @@ Classification is evidence on samples, not proof; reports say which.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -503,15 +502,13 @@ MAX_DEPTH = 32
 
 
 def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> PotentialSpec:
-    """Rebuild a PotentialSpec from its JSON dict.
-
-    File-backed variants resolve their companion DTL1 file relative to
-    base_dir; a grid_n or box_l that disagrees with the file is refused. An
-    entry of the wrong JSON type anywhere, or entries nested more than
-    MAX_DEPTH deep, raise ValueError.
+    """Rebuild a PotentialSpec from its parsed JSON object; the caller parses
+    JSON text, and a string is refused like any non-object. File-backed
+    variants resolve their companion DTL1 file relative to base_dir; a
+    grid_n or box_l that disagrees with the file is refused. An entry of the
+    wrong JSON type anywhere, or entries nested more than MAX_DEPTH deep,
+    raise ValueError.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict):
         raise ValueError(f"a potential must be a JSON object, got {obj!r}")
     depth, entry = 0, obj

@@ -329,15 +329,20 @@ def _resolve_delta(op: OperatorHandle) -> float:
 
 def _lowpass_columns(grid: Grid3D, target: float, count: int, rng) -> ArrayC:
     """Coefficients (count, 2, n, n, n) of random 2-spinor fields band-limited
-    to the target's resonant shell |k| = |target| plus margin."""
+    to the target's resonant shell |k| = |target| plus margin, or to the
+    smallest ball whose wave vectors span them and the two constants."""
     n = grid.n
     kcut = abs(target) + 6.0 * np.pi / grid.L
+    band = grid.k2_mesh <= kcut**2
+    need = min((count + 3) // 2, n**3)  # two coefficients per wave vector
+    if np.count_nonzero(band) < need:
+        band = grid.k2_mesh <= np.partition(grid.k2_mesh, need - 1, axis=None)[need - 1]
     co = (rng.normal(size=(n, n, n, count, 2))
           + 1j * rng.normal(size=(n, n, n, count, 2)))
     block = np.ascontiguousarray(co.transpose(3, 4, 0, 1, 2))
     # the masked draws are the fields' coefficients under the backward
     # normalization (ifftn divides by n^3); n^(-3/2) makes them unitary ones
-    block *= np.where(grid.k2_mesh <= kcut**2, n**-1.5, 0.0)
+    block *= np.where(band, n**-1.5, 0.0)
     return block
 
 

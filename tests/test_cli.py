@@ -195,12 +195,19 @@ def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypat
         ("residual_decrease_ratio", None, False)]
 
 
-def test_weyl_rejects_csv_format(tmp_path, capsys):
-    code, _, err = run(capsys, "weyl", "--grid-n", "16", "--box-l", "5",
-                       "--potential", FREE, "--lambda0", "1.5",
-                       "--format", "csv", "--out", str(tmp_path / "w.csv"))
-    assert code == 1
-    assert "no CSV table" in err
+def test_weyl_rejects_csv_format(tmp_path, capsys, monkeypatch):
+    # only the four commands with a CSV table take --format; on the other
+    # five the flag and the config key exit 1 before the run, with no report
+    no_table = sorted(c for c, entry in cli.COMMANDS.items() if not entry.csv)
+    assert no_table == ["gauge", "potential-info", "spectrum", "verify-zero-mode", "weyl"]
+    for command in no_table:
+        out_path = tmp_path / "w.csv"
+        code, _, err = run(capsys, command, "--format", "csv", "--out", str(out_path))
+        assert code == 1 and "unrecognized arguments: --format csv" in err
+        assert not out_path.exists() and not (tmp_path / "w.json").exists()
+        code, err = _exit_before_run(tmp_path, capsys, monkeypatch,
+                                     {"command": command, "format": "json"})
+        assert code == 1 and f"error: command {command} reads no format" in err
 
 
 def test_spectrum_free_supercharge(tmp_path, capsys):
@@ -591,6 +598,7 @@ def test_help_lists_every_flag_of_the_table(capsys, command):
     flags = ["--" + o.replace("_", "-") for o in entry.options]
     flags += [f"--tol-{t}" for t in entry.tolerances]
     assert [flag for flag in flags if flag not in out.split()] == []
+    assert ("--format" in out.split()) == bool(entry.csv)
     # exactly the settings the command reads: asymptotics --help has no
     # --mass, gauge --help has --grid-n
     settings = {"--" + name.replace("_", "-") for name in cli.SETTINGS}
@@ -745,6 +753,28 @@ def test_grid_beyond_physical_memory_is_config_error(capsys):
     assert "physical memory" in err
 
 
+@pytest.mark.parametrize("error", [cli.SolverError, cli.AccuracyError])
+def test_solver_and_quadrature_errors_exit_3_with_one_message(tmp_path, capsys, monkeypatch,
+                                                              error):
+    def fail(cfg):
+        raise error("no convergence")
+
+    monkeypatch.setitem(cli.COMMANDS, "asymptotics",
+                        dataclasses.replace(cli.COMMANDS["asymptotics"], run=fail))
+    code, out, err = run(capsys, "asymptotics", "--out", str(tmp_path / "a.json"))
+    assert (code, out, err) == (3, "", "error: no convergence\n")
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_potential_info_on_a_zero_potential_fails_its_check(tmp_path, capsys):
+    code, out, _ = run(capsys, "potential-info", "--potential", FREE,
+                       "--out", str(tmp_path / "i.json"))
+    assert code == 2 and "FAIL classification" in out
+    report = strict_json(tmp_path / "i.json")
+    assert report["passed"] is False and report["result"] == {}
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("classification", False)]
+
+
 def test_out_of_memory_exits_1_with_one_message_and_no_report(tmp_path, capsys, monkeypatch):
     def eigs_near(*args, **kwargs):
         raise MemoryError("Unable to allocate 64.0 GiB")
@@ -756,11 +786,12 @@ def test_out_of_memory_exits_1_with_one_message_and_no_report(tmp_path, capsys, 
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("source", ["inline", "file", "config"])
+@pytest.mark.parametrize("source", ["inline", "file", "config", "config_string"])
 @pytest.mark.parametrize("depth", [985, 2000])
 def test_deeply_nested_potential_exits_1_with_one_message(tmp_path, capsys, source, depth):
     # 985 scaled entries parse and are refused past MAX_DEPTH; 2000 are too
-    # deep for the JSON parser itself
+    # deep for the JSON parser itself; a config's potential given as a JSON
+    # string is no object, and is not parsed a second time
     text = '{"variant": "scaled", "t": 1.0, "inner": ' * depth + LY + "}" * depth
     args = ["--potential", text]
     if source == "file":
@@ -768,6 +799,9 @@ def test_deeply_nested_potential_exits_1_with_one_message(tmp_path, capsys, sour
         args = ["--potential", str(tmp_path / "pot.json")]
     elif source == "config":
         (tmp_path / "cfg.json").write_text('{"potential": ' + text + "}")
+        args = ["--config", str(tmp_path / "cfg.json")]
+    elif source == "config_string":
+        (tmp_path / "cfg.json").write_text(json.dumps({"potential": text}))
         args = ["--config", str(tmp_path / "cfg.json")]
     out_path = tmp_path / "r.json"
     code, _, err = run(capsys, "spectrum", "--grid-n", "8", *args, "--out", str(out_path))

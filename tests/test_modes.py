@@ -55,6 +55,22 @@ def test_analytic_gradient_matches_finite_differences():
         assert np.allclose(grad[..., j, :], fd, atol=1e-7)
 
 
+def test_u_from_moments_equals_dense_pauli_formula():
+    # u = (i/4pi) [ (omega.I) + i sum_{l,j,m} eps_ljm omega_j sigma_l I_m ]
+    from diraclab.modes import _u_from_moments
+
+    rng = np.random.default_rng(5)
+    moments = 0.2 * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    omegas = sphere_directions_26()
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    sig = np.stack([pauli(j) for j in (1, 2, 3)])
+    want = [(1j / (4 * np.pi)) * (w @ moments + 1j * np.einsum(
+        "ljm,j,lab,mb->a", eps, w, sig, moments)) for w in omegas]
+    np.testing.assert_allclose(_u_from_moments(moments, omegas), want, rtol=0, atol=1e-15)
+
+
 def test_sigma_d_analytic_equals_dense_pauli_sum():
     # sigma.D phi = -i sum_j sigma_j d_j phi, with the dense Pauli matrices
     mode = LossYauMode(phi0=((0.6, 0.0), (0.0, 0.8)))

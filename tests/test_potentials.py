@@ -62,12 +62,17 @@ def test_potential_json_nests_at_most_max_depth_entries():
         scaled = '{"variant": "scaled", "t": 1.0, "inner": '
         return scaled * (depth - 1) + '{"variant": "loss_yau"}' + "}" * (depth - 1)
 
-    spec = potential_from_json(nested(MAX_DEPTH))
+    spec = potential_from_json(json.loads(nested(MAX_DEPTH)))
     for _ in range(MAX_DEPTH - 1):
         spec = spec.inner
     assert spec == LossYau()
     with pytest.raises(ValueError, match=f"over {MAX_DEPTH}"):
-        potential_from_json(nested(MAX_DEPTH + 1))
+        potential_from_json(json.loads(nested(MAX_DEPTH + 1)))
+    # JSON text is the caller's to parse: a string is no potential, however
+    # deep the text it holds (3000 entries would exhaust the JSON parser)
+    for text in (nested(1), nested(3000)):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            potential_from_json(text)
 
 
 def test_loss_yau_at_reference_points():

@@ -187,6 +187,19 @@ def test_start_block_puts_the_fields_first_then_the_constants():
     assert _start(g, 0.0, 3, []).shape[1] == 3
 
 
+@pytest.mark.parametrize("spin", ["periodic", "antiperiodic"])
+def test_start_block_has_full_rank_up_to_the_grid_dimension(spin):
+    # at n=8, L=20 the shell's band |k| <= 6 pi / L holds 505 (periodic) or
+    # 504 (antiperiodic) of the 512 wave vectors, two coefficients each: a
+    # wider block widens the band, and a narrower one keeps it (its random
+    # columns vanish outside the shell)
+    g = Grid3D(n=8, L=20.0, spin=spin)
+    for nb in (1011, 1024):
+        assert np.linalg.matrix_rank(_start(g, 0.0, nb, [])) == nb
+    outside = np.broadcast_to(g.k2_mesh > (6.0 * np.pi / g.L) ** 2, (2, 8, 8, 8)).ravel()
+    assert not _start(g, 0.0, 1000, [])[outside].any()
+
+
 def test_eigs_near_takes_the_warm_fields(monkeypatch):
     # three fields with count 1 and extra 0 give three columns plus the two
     # constants; eigs_near empties the list, and a field no one else holds is
