@@ -41,8 +41,8 @@ from diraclab.grid import (
     residual_norm,
     sample_field,
     sample_potential,
-    spectral_curl,  # noqa: F401  not called here since gauge_transform measures both;
-    spectral_divergence,  # noqa: F401  bench/spans.py patches them in this namespace
+    spectral_curl,  # noqa: F401  bench/spans.py patches it here
+    spectral_divergence,  # noqa: F401  bench/spans.py patches it here
 )
 from diraclab.modes import (
     AccuracyError,
@@ -56,6 +56,7 @@ from diraclab.potentials import (
     ClassificationUndetermined,
     LossYau,
     Sampled,
+    brief,
     default_classification,
     potential_from_json,
 )
@@ -115,11 +116,11 @@ def _checked(name: str, kind, value):
     if isinstance(kind, tuple):
         if value in kind:
             return value
-        raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {value!r}")
+        raise ConfigError(f"{name} must be one of {', '.join(kind)}, got {brief(value)}")
     if kind is list:
         if isinstance(value, list) and value and all(map(_finite, value)):
             return [float(v) for v in value]
-        raise ConfigError(f"{name} must be a non-empty list of finite numbers, got {value!r}")
+        raise ConfigError(f"{name} must be a non-empty list of finite numbers, got {brief(value)}")
     if kind is float and _finite(value):
         return float(value)
     if kind is int and _number(value) and isinstance(value, int):
@@ -127,7 +128,7 @@ def _checked(name: str, kind, value):
     if kind is str and isinstance(value, str):
         return value
     what = {int: "an integer", float: "a finite number", str: "a string"}[kind]
-    raise ConfigError(f"{name} must be {what}, got {value!r}")
+    raise ConfigError(f"{name} must be {what}, got {brief(value)}")
 
 
 @dataclass
@@ -159,14 +160,14 @@ class RunConfig:
         if self.output_path is not None:
             _checked("output_path", str, self.output_path)
         if "grid_n" in command.settings and (self.grid_n < 8 or self.grid_n & (self.grid_n - 1)):
-            raise ConfigError(f"grid_n must be a power of two >= 8, got {self.grid_n}")
+            raise ConfigError(f"grid_n must be a power of two >= 8, got {brief(self.grid_n)}")
         for name in ("box_l", "mass"):
             if name in command.settings and not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name, value in self.tolerances.items():
             if name not in command.tolerances:
                 raise ConfigError(
-                    f"command {self.command} accepts no tolerance {name!r} "
+                    f"command {self.command} accepts no tolerance {brief(name)} "
                     f"(known: {', '.join(command.tolerances) or 'none'})"
                 )
             value = _checked(f"tolerance {name}", float, value)
@@ -289,7 +290,7 @@ def _number_list(text: str) -> list:
     except ValueError:
         values = []
     if not values:
-        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {brief(text)}")
     return values
 
 
@@ -467,8 +468,8 @@ def cmd_weyl(cfg: RunConfig) -> int:
         raise ConfigError("sweep must be >= 1")
     # one evaluation of the potential serves the whole sweep
     A = Sampled(grid, sample_potential(pot, grid))
-    modes = [build_weyl_quasimode(A, cfg.mass, lambda0, idx, grid).to_dict()
-             for idx in range(1, sweep + 1)]
+    modes = [m.to_dict() for m in
+             build_weyl_quasimode(A, cfg.mass, lambda0, range(1, sweep + 1), grid)]
     residuals = [m["residual"] for m in modes]
     checks = []
     if not A.values.any():
@@ -625,18 +626,18 @@ def _resolve_config(args) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
         if data.get("command", args.command) != args.command:
             raise ConfigError(
-                f"config file is for command {data['command']!r}, not {args.command!r}"
+                f"config file is for command {brief(data['command'])}, not {args.command!r}"
             )
         known = cfg.to_dict()
         unknown = [key for key in data if key not in known]
         if unknown and unknown[0] in (*SETTINGS, "format"):
             raise ConfigError(f"command {args.command} reads no {unknown[0]}")
         if unknown:
-            raise ConfigError(f"config file has unknown key {unknown[0]!r} "
+            raise ConfigError(f"config file has unknown key {brief(unknown[0])} "
                               f"(known: {', '.join(known)})")
         for key in ("tolerances", "options"):
             if not isinstance(data.get(key, {}), dict):
-                raise ConfigError(f"{key} must be a JSON object, got {data[key]!r}")
+                raise ConfigError(f"{key} must be a JSON object, got {brief(data[key])}")
         for key, value in data.items():
             setattr(cfg, key, value)
 

@@ -513,12 +513,11 @@ def _divergence_half(grid: Grid3D, a_hat: list[ArrayC]) -> ArrayC:
     return 1j * (kx * a_hat[0] + ky * a_hat[1] + kz * a_hat[2])
 
 
-def _curl_half(grid: Grid3D, a_hat: list[ArrayC], c: int) -> ArrayC:
-    """Half spectrum of component c of the curl of a field given by its half
-    spectra."""
+def _curl_halves(grid: Grid3D, a_hat: list[ArrayC]):
+    """The curl's three half spectra, one at a time, from the field's."""
     k = grid.k_axes_real
-    j, l = (c + 1) % 3, (c + 2) % 3
-    return 1j * (k[j] * a_hat[l] - k[l] * a_hat[j])
+    for c in range(3):
+        yield 1j * (k[c - 2] * a_hat[c - 1] - k[c - 1] * a_hat[c - 2])
 
 
 def spectral_scalar_gradient(grid: Grid3D, values: ArrayR) -> ArrayR:
@@ -535,17 +534,22 @@ def spectral_divergence(grid: Grid3D, A: ArrayR) -> ArrayR:
 def spectral_curl(grid: Grid3D, A: ArrayR) -> ArrayR:
     """Curl of a real vector grid field via Fourier differentiation."""
     a_hat = _half_spectra(A)
-    return _vector_field(grid, (_curl_half(grid, a_hat, c) for c in range(3)))
+    return _vector_field(grid, _curl_halves(grid, a_hat))
 
 
-def _curl_norm(grid: Grid3D, a_hat: list[ArrayC]) -> float:
-    """Euclidean norm of the curl samples of a field given by its half
-    spectra, one component at a time (3 irfftn)."""
+def _half_norm(grid: Grid3D, halves) -> float:
+    """Norm of the samples irfftn makes of the half spectra, by Parseval:
+    sqrt(sum_k w_k |h(k)|^2 / n^3), w_k = 2 for 0 < k_z < n/2. irfftn reads
+    the k_z = 0 and n/2 planes through their Hermitian part
+    (h(k) + conj h(-k))/2, so they count by it; on a round-off-sized
+    spectrum (div A_t) the rest is not small."""
     square = 0.0
-    for c in range(3):
-        curl_c = _irfftn(grid, _curl_half(grid, a_hat, c))
-        square += float(np.vdot(curl_c, curl_c))
-    return float(np.sqrt(square))
+    for h in halves:
+        square += 2.0 * np.vdot(h, h).real
+        for plane in (h[..., 0], h[..., -1]):
+            sym = 0.5 * (plane + np.roll(plane[::-1, ::-1], 1, axis=(0, 1)).conj())
+            square += np.vdot(sym, sym).real - 2.0 * np.vdot(plane, plane).real
+    return float(np.sqrt(square / grid.n**3))
 
 
 def _transverse_part(grid: Grid3D, a_hat: list[ArrayC]) -> tuple[ArrayR, ArrayR]:
@@ -556,7 +560,7 @@ def _transverse_part(grid: Grid3D, a_hat: list[ArrayC]) -> tuple[ArrayR, ArrayR]
     div_hat = _divergence_half(grid, a_hat)
     # -Laplace(chi) = div A reads k^2 chi_hat = div_hat fiberwise
     chi_hat = np.where(k2 > 0.0, div_hat / np.where(k2 > 0.0, k2, 1.0), 0.0)
-    del div_hat
+    del div_hat, k2
     chi = _irfftn(grid, chi_hat)
     A_t = _vector_field(grid, (a + 1j * kj * chi_hat for a, kj in zip(a_hat, k)))
     return A_t, chi
@@ -572,10 +576,9 @@ def helmholtz_project(grid: Grid3D, A: ArrayR) -> tuple[ArrayR, ArrayR]:
     The result is the transverse part of A: its grid divergence vanishes
     identically and its curl equals curl A.
 
-    It costs 7 real transforms: 3 rfftn of A, then one irfftn of chi_hat
-    and one of A_hat + i k chi_hat per component, so grad chi is never
-    formed on its own. Beside A and the two results it holds the three half
-    spectra of A, chi_hat and a few n^3 temporaries.
+    7 real transforms: 3 rfftn of A, then one irfftn of chi_hat and one of
+    A_hat + i k chi_hat per component (grad chi is never formed alone);
+    gauge_transform adds 3 rfftn of the result and no inverse transform.
     """
     return _transverse_part(grid, _half_spectra(A))
 
@@ -593,23 +596,19 @@ def gauge_transform(pot, grid: Grid3D):
     to round-off. Both are returned, not judged: the caller holds the
     tolerance (the `gauge` command's --tol-div and --tol-curl).
 
-    One pass over half spectra, 17 real transforms: pot is sampled once and
-    transformed (3 rfftn), and the samples are dropped; chi and A_t come
-    from that spectrum as in helmholtz_project (4 irfftn); curl A takes 3
-    irfftn; A_t is transformed once (3 rfftn), which gives the divergence
-    (1 irfftn) and, less the spectrum of A, the curl change (3 irfftn). It
-    holds the half spectra of A (later of A_t - A), A_t, chi and a few n^3
-    temporaries at a time, never two sets of half spectra: at n=128 the
-    `gauge` command peaks 197 MB above the imported library, where the
-    31-transform path took 394 MB.
+    One pass over half spectra, 10 real transforms: pot is sampled once and
+    transformed (3 rfftn); chi and A_t come from that spectrum as in
+    helmholtz_project (4 irfftn); A_t is transformed once (3 rfftn), which
+    gives the spectra of div A_t and, less that of A, of the curl change.
+    The norms come from half spectra by Parseval (_half_norm). It holds one
+    set of half spectra, A_t, chi and a few n^3 temporaries at a time: at
+    n=128 `gauge` peaks 181 MB above the imported library.
     """
     from diraclab.potentials import Gauged, ScalarFieldHandle
 
     a_hat = _half_spectra(sample_potential(pot, grid))
     A_t, chi = _transverse_part(grid, a_hat)
-    curl_norm = _curl_norm(grid, a_hat)
-    # one forward transform of A_t: the divergence spectrum accumulates from
-    # it, and each half spectrum of A is replaced by that of A_t - A
+    curl_norm = _half_norm(grid, _curl_halves(grid, a_hat))
     k = grid.k_axes_real
     div_hat = np.zeros_like(a_hat[0])
     for j in range(3):
@@ -617,10 +616,10 @@ def gauge_transform(pot, grid: Grid3D):
         div_hat += k[j] * t_hat
         t_hat -= a_hat[j]
         a_hat[j] = t_hat
-    div_hat *= 1j
-    div_rel = float(np.linalg.norm(_irfftn(grid, div_hat)) / max(np.linalg.norm(A_t), 1e-300))
+    div_hat *= 1j  # not norm-neutral: _half_norm reads Hermitian parts
+    div_rel = _half_norm(grid, [div_hat]) / max(float(np.linalg.norm(A_t)), 1e-300)
     del div_hat
-    curl_dev = _curl_norm(grid, a_hat) / max(curl_norm, 1e-300)
+    curl_dev = _half_norm(grid, _curl_halves(grid, a_hat)) / max(curl_norm, 1e-300)
     handle = ScalarFieldHandle(grid=grid, values=chi)
     return Gauged(inner=pot, chi=handle, samples=A_t), handle, div_rel, curl_dev
 

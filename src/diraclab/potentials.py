@@ -457,6 +457,12 @@ def potential_to_json(spec: PotentialSpec) -> dict:
     raise UnsupportedVariant(f"cannot serialize {type(spec).__name__}")
 
 
+def brief(value) -> str:
+    """repr(value) for an error message, cut to 60 characters plus its length."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
                     what: str) -> tuple[Grid3D, ArrayR]:
     """Grid and real values (n, n, n, count) of an entry's companion file.
@@ -464,17 +470,17 @@ def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
     The entry's grid_n and box_l, when given, must match the file's header.
     """
     if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be a JSON object, got {entry!r}")
+        raise ValueError(f"{what} must be a JSON object, got {brief(entry)}")
     fname = entry.get("file")
     if not fname or not isinstance(fname, str):
-        raise ValueError(f"{what} needs a companion file name, got {fname!r}")
+        raise ValueError(f"{what} needs a companion file name, got {brief(fname)}")
     path = Path(fname)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
     grid, values = _read_dtl1(path, (count,), real=True)
     for key, have in (("grid_n", grid.n), ("box_l", grid.L)):
         if entry.get(key) is not None and entry[key] != have:
-            raise ValueError(f"{what}: {key} = {entry[key]!r} does not match "
+            raise ValueError(f"{what}: {key} = {brief(entry[key])} does not match "
                              f"{have!r} in the header of {path}")
     return grid, values
 
@@ -482,9 +488,9 @@ def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
 def _number(value, what: str) -> float:
     """A finite JSON number (bool is not one) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {brief(value)}")
     if not (abs(value) <= np.finfo(np.float64).max):  # NaN, infinities, huge ints
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
+        raise ValueError(f"{what} must be a finite number, got {brief(value)}")
     return float(value)
 
 
@@ -492,7 +498,7 @@ def _phi0(value) -> tuple:
     """((re, im), (re, im)) from a JSON [[re, im], [re, im]]."""
     if not (isinstance(value, (list, tuple)) and len(value) == 2
             and all(isinstance(c, (list, tuple)) and len(c) == 2 for c in value)):
-        raise ValueError(f"phi0 must be [[re, im], [re, im]], got {value!r}")
+        raise ValueError(f"phi0 must be [[re, im], [re, im]], got {brief(value)}")
     return tuple(tuple(_number(x, "phi0 entry") for x in c) for c in value)
 
 
@@ -510,7 +516,7 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
     raise ValueError.
     """
     if not isinstance(obj, dict):
-        raise ValueError(f"a potential must be a JSON object, got {obj!r}")
+        raise ValueError(f"a potential must be a JSON object, got {brief(obj)}")
     depth, entry = 0, obj
     while isinstance(entry, dict):
         depth, entry = depth + 1, entry.get("inner")
@@ -525,7 +531,7 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
     if variant == "amn":
         ell = obj.get("ell")
         if isinstance(ell, bool) or not isinstance(ell, int):
-            raise ValueError(f"ell must be an integer, got {ell!r}")
+            raise ValueError(f"ell must be an integer, got {brief(ell)}")
         return AMN(ell=ell, c_ell=_number(obj.get("c_ell"), "c_ell"))
     if variant == "sampled":
         return Sampled(*_read_companion(obj, base_dir, 3, "sampled potential"))
@@ -533,7 +539,7 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
         grid, chi = _read_companion(obj.get("chi"), base_dir, 1, "gauge function")
         handle = ScalarFieldHandle(grid=grid, values=chi[..., 0])
         return Gauged(inner=potential_from_json(obj.get("inner"), base_dir), chi=handle)
-    raise UnsupportedVariant(f"unknown potential variant {variant!r}")
+    raise UnsupportedVariant(f"unknown potential variant {brief(variant)}")
 
 
 def write_sampled_potential(path, spec: Sampled) -> None:

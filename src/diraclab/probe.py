@@ -848,71 +848,62 @@ def _plus_spinor(k: ArrayR) -> ArrayC:
     return col / np.linalg.norm(col)
 
 
-def _weyl_residual(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
-                   a: float, b: float, chi: ArrayC, factors) -> float:
-    """||(H_A - lambda0) f|| / ||f|| for f = (a chi, b chi) psi, psi the
-    product of the 1-D factors, without a 3-D transform or an n^3 4-spinor.
+def _weyl_residuals(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
+                    a: float, b: float, chi: ArrayC, factor_sets) -> list:
+    """||(H_A - lambda0) f|| / ||f|| for each f = (a chi, b chi) psi of the
+    sweep, psi a product of 1-D factors, with no 3-D transform.
 
-    D_j acts on one axis, so D_j psi is psi with f_j replaced by its 1-D
-    spectral derivative (k_axis as in the grid kernel, Nyquist labelled
-    -n/2), and T(chi psi) = sum_j (sigma_j chi) D_j psi - (sigma.A chi) psi.
-    The residual [(m - lambda0) a chi psi + b T; a T - (m + lambda0) b chi psi]
-    is formed pointwise, a few x-slabs at a time, and its squares summed;
-    expanding the norm into cross terms instead would cancel
-    catastrophically on an exact quasi-mode. ||f||^2 = |c|^2 times the
-    product of the factor norms squared.
+    D_j psi is psi with f_j replaced by its 1-D spectral derivative, and
+    T(chi psi) = sum_j (sigma_j chi) D_j psi - (sigma.A chi) psi. The
+    residual [(m - lambda0) a chi psi + b T; a T - (m + lambda0) b chi psi]
+    is formed pointwise, a few x-slabs at a time, and its squares summed
+    (cross terms would cancel catastrophically on an exact quasi-mode);
+    each slab forms sigma.A chi once for the sweep.
     """
     k = grid.k_axis
-    fx, fy, fz = factors
-    dx, dy, dz = (sfft.ifft(k * sfft.fft(f)) for f in factors)
     sx, sy, sz = (sigma_mul(*e, chi) for e in np.eye(3))  # sigma_j chi
-    p = fy[:, None] * fz[None, :]
-    q = [sy[c] * dy[:, None] * fz[None, :] + sz[c] * fy[:, None] * dz[None, :]
-         for c in range(2)]
+    parts = []
+    for fx, fy, fz in factor_sets:
+        dx, dy, dz = (sfft.ifft(k * sfft.fft(f)) for f in (fx, fy, fz))
+        q = [sy[c] * dy[:, None] * fz + sz[c] * fy[:, None] * dz for c in range(2)]
+        parts.append((fx[:, None, None], dx[:, None, None], fy[:, None] * fz, q))
     up, lo = (mass - lambda0) * a, -(mass + lambda0) * b
     rows = max(1, 2**17 // grid.n**2)  # slabs of 2 MB per complex array
-    total = 0.0
+    totals = np.zeros(len(parts))
     for i in range(0, grid.n, rows):
         s = slice(i, i + rows)
-        psi = fx[s, None, None] * p
         a_chi = sigma_mul(A[s, ..., 0], A[s, ..., 1], A[s, ..., 2], chi[:, None, None, None])
-        for c in range(2):
-            t = sx[c] * dx[s, None, None] * p + fx[s, None, None] * q[c]
-            t -= a_chi[c] * psi
-            cpsi = chi[c] * psi
-            for r in (up * cpsi + b * t, a * t + lo * cpsi):
-                total += np.vdot(r, r).real
-    norm2 = (a * a + b * b) * np.vdot(chi, chi).real
-    for f in factors:
-        norm2 *= np.vdot(f, f).real
-    return float(np.sqrt(total / norm2))
+        for m, (fx, dx, p, q) in enumerate(parts):
+            psi = fx[s] * p
+            for c in range(2):
+                t = sx[c] * dx[s] * p + fx[s] * q[c]
+                t -= a_chi[c] * psi
+                cpsi = chi[c] * psi
+                for r in (up * cpsi + b * t, a * t + lo * cpsi):
+                    totals[m] += np.vdot(r, r).real
+    norms = [(a * a + b * b) * np.vdot(chi, chi).real * np.vdot(fx, fx).real
+             * np.vdot(fy, fy).real * np.vdot(fz, fz).real for fx, fy, fz in factor_sets]
+    return np.sqrt(totals / norms).tolist()
 
 
 def build_weyl_quasimode(
     pot: PotentialSpec,
     mass: float,
     lambda0: float,
-    n_index: int,
+    n_indices: Sequence[int],
     grid: Grid3D,
-) -> WeylQuasimode:
-    """Quasi-mode at lambda0 demonstrating that all of |lambda| >= m is spectrum.
+) -> list[WeylQuasimode]:
+    """Quasi-modes at lambda0, one per envelope index in n_indices: all of
+    |lambda| >= m is spectrum.
 
     For A = 0 and lambda0 on the exact lattice dispersion the construction is
     an exact eigenfunction (no envelope, residual at round-off). Otherwise the
     wave packet is centered on the corner of the box, far from the potential's
     bulk, and its residual decreases as n_index widens the envelope.
-    Periodic grids only: the wave vector and envelope are periodic fields.
-
-    A sweep over n_index samples once and passes Sampled(grid, A), which
-    hands the samples back without a copy. The quasi-mode is a
-    product f = c (x) f_x(x) f_y(y) f_z(z): the phase e^{ik.x} and the
-    envelope have one factor per axis. The spectral derivative acts on one
-    axis at a time, so D_j f is the same product with f_j replaced by its
-    1-D spectral derivative, an exact identity of the grid operator. The
-    residual ||(H_A - lambda0) f|| / ||f|| is computed from the factors
-    (_weyl_residual): 1-D transforms only, no n^3 4-spinor field. At n=128,
-    L=20 on a 2-core VM one quasi-mode takes about 0.2 s, against 1.1 s for
-    the 3-D apply of H_A it replaces, and agrees with it to 5e-14 relative.
+    Periodic grids only. The wave vector, spinor and (a, b) depend on lambda0
+    and m only: the sweep shares them, samples pot once and takes every
+    residual in one pass over the grid (_weyl_residuals), within 5e-14 of
+    the 3-D apply of H_A.
     """
     if grid.antiperiodic:
         raise ValueError("Weyl quasi-modes are built on periodic grids only")
@@ -920,8 +911,8 @@ def build_weyl_quasimode(
         raise ValueError("mass must be finite and >= 0")
     if abs(lambda0) < mass:
         raise ValueError(f"need |lambda0| >= mass, got {lambda0} with mass {mass}")
-    if n_index < 1:
-        raise ValueError("n_index must be >= 1")
+    if not n_indices or min(n_indices) < 1:
+        raise ValueError("each n_index must be >= 1")
 
     nu0 = float(np.sqrt(max(lambda0**2 - mass**2, 0.0)))
     k = _nearest_lattice_k(grid, nu0)
@@ -929,26 +920,23 @@ def build_weyl_quasimode(
     a, b = _threshold_pair(lambda0, mass, nu0)
     A = sample_potential(pot, grid)
 
-    factors = [np.exp(1j * kj * grid.axis) for kj in k]
-    notes = []
-    if not A.any():
-        width = None
-        notes.append("zero potential: plane wave used without envelope")
-    else:
-        # smooth periodic bump centered on the corner (-L,-L,-L), the point
-        # farthest from the potential's bulk at the origin:
-        # exp(-|s|^2 / (2 width^2)) with s_j = (2L/pi) sin(pi u_j / (2L))
-        width = 1.0 + 1.5 * n_index
-        u = grid.axis + grid.L  # distance from corner along one axis, in [0, 2L)
-        s = (2.0 * grid.L / np.pi) * np.sin(np.pi * u / (2.0 * grid.L))
-        bump = np.exp(-(s**2) / (2.0 * width**2))
-        factors = [p * bump for p in factors]
-    res = _weyl_residual(grid, A, mass, lambda0, a, b, chi, factors)
-    return WeylQuasimode(
+    plane = [np.exp(1j * kj * grid.axis) for kj in k]
+    # smooth periodic bump centered on the corner (-L,-L,-L), the point
+    # farthest from the potential's bulk at the origin:
+    # exp(-|s|^2 / (2 width^2)) with s_j = (2L/pi) sin(pi u_j / (2L))
+    u = grid.axis + grid.L  # distance from corner along one axis, in [0, 2L)
+    s = (2.0 * grid.L / np.pi) * np.sin(np.pi * u / (2.0 * grid.L))
+    free = not A.any()
+    widths = [None if free else 1.0 + 1.5 * n_index for n_index in n_indices]
+    factor_sets = [plane if w is None else [p * np.exp(-(s**2) / (2.0 * w**2)) for p in plane]
+                   for w in widths]
+    notes = ("zero potential: plane wave used without envelope",) if free else ()
+    residuals = _weyl_residuals(grid, A, mass, lambda0, a, b, chi, factor_sets)
+    return [WeylQuasimode(
         lambda0=float(lambda0), nu0=nu0, a=a, b=b, grid=grid,
         spinor=np.concatenate([a * chi, b * chi]), factors=tuple(factors), residual=res,
-        k_vector=tuple(float(c) for c in k), envelope_width=width, notes=tuple(notes),
-    )
+        k_vector=tuple(float(c) for c in k), envelope_width=width, notes=notes,
+    ) for factors, res, width in zip(factor_sets, residuals, widths)]
 
 
 # ----------------------------------------------------------------------------

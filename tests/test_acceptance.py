@@ -182,12 +182,11 @@ def test_criterion_08_spectrum_filling_quasimodes(lossyau):
     grid5 = Grid3D(16, 5.0)
     nu0 = 2.0 * np.pi / 10.0  # smallest dual wavenumber of the L=5 box
     lam0 = float(np.sqrt(1.0 + nu0**2))
-    rep = build_weyl_quasimode(free, 1.0, lam0, 1, grid5)
+    (rep,) = build_weyl_quasimode(free, 1.0, lam0, [1], grid5)
     assert rep.residual <= 1e-10, f"free residual {rep.residual:.3e}"
 
     grid = Grid3D(32, 20.0)
-    residuals = [build_weyl_quasimode(lossyau, 1.0, 1.5, n, grid).residual
-                 for n in (1, 2, 3, 4)]
+    residuals = [qm.residual for qm in build_weyl_quasimode(lossyau, 1.0, 1.5, (1, 2, 3, 4), grid)]
     assert all(np.diff(residuals) < 0.0), f"not strictly decreasing: {residuals}"
 
 

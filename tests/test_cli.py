@@ -184,7 +184,8 @@ def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypat
         def to_dict(self):
             return {"residual": next(residuals), "k_vector": [0.0, 0.0, 0.0], "nu0": 0.0}
 
-    monkeypatch.setattr(cli, "build_weyl_quasimode", lambda *args: Quasimode())
+    monkeypatch.setattr(cli, "build_weyl_quasimode",
+                        lambda pot, mass, lam, indices, grid: [Quasimode() for _ in indices])
     code, out, _ = run(capsys, "weyl", "--grid-n", "8", "--box-l", "5", "--sweep", "2",
                        "--potential", LY, "--out", str(tmp_path / "w.json"))
     assert code == 2
@@ -810,6 +811,25 @@ def test_deeply_nested_potential_exits_1_with_one_message(tmp_path, capsys, sour
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"potential": 3000},  # a 3000-deep potential as a JSON string
+    {"potential": {"variant": "scaled", "t": "x" * 10**5, "inner": {"variant": "loss_yau"}}},
+    {"tolerances": "x" * 10**5},
+    {"x" * 10**5: 1},
+])
+def test_rejected_value_is_cut_in_the_error_line(tmp_path, capsys, config):
+    if config.get("potential") == 3000:
+        config["potential"] = ('{"variant": "scaled", "t": 1.0, "inner": ' * 3000 + LY
+                               + "}" * 3000)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out_path = tmp_path / "i.json"
+    code, _, err = run(capsys, "potential-info", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(out_path))
+    assert code == 1 and not out_path.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024 and " characters)" in err
+
+
 # A valid entry of each potential variant, and the key paths a random JSON
 # value is put at (the empty path replaces the whole entry).
 POTENTIAL_ENTRIES = {
@@ -917,11 +937,11 @@ def test_weyl_sweep_makes_no_3d_transform_and_no_grid_apply(tmp_path, capsys, mo
     assert calls["fft"] == 4 * 3  # one 1-D derivative per axis and quasi-mode
 
 
-def test_gauge_makes_17_real_transforms(tmp_path, capsys, monkeypatch):
+def test_gauge_makes_10_real_transforms(tmp_path, capsys, monkeypatch):
     """Counts, not timings: one pass over half spectra. A is transformed
     once (3), chi and the gauged samples come from that spectrum (1 + 3),
-    and the samples are transformed once (3) for the divergence (1) and the
-    curl of A and of the change (3 + 3)."""
+    and the samples are transformed once (3) for the divergence and the
+    curl change; the three norms need no inverse transform (Parseval)."""
     import scipy.fft
 
     calls = {"rfftn": 0, "irfftn": 0}
@@ -942,8 +962,8 @@ def test_gauge_makes_17_real_transforms(tmp_path, capsys, monkeypatch):
                        "--potential", scaled, "--out", str(tmp_path / "g.json"))
     assert code == 0
     assert "PASS divergence_relative" in out and "PASS curl_deviation" in out
-    assert (calls["rfftn"], calls["irfftn"]) == (6, 11)
-    assert sum(calls.values()) <= 17
+    assert (calls["rfftn"], calls["irfftn"]) == (6, 4)
+    assert sum(calls.values()) <= 10
 
 
 def test_potential_info_has_no_bound_constant(tmp_path, capsys):

@@ -253,6 +253,33 @@ def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
     assert curl_dev == pytest.approx(curl, rel=1e-8)
 
 
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_half_norm_is_the_norm_of_the_inverse_transform(n):
+    # Parseval on half spectra: of a real field, of a round-off-sized one, of
+    # several at once, and of a half spectrum whose k_z = 0 and Nyquist planes
+    # are not Hermitian (irfftn reads their Hermitian part)
+    import scipy.fft
+
+    from diraclab.grid import _half_norm
+
+    g = Grid3D(n=n, L=5.0)
+    rng = np.random.default_rng(n)
+    fields = [rng.normal(size=(n,) * 3), 1e-16 * rng.normal(size=(n,) * 3)]
+    halves = [scipy.fft.rfftn(x) for x in fields]
+    shape = halves[0].shape
+    halves.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for h in halves:
+        want = np.linalg.norm(scipy.fft.irfftn(h, s=(n,) * 3))
+        assert _half_norm(g, [h]) == pytest.approx(want, rel=1e-14, abs=0.0)
+    want = np.linalg.norm([np.linalg.norm(scipy.fft.irfftn(h, s=(n,) * 3)) for h in halves])
+    assert _half_norm(g, halves) == pytest.approx(want, rel=1e-14, abs=0.0)
+    # the projection matters: the planes' raw squares give another number
+    h = halves[2]
+    raw = np.sqrt((2 * np.vdot(h, h).real - np.vdot(h[..., 0], h[..., 0]).real
+                   - np.vdot(h[..., -1], h[..., -1]).real) / n**3)
+    assert abs(raw / _half_norm(g, [h]) - 1.0) > 1e-3
+
+
 def test_gauged_mode_preserves_pointwise_norm():
     g = Grid3D(n=16, L=10.0)
     f = sample_field(LossYauMode().eval, g)

@@ -308,7 +308,7 @@ def test_non_spec_potentials_are_refused():
         with pytest.raises(TypeError):
             sample_potential(A, g)
         with pytest.raises(TypeError):
-            build_weyl_quasimode(A, 1.0, 1.5, 1, g)
+            build_weyl_quasimode(A, 1.0, 1.5, [1], g)
     A = sample_potential(LossYau(), g)
     assert np.shares_memory(sample_potential(Sampled(g, A), g), A)
 
@@ -451,7 +451,7 @@ def test_plus_spinor_is_the_dense_plus_eigenspinor(k):
 def test_weyl_quasimode_free_is_exact():
     g = Grid3D(n=16, L=5.0)
     lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
-    qm = build_weyl_quasimode(FREE, 1.0, lam0, 1, g)
+    (qm,) = build_weyl_quasimode(FREE, 1.0, lam0, [1], g)
     assert qm.residual <= 1e-10
     assert qm.envelope_width is None
     assert qm.nu0 == pytest.approx(2 * np.pi / 10.0, rel=1e-12)
@@ -459,8 +459,7 @@ def test_weyl_quasimode_free_is_exact():
 
 def test_weyl_quasimode_envelope_grows_with_index():
     g = Grid3D(n=16, L=10.0)
-    widths = [build_weyl_quasimode(LossYau(), 1.0, 1.5, ni, g).envelope_width
-              for ni in (1, 2)]
+    widths = [qm.envelope_width for qm in build_weyl_quasimode(LossYau(), 1.0, 1.5, (1, 2), g)]
     assert widths[0] < widths[1]
 
 
@@ -478,7 +477,7 @@ WEYL_CASES = [
 @pytest.mark.parametrize("n,L,lam0,mass,n_index", WEYL_CASES)
 def test_weyl_residual_from_factors_equals_grid_residual(n, L, lam0, mass, n_index):
     g = Grid3D(n=n, L=L)
-    qm = build_weyl_quasimode(LossYau(), mass, lam0, n_index, g)
+    (qm,) = build_weyl_quasimode(LossYau(), mass, lam0, [n_index], g)
     op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=mass)
     assert qm.residual == pytest.approx(residual_norm(op, qm.field, lam0), rel=1e-12)
 
@@ -486,7 +485,7 @@ def test_weyl_residual_from_factors_equals_grid_residual(n, L, lam0, mass, n_ind
 def test_weyl_residual_from_factors_free_exact_case():
     g = Grid3D(n=16, L=5.0)
     lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
-    qm = build_weyl_quasimode(FREE, 1.0, lam0, 1, g)
+    (qm,) = build_weyl_quasimode(FREE, 1.0, lam0, [1], g)
     op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=1.0)
     assert qm.residual <= 1e-10
     assert residual_norm(op, qm.field, lam0) <= 1e-10
@@ -496,7 +495,7 @@ def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
     from diraclab.probe import WeylQuasimode
 
     g = Grid3D(n=16, L=20.0)
-    qm = build_weyl_quasimode(LossYau(), 1.0, 1.5, 2, g)
+    (qm,) = build_weyl_quasimode(LossYau(), 1.0, 1.5, [2], g)
     fx, fy, fz = qm.factors
     want = (fx[:, None, None, None] * fy[None, :, None, None] * fz[None, None, :, None]
             * qm.spinor)
@@ -514,11 +513,45 @@ def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
 def test_weyl_quasimode_validation():
     g = Grid3D(n=16, L=5.0)
     with pytest.raises(ValueError):
-        build_weyl_quasimode(FREE, 1.0, 0.5, 1, g)  # below the threshold m
-    with pytest.raises(ValueError):
-        build_weyl_quasimode(FREE, 1.0, 1.5, 0, g)
+        build_weyl_quasimode(FREE, 1.0, 0.5, [1], g)  # below the threshold m
+    for indices in ([0], [2, 0], []):
+        with pytest.raises(ValueError, match="n_index"):
+            build_weyl_quasimode(FREE, 1.0, 1.5, indices, g)
     with pytest.raises(ValueError, match="periodic grids only"):
-        build_weyl_quasimode(FREE, 1.0, 1.5, 1, Grid3D(n=16, L=5.0, spin="antiperiodic"))
+        build_weyl_quasimode(FREE, 1.0, 1.5, [1], Grid3D(n=16, L=5.0, spin="antiperiodic"))
+
+
+@pytest.mark.parametrize("pot,lam0,mass", [(LossYau(), 1.5, 1.0), (LossYau(), -1.7, 1.0),
+                                           (FREE, 1.5, 1.0)])
+def test_weyl_sweep_residuals_equal_one_index_sweeps(pot, lam0, mass):
+    g = Grid3D(n=16, L=20.0)
+    sweep = build_weyl_quasimode(pot, mass, lam0, range(1, 5), g)
+    for n_index, qm in enumerate(sweep, start=1):
+        (single,) = build_weyl_quasimode(pot, mass, lam0, [n_index], g)
+        assert qm.residual == single.residual
+        assert qm.to_dict() == single.to_dict()
+        np.testing.assert_array_equal(qm.factors, single.factors)
+
+
+def test_weyl_sweep_forms_sigma_a_chi_once_per_slab(monkeypatch):
+    # counts, not timings: sigma_mul is called once for the spinor, three
+    # times for sigma_j chi and once per x-slab for sigma.A chi, whatever the
+    # number of quasi-modes in the sweep
+    from diraclab import probe
+
+    g = Grid3D(n=64, L=20.0)  # slabs of 32 rows: 2 slabs
+    calls = []
+    original = probe.sigma_mul
+
+    def counted(*args):
+        calls.append(np.ndim(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(probe, "sigma_mul", counted)
+    for length in (1, 4, 7):
+        calls.clear()
+        assert len(build_weyl_quasimode(LossYau(), 1.0, 1.5, range(1, length + 1), g)) == length
+        assert calls.count(3) == 2 and len(calls) == 1 + 3 + 2
 
 
 # ----------------------------------------------------------------------------
@@ -792,7 +825,7 @@ def test_solves_import_no_scipy_linalg(tmp_path):
         "g = Grid3D(n=8, L=5.0)\n"
         "op = OperatorHandle(kind='t_a', grid=g, potential=LossYau())\n"
         "assert eigs_near(op, 0.0, 1).converged\n"
-        "build_weyl_quasimode(LossYau(), 1.0, 1.5, 1, g)\n"
+        "build_weyl_quasimode(LossYau(), 1.0, 1.5, [1], g)\n"
         "from diraclab.cli import main\n"
         "assert main(['verify-zero-mode', '--grid-n', '8', '--out', 'v.json']) in (0, 2)\n"
         "assert main(['asymptotics', '--out', 'a.json']) == 0\n"
