@@ -178,14 +178,12 @@ class RunConfig:
         kinds = {**command.options, "potential_path": str}
         for name, value in self.options.items():
             if name not in kinds:
-                raise ConfigError(f"command {self.command} accepts no {name} option "
+                raise ConfigError(f"command {self.command} accepts no {brief(name)} option "
                                   f"(known: {', '.join(kinds)})")
             self.options[name] = _checked(name, kinds[name], value)
 
     def potential_unread(self) -> Optional[str]:
         """'<command> --<option>' of a run that reads no potential, else None."""
-        if self.command == "spectrum" and self.options.get("operator") == "sigma_d":
-            return "spectrum --operator sigma_d"
         if self.command == "decay-fit" and self.options.get("field"):
             return "decay-fit --field"
         return None
@@ -386,7 +384,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     target = cfg.options.get("target", cfg.mass)
     count = cfg.options.get("count", 1)
     op = OperatorHandle(kind=kind, grid=grid, potential=pot,
-                        mass=cfg.mass if kind in ("h_a", "h_squared") else None)
+                        mass=cfg.mass if kind == "h_a" else None)
     rep = eigs_near(op, target, count, seed=cfg.seed)
     best = int(np.argmin(np.abs(np.array(rep.eigenvalues) - target)))
     checks = [
@@ -550,7 +548,7 @@ COMMANDS = {
         {"analytic": 1e-10, "grid": 5e-3, "norm": 1e-1}),
     "spectrum": Command(
         cmd_spectrum, GRID + ("mass",),
-        {"operator": ("sigma_d", "t_a", "h_a", "h_squared"), "target": float, "count": int},
+        {"operator": ("t_a", "h_a"), "target": float, "count": int},
         {"eigenvalue": 5e-3, "block": 1e-2}),
     "gap-scan": Command(
         cmd_gap_scan, GRID + ("mass",), {"lambdas": list}, {"proxy": 0.9}, ("lambda", "proxy")),

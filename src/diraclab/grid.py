@@ -287,11 +287,10 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
 
 @dataclass
 class OperatorHandle:
-    """Discretized operator: kind in {sigma_d, t_a, h_a, h_squared}.
-
-    t_a / h_a / h_squared need a PotentialSpec; h_a / h_squared need a mass
-    (mass 0 is accepted as the degenerate edge of the square identity, though
-    threshold semantics only make sense for mass > 0).
+    """Discretized operator: the supercharge T = sigma.(D - A) (kind t_a,
+    rank 2) or H = [[m, T], [T, -m]] (kind h_a, rank 4, needs a finite
+    mass >= 0; mass 0 is the degenerate edge of the square identity). With
+    no potential, or one whose samples are all zero, T is sigma.D.
     """
 
     kind: str
@@ -300,28 +299,26 @@ class OperatorHandle:
     mass: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sigma_d", "t_a", "h_a", "h_squared"):
+        if self.kind not in ("t_a", "h_a"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind in ("t_a", "h_a", "h_squared") and self.potential is None:
-            raise ValueError(f"{self.kind} requires a potential")
         if self.potential is not None:
             _require_spec(self.potential)
-        if self.kind in ("h_a", "h_squared"):
-            if self.mass is None or self.mass < 0 or not np.isfinite(self.mass):
-                raise ValueError(f"{self.kind} requires a finite mass >= 0")
-        self._A: Optional[ArrayR] = None
+        if self.kind == "h_a" and (self.mass is None or not 0 <= self.mass < np.inf):
+            raise ValueError("h_a requires a finite mass >= 0")
 
     @property
     def rank(self) -> int:
-        return 2 if self.kind in ("sigma_d", "t_a") else 4
+        return 2 if self.kind == "t_a" else 4
 
     def sampled_potential(self) -> Optional[ArrayR]:
-        """A of T = sigma.(D - A), sampled once; None for sigma_d."""
-        if self.kind == "sigma_d":
-            return None
-        if self._A is None:
-            self._A = sample_potential(self.potential, self.grid)
+        """A of T = sigma.(D - A), sampled once; None when the operator is
+        free: no potential, or samples that are all zero."""
         return self._A
+
+    @cached_property
+    def _A(self) -> Optional[ArrayR]:
+        A = None if self.potential is None else sample_potential(self.potential, self.grid)
+        return A if A is not None and A.any() else None
 
     def supercharge(self, dtype=np.complex128) -> "Supercharge":
         """This operator's T in precision dtype, a new kernel per call."""
@@ -433,12 +430,7 @@ def apply_values(op: OperatorHandle, values: ArrayC) -> ArrayC:
                          f"got rank {np.shape(values)[-1]}")
     T = op.supercharge()
     v = np.moveaxis(values, (0, 1, 2), (-3, -2, -1))
-    if op.rank == 2:
-        out = T.values(v)
-    else:
-        out = _dirac(T, v, op.mass)
-        if op.kind == "h_squared":
-            out = _dirac(T, out, op.mass)
+    out = T.values(v) if op.rank == 2 else _dirac(T, v, op.mass)
     return np.moveaxis(out, (-3, -2, -1), (0, 1, 2))
 
 

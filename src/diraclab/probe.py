@@ -39,12 +39,12 @@ complex128 solve to LOBPCG_TOL, MAXITER counting both phases. Smaller grids
 run the complex128 phase alone. Reports give the complex64 iterations next
 to the total, and a note when the first phase ended at its guard.
 
-Only the 2-spinor operators (sigma_d, t_a) are ever solved. The 4-spinor
-kinds are lifted, not solved: the grid identity H^2 = T^2 + m^2 is exact, so
-every H_A eigenpair is (+-sqrt(m^2 + eps^2), (a v, b v)) and every H^2
-eigenpair (m^2 + eps^2, (v, 0) or (0, v)) over the supercharge pairs
-T v = eps v. Their residuals are still measured by applying H (or H^2)
-directly.
+Only the supercharge T (kind t_a) is ever solved; a free one, with no
+potential or a zero one, is sigma.D, applied with no transform on
+coefficients. H (kind h_a) is lifted, not solved: the grid identity
+H^2 = T^2 + m^2 is exact, so every H_A eigenpair is
+(+-sqrt(m^2 + eps^2), (a v, b v)) over the supercharge pairs T v = eps v.
+Its residuals are still measured by applying H directly.
 
 Periodic spinors carry one structural artifact worth naming: constant
 spinors span the k = 0 fiber, so sigma.D has a 2-dim exact kernel (and the
@@ -255,10 +255,10 @@ class _ShiftedSquare:
     working precision dtype (complex128 or complex64), applied by `@`.
 
     One apply of the square costs two applies of the operator's supercharge
-    kernel, two FFT pairs over the block (none for sigma_d), and no layout
-    copy; the tau passes are skipped at tau = 0. The kernel and two work
-    blocks as wide as the last block applied (a wider start block is not
-    kept) live as long as this object, the solve; only the result is
+    kernel, two FFT pairs over the block (none for a free operator), and no
+    layout copy; the tau passes are skipped at tau = 0. The kernel and two
+    work blocks as wide as the last block applied (a wider start block is
+    not kept) live as long as this object, the solve; only the result is
     allocated per apply. `t` applies T itself, for the Rayleigh-Ritz of T.
     """
 
@@ -299,15 +299,10 @@ def _constant_fraction(values: ArrayC) -> float:
     return float(nodes * np.sum(np.abs(means) ** 2) / np.sum(np.abs(values) ** 2))
 
 
-def _potential_is_zero(op: OperatorHandle) -> bool:
-    A = op.sampled_potential()
-    return A is None or not A.any()
-
-
 def _constant_branch(op: OperatorHandle, fractions) -> list:
     """Per pair, whether it is on the torus constant branch: a constant
     fraction above CONSTANT_BRANCH_FRACTION under a nonzero potential."""
-    if op.grid.antiperiodic or _potential_is_zero(op):
+    if op.grid.antiperiodic or op.sampled_potential() is None:
         return [False] * len(fractions)
     return [frac > CONSTANT_BRANCH_FRACTION for frac in fractions]
 
@@ -321,9 +316,9 @@ def _resolve_delta(op: OperatorHandle) -> float:
     reference potential, the iteration count is flat within a factor ~3 of
     this choice and degrades sharply an order of magnitude away from it.
     """
-    if _potential_is_zero(op):
-        return 1e-4
     A = op.sampled_potential()
+    if A is None:
+        return 1e-4
     return max(1e-4, 3.0 * float(np.mean(np.sum(np.abs(A) ** 2, axis=-1))))
 
 
@@ -528,12 +523,9 @@ def _warm_values(grid: Grid3D, rank: int, field: Field) -> np.ndarray:
 
 def _lift(op: OperatorHandle, eps: ArrayR) -> list:
     """Candidate eigenpairs (value, a, b, i) of op over the supercharge
-    values eps: eps itself for the 2-spinor kinds, else its exact lifts."""
+    values eps: eps itself for T, its exact lifts +-sqrt(m^2 + eps^2) for H."""
     if op.rank == 2:
         return [(float(e), 1.0, 0.0, i) for i, e in enumerate(eps)]
-    if op.kind == "h_squared":
-        return [(float(op.mass**2 + e**2), a, b, i) for i, e in enumerate(eps)
-                for a, b in ((1.0, 0.0), (0.0, 1.0))]
     cand = []
     for i, e in enumerate(eps):
         lam = float(np.sqrt(op.mass**2 + e**2))
@@ -567,17 +559,17 @@ def eigs_near(
 ) -> EigenReport:
     """The `count` eigenvalues of the discretized operator nearest `target`.
 
-    sigma_d and t_a are solved directly; h_a and h_squared are lifted, not
-    solved (see the module docstring). Their target maps to the supercharge
-    scale nu = sqrt(max(tau^2 - m^2, 0)) (h_squared: sqrt(max(tau - m^2, 0))),
-    and T is solved near 0 when nu = 0, else near +nu and -nu, merged by one
-    rank-revealing Rayleigh-Ritz of T on the joint span. The lifts nearest
-    the target are returned with residuals of H (or H^2) itself, and
-    iterations sums over the supercharge solves. A solve ranks by |eps - s|,
-    which orders the lifts differently when nu > 0, so the solves are
-    widened (doubling the pairs per solve, at most to 16 * count) until no
-    eigenvalue nearer the target than the returned ones can lie outside
-    their windows; an answer left uncertified reports converged=False.
+    t_a is solved directly; h_a is lifted, not solved (see the module
+    docstring). Its target maps to the supercharge scale
+    nu = sqrt(max(tau^2 - m^2, 0)), and T is solved near 0 when nu = 0, else
+    near +nu and -nu, merged by one rank-revealing Rayleigh-Ritz of T on the
+    joint span. The lifts nearest the target are returned with residuals of
+    H itself, and iterations sums over the supercharge solves. A solve ranks
+    by |eps - s|, which orders the lifts differently when nu > 0, so the
+    solves are widened (doubling the pairs per solve, at most to
+    16 * count) until no eigenvalue nearer the target than the returned ones
+    can lie outside their windows; an answer left uncertified reports
+    converged=False.
 
     warm is a list of Fields of the operator's grid and rank to start from,
     a 4-spinor one reduced to its larger 2-spinor half; anything else raises
@@ -607,8 +599,7 @@ def eigs_near(
     notes: list[str] = []
     shifts = (target,)
     if rank == 4:
-        m2 = op.mass**2
-        nu = float(np.sqrt(max(target**2 - m2 if op.kind == "h_a" else target - m2, 0.0)))
+        nu = float(np.sqrt(max(target**2 - op.mass**2, 0.0)))
         shifts = (nu, -nu) if nu > 0.0 else (0.0,)
     starts = [list(fields) for _ in shifts]
     del fields
@@ -644,10 +635,9 @@ def eigs_near(
         starts = [list(_grid_fields(grid, sv.vectors)) for sv in solves]
     notes += exhausted
     if rank == 4:
-        lift = ("+-sqrt(m^2 + eps^2), vectors (a v, b v)" if op.kind == "h_a"
-                else "m^2 + eps^2, vectors (v, 0) and (0, v)")
         notes.append(f"{op.kind} pairs lifted from t_a solves near "
-                     f"{', '.join(f'{s:.6g}' for s in shifts)} (nearest {width} each): {lift}")
+                     f"{', '.join(f'{s:.6g}' for s in shifts)} (nearest {width} each): "
+                     "+-sqrt(m^2 + eps^2), vectors (a v, b v)")
     picked = [cand[j] for j in order]
     lam = values[order]
     # the picked supercharge vectors, transformed to grid values once
@@ -1079,7 +1069,7 @@ def coupling_scan(
         lam = np.array(rep.eigenvalues)
         keep = [i for i, const in enumerate(_constant_branch(op, rep.constant_fractions))
                 if not const]
-        if not grid.antiperiodic and _potential_is_zero(op):
+        if not grid.antiperiodic and op.sampled_potential() is None:
             notes.append(
                 f"t={t:g}: reported minimum is the torus constant-spinor kernel, "
                 "a discretization artifact absent on R^3"

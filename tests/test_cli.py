@@ -387,7 +387,7 @@ def test_spin_option_scope(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "gap-scan", "options": {"spin": "antiperiodic"}}))
     code, _, err = run(capsys, "gap-scan", "--config", str(cfg))
-    assert code == 1 and "accepts no spin option" in err
+    assert code == 1 and "accepts no 'spin' option" in err
 
 
 def test_coupling_scan_minimum_at_unit_coupling(tmp_path, capsys):
@@ -544,8 +544,8 @@ def test_config_option_of_wrong_type_exits_1_before_the_run(tmp_path, capsys, mo
     ({"command": "spectrum", "options": {"count": None}}, "count must be an integer"),
     ({"command": "spectrum", "options": {"count": "3"}}, "count must be an integer"),
     ({"command": "spectrum", "options": {"count": 2.7}}, "count must be an integer"),
-    ({"command": "spectrum", "options": {"sweep": 3}}, "accepts no sweep option"),
-    ({"command": "spectrum", "options": {"cont": 3}}, "command spectrum accepts no cont option"),
+    ({"command": "spectrum", "options": {"sweep": 3}}, "accepts no 'sweep' option"),
+    ({"command": "spectrum", "options": {"cont": 3}}, "command spectrum accepts no 'cont' option"),
     ({"command": "weyl", "options": {"sweep": [2]}}, "sweep must be an integer"),
     ({"command": "decay-fit", "options": {"expect": "foo"}}, "expect must be one of"),
     ({"command": "spectrum", "options": [1, 2]}, "options must be a JSON object"),
@@ -635,15 +635,16 @@ def test_config_unknown_top_level_key_exits_1(tmp_path, capsys):
     ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a", "--count", "2"],
     ["gap-scan", "--grid-n", "8", "--box-l", "4"],
     ["potential-info"],
-    ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "sigma_d", "--target", "0.7"],
+    ["spectrum", "--grid-n", "8", "--box-l", "4", "--operator", "t_a", "--target", "0.7",
+     "--potential", FREE],
     ["decay-fit", "--field", "FIELD", "--r-min", "0.5", "--r-max", "3"],
 ])
 def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
     from diraclab.grid import Grid3D, _write_dtl1, sample_potential
     from diraclab.potentials import LossYau
 
-    # sigma_d and a field file read no potential: none is given or recorded
-    reads_potential = "sigma_d" not in argv and "--field" not in argv
+    # a field file reads no potential: none is given or recorded
+    reads_potential = "--field" not in argv
     write_field(tmp_path / "f.dtl", sample_field(LossYauMode().eval, Grid3D(n=8, L=4.0)))
     argv = [str(tmp_path / "f.dtl") if a == "FIELD" else a for a in argv]
 
@@ -658,7 +659,7 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
         # it classifies out to r = 2000, past a sampled potential's box
         entry = {"variant": "loss_yau"}
     pot.write_text(json.dumps(entry))
-    given = ["--potential", str(pot)] if reads_potential else []
+    given = ["--potential", str(pot)] if reads_potential and "--potential" not in argv else []
     code, _, _ = run(capsys, *argv, *given, "--out", str(tmp_path / "a.json"))
     assert code in (0, 2)
     first = json.loads((tmp_path / "a.json").read_text())
@@ -674,11 +675,12 @@ def test_report_config_replays_to_the_same_result(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
+    # two operator kinds, by config key (by flag: argparse's invalid choice)
+    (["spectrum", {"grid_n": 8, "options": {"operator": "sigma_d"}}],
+     "operator must be one of t_a, h_a, got 'sigma_d'"),
+    (["spectrum", {"grid_n": 8, "options": {"operator": "h_squared"}}],
+     "operator must be one of t_a, h_a, got 'h_squared'"),
     # a potential on a path that reads none, by flag and by config key
-    (["spectrum", "--grid-n", "8", "--operator", "sigma_d", "--potential", LY],
-     "spectrum --operator sigma_d reads no potential"),
-    (["spectrum", {"grid_n": 8, "potential": json.loads(LY), "options": {"operator": "sigma_d"}}],
-     "spectrum --operator sigma_d reads no potential"),
     (["decay-fit", "--field", "FIELD", "--potential", LY], "decay-fit --field reads no potential"),
     (["decay-fit", {"potential": json.loads(LY), "options": {"field": "FIELD"}}],
      "decay-fit --field reads no potential"),
@@ -717,6 +719,17 @@ def test_refused_runs_exit_1_with_one_message_and_no_report(tmp_path, capsys, ar
     out_path = tmp_path / "r.json"
     code, _, err = run(capsys, *args, "--out", str(out_path))
     assert (code, err) == (1, f"error: {message}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("operator", ["sigma_d", "h_squared"])
+def test_spectrum_has_two_operator_kinds(tmp_path, capsys, operator):
+    # T and H: sigma.D is t_a on a zero potential, and H^2 is no kind
+    assert cli.COMMANDS["spectrum"].options["operator"] == ("t_a", "h_a")
+    out_path = tmp_path / "r.json"
+    code, _, err = run(capsys, "spectrum", "--grid-n", "8", "--operator", operator,
+                       "--out", str(out_path))
+    assert code == 1 and "invalid choice" in err, err
     assert not out_path.exists()
 
 
@@ -816,6 +829,7 @@ def test_deeply_nested_potential_exits_1_with_one_message(tmp_path, capsys, sour
     {"potential": {"variant": "scaled", "t": "x" * 10**5, "inner": {"variant": "loss_yau"}}},
     {"tolerances": "x" * 10**5},
     {"x" * 10**5: 1},
+    {"options": {"x" * 10**5: 1}},  # an unknown option key
 ])
 def test_rejected_value_is_cut_in_the_error_line(tmp_path, capsys, config):
     if config.get("potential") == 3000:
@@ -974,4 +988,4 @@ def test_potential_info_has_no_bound_constant(tmp_path, capsys):
                                     "options": {"bound_constant": 1}}))
     code, _, err = run(capsys, "potential-info", "--config", str(cfg_path),
                        "--out", str(tmp_path / "i.json"))
-    assert code == 1 and "accepts no bound_constant option" in err
+    assert code == 1 and "accepts no 'bound_constant' option" in err

@@ -76,7 +76,7 @@ def test_free_sigma_d_kernel_by_spin_structure():
     L = 6.0
     for spin, floor, kernel in (("periodic", 0.0, 2), ("antiperiodic", np.sqrt(3) * np.pi / (2 * L), 0)):
         g = Grid3D(n=8, L=L, spin=spin)
-        op = OperatorHandle(kind="sigma_d", grid=g)
+        op = OperatorHandle(kind="t_a", grid=g)
         N = 8**3 * 2
         basis = np.eye(N, dtype=complex).reshape(8, 8, 8, 2, N).transpose(0, 1, 2, 4, 3)
         mat = apply_values(op, basis).transpose(0, 1, 2, 4, 3).reshape(N, N)
@@ -155,9 +155,11 @@ def test_operator_handle_validation():
     with pytest.raises(ValueError):
         OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=-0.8)
     with pytest.raises(ValueError):
-        OperatorHandle(kind="t_a", grid=g, potential=None)
-    with pytest.raises(ValueError):
-        OperatorHandle(kind="nope", grid=g, potential=LossYau())
+        OperatorHandle(kind="h_a", grid=g, potential=LossYau())  # no mass
+    # two kinds, T and H: sigma.D is t_a with no potential, H^2 is no kind
+    for kind in ("nope", "sigma_d", "h_squared"):
+        with pytest.raises(ValueError, match="unknown operator kind"):
+            OperatorHandle(kind=kind, grid=g, potential=LossYau(), mass=0.8)
     # H acts on 4-spinors only: a 2-spinor block is refused, not half-applied
     h = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=0.8)
     with pytest.raises(ValueError, match="expects rank 4"):
@@ -346,12 +348,11 @@ def test_grid_refuses_more_than_physical_memory():
     assert Grid3D(n=128, L=20.0).n == 128
 
 
-KINDS = (("sigma_d", 2), ("t_a", 2), ("h_a", 4), ("h_squared", 4))
+KINDS = [(kind, rank, pot) for kind, rank in (("t_a", 2), ("h_a", 4)) for pot in (None, LossYau())]
 
 
-def _handle(kind, grid):
-    return OperatorHandle(kind=kind, grid=grid, potential=None if kind == "sigma_d" else LossYau(),
-                          mass=0.7 if kind in ("h_a", "h_squared") else None)
+def _handle(kind, grid, pot):
+    return OperatorHandle(kind=kind, grid=grid, potential=pot, mass=0.7 if kind == "h_a" else None)
 
 
 def test_batch_apply_equals_column_applies():
@@ -360,8 +361,8 @@ def test_batch_apply_equals_column_applies():
     rng = np.random.default_rng(3)
     for spin, _ in SPINS:
         g = Grid3D(n=8, L=5.0, spin=spin)
-        for kind, rank in KINDS:
-            op = _handle(kind, g)
+        for kind, rank, pot in KINDS:
+            op = _handle(kind, g, pot)
             block = rng.normal(size=(8, 8, 8, 3, rank)) + 1j * rng.normal(size=(8, 8, 8, 3, rank))
             cols = np.asfortranarray(block.transpose(0, 1, 2, 4, 3).reshape(-1, 3))
             strided = cols.reshape(8, 8, 8, rank, 3).transpose(0, 1, 2, 4, 3)

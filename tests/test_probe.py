@@ -20,6 +20,7 @@ from diraclab.grid import (
     Grid3D,
     GridMismatchError,
     OperatorHandle,
+    apply_values,
     residual_norm,
     sample_field,
 )
@@ -78,16 +79,6 @@ def test_free_eigenvalue_between_shells():
     assert abs(rep.eigenvalues[0] - np.sqrt(2.0) * np.pi / 5.0) <= 1e-9, rep.eigenvalues
 
 
-def test_free_squared_floor_is_mass_squared():
-    g = Grid3D(n=16, L=5.0)
-    op = OperatorHandle(kind="h_squared", grid=g, potential=FREE, mass=0.9)
-    for count in (1, 2):
-        rep = eigs_near(op, 0.81, count)
-        assert len(rep.eigenvalues) == count
-        for lam in rep.eigenvalues:
-            assert lam == pytest.approx(0.81, abs=1e-9)
-
-
 def test_h_a_threshold_is_lift_of_supercharge():
     # a cold full-operator query at +m equals the lift sqrt(m^2 + eps^2) of
     # the supercharge eigenvalue nearest 0, with its residual taken from H
@@ -127,16 +118,28 @@ def test_above_threshold_lift_ranks_by_distance_to_target():
     # Free grid, m = 1, target tau = 1.2573 (nu = 0.762). In eps the
     # sqrt(2) k1 = 0.889 shell is nearer nu than k1 = 0.628 (0.127 against
     # 0.134), but its lift 1.3378 is farther from tau than sqrt(1 + k1^2) =
-    # 1.1810 (0.0805 against 0.0763); the same holds for H^2 at tau^2.
+    # 1.1810 (0.0805 against 0.0763).
     g = Grid3D(n=16, L=5.0)
     k1 = 2 * np.pi / 10.0
-    tau = 1.2573
-    for kind, target, want in (("h_a", tau, np.sqrt(1.0 + k1**2)),
-                               ("h_squared", tau**2, 1.0 + k1**2)):
-        op = OperatorHandle(kind=kind, grid=g, potential=FREE, mass=1.0)
-        rep = eigs_near(op, target, 1)
-        assert rep.converged, rep.residuals
-        assert abs(rep.eigenvalues[0] - want) <= 1e-9, (kind, rep.eigenvalues)
+    op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=1.0)
+    rep = eigs_near(op, 1.2573, 1)
+    assert rep.converged, rep.residuals
+    assert abs(rep.eigenvalues[0] - np.sqrt(1.0 + k1**2)) <= 1e-9, rep.eigenvalues
+
+
+@pytest.mark.parametrize("spin", ["periodic", "antiperiodic"])
+def test_zero_potential_is_the_free_operator(spin):
+    # one rule decides freeness: no potential and a zero one both sample to
+    # None, so both run sigma.k with no transform and give the same numbers
+    g = Grid3D(n=16, L=5.0, spin=spin)
+    ops = [OperatorHandle(kind="t_a", grid=g, potential=pot) for pot in (None, FREE)]
+    assert [op.sampled_potential() for op in ops] == [None, None]
+    v = np.random.default_rng(9).normal(size=(16, 16, 16, 3, 2)) + 0j
+    assert np.array_equal(*(apply_values(op, v) for op in ops))
+    for tau in (0.0, 0.7, 1.3):
+        a, b = (eigs_near(op, tau, 2, seed=3) for op in ops)
+        assert a.eigenvalues == b.eigenvalues and a.residuals == b.residuals, tau
+        assert a.iterations == b.iterations, tau
 
 
 def test_eigs_near_validation():
@@ -951,18 +954,18 @@ def test_fourier_square_equals_grid_square(n, spin, tau):
     from diraclab.probe import _ShiftedSquare, _grid_fields
 
     g = Grid3D(n=n, L=6.0, spin=spin)
-    for kind in ("sigma_d", "t_a"):
-        op = OperatorHandle(kind=kind, grid=g, potential=LossYau())
+    for pot in (None, LossYau()):
+        op = OperatorHandle(kind="t_a", grid=g, potential=pot)
         square = _ShiftedSquare(op, tau)
         v = _random_fields(g, 3, seed=n)
         w = _apply_fields(op, v) - tau * v
         want = _apply_fields(op, w) - tau * w
         X = _coefficients(g, v)
         got = _grid_fields(g, square @ X)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (kind, "block")
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (pot, "block")
         # a single column, (N,), as matvec passes it; the work blocks resize
         got1 = _grid_fields(g, (square @ np.array(X[:, 1]))[:, None])
-        assert np.linalg.norm(got1[0] - want[1]) <= 1e-13 * np.linalg.norm(want[1]), kind
+        assert np.linalg.norm(got1[0] - want[1]) <= 1e-13 * np.linalg.norm(want[1]), pot
 
 
 @pytest.mark.parametrize("n,spin,tau", FOURIER_CASES)
