@@ -182,8 +182,8 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
     A-image and what A and M return. eigs_near runs this on Fourier
     coefficients (LOBPCG is invariant under a unitary change of basis); in
     its n=64 warm-started solve (3 columns, 1 wanted, 2-core VM) a
-    complex128 iteration spends about 78 ms in A, 2 ms in M and 39 ms in
-    this dense algebra, a complex64 one 44, 1 and 23 ms. (With the basis
+    complex128 iteration spends about 62 ms in A, 2 ms in M and 36 ms in
+    this dense algebra, a complex64 one 28, 1 and 21 ms. (With the basis
     products on scipy's BLAS the dense algebra took 54-60 and 39-68 ms.)
 
     The working precision is A's dtype, complex128 or complex64 (a real A

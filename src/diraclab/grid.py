@@ -541,6 +541,8 @@ def _half_norm(grid: Grid3D, halves) -> float:
         for plane in (h[..., 0], h[..., -1]):
             sym = 0.5 * (plane + np.roll(plane[::-1, ::-1], 1, axis=(0, 1)).conj())
             square += np.vdot(sym, sym).real - 2.0 * np.vdot(plane, plane).real
+        # a generator of halves builds the next spectrum while these live
+        del h, plane, sym
     return float(np.sqrt(square / grid.n**3))
 
 

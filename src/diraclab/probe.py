@@ -32,7 +32,7 @@ one block of the report's fields, where one apply_values measures residuals.
 Precision is a phase of each supercharge solve, not an option. On grids with
 n >= SINGLE_N (64) the solve first iterates in complex64, which halves the
 bytes that bound every FFT, sigma multiply and block product, until the
-wanted residuals reach SINGLE_TOL (1e-5), or until the worst of them has set
+wanted residuals reach SINGLE_TOL (2e-6), or until the worst of them has set
 no new minimum for SINGLE_STALL (10) iterations, the guard for a complex64
 round-off floor above SINGLE_TOL. The complex64 Ritz block then restarts a
 complex128 solve to LOBPCG_TOL, MAXITER counting both phases. Smaller grids
@@ -120,9 +120,11 @@ RESID_TOL = 1e-6
 # until the wanted residuals reach SINGLE_TOL or the worst of them has set no
 # new minimum for SINGLE_STALL iterations, then finish in complex128 to
 # LOBPCG_TOL (see _solve_near). The complex64 floors measured at n=64 are
-# about 5e-8 (periodic, L=20) and 1e-6 to 4e-6 (antiperiodic, L=20 and 10).
+# about 2e-7 (periodic, L=20), 2.6e-7 and 1.7e-6 (antiperiodic, L=20 and
+# 10); 2e-6 is the least SINGLE_TOL tried that stalls on none of the three
+# (antiperiodic L=10 takes 24 + 11 iterations at it, 18 + 12 at 1e-5).
 SINGLE_N = 64
-SINGLE_TOL = 1e-5
+SINGLE_TOL = 2e-6
 SINGLE_STALL = 10
 
 # Pairs with a larger constant fraction are on the torus constant branch.
@@ -439,9 +441,9 @@ def _solve_near(op: OperatorHandle, target: float, count: int, warm: list, seed:
     MAXITER. Every complex64 object is gone before the complex128 blocks
     are allocated, and the block passes between the phases unnamed. At
     n=64, L=20 on a 2-core VM (medians of 5 processes) the periodic
-    verify-zero-mode solve took 21 complex64 iterations (1.9 s) and 29
-    complex128 ones (4.5 s), against 53 complex128 iterations in 8.4 s; the
-    antiperiodic one took 17 + 14 iterations, 3.5 s against 29 in 4.2 s.
+    verify-zero-mode solve took 34 complex64 iterations (1.7 s) and 13
+    complex128 ones (1.3 s), against 53 complex128 iterations in 4.2 s; the
+    antiperiodic one took 20 + 10 iterations, 1.6 s against 29 in 2.1 s.
     Smaller grids run the complex128 phase alone: at n=32 the complex64
     phase gained nothing, and at n=16 its first use of the complex64 FFT
     and BLAS code cost about 1 MB of peak memory.

@@ -83,8 +83,8 @@ def mode_overlap(rep, grid, index=0):
 
 
 @pytest.fixture(scope="session")
-def lam_min_refined(lossyau):
-    """|lambda_min| of the supercharge at n=64, L=20 on antiperiodic spinors,
+def refined_solve(lossyau):
+    """Report of the supercharge solve at n=64, L=20 on antiperiodic spinors,
     warm-started from the sampled analytic mode alone.
 
     Antiperiodic spinors admit no constants, so the smallest eigenvalue
@@ -97,7 +97,13 @@ def lam_min_refined(lossyau):
     assert rep.converged, rep.residuals
     overlap = mode_overlap(rep, grid)
     assert overlap >= 0.99, f"eigenvector overlaps the analytic mode by only {overlap:.4f}"
-    return float(min(abs(e) for e in rep.eigenvalues))
+    return rep
+
+
+@pytest.fixture(scope="session")
+def lam_min_refined(refined_solve):
+    """|lambda_min| of the refined_solve report."""
+    return float(min(abs(e) for e in refined_solve.eigenvalues))
 
 
 @pytest.fixture(scope="session")

@@ -91,6 +91,13 @@ def test_criterion_03_zero_mode_residuals(lossyau, lam_min_refined, lam_min_half
     )
 
 
+def test_criterion_03_solve_iterates_mostly_in_complex64(refined_solve):
+    # the complex64 phase reaches SINGLE_TOL on its own, not at its stall guard
+    assert not any("handed off" in note for note in refined_solve.notes), refined_solve.notes
+    assert refined_solve.complex64_iterations * 2 >= refined_solve.iterations, (
+        refined_solve.complex64_iterations, refined_solve.iterations)
+
+
 def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, dirac_pair32):
     for sign in (+1, -1):
         rep = dirac_pair32[sign]
