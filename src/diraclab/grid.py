@@ -72,7 +72,6 @@ __all__ = [
     "susy_square_check",
     "gauge_transform",
     "gauged_mode",
-    "helmholtz_project",
     "spectral_scalar_gradient",
     "interp_trilinear",
     "SPIN_STRUCTURES",
@@ -452,18 +451,20 @@ def residual_norm(op: OperatorHandle, f: Field, lam: float) -> float:
     return float(np.linalg.norm(r) / nf)
 
 
-def susy_square_check(grid: Grid3D, pot, mass: float) -> float:
+def susy_square_check(op: OperatorHandle) -> float:
     """Max relative deviation of H^2 from blockwise T^2 + m^2 on 20 random
-    fields drawn from default_rng(0), through one kernel.
+    fields drawn from default_rng(0), through the one kernel of op (kind h_a).
 
     The identity is exact at the discrete level (H^2 applies T twice per block
     and the mass terms cancel), so the returned number is floating-point noise.
     """
-    T = Supercharge(grid, sample_potential(pot, grid))
+    if op.kind != "h_a":
+        raise ValueError("the square identity needs an h_a operator")
+    T, mass, shape = op.supercharge(), op.mass, (op.grid.n,) * 3 + (4,)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(20):
-        v = rng.standard_normal((grid.n,) * 3 + (4,)) + 1j * rng.standard_normal((grid.n,) * 3 + (4,))
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         w = np.moveaxis(v, -1, 0)
         hh = _dirac(T, _dirac(T, w, mass), mass)
         tt = T.values(T.values(w.reshape((2, 2) + w.shape[1:]))).reshape(w.shape)
@@ -547,8 +548,9 @@ def _half_norm(grid: Grid3D, halves) -> float:
 
 
 def _transverse_part(grid: Grid3D, a_hat: list[ArrayC]) -> tuple[ArrayR, ArrayR]:
-    """(A_t, chi) from the half spectra of A, with 4 inverse transforms: chi
-    from chi_hat, and each component of A_t from A_hat + i k chi_hat."""
+    """(A_t, chi) of gauge_transform from the half spectra of A, with 4
+    inverse transforms: chi from chi_hat, and each component of A_t from
+    A_hat + i k chi_hat (grad chi is never formed alone)."""
     k = grid.k_axes_real
     k2 = k[0]**2 + k[1]**2 + k[2]**2
     div_hat = _divergence_half(grid, a_hat)
@@ -560,43 +562,28 @@ def _transverse_part(grid: Grid3D, a_hat: list[ArrayC]) -> tuple[ArrayR, ArrayR]
     return A_t, chi
 
 
-def helmholtz_project(grid: Grid3D, A: ArrayR) -> tuple[ArrayR, ArrayR]:
-    """Solve -Laplace(chi) = div A spectrally; return (A + grad chi, chi).
-
-    chi_hat = i k.A_hat / |k|^2 with the k = 0 mode set to zero (chi is only
-    defined up to a constant; zero mean fixes it). Wherever the derivative
-    lattice degenerates (pure-Nyquist points have k_eff = 0) the divergence is
-    invisible to the grid derivative, so chi is set to zero there as well.
-    The result is the transverse part of A: its grid divergence vanishes
-    identically and its curl equals curl A.
-
-    7 real transforms: 3 rfftn of A, then one irfftn of chi_hat and one of
-    A_hat + i k chi_hat per component (grad chi is never formed alone);
-    gauge_transform adds 3 rfftn of the result and no inverse transform.
-    """
-    return _transverse_part(grid, _half_spectra(A))
-
-
 def gauge_transform(pot, grid: Grid3D):
-    """Gauge a potential to its divergence-free representative on the grid.
+    """Gauge a potential to its divergence-free representative on the grid:
+    the Helmholtz projection A_t = A + grad chi, -Laplace(chi) = div A, with
+    chi of zero mean and zero where k_eff = 0 (pure-Nyquist points, where the
+    grid derivative sees no divergence), so div A_t = 0 and curl A_t = curl A.
 
     Returns (gauged_spec, chi_handle, divergence_relative, curl_deviation).
-    gauged_spec evaluates as A(x) + grad chi(x) and carries the gauged
-    samples A_t at the grid nodes, so sampling it on this grid returns them
-    without a transform; chi_handle carries the grid-sampled gauge function.
-    The two numbers are measured on A_t: ||div A_t|| / ||A_t||, equal to what
-    spectral_divergence gives on A_t, and ||curl(A_t - A)|| / ||curl A||,
-    which equals ||curl A_t - curl A|| / ||curl A|| from spectral_curl up
-    to round-off. Both are returned, not judged: the caller holds the
-    tolerance (the `gauge` command's --tol-div and --tol-curl).
+    gauged_spec evaluates as A + grad chi and carries A_t at the grid nodes,
+    so sampling it on this grid returns them without a transform; chi_handle
+    carries the samples of chi. The two numbers are measured on A_t:
+    ||div A_t|| / ||A_t|| and ||curl(A_t - A)|| / ||curl A||, as
+    spectral_divergence and spectral_curl give them up to round-off. Both
+    are returned, not judged: the caller holds the tolerance (the `gauge`
+    command's --tol-div and --tol-curl).
 
     One pass over half spectra, 10 real transforms: pot is sampled once and
-    transformed (3 rfftn); chi and A_t come from that spectrum as in
-    helmholtz_project (4 irfftn); A_t is transformed once (3 rfftn), which
-    gives the spectra of div A_t and, less that of A, of the curl change.
-    The norms come from half spectra by Parseval (_half_norm). It holds one
-    set of half spectra, A_t, chi and a few n^3 temporaries at a time: at
-    n=128 `gauge` peaks 181 MB above the imported library.
+    transformed (3 rfftn); chi and A_t come from that spectrum
+    (_transverse_part, 4 irfftn); A_t is transformed once (3 rfftn) for the
+    spectra of div A_t and, less that of A, of the curl change. The norms
+    come by Parseval (_half_norm). It holds one set of half spectra, A_t,
+    chi and a few n^3 temporaries at a time: at n=128 `gauge` peaks 181 MB
+    above the imported library.
     """
     from diraclab.potentials import Gauged, ScalarFieldHandle
 

@@ -51,7 +51,6 @@ __all__ = [
     "UnsupportedVariant",
     "w0_of",
     "default_classification",
-    "potential_to_json",
     "potential_from_json",
     "write_sampled_potential",
 ]
@@ -430,31 +429,6 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
 
 # ----------------------------------------------------------------------------
 # Serialization
-
-
-def potential_to_json(spec: PotentialSpec) -> dict:
-    """JSON-ready dict for a PotentialSpec.
-
-    Grid-backed payloads (Sampled values, gauge functions) are referenced by
-    companion DTL1 files and must be written separately; their entries hold
-    the grid geometry and an optional file name filled in by the caller.
-    """
-    if isinstance(spec, LossYau):
-        phi = spec.phi0_spinor()
-        return {"variant": "loss_yau", "phi0": [[phi[0].real, phi[0].imag], [phi[1].real, phi[1].imag]]}
-    if isinstance(spec, Scaled):
-        return {"variant": "scaled", "t": spec.t, "inner": potential_to_json(spec.inner)}
-    if isinstance(spec, Gauged):
-        return {
-            "variant": "gauged",
-            "inner": potential_to_json(spec.inner),
-            "chi": {"grid_n": spec.chi.grid.n, "box_l": spec.chi.grid.L, "file": None},
-        }
-    if isinstance(spec, AMN):
-        return {"variant": "amn", "ell": spec.ell, "c_ell": spec.c_ell}
-    if isinstance(spec, Sampled):
-        return {"variant": "sampled", "grid_n": spec.grid.n, "box_l": spec.grid.L, "file": None}
-    raise UnsupportedVariant(f"cannot serialize {type(spec).__name__}")
 
 
 def brief(value) -> str:

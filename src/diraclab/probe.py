@@ -83,7 +83,7 @@ from diraclab.grid import (
     spinor_fftn,
     spinor_ifftn,
 )
-from diraclab.potentials import PotentialSpec, Scaled, _fit_loglog
+from diraclab.potentials import PotentialSpec, Sampled, Scaled, _fit_loglog
 from diraclab.quadrature import sphere_directions_26
 
 ArrayC = NDArray[np.complex128]
@@ -701,13 +701,17 @@ def eigs_near(
 class GapScanReport:
     """Spectral-gap certification: (lambda, proxy) rows with proxy >= 1 - tol
     meaning the nearest eigenvalue keeps the full theoretical distance
-    min(|lambda - m|, |lambda + m|), and whether the edge solve converged."""
+    min(|lambda - m|, |lambda + m|), and the edge solve's report."""
 
     mass: float
     rows: tuple  # ((lambda, proxy), ...)
     nearest_eigenvalues: tuple
     seed: int
-    converged: bool
+    eigensolve: EigenReport  # the edge solve
+
+    @property
+    def converged(self) -> bool:
+        return self.eigensolve.converged
 
     def to_dict(self) -> dict:
         return {
@@ -715,6 +719,7 @@ class GapScanReport:
             "rows": [[l, p] for l, p in self.rows],
             "nearest_eigenvalues": list(self.nearest_eigenvalues),
             "seed": self.seed,
+            "eigensolve": self.eigensolve.to_dict(),
         }
 
 
@@ -759,8 +764,7 @@ def gap_scan(
         rows.append((float(lam), float(abs(mu - lam) / bound)))
         nearest.append(mu)
     return GapScanReport(mass=float(mass), rows=tuple(rows),
-                         nearest_eigenvalues=tuple(nearest), seed=seed,
-                         converged=rep.converged)
+                         nearest_eigenvalues=tuple(nearest), seed=seed, eigensolve=rep)
 
 
 # ----------------------------------------------------------------------------
@@ -840,9 +844,9 @@ def _plus_spinor(k: ArrayR) -> ArrayC:
     return col / np.linalg.norm(col)
 
 
-def _weyl_residuals(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
-                    a: float, b: float, chi: ArrayC, factor_sets) -> list:
-    """||(H_A - lambda0) f|| / ||f|| for each f = (a chi, b chi) psi of the
+def _weyl_residuals(op: OperatorHandle, lambda0: float, a: float, b: float,
+                    chi: ArrayC, factor_sets) -> list:
+    """||(op - lambda0) f|| / ||f|| for each f = (a chi, b chi) psi of the
     sweep, psi a product of 1-D factors, with no 3-D transform.
 
     D_j psi is psi with f_j replaced by its 1-D spectral derivative, and
@@ -850,8 +854,9 @@ def _weyl_residuals(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
     residual [(m - lambda0) a chi psi + b T; a T - (m + lambda0) b chi psi]
     is formed pointwise, a few x-slabs at a time, and its squares summed
     (cross terms would cancel catastrophically on an exact quasi-mode);
-    each slab forms sigma.A chi once for the sweep.
+    each slab forms sigma.A chi once for the sweep (none if op is free).
     """
+    grid, A = op.grid, op.sampled_potential()
     k = grid.k_axis
     sx, sy, sz = (sigma_mul(*e, chi) for e in np.eye(3))  # sigma_j chi
     parts = []
@@ -859,12 +864,13 @@ def _weyl_residuals(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
         dx, dy, dz = (sfft.ifft(k * sfft.fft(f)) for f in (fx, fy, fz))
         q = [sy[c] * dy[:, None] * fz + sz[c] * fy[:, None] * dz for c in range(2)]
         parts.append((fx[:, None, None], dx[:, None, None], fy[:, None] * fz, q))
-    up, lo = (mass - lambda0) * a, -(mass + lambda0) * b
+    up, lo = (op.mass - lambda0) * a, -(op.mass + lambda0) * b
     rows = max(1, 2**17 // grid.n**2)  # slabs of 2 MB per complex array
     totals = np.zeros(len(parts))
     for i in range(0, grid.n, rows):
         s = slice(i, i + rows)
-        a_chi = sigma_mul(A[s, ..., 0], A[s, ..., 1], A[s, ..., 2], chi[:, None, None, None])
+        a_chi = (0.0, 0.0) if A is None else sigma_mul(
+            A[s, ..., 0], A[s, ..., 1], A[s, ..., 2], chi[:, None, None, None])
         for m, (fx, dx, p, q) in enumerate(parts):
             psi = fx[s] * p
             for c in range(2):
@@ -878,29 +884,25 @@ def _weyl_residuals(grid: Grid3D, A: ArrayR, mass: float, lambda0: float,
     return np.sqrt(totals / norms).tolist()
 
 
-def build_weyl_quasimode(
-    pot: PotentialSpec,
-    mass: float,
-    lambda0: float,
-    n_indices: Sequence[int],
-    grid: Grid3D,
-) -> list[WeylQuasimode]:
-    """Quasi-modes at lambda0, one per envelope index in n_indices: all of
-    |lambda| >= m is spectrum.
+def build_weyl_quasimode(op: OperatorHandle, lambda0: float,
+                         n_indices: Sequence[int]) -> list[WeylQuasimode]:
+    """Quasi-modes of H_A = op (kind h_a) at lambda0, one per envelope index
+    in n_indices: all of |lambda| >= m is spectrum.
 
-    For A = 0 and lambda0 on the exact lattice dispersion the construction is
-    an exact eigenfunction (no envelope, residual at round-off). Otherwise the
-    wave packet is centered on the corner of the box, far from the potential's
-    bulk, and its residual decreases as n_index widens the envelope.
-    Periodic grids only. The wave vector, spinor and (a, b) depend on lambda0
-    and m only: the sweep shares them, samples pot once and takes every
-    residual in one pass over the grid (_weyl_residuals), within 5e-14 of
-    the 3-D apply of H_A.
+    For a free op and lambda0 on the exact lattice dispersion the
+    construction is an exact eigenfunction (no envelope, residual at
+    round-off). Otherwise the wave packet is centered on the corner of the
+    box, far from the potential's bulk, and its residual decreases as n_index
+    widens the envelope. Periodic grids only. The wave vector, spinor and
+    (a, b) depend on lambda0 and m only: the sweep shares them and takes
+    every residual in one pass over op's samples of A (_weyl_residuals),
+    within 5e-14 of the 3-D apply of op.
     """
+    grid, mass = op.grid, op.mass
+    if op.kind != "h_a":
+        raise ValueError("Weyl quasi-modes need an h_a operator")
     if grid.antiperiodic:
         raise ValueError("Weyl quasi-modes are built on periodic grids only")
-    if not (np.isfinite(mass) and mass >= 0):
-        raise ValueError("mass must be finite and >= 0")
     if abs(lambda0) < mass:
         raise ValueError(f"need |lambda0| >= mass, got {lambda0} with mass {mass}")
     if not n_indices or min(n_indices) < 1:
@@ -910,7 +912,7 @@ def build_weyl_quasimode(
     k = _nearest_lattice_k(grid, nu0)
     chi = _plus_spinor(k)
     a, b = _threshold_pair(lambda0, mass, nu0)
-    A = sample_potential(pot, grid)
+    free = op.sampled_potential() is None
 
     plane = [np.exp(1j * kj * grid.axis) for kj in k]
     # smooth periodic bump centered on the corner (-L,-L,-L), the point
@@ -918,12 +920,11 @@ def build_weyl_quasimode(
     # exp(-|s|^2 / (2 width^2)) with s_j = (2L/pi) sin(pi u_j / (2L))
     u = grid.axis + grid.L  # distance from corner along one axis, in [0, 2L)
     s = (2.0 * grid.L / np.pi) * np.sin(np.pi * u / (2.0 * grid.L))
-    free = not A.any()
     widths = [None if free else 1.0 + 1.5 * n_index for n_index in n_indices]
     factor_sets = [plane if w is None else [p * np.exp(-(s**2) / (2.0 * w**2)) for p in plane]
                    for w in widths]
     notes = ("zero potential: plane wave used without envelope",) if free else ()
-    residuals = _weyl_residuals(grid, A, mass, lambda0, a, b, chi, factor_sets)
+    residuals = _weyl_residuals(op, lambda0, a, b, chi, factor_sets)
     return [WeylQuasimode(
         lambda0=float(lambda0), nu0=nu0, a=a, b=b, grid=grid,
         spinor=np.concatenate([a * chi, b * chi]), factors=tuple(factors), residual=res,
@@ -1053,6 +1054,7 @@ def coupling_scan(
 ) -> CouplingScanReport:
     """Scan the coupling t, reporting |lambda_min| of T_{tA} at each value.
 
+    base is sampled once, and each row's potential scales those samples.
     Each row's solve starts from the previous row's fields (the first row
     cold); the report goes before the next solve, which empties the list of
     fields it is given, so no row's vectors live through the next solve.
@@ -1065,6 +1067,7 @@ def coupling_scan(
     all_eigs = []
     notes: list[str] = []
     warm: list = []
+    base = Sampled(grid, sample_potential(base, grid))
     for t in ts:
         op = OperatorHandle(kind="t_a", grid=grid, potential=Scaled(t=float(t), inner=base))
         rep = eigs_near(op, 0.0, 3, warm, seed=seed)

@@ -132,7 +132,7 @@ def test_criterion_04_threshold_lift_block_purity(lossyau, grid32, cluster32, di
 
 
 def test_criterion_05_square_identity_and_gap(lossyau, grid32):
-    dev = susy_square_check(grid32, lossyau, 1.0)
+    dev = susy_square_check(OperatorHandle(kind="h_a", grid=grid32, potential=lossyau, mass=1.0))
     assert dev <= 1e-10, f"squared-operator identity deviation {dev:.3e}"
 
     scan = gap_scan(lossyau, 1.0, grid32, lambdas=(-0.5, 0.0, 0.5), seed=7)
@@ -189,11 +189,13 @@ def test_criterion_08_spectrum_filling_quasimodes(lossyau):
     grid5 = Grid3D(16, 5.0)
     nu0 = 2.0 * np.pi / 10.0  # smallest dual wavenumber of the L=5 box
     lam0 = float(np.sqrt(1.0 + nu0**2))
-    (rep,) = build_weyl_quasimode(free, 1.0, lam0, [1], grid5)
+    (rep,) = build_weyl_quasimode(OperatorHandle(kind="h_a", grid=grid5, potential=free, mass=1.0),
+                                  lam0, [1])
     assert rep.residual <= 1e-10, f"free residual {rep.residual:.3e}"
 
     grid = Grid3D(32, 20.0)
-    residuals = [qm.residual for qm in build_weyl_quasimode(lossyau, 1.0, 1.5, (1, 2, 3, 4), grid)]
+    op = OperatorHandle(kind="h_a", grid=grid, potential=lossyau, mass=1.0)
+    residuals = [qm.residual for qm in build_weyl_quasimode(op, 1.5, (1, 2, 3, 4))]
     assert all(np.diff(residuals) < 0.0), f"not strictly decreasing: {residuals}"
 
 

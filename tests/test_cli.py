@@ -185,7 +185,7 @@ def test_weyl_sweep_fails_when_a_zero_residual_grows(tmp_path, capsys, monkeypat
             return {"residual": next(residuals), "k_vector": [0.0, 0.0, 0.0], "nu0": 0.0}
 
     monkeypatch.setattr(cli, "build_weyl_quasimode",
-                        lambda pot, mass, lam, indices, grid: [Quasimode() for _ in indices])
+                        lambda op, lam, indices: [Quasimode() for _ in indices])
     code, out, _ = run(capsys, "weyl", "--grid-n", "8", "--box-l", "5", "--sweep", "2",
                        "--potential", LY, "--out", str(tmp_path / "w.json"))
     assert code == 2
@@ -427,6 +427,10 @@ def test_gap_scan_unconverged_writes_its_report_and_exits_3(tmp_path, capsys, mo
     assert code == 3 and err == ""
     report = strict_json(out_path)
     assert report["passed"] is False and len(report["result"]["rows"]) == 3
+    # the report says why: the edge solve's residuals missed the one gate
+    solve = report["result"]["eigensolve"]
+    assert solve["converged"] is False and solve["iterations"] > 0
+    assert any(f"residuals above {probe.RESID_TOL:.1e}" in note for note in solve["notes"]), solve
 
 
 @pytest.mark.parametrize("command", ["spectrum", "coupling-scan"])

@@ -117,10 +117,32 @@ def test_operator_hermitian_on_random_fields():
             assert lhs == pytest.approx(rhs, abs=1e-10 * f.norm() * u.norm()), spin
 
 
-def test_susy_square_identity():
+def test_susy_square_identity(monkeypatch):
     for spin, _ in SPINS:
         g = Grid3D(n=16, L=10.0, spin=spin)
-        assert susy_square_check(g, LossYau(), 1.0) <= 1e-10, spin
+        op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.0)
+        assert susy_square_check(op) <= 1e-10, spin
+    # the identity is H's: an operator with no mass is refused
+    with pytest.raises(ValueError, match="h_a"):
+        susy_square_check(OperatorHandle(kind="t_a", grid=g, potential=LossYau()))
+
+    # a zero potential runs the sigma.D kernel: per field H^2 and T^2 apply
+    # T 4 + 4 times at one sigma.k product each, with no sigma.A product
+    from diraclab import grid
+
+    calls = []
+    original = grid._sigma
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "_sigma", counted)
+    for pot in (None, FREE):
+        calls.clear()
+        op = OperatorHandle(kind="h_a", grid=Grid3D(n=8, L=5.0), potential=pot, mass=1.0)
+        assert susy_square_check(op) <= 1e-12
+        assert len(calls) == 20 * 4, pot
 
 
 def test_antiperiodic_twist_is_unitary_equivalence():
@@ -208,14 +230,14 @@ def _random_sampled(g, seed):
     ("random", Grid3D(n=16, L=5.0)),
 ])
 def test_gauge_transform_is_one_pass_over_the_spectrum_of_a(pot, g):
-    from diraclab.grid import helmholtz_project
-
     if pot == "random":
         pot = _random_sampled(g, 2)
     gauged, chi, div_rel, curl_dev = gauge_transform(pot, g)
     A = sample_potential(pot, g)
-    # chi is helmholtz_project's, bit for bit
-    assert np.array_equal(chi.values, helmholtz_project(g, A)[1])
+    # chi and A_t depend on the samples of A alone, bit for bit
+    again, chi_again, _, _ = gauge_transform(Sampled(g, A), g)
+    assert np.array_equal(chi.values, chi_again.values)
+    assert np.array_equal(gauged.samples, again.samples)
     # the gauged samples are handed on as formed, and they are A + grad chi
     A_t = sample_potential(gauged, g)
     assert np.shares_memory(A_t, gauged.samples)
@@ -408,13 +430,12 @@ def _complex_reference(grid, A):
 
 
 def test_real_transforms_match_complex_reference():
-    from diraclab.grid import helmholtz_project
-
     rng = np.random.default_rng(8)
     g = Grid3D(n=16, L=5.0)
     A = rng.normal(size=(16, 16, 16, 3))
     grad, div, curl, proj, chi = _complex_reference(g, A)
-    proj_got, chi_got = helmholtz_project(g, A)
+    gauged, chi_handle, _, _ = gauge_transform(Sampled(g, A), g)
+    proj_got, chi_got = gauged.samples, chi_handle.values
     for name, got, want in (("gradient", spectral_scalar_gradient(g, A[..., 0]), grad),
                             ("divergence", spectral_divergence(g, A), div),
                             ("curl", spectral_curl(g, A), curl),

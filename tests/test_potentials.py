@@ -18,9 +18,11 @@ from diraclab.potentials import (
     UnsupportedVariant,
     default_classification,
     potential_from_json,
-    potential_to_json,
     w0_of,
 )
+
+# The JSON object of LossYau(), as a potential file or --potential spells it.
+LOSS_YAU_JSON = {"variant": "loss_yau", "phi0": [[1.0, 0.0], [0.0, 0.0]]}
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 point = st.tuples(
@@ -246,7 +248,8 @@ def test_amn_is_loss_yau_at_level_0():
 
 def test_json_round_trip_loss_yau_and_scaled():
     spec = Scaled(t=1.25, inner=LossYau())
-    back = potential_from_json(potential_to_json(spec))
+    back = potential_from_json({"variant": "scaled", "t": 1.25, "inner": LOSS_YAU_JSON})
+    assert back == spec
     x = (0.3, -1.2, 2.0)
     assert np.allclose(back.eval(x), spec.eval(x))
 
@@ -295,7 +298,7 @@ def test_sampled_companion_round_trip(tmp_path):
     write_sampled_potential(tmp_path / "a.dtl", spec)
     # DTL1 header, then three real components stored as complex pairs
     assert (tmp_path / "a.dtl").stat().st_size == 28 + 8**3 * 3 * 16
-    obj = dict(potential_to_json(spec), file="a.dtl")
+    obj = {"variant": "sampled", "grid_n": 8, "box_l": 4.0, "file": "a.dtl"}
     back = potential_from_json(json.loads(json.dumps(obj)), base_dir=tmp_path)
     assert back.grid == g
     assert np.array_equal(back.values, spec.values)
@@ -308,8 +311,8 @@ def test_gauged_companion_round_trip(tmp_path):
     g = Grid3D(n=8, L=4.0)
     spec, chi, _, _ = gauge_transform(Scaled(t=0.5, inner=LossYau()), g)
     write_gauge_function(tmp_path / "chi.dtl", chi)
-    obj = potential_to_json(spec)
-    obj["chi"]["file"] = "chi.dtl"
+    obj = {"variant": "gauged", "inner": {"variant": "scaled", "t": 0.5, "inner": LOSS_YAU_JSON},
+           "chi": {"grid_n": 8, "box_l": 4.0, "file": "chi.dtl"}}
     back = potential_from_json(json.loads(json.dumps(obj)), base_dir=tmp_path)
     assert back.chi.grid == g
     assert np.array_equal(back.chi.values, chi.values)

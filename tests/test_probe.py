@@ -40,6 +40,11 @@ from diraclab.probe import (
 FREE = Scaled(t=0.0, inner=LossYau())
 
 
+def h_a(pot, mass, g):
+    """H_A = [[m, T], [T, -m]] of pot on g, the operator Weyl quasi-modes take."""
+    return OperatorHandle(kind="h_a", grid=g, potential=pot, mass=mass)
+
+
 def test_kernel_threshold_formula():
     g = Grid3D(n=64, L=20.0)
     want = 0.1 / 20.0 + 0.1 * np.exp(-np.pi * 64 / 40.0)
@@ -310,8 +315,8 @@ def test_non_spec_potentials_are_refused():
             OperatorHandle(kind="t_a", grid=g, potential=A)
         with pytest.raises(TypeError):
             sample_potential(A, g)
-        with pytest.raises(TypeError):
-            build_weyl_quasimode(A, 1.0, 1.5, [1], g)
+        with pytest.raises(TypeError):  # nor on the Weyl path
+            h_a(A, 1.0, g)
     A = sample_potential(LossYau(), g)
     assert np.shares_memory(sample_potential(Sampled(g, A), g), A)
 
@@ -353,6 +358,29 @@ def test_coupling_scan_reports_per_row_convergence(monkeypatch):
     scan = coupling_scan(LossYau(), [0.5, 1.0, 1.5], Grid3D(n=8, L=5.0, spin="antiperiodic"))
     assert len(scan.converged) == 3 and all(isinstance(c, bool) for c in scan.converged)
     assert not any("constant" in note or "t=0" in note for note in scan.notes)
+
+
+def test_coupling_scan_samples_its_base_once(monkeypatch):
+    # every row scales the same samples: LossYau is evaluated once, not per
+    # row, and the rows equal those of solves on Scaled(t, LossYau())
+    calls = []
+    original = LossYau.eval
+
+    def counted(self, points):
+        calls.append(np.shape(points))
+        return original(self, points)
+
+    monkeypatch.setattr(LossYau, "eval", counted)
+    g = Grid3D(n=8, L=5.0)
+    ts = (0.5, 1.0, 1.5)
+    scan = coupling_scan(LossYau(), ts, g, seed=3)
+    assert calls == [(8, 8, 8, 3)]
+    warm: list = []
+    for t, row, eigenvalues in zip(ts, scan.rows, scan.eigenvalues):
+        op = OperatorHandle(kind="t_a", grid=g, potential=Scaled(t=t, inner=LossYau()))
+        rep = eigs_near(op, 0.0, 3, warm, seed=3)
+        assert row[0] == t and rep.eigenvalues == eigenvalues
+        warm = list(rep.fields)
 
 
 def test_coupling_scan_keeps_the_constant_kernel_of_a_zero_potential():
@@ -454,7 +482,7 @@ def test_plus_spinor_is_the_dense_plus_eigenspinor(k):
 def test_weyl_quasimode_free_is_exact():
     g = Grid3D(n=16, L=5.0)
     lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
-    (qm,) = build_weyl_quasimode(FREE, 1.0, lam0, [1], g)
+    (qm,) = build_weyl_quasimode(h_a(FREE, 1.0, g), lam0, [1])
     assert qm.residual <= 1e-10
     assert qm.envelope_width is None
     assert qm.nu0 == pytest.approx(2 * np.pi / 10.0, rel=1e-12)
@@ -462,7 +490,8 @@ def test_weyl_quasimode_free_is_exact():
 
 def test_weyl_quasimode_envelope_grows_with_index():
     g = Grid3D(n=16, L=10.0)
-    widths = [qm.envelope_width for qm in build_weyl_quasimode(LossYau(), 1.0, 1.5, (1, 2), g)]
+    widths = [qm.envelope_width
+              for qm in build_weyl_quasimode(h_a(LossYau(), 1.0, g), 1.5, (1, 2))]
     assert widths[0] < widths[1]
 
 
@@ -480,16 +509,16 @@ WEYL_CASES = [
 @pytest.mark.parametrize("n,L,lam0,mass,n_index", WEYL_CASES)
 def test_weyl_residual_from_factors_equals_grid_residual(n, L, lam0, mass, n_index):
     g = Grid3D(n=n, L=L)
-    (qm,) = build_weyl_quasimode(LossYau(), mass, lam0, [n_index], g)
-    op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=mass)
+    op = h_a(LossYau(), mass, g)
+    (qm,) = build_weyl_quasimode(op, lam0, [n_index])
     assert qm.residual == pytest.approx(residual_norm(op, qm.field, lam0), rel=1e-12)
 
 
 def test_weyl_residual_from_factors_free_exact_case():
     g = Grid3D(n=16, L=5.0)
     lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
-    (qm,) = build_weyl_quasimode(FREE, 1.0, lam0, [1], g)
-    op = OperatorHandle(kind="h_a", grid=g, potential=FREE, mass=1.0)
+    op = h_a(FREE, 1.0, g)
+    (qm,) = build_weyl_quasimode(op, lam0, [1])
     assert qm.residual <= 1e-10
     assert residual_norm(op, qm.field, lam0) <= 1e-10
 
@@ -498,7 +527,7 @@ def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
     from diraclab.probe import WeylQuasimode
 
     g = Grid3D(n=16, L=20.0)
-    (qm,) = build_weyl_quasimode(LossYau(), 1.0, 1.5, [2], g)
+    (qm,) = build_weyl_quasimode(h_a(LossYau(), 1.0, g), 1.5, [2])
     fx, fy, fz = qm.factors
     want = (fx[:, None, None, None] * fy[None, :, None, None] * fz[None, None, :, None]
             * qm.spinor)
@@ -516,21 +545,27 @@ def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
 def test_weyl_quasimode_validation():
     g = Grid3D(n=16, L=5.0)
     with pytest.raises(ValueError):
-        build_weyl_quasimode(FREE, 1.0, 0.5, [1], g)  # below the threshold m
+        build_weyl_quasimode(h_a(FREE, 1.0, g), 0.5, [1])  # below the threshold m
     for indices in ([0], [2, 0], []):
         with pytest.raises(ValueError, match="n_index"):
-            build_weyl_quasimode(FREE, 1.0, 1.5, indices, g)
+            build_weyl_quasimode(h_a(FREE, 1.0, g), 1.5, indices)
     with pytest.raises(ValueError, match="periodic grids only"):
-        build_weyl_quasimode(FREE, 1.0, 1.5, [1], Grid3D(n=16, L=5.0, spin="antiperiodic"))
+        build_weyl_quasimode(h_a(FREE, 1.0, Grid3D(n=16, L=5.0, spin="antiperiodic")), 1.5, [1])
+    # the quasi-modes are H_A's, and the operator holds the mass rule
+    with pytest.raises(ValueError, match="h_a operator"):
+        build_weyl_quasimode(OperatorHandle(kind="t_a", grid=g, potential=FREE), 1.5, [1])
+    for mass in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite mass"):
+            h_a(FREE, mass, g)
 
 
 @pytest.mark.parametrize("pot,lam0,mass", [(LossYau(), 1.5, 1.0), (LossYau(), -1.7, 1.0),
                                            (FREE, 1.5, 1.0)])
 def test_weyl_sweep_residuals_equal_one_index_sweeps(pot, lam0, mass):
     g = Grid3D(n=16, L=20.0)
-    sweep = build_weyl_quasimode(pot, mass, lam0, range(1, 5), g)
+    sweep = build_weyl_quasimode(h_a(pot, mass, g), lam0, range(1, 5))
     for n_index, qm in enumerate(sweep, start=1):
-        (single,) = build_weyl_quasimode(pot, mass, lam0, [n_index], g)
+        (single,) = build_weyl_quasimode(h_a(pot, mass, g), lam0, [n_index])
         assert qm.residual == single.residual
         assert qm.to_dict() == single.to_dict()
         np.testing.assert_array_equal(qm.factors, single.factors)
@@ -539,7 +574,7 @@ def test_weyl_sweep_residuals_equal_one_index_sweeps(pot, lam0, mass):
 def test_weyl_sweep_forms_sigma_a_chi_once_per_slab(monkeypatch):
     # counts, not timings: sigma_mul is called once for the spinor, three
     # times for sigma_j chi and once per x-slab for sigma.A chi, whatever the
-    # number of quasi-modes in the sweep
+    # number of quasi-modes in the sweep; a free operator has no sigma.A chi
     from diraclab import probe
 
     g = Grid3D(n=64, L=20.0)  # slabs of 32 rows: 2 slabs
@@ -553,8 +588,14 @@ def test_weyl_sweep_forms_sigma_a_chi_once_per_slab(monkeypatch):
     monkeypatch.setattr(probe, "sigma_mul", counted)
     for length in (1, 4, 7):
         calls.clear()
-        assert len(build_weyl_quasimode(LossYau(), 1.0, 1.5, range(1, length + 1), g)) == length
+        sweep = build_weyl_quasimode(h_a(LossYau(), 1.0, g), 1.5, range(1, length + 1))
+        assert len(sweep) == length
         assert calls.count(3) == 2 and len(calls) == 1 + 3 + 2
+    for pot in (None, FREE):
+        calls.clear()
+        sweep = build_weyl_quasimode(h_a(pot, 1.0, g), 1.5, (1, 2))
+        assert [qm.envelope_width for qm in sweep] == [None, None]
+        assert calls.count(3) == 0 and len(calls) == 1 + 3, pot
 
 
 # ----------------------------------------------------------------------------
@@ -828,7 +869,8 @@ def test_solves_import_no_scipy_linalg(tmp_path):
         "g = Grid3D(n=8, L=5.0)\n"
         "op = OperatorHandle(kind='t_a', grid=g, potential=LossYau())\n"
         "assert eigs_near(op, 0.0, 1).converged\n"
-        "build_weyl_quasimode(LossYau(), 1.0, 1.5, [1], g)\n"
+        "build_weyl_quasimode(OperatorHandle(kind='h_a', grid=g, potential=LossYau(), mass=1.0),\n"
+        "                     1.5, [1])\n"
         "from diraclab.cli import main\n"
         "assert main(['verify-zero-mode', '--grid-n', '8', '--out', 'v.json']) in (0, 2)\n"
         "assert main(['asymptotics', '--out', 'a.json']) == 0\n"
