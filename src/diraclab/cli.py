@@ -485,7 +485,7 @@ def cmd_gauge(cfg: RunConfig) -> int:
     grid = cfg.grid()
     # one pass over the half spectra of A: pot is evaluated once, and the
     # gauged samples, chi and both measurements come out of gauge_transform
-    gauged_spec, chi, div_rel, curl_dev = gauge_transform(pot, grid)
+    gauged, div_rel, curl_dev = gauge_transform(pot, grid)
     checks = [
         _check("divergence_relative", div_rel, cfg.tol("div")),
         _check("curl_deviation", curl_dev, cfg.tol("curl")),
@@ -493,13 +493,13 @@ def cmd_gauge(cfg: RunConfig) -> int:
     result = {
         "divergence_relative": div_rel,
         "curl_deviation": curl_dev,
-        "chi_range": [float(chi.values.min()), float(chi.values.max())],
+        "chi_range": [float(gauged.chi.min()), float(gauged.chi.max())],
     }
     converged = True
     if mode := _closed_form_mode(pot):
         # the gauged operator must keep its near-kernel eigenvalue
-        op = OperatorHandle(kind="t_a", grid=grid, potential=gauged_spec)
-        rep = eigs_near(op, 0.0, 1, [gauged_mode(sample_field(mode.eval, grid), chi)],
+        op = OperatorHandle(kind="t_a", grid=grid, potential=gauged)
+        rep = eigs_near(op, 0.0, 1, [gauged_mode(sample_field(mode.eval, grid), gauged)],
                         seed=cfg.seed, extra=0)
         converged = rep.converged
         checks.append(_check("gauged_grid_residual", abs(rep.eigenvalues[0]), cfg.tol("gauged")))
@@ -526,7 +526,7 @@ def cmd_potential_info(cfg: RunConfig) -> int:
     except ValueError as exc:  # a grid-backed potential sampled outside its box
         raise ConfigError(
             "potential-info samples |A| out to r = 2000, and a grid-backed potential "
-            f"(sampled, gauged) is known only inside its box: {exc}") from exc
+            f"(sampled) is known only inside its box: {exc}") from exc
     except ClassificationUndetermined as exc:
         print(f"FAIL classification: {exc}")
         return _finish(cfg, [{"name": "classification", "value": None, "threshold": 0.0,

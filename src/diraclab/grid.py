@@ -568,10 +568,10 @@ def gauge_transform(pot, grid: Grid3D):
     chi of zero mean and zero where k_eff = 0 (pure-Nyquist points, where the
     grid derivative sees no divergence), so div A_t = 0 and curl A_t = curl A.
 
-    Returns (gauged_spec, chi_handle, divergence_relative, curl_deviation).
-    gauged_spec evaluates as A + grad chi and carries A_t at the grid nodes,
-    so sampling it on this grid returns them without a transform; chi_handle
-    carries the samples of chi. The two numbers are measured on A_t:
+    Returns (gauged, divergence_relative, curl_deviation). gauged is a
+    potentials.Gauged: A_t at the grid nodes, which sampling it on this grid
+    hands back without a copy, and chi (gauged.chi). The two numbers are
+    measured on A_t:
     ||div A_t|| / ||A_t|| and ||curl(A_t - A)|| / ||curl A||, as
     spectral_divergence and spectral_curl give them up to round-off. Both
     are returned, not judged: the caller holds the tolerance (the `gauge`
@@ -585,7 +585,7 @@ def gauge_transform(pot, grid: Grid3D):
     chi and a few n^3 temporaries at a time: at n=128 `gauge` peaks 181 MB
     above the imported library.
     """
-    from diraclab.potentials import Gauged, ScalarFieldHandle
+    from diraclab.potentials import Gauged
 
     a_hat = _half_spectra(sample_potential(pot, grid))
     A_t, chi = _transverse_part(grid, a_hat)
@@ -601,19 +601,18 @@ def gauge_transform(pot, grid: Grid3D):
     div_rel = _half_norm(grid, [div_hat]) / max(float(np.linalg.norm(A_t)), 1e-300)
     del div_hat
     curl_dev = _half_norm(grid, _curl_halves(grid, a_hat)) / max(curl_norm, 1e-300)
-    handle = ScalarFieldHandle(grid=grid, values=chi)
-    return Gauged(inner=pot, chi=handle, samples=A_t), handle, div_rel, curl_dev
+    del a_hat  # free the half spectra before Gauged checks A_t and chi finite
+    return Gauged(grid, A_t, chi), div_rel, curl_dev
 
 
-def gauged_mode(mode: Field, chi) -> Field:
-    """Multiply a spinor field pointwise by e^{i chi(x)}.
-
-    chi is a ScalarFieldHandle over the same grid (it checks its own shape);
+def gauged_mode(mode: Field, gauged) -> Field:
+    """Multiply a spinor field pointwise by e^{i chi(x)}, chi the gauge
+    function of gauged (a potentials.Gauged over the same grid as mode);
     the pointwise norm is preserved exactly.
     """
-    if chi.grid != mode.grid:
+    if gauged.grid != mode.grid:
         raise GridMismatchError("gauge function grid does not match mode grid")
-    phase = np.exp(1j * chi.values)
+    phase = np.exp(1j * gauged.chi)
     return Field(mode.grid, mode.values * phase[..., None])
 
 

@@ -239,6 +239,8 @@ def asymptotic_limit_quadrature(
     om = np.asarray(omega, dtype=np.float64)
     single = om.ndim == 1
     om = np.atleast_2d(om)
+    if not np.all(np.isfinite(om)):
+        raise ValueError("omega must be finite")
     if om.shape[-1] != 3 or np.any(np.abs(np.linalg.norm(om, axis=-1) - 1.0) > 1e-9):
         raise ValueError("omega must be a unit 3-vector")
     moments, err_m = _moment_integrals(spec, pot)
@@ -287,6 +289,8 @@ def asymptotic_convergence(
     components add exact zeros.
     """
     radii = np.asarray(radii, dtype=np.float64)
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("radii must be strictly increasing and positive")
     om = sphere_directions_26()

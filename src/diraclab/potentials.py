@@ -6,10 +6,11 @@ The central object is the closed-form potential
 
 (<x> = sqrt(1+|x|^2), w0 the unit Bloch vector of a fixed unit spinor phi0,
 the last term a cross product). Its pointwise norm is exactly 3 <x>^-2, which
-drives every oracle here. Variants wrap it: scaling by a coupling t, gauging
-by a grid-built gauge function chi, the level-0 member A = c <x>^-2 w(x) of
-the Adam-Muratori-Nash family (c = 3 coincides with the closed form above),
-and raw sampled data.
+drives every oracle here. Variants wrap it: scaling by a coupling t, the
+level-0 member A = c <x>^-2 w(x) of the Adam-Muratori-Nash family (c = 3
+coincides with the closed form above), and grid samples, raw (Sampled) or
+gauged divergence-free with their gauge function chi (Gauged, made by
+grid.gauge_transform).
 
 Decay classes certified by sampling:
 - weighted power bound  |A(x)| <= C <x>^-rho with rho > 1,
@@ -20,7 +21,7 @@ Classification is evidence on samples, not proof; reports say which.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -32,7 +33,6 @@ from diraclab.grid import (
     _read_dtl1,
     _write_dtl1,
     interp_trilinear,
-    spectral_scalar_gradient,
 )
 
 ArrayC = NDArray[np.complex128]
@@ -45,7 +45,6 @@ __all__ = [
     "Gauged",
     "AMN",
     "Sampled",
-    "ScalarFieldHandle",
     "DecayClassReport",
     "ClassificationUndetermined",
     "UnsupportedVariant",
@@ -71,36 +70,6 @@ def w0_of(phi0) -> ArrayR:
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"phi0 must be a unit spinor, |phi0| = {nrm}")
     return _bloch_field(phi0)
-
-
-@dataclass(frozen=True)
-class ScalarFieldHandle:
-    """A real scalar field (gauge function chi) sampled on a grid.
-
-    The spectral gradient is computed once on first use; it is read directly
-    at the grid's own nodes and interpolated trilinearly elsewhere.
-    """
-
-    grid: Grid3D
-    values: ArrayR
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (self.grid.n,) * 3:
-            raise ValueError(f"scalar field has shape {v.shape}, grid wants {(self.grid.n,)*3}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite gauge function sample")
-        object.__setattr__(self, "values", v)
-
-    def gradient_values(self) -> ArrayR:
-        grad = getattr(self, "_grad", None)
-        if grad is None:
-            grad = spectral_scalar_gradient(self.grid, self.values)
-            object.__setattr__(self, "_grad", grad)
-        return grad
-
-    def grad_at(self, points: ArrayR) -> ArrayR:
-        return interp_trilinear(self.grid, self.gradient_values(), points)
 
 
 def _same_nodes(a: Grid3D, b: Grid3D) -> bool:
@@ -214,32 +183,6 @@ class Scaled(PotentialSpec):
         return self.t * self.inner.sample(grid)
 
 
-@dataclass(frozen=True)
-class Gauged(PotentialSpec):
-    """A_inner + grad chi for a grid-sampled gauge function chi.
-
-    samples, when given, are the values at the nodes of chi's grid, as
-    grid.gauge_transform forms them from the spectrum of A_inner in the pass
-    that finds chi; they take no part in comparisons or the JSON form.
-    """
-
-    inner: PotentialSpec
-    chi: ScalarFieldHandle
-    samples: Optional[ArrayR] = field(default=None, compare=False, repr=False)
-
-    def eval(self, points) -> ArrayR:
-        return self.inner.eval(points) + self.chi.grad_at(points)
-
-    def sample(self, grid: Grid3D) -> ArrayR:
-        """On the gauge function's own grid: the stored samples, else the
-        inner samples plus the cached spectral gradient, no interpolation."""
-        if not _same_nodes(grid, self.chi.grid):
-            return self.eval(grid.nodes)
-        if self.samples is not None:
-            return self.samples
-        return self.inner.sample(grid) + self.chi.gradient_values()
-
-
 def _bloch_field(psi: ArrayC) -> ArrayR:
     """Pointwise unit Bloch vector (psi . sigma psi) / |psi|^2."""
     a, b = psi[..., 0], psi[..., 1]
@@ -303,6 +246,29 @@ class Sampled(PotentialSpec):
     def sample(self, grid: Grid3D) -> ArrayR:
         """The stored values on their own grid, else interpolated."""
         return self.values if _same_nodes(grid, self.grid) else self.eval(grid.nodes)
+
+
+@dataclass(frozen=True)
+class Gauged(Sampled):
+    """Samples A_t = A + grad chi of a gauged potential, with the real gauge
+    function chi (n, n, n) on the same nodes, as grid.gauge_transform forms
+    them. A zero mode psi of A gives the zero mode e^{i chi} psi of A_t
+    (grid.gauged_mode). chi is checked like values and kept read-only.
+    """
+
+    chi: ArrayR
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        chi = np.asarray(self.chi, dtype=np.float64).view()
+        if chi.shape != (self.grid.n,) * 3:
+            raise ValueError(f"gauge function has shape {chi.shape}")
+        if not np.all(np.isfinite(chi)):
+            raise ValueError("non-finite gauge function sample")
+        chi.flags.writeable = False
+        object.__setattr__(self, "chi", chi)
+
+    eval = Sampled.eval  # bench/spans.py traces eval in each class's own namespace
 
 
 # ----------------------------------------------------------------------------
@@ -437,24 +403,21 @@ def brief(value) -> str:
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
-def _read_companion(entry: dict, base_dir: Optional[Path], count: int,
-                    what: str) -> tuple[Grid3D, ArrayR]:
-    """Grid and real values (n, n, n, count) of an entry's companion file.
-
-    The entry's grid_n and box_l, when given, must match the file's header.
+def _read_companion(entry: dict, base_dir: Optional[Path]) -> tuple[Grid3D, ArrayR]:
+    """Grid and real values (n, n, n, 3) of a sampled potential's companion
+    file. The entry's grid_n and box_l, when given, must match the file's
+    header.
     """
-    if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be a JSON object, got {brief(entry)}")
     fname = entry.get("file")
     if not fname or not isinstance(fname, str):
-        raise ValueError(f"{what} needs a companion file name, got {brief(fname)}")
+        raise ValueError(f"sampled potential needs a companion file name, got {brief(fname)}")
     path = Path(fname)
     if base_dir is not None and not path.is_absolute():
         path = Path(base_dir) / path
-    grid, values = _read_dtl1(path, (count,), real=True)
+    grid, values = _read_dtl1(path, (3,), real=True)
     for key, have in (("grid_n", grid.n), ("box_l", grid.L)):
         if entry.get(key) is not None and entry[key] != have:
-            raise ValueError(f"{what}: {key} = {brief(entry[key])} does not match "
+            raise ValueError(f"sampled potential: {key} = {brief(entry[key])} does not match "
                              f"{have!r} in the header of {path}")
     return grid, values
 
@@ -483,8 +446,8 @@ MAX_DEPTH = 32
 
 def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> PotentialSpec:
     """Rebuild a PotentialSpec from its parsed JSON object; the caller parses
-    JSON text, and a string is refused like any non-object. File-backed
-    variants resolve their companion DTL1 file relative to base_dir; a
+    JSON text, and a string is refused like any non-object. The sampled
+    variant resolves its companion DTL1 file relative to base_dir; a
     grid_n or box_l that disagrees with the file is refused. An entry of the
     wrong JSON type anywhere, or entries nested more than MAX_DEPTH deep,
     raise ValueError.
@@ -508,11 +471,7 @@ def potential_from_json(obj: dict, base_dir: Optional[Path] = None) -> Potential
             raise ValueError(f"ell must be an integer, got {brief(ell)}")
         return AMN(ell=ell, c_ell=_number(obj.get("c_ell"), "c_ell"))
     if variant == "sampled":
-        return Sampled(*_read_companion(obj, base_dir, 3, "sampled potential"))
-    if variant == "gauged":
-        grid, chi = _read_companion(obj.get("chi"), base_dir, 1, "gauge function")
-        handle = ScalarFieldHandle(grid=grid, values=chi[..., 0])
-        return Gauged(inner=potential_from_json(obj.get("inner"), base_dir), chi=handle)
+        return Sampled(*_read_companion(obj, base_dir))
     raise UnsupportedVariant(f"unknown potential variant {brief(variant)}")
 
 
@@ -520,7 +479,3 @@ def write_sampled_potential(path, spec: Sampled) -> None:
     """Companion DTL1 file of a sampled potential: three real components."""
     _write_dtl1(path, spec.grid, spec.values)
 
-
-def write_gauge_function(path, handle: ScalarFieldHandle) -> None:
-    """Companion DTL1 file of a gauge function: one real component."""
-    _write_dtl1(path, handle.grid, handle.values[..., None])

@@ -594,6 +594,8 @@ def eigs_near(
     n, rank = grid.n, op.rank
     if not 1 <= count <= 2 * n**3:
         raise ValueError(f"count must be in [1, 2 n^3 = {2 * n**3}], got {count}")
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
     fields = [_warm_values(grid, rank, f) for f in warm or ()]
     if warm:
         warm.clear()
@@ -750,6 +752,8 @@ def gap_scan(
     points = np.asarray(lambdas, dtype=np.float64)
     if points.ndim != 1 or len(points) == 0:
         raise ValueError("lambdas must be a non-empty 1d list")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("lambdas must be finite")
     if np.any(np.abs(points) > 0.95 * mass):
         raise ValueError("gap samples must stay away from the +-m endpoints")
 
@@ -903,6 +907,8 @@ def build_weyl_quasimode(op: OperatorHandle, lambda0: float,
         raise ValueError("Weyl quasi-modes need an h_a operator")
     if grid.antiperiodic:
         raise ValueError("Weyl quasi-modes are built on periodic grids only")
+    if not np.isfinite(lambda0):
+        raise ValueError(f"lambda0 must be finite, got {lambda0}")
     if abs(lambda0) < mass:
         raise ValueError(f"need |lambda0| >= mass, got {lambda0} with mass {mass}")
     if not n_indices or min(n_indices) < 1:
@@ -975,6 +981,8 @@ def decay_fit(mode, radii) -> DecayFit:
     across the window yields verdict "undetermined" rather than an error.
     """
     radii = np.asarray(radii, dtype=np.float64)
+    if not np.all(np.isfinite(radii)):
+        raise ValueError("radii must be finite")
     if radii.ndim != 1 or len(radii) < 6 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
         raise ValueError("need >= 6 strictly increasing positive radii")
 
@@ -1026,8 +1034,8 @@ class CouplingScanReport:
     periodic grids the torus constant branch is deflated first (kept raw
     under a zero potential, where constants are the honest answer and are
     reported as the documented artifact); antiperiodic grids have no such
-    branch. converged
-    holds, per row, whether that row's eigensolve met its residual tolerance.
+    branch. converged holds, per row, whether that row's eigensolve met its
+    residual tolerance.
     """
 
     rows: tuple

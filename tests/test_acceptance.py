@@ -200,10 +200,10 @@ def test_criterion_08_spectrum_filling_quasimodes(lossyau):
 
 
 def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
-    gauged_spec, chi, _, _ = gauge_transform(lossyau, grid32)
+    gauged, _, _ = gauge_transform(lossyau, grid32)
 
     A = sample_potential(lossyau, grid32)
-    A_t = sample_potential(gauged_spec, grid32)
+    A_t = sample_potential(gauged, grid32)
     div_rel = np.linalg.norm(spectral_divergence(grid32, A_t)) / np.linalg.norm(A_t)
     assert div_rel <= 1e-8, f"residual divergence {div_rel:.3e}"
 
@@ -211,8 +211,8 @@ def test_criterion_09_divergence_free_gauge(lossyau, grid32, cluster32):
                 / np.linalg.norm(spectral_curl(grid32, A)))
     assert curl_dev <= 1e-10, f"curl moved by {curl_dev:.3e}"
 
-    op = OperatorHandle(kind="t_a", grid=grid32, potential=gauged_spec)
-    warm = [gauged_mode(f, chi) for f in cluster32.fields]
+    op = OperatorHandle(kind="t_a", grid=grid32, potential=gauged)
+    warm = [gauged_mode(f, gauged) for f in cluster32.fields]
     rep = eigs_near(op, 0.0, 1, warm, seed=7, extra=0)
     assert rep.converged
     lam_min = min(abs(e) for e in rep.eigenvalues)

@@ -855,15 +855,11 @@ POTENTIAL_ENTRIES = {
     "scaled": {"variant": "scaled", "t": 0.5, "inner": {"variant": "loss_yau"}},
     "amn": {"variant": "amn", "ell": 0, "c_ell": 3.0},
     "sampled": {"variant": "sampled", "grid_n": 8, "box_l": 4.0, "file": "a.dtl"},
-    "gauged": {"variant": "gauged", "inner": {"variant": "loss_yau"},
-               "chi": {"grid_n": 8, "box_l": 4.0, "file": "chi.dtl"}},
 }
 POTENTIAL_KEYS = [("loss_yau", ()), ("loss_yau", ("variant",)), ("loss_yau", ("phi0",)),
                   ("scaled", ("t",)), ("scaled", ("inner",)), ("scaled", ("inner", "phi0")),
                   ("amn", ("ell",)), ("amn", ("c_ell",)),
-                  ("sampled", ("grid_n",)), ("sampled", ("box_l",)), ("sampled", ("file",)),
-                  ("gauged", ("inner",)), ("gauged", ("chi",)), ("gauged", ("chi", "grid_n")),
-                  ("gauged", ("chi", "box_l")), ("gauged", ("chi", "file"))]
+                  ("sampled", ("grid_n",)), ("sampled", ("box_l",)), ("sampled", ("file",))]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -875,7 +871,6 @@ def _potential_info_code(tmp_path, capsys, entry):
 
     g = Grid3D(n=8, L=4.0)
     _write_dtl1(tmp_path / "a.dtl", g, np.zeros((8, 8, 8, 3)))
-    _write_dtl1(tmp_path / "chi.dtl", g, np.zeros((8, 8, 8, 1)))
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps(entry))
     return run(capsys, "potential-info", "--potential", str(pot), "--out", str(tmp_path / "i.json"))
@@ -884,7 +879,7 @@ def _potential_info_code(tmp_path, capsys, entry):
 def test_potential_of_wrong_json_type_is_config_error(tmp_path, capsys):
     for entry in ({"variant": "loss_yau", "phi0": 5},
                   {"variant": "scaled", "t": [1], "inner": {"variant": "loss_yau"}},
-                  dict(POTENTIAL_ENTRIES["gauged"], chi=5), 5):
+                  dict(POTENTIAL_ENTRIES["sampled"], file=5), 5):
         code, _, err = _potential_info_code(tmp_path, capsys, entry)
         assert code == 1 and "error: cannot build potential" in err, entry
 

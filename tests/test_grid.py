@@ -210,14 +210,14 @@ def test_divergence_of_curl_vanishes():
 def test_gauge_transform_pipeline():
     g = Grid3D(n=16, L=10.0)
     pot = LossYau()
-    gauged_spec, chi, _, _ = gauge_transform(pot, g)
-    A_t = sample_potential(gauged_spec, g)
+    gauged, _, _ = gauge_transform(pot, g)
+    A_t = sample_potential(gauged, g)
     A_0 = sample_potential(pot, g)
     assert np.linalg.norm(spectral_divergence(g, A_t)) <= 1e-8 * np.linalg.norm(A_t)
     curl_diff = spectral_curl(g, A_t) - spectral_curl(g, A_0)
     assert np.linalg.norm(curl_diff) <= 1e-10 * np.linalg.norm(spectral_curl(g, A_0))
-    # the gauged spec must evaluate as A + grad chi on the nodes
-    assert np.allclose(A_t, A_0 + chi.gradient_values(), atol=1e-10)
+    # the gauged samples must be A + grad chi on the nodes
+    assert np.allclose(A_t, A_0 + spectral_scalar_gradient(g, gauged.chi), atol=1e-10)
 
 
 def _random_sampled(g, seed):
@@ -232,16 +232,16 @@ def _random_sampled(g, seed):
 def test_gauge_transform_is_one_pass_over_the_spectrum_of_a(pot, g):
     if pot == "random":
         pot = _random_sampled(g, 2)
-    gauged, chi, div_rel, curl_dev = gauge_transform(pot, g)
+    gauged, div_rel, curl_dev = gauge_transform(pot, g)
     A = sample_potential(pot, g)
     # chi and A_t depend on the samples of A alone, bit for bit
-    again, chi_again, _, _ = gauge_transform(Sampled(g, A), g)
-    assert np.array_equal(chi.values, chi_again.values)
-    assert np.array_equal(gauged.samples, again.samples)
+    again, _, _ = gauge_transform(Sampled(g, A), g)
+    assert np.array_equal(gauged.chi, again.chi)
+    assert np.array_equal(gauged.values, again.values)
     # the gauged samples are handed on as formed, and they are A + grad chi
     A_t = sample_potential(gauged, g)
-    assert np.shares_memory(A_t, gauged.samples)
-    grad = spectral_scalar_gradient(g, chi.values)
+    assert np.shares_memory(A_t, gauged.values)
+    grad = spectral_scalar_gradient(g, gauged.chi)
     assert np.linalg.norm(A_t - (A + grad)) <= 1e-13 * np.linalg.norm(A)
     # both numbers are those of the spectral calculus on the returned samples
     div = np.linalg.norm(spectral_divergence(g, A_t)) / np.linalg.norm(A_t)
@@ -266,9 +266,9 @@ def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
 
     monkeypatch.setattr(grid, "_transverse_part", off)
     pot = Scaled(t=1.4, inner=LossYau())
-    gauged, _, div_rel, curl_dev = gauge_transform(pot, g)
+    gauged, div_rel, curl_dev = gauge_transform(pot, g)
     assert div_rel > 1e-8  # returned for the caller to judge, not raised
-    A, A_t = sample_potential(pot, g), gauged.samples
+    A, A_t = sample_potential(pot, g), gauged.values
     div = np.linalg.norm(spectral_divergence(g, A_t)) / np.linalg.norm(A_t)
     curl_A = spectral_curl(g, A)
     curl = np.linalg.norm(spectral_curl(g, A_t) - curl_A) / np.linalg.norm(curl_A)
@@ -307,12 +307,15 @@ def test_half_norm_is_the_norm_of_the_inverse_transform(n):
 def test_gauged_mode_preserves_pointwise_norm():
     g = Grid3D(n=16, L=10.0)
     f = sample_field(LossYauMode().eval, g)
-    _, chi, _, _ = gauge_transform(LossYau(), g)
-    ft = gauged_mode(f, chi)
+    gauged, _, _ = gauge_transform(LossYau(), g)
+    ft = gauged_mode(f, gauged)
     assert np.allclose(np.abs(ft.values), np.abs(f.values), atol=1e-14)
     with pytest.raises(GridMismatchError):
         gauged_mode(Field(grid=Grid3D(n=8, L=10.0),
-                          values=np.zeros((8, 8, 8, 2), dtype=complex)), chi)
+                          values=np.zeros((8, 8, 8, 2), dtype=complex)), gauged)
+    # same n, other L: a bare chi array could not tell
+    with pytest.raises(GridMismatchError):
+        gauged_mode(sample_field(LossYauMode().eval, Grid3D(n=16, L=5.0)), gauged)
 
 
 def test_interp_trilinear_reproduces_nodes_and_linears():
@@ -434,8 +437,8 @@ def test_real_transforms_match_complex_reference():
     g = Grid3D(n=16, L=5.0)
     A = rng.normal(size=(16, 16, 16, 3))
     grad, div, curl, proj, chi = _complex_reference(g, A)
-    gauged, chi_handle, _, _ = gauge_transform(Sampled(g, A), g)
-    proj_got, chi_got = gauged.samples, chi_handle.values
+    gauged, _, _ = gauge_transform(Sampled(g, A), g)
+    proj_got, chi_got = gauged.values, gauged.chi
     for name, got, want in (("gradient", spectral_scalar_gradient(g, A[..., 0]), grad),
                             ("divergence", spectral_divergence(g, A), div),
                             ("curl", spectral_curl(g, A), curl),
@@ -447,21 +450,20 @@ def test_real_transforms_match_complex_reference():
 def test_potential_samples_itself_on_its_grid():
     # Scaled and Gauged on the gauge function's grid: no interpolation, the
     # same values as evaluating at the nodes up to round-off
-    from diraclab.potentials import Gauged
-
     g = Grid3D(n=16, L=7.0)
-    gauged, chi, _, _ = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)
+    gauged, _, _ = gauge_transform(Scaled(t=1.4, inner=LossYau()), g)
     for spec in (Scaled(t=1.4, inner=LossYau()), gauged,
-                 Sampled(grid=g, values=sample_potential(LossYau(), g)),
-                 Gauged(inner=Scaled(t=0.5, inner=LossYau()), chi=chi)):
+                 Sampled(grid=g, values=sample_potential(LossYau(), g))):
         got = sample_potential(spec, g)
         assert got.shape == (16, 16, 16, 3)
         assert all(got[..., j].flags.c_contiguous for j in range(3))
         want = spec.eval(g.nodes)
         assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want))), type(spec)
-    # the spin structure does not move the nodes: no interpolation there either
+    # the spin structure does not move the nodes: no interpolation there
+    # either, and a Gauged hands back its values without a copy
     ga = Grid3D(n=16, L=7.0, spin="antiperiodic")
     assert np.array_equal(sample_potential(gauged, ga), sample_potential(gauged, g))
+    assert np.shares_memory(sample_potential(gauged, ga), gauged.values)
 
 
 def test_grid_holds_no_node_mesh_after_sampling():

@@ -304,20 +304,12 @@ def test_sampled_companion_round_trip(tmp_path):
     assert np.array_equal(back.values, spec.values)
 
 
-def test_gauged_companion_round_trip(tmp_path):
-    from diraclab.grid import Grid3D, gauge_transform
-    from diraclab.potentials import write_gauge_function
-
-    g = Grid3D(n=8, L=4.0)
-    spec, chi, _, _ = gauge_transform(Scaled(t=0.5, inner=LossYau()), g)
-    write_gauge_function(tmp_path / "chi.dtl", chi)
-    obj = {"variant": "gauged", "inner": {"variant": "scaled", "t": 0.5, "inner": LOSS_YAU_JSON},
-           "chi": {"grid_n": 8, "box_l": 4.0, "file": "chi.dtl"}}
-    back = potential_from_json(json.loads(json.dumps(obj)), base_dir=tmp_path)
-    assert back.chi.grid == g
-    assert np.array_equal(back.chi.values, chi.values)
-    x = np.array([[0.3, -1.2, 2.0], [-3.9, 0.0, 1.5]])
-    assert np.array_equal(back.eval(x), spec.eval(x))
+def test_gauged_is_no_json_variant():
+    # a gauged potential exists only as gauge_transform's grid samples
+    entry = {"variant": "gauged", "inner": LOSS_YAU_JSON,
+             "chi": {"grid_n": 8, "box_l": 4.0, "file": "chi.dtl"}}
+    with pytest.raises(UnsupportedVariant):
+        potential_from_json(entry)
 
 
 def test_companion_header_must_match_entry(tmp_path):

@@ -24,7 +24,7 @@ from diraclab.grid import (
     residual_norm,
     sample_field,
 )
-from diraclab.modes import LossYauMode
+from diraclab.modes import LossYauMode, asymptotic_convergence, asymptotic_limit_quadrature
 from diraclab.potentials import LossYau, Scaled
 from diraclab.probe import (
     SolverError,
@@ -328,6 +328,29 @@ def test_gap_scan_validation():
         gap_scan(pot, 1.0, g, lambdas=[0.0, 0.99])  # too close to the edge
     with pytest.raises(ValueError):
         gap_scan(pot, -1.0, g)
+
+
+# Each probe with its sample points, one of them replaced by a bad value.
+SAMPLE_POINT_PROBES = {
+    "gap_scan": lambda bad: gap_scan(LossYau(), 1.0, Grid3D(n=8, L=10.0), lambdas=[bad, 0.0]),
+    "decay_fit": lambda bad: decay_fit(LossYauMode().eval, [20, 30, bad, 50, 60, 70]),
+    "asymptotic_convergence":
+        lambda bad: asymptotic_convergence(LossYauMode(), LossYau(), [10, bad, 40]),
+    "asymptotic_limit_quadrature":
+        lambda bad: asymptotic_limit_quadrature(LossYauMode(), LossYau(), [bad, 0.0, 0.0]),
+    "eigs_near": lambda bad: eigs_near(
+        OperatorHandle(kind="t_a", grid=Grid3D(n=8, L=10.0), potential=LossYau()), bad, 1),
+    "build_weyl_quasimode":
+        lambda bad: build_weyl_quasimode(h_a(LossYau(), 1.0, Grid3D(n=8, L=10.0)), bad, (1,)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("probe", sorted(SAMPLE_POINT_PROBES))
+def test_probes_refuse_non_finite_sample_points(probe, bad):
+    # a NaN compares false with every bound, so no range check catches it
+    with pytest.raises(ValueError, match="must be finite"):
+        SAMPLE_POINT_PROBES[probe](bad)
 
 
 def test_gap_scan_free_proxies_are_clean():
