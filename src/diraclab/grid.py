@@ -162,8 +162,8 @@ class Grid3D:
 
     @cached_property
     def spin_untwist(self) -> ArrayC:
-        """e^{-is.x} at the nodes, the conjugate of spin_phase, kept so that
-        spinor_fftn untwists without allocating; only antiperiodic grids
+        """e^{-is.x} at the nodes, the conjugate of spin_phase: times an
+        antiperiodic field, its periodic factor; only antiperiodic grids
         build it."""
         return self.spin_phase.conj()
 
@@ -284,12 +284,13 @@ def sample_potential(pot, grid: Grid3D) -> ArrayR:
 # Operators
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorHandle:
     """Discretized operator: the supercharge T = sigma.(D - A) (kind t_a,
     rank 2) or H = [[m, T], [T, -m]] (kind h_a, rank 4, needs a finite
     mass >= 0; mass 0 is the degenerate edge of the square identity). With
-    no potential, or one whose samples are all zero, T is sigma.D.
+    no potential, or one whose samples are all zero, T is sigma.D. Frozen:
+    A is sampled once.
     """
 
     kind: str
@@ -625,7 +626,8 @@ def interp_trilinear(grid: Grid3D, values: np.ndarray, points: ArrayR) -> np.nda
 
     values has shape (n, n, n, C); the result has shape points.shape[:-1] +
     (C,), or (C,) for one point of shape (3,). Points must lie in [-L, L);
-    the +1 neighbor wraps periodically, consistent with the field model.
+    the +1 neighbor wraps periodically, so values must be periodic (real
+    fields, or spin_untwist times an antiperiodic field).
     """
     pts = np.asarray(points, dtype=np.float64)
     scalar_in = pts.ndim == 1
@@ -650,23 +652,25 @@ def interp_trilinear(grid: Grid3D, values: np.ndarray, points: ArrayR) -> np.nda
     return out
 
 
-def _write_dtl1(path, grid: Grid3D, values: np.ndarray) -> None:
+def _write_dtl1(path, grid: Grid3D, values: np.ndarray, marked: bool = False) -> None:
     """Write per-node values (n, n, n, C) as DTL1: magic, then C, n, L as
     little-endian float64, then the values as complex float64 re/im pairs,
     x index fastest (components contiguous within a node). Real values are
-    stored with a zero imaginary part."""
+    stored with a zero imaginary part. A marked file stores -C."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<3d", float(values.shape[-1]), float(grid.n), float(grid.L)))
+        count = values.shape[-1]
+        fh.write(struct.pack("<3d", -count if marked else count, grid.n, grid.L))
         # (x,y,z,c) -> (z,y,x,c) so the C-order ravel runs x fastest across nodes
         flat = np.ascontiguousarray(values.transpose(2, 1, 0, 3)).astype("<c16")
         fh.write(flat.tobytes())
 
 
 def _read_dtl1(path, counts: tuple, real: bool = False) -> tuple[Grid3D, np.ndarray]:
-    """Read a DTL1 file whose component count is one of counts; returns the
-    (periodic) grid and the values (n, n, n, C). With real=True a nonzero
-    imaginary part is refused and the real part comes back C-contiguous."""
+    """Read a DTL1 file whose header count is one of counts; returns the
+    grid, antiperiodic if the count is negative (marked), and the values
+    (n, n, n, |count|). With real=True a nonzero imaginary part is refused
+    and the real part comes back C-contiguous."""
     with open(path, "rb") as fh:
         head = fh.read(28)
         if len(head) < 28 or head[:4] != _MAGIC:
@@ -676,8 +680,8 @@ def _read_dtl1(path, counts: tuple, real: bool = False) -> tuple[Grid3D, np.ndar
         if count_f not in counts or not (np.isfinite(n_f) and n_f == int(n_f)):
             raise ValueError(f"{path}: bad header: {count_f:g} components "
                              f"(expected one of {counts}), n = {n_f:g}")
-        count, n = int(count_f), int(n_f)
-        grid = Grid3D(n=n, L=L)
+        count, n = abs(int(count_f)), int(n_f)
+        grid = Grid3D(n=n, L=L, spin="antiperiodic" if count_f < 0 else "periodic")
         data = np.frombuffer(fh.read(), dtype="<c16")
     if data.size != n**3 * count:
         raise ValueError(f"expected {n**3 * count} values, found {data.size}")
@@ -692,17 +696,11 @@ def _read_dtl1(path, counts: tuple, real: bool = False) -> tuple[Grid3D, np.ndar
 
 
 def write_field(path, field: Field) -> None:
-    """Write a spinor field as DTL1 (component count = rank).
-
-    The header has no spin-structure entry and reads back as periodic, so a
-    field on an antiperiodic grid is refused rather than silently relabeled.
-    """
-    if field.grid.antiperiodic:
-        raise ValueError("DTL1 files store periodic-grid fields only; "
-                         "this field lives on an antiperiodic grid")
-    _write_dtl1(path, field.grid, field.values)
+    """Write a spinor field as DTL1, component count = rank, marked on an
+    antiperiodic grid."""
+    _write_dtl1(path, field.grid, field.values, field.grid.antiperiodic)
 
 
 def read_field(path) -> Field:
-    """Read a field written by write_field."""
-    return Field(*_read_dtl1(path, (2, 4)))
+    """Read a field written by write_field, with its spin structure."""
+    return Field(*_read_dtl1(path, (2, 4, -2, -4)))

@@ -94,10 +94,6 @@ class PotentialSpec:
         """Values at the nodes of grid, shape (n, n, n, 3)."""
         return self.eval(grid.nodes)
 
-    def norm_at(self, points) -> ArrayR:
-        """|A(x)| pointwise; shape (...)."""
-        return np.linalg.norm(self.eval(points), axis=-1)
-
 
 _SLAB_POINTS = 2**14
 
@@ -343,7 +339,7 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
 
     radii = np.geomspace(0.05, 2000.0, 240)
     pts = radii[:, None, None] * sphere_directions_26()[None, :, :]  # (nr, nd, 3)
-    amp = spec.norm_at(pts)  # (nr, nd)
+    amp = np.linalg.norm(spec.eval(pts), axis=-1)  # (nr, nd)
     if np.max(amp) < 1e-300:
         raise ClassificationUndetermined("potential is numerically zero on all samples")
 

@@ -822,19 +822,20 @@ class WeylQuasimode:
 
 
 def _nearest_lattice_k(grid: Grid3D, nu0: float) -> ArrayR:
-    """Dual-lattice vector minimizing ||k| - nu0|, ties broken lexicographically.
+    """Dual-lattice vector pi/L z minimizing ||k| - nu0|, ties broken
+    lexicographically; z is half-integer on antiperiodic grids.
 
     The Nyquist rows are excluded: the label -n/2 has no +n/2 partner, so a
     wave packet modulated onto it cannot be re-centered cleanly.
     """
     base = np.pi / grid.L
     zmax = min(grid.n // 2 - 1, int(np.ceil(nu0 / base)) + 2)
-    axis = np.arange(-zmax, zmax + 1)
+    axis = np.arange(-zmax - 0.5 * grid.antiperiodic, zmax + 1)
     z = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     norms = base * np.linalg.norm(z, axis=1)
     mism = np.abs(norms - nu0)
     best = np.lexsort((z[:, 2], z[:, 1], z[:, 0], mism))
-    return base * z[best[0]].astype(np.float64)
+    return base * z[best[0]]
 
 
 def _plus_spinor(k: ArrayR) -> ArrayC:
@@ -862,10 +863,11 @@ def _weyl_residuals(op: OperatorHandle, lambda0: float, a: float, b: float,
     """
     grid, A = op.grid, op.sampled_potential()
     k = grid.k_axis
+    tw = np.exp(0.5j * np.pi / grid.L * grid.axis) if grid.antiperiodic else 1.0
     sx, sy, sz = (sigma_mul(*e, chi) for e in np.eye(3))  # sigma_j chi
     parts = []
     for fx, fy, fz in factor_sets:
-        dx, dy, dz = (sfft.ifft(k * sfft.fft(f)) for f in (fx, fy, fz))
+        dx, dy, dz = (tw * sfft.ifft(k * sfft.fft(f / tw)) for f in (fx, fy, fz))
         q = [sy[c] * dy[:, None] * fz + sz[c] * fy[:, None] * dz for c in range(2)]
         parts.append((fx[:, None, None], dx[:, None, None], fy[:, None] * fz, q))
     up, lo = (op.mass - lambda0) * a, -(op.mass + lambda0) * b
@@ -897,16 +899,14 @@ def build_weyl_quasimode(op: OperatorHandle, lambda0: float,
     construction is an exact eigenfunction (no envelope, residual at
     round-off). Otherwise the wave packet is centered on the corner of the
     box, far from the potential's bulk, and its residual decreases as n_index
-    widens the envelope. Periodic grids only. The wave vector, spinor and
-    (a, b) depend on lambda0 and m only: the sweep shares them and takes
-    every residual in one pass over op's samples of A (_weyl_residuals),
-    within 5e-14 of the 3-D apply of op.
+    widens the envelope. The wave vector, spinor and (a, b) depend on lambda0
+    and m only: the sweep shares them and takes every residual in one pass
+    over op's samples of A (_weyl_residuals), within 5e-14 of the 3-D apply
+    of op.
     """
     grid, mass = op.grid, op.mass
     if op.kind != "h_a":
         raise ValueError("Weyl quasi-modes need an h_a operator")
-    if grid.antiperiodic:
-        raise ValueError("Weyl quasi-modes are built on periodic grids only")
     if not np.isfinite(lambda0):
         raise ValueError(f"lambda0 must be finite, got {lambda0}")
     if abs(lambda0) < mass:
@@ -975,10 +975,11 @@ def decay_fit(mode, radii) -> DecayFit:
     """Fit the radial decay exponent of a mode over a window of radii.
 
     The amplitude at each radius is the mean spinor norm over the 26 lattice
-    directions (sphere_directions_26). mode is a Field on a periodic grid
-    (interpolated trilinearly; window must stay inside the box) or a callable
-    evaluator points (..., 3) -> spinor values. A field below the noise floor
-    across the window yields verdict "undetermined" rather than an error.
+    directions (sphere_directions_26). mode is a Field (its periodic factor,
+    e^{-is.x} f of norm |f| on antiperiodic grids, is interpolated
+    trilinearly; window must stay inside the box) or a callable evaluator
+    points (..., 3) -> spinor values. A field below the noise floor across
+    the window yields verdict "undetermined" rather than an error.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if not np.all(np.isfinite(radii)):
@@ -988,13 +989,14 @@ def decay_fit(mode, radii) -> DecayFit:
 
     pts = radii[:, None, None] * sphere_directions_26()[None, :, :]
     if isinstance(mode, Field):
-        if mode.grid.antiperiodic:
-            raise ValueError("decay_fit interpolates fields on periodic grids only")
         if radii[-1] >= mode.grid.L:
             raise ValueError(
                 f"window reaches r={radii[-1]}, outside the box of half-width {mode.grid.L}"
             )
-        vals = interp_trilinear(mode.grid, mode.values, pts)
+        vals = mode.values
+        if mode.grid.antiperiodic:
+            vals = vals * mode.grid.spin_untwist[..., None]
+        vals = interp_trilinear(mode.grid, vals, pts)
     elif callable(mode):
         vals = np.asarray(mode(pts), dtype=np.complex128)
     else:

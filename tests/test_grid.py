@@ -188,6 +188,20 @@ def test_operator_handle_validation():
         apply_values(h, np.zeros((8, 8, 8, 3, 2), dtype=complex))
 
 
+def test_operator_handle_is_frozen():
+    # the samples of A are cached on first use and the mass is checked at
+    # construction: neither can go stale or unchecked by assignment
+    import dataclasses
+
+    g = Grid3D(n=8, L=6.0)
+    op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=0.8)
+    A = op.sampled_potential()
+    for name, value in (("potential", None), ("mass", -3.0), ("kind", "t_a"), ("grid", g)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, value)
+    assert op.sampled_potential() is A and op.mass == 0.8
+
+
 def test_gradient_exact_on_lattice_waves():
     g = Grid3D(n=16, L=4.0)
     xs, ys, zs = np.meshgrid(g.axis, g.axis, g.axis, indexing="ij")
@@ -340,10 +354,48 @@ def test_field_io_round_trip(tmp_path):
     assert back.rank == 4
     assert back.grid == g
     assert np.array_equal(back.values, f.values)
-    # the header has no spin field: an antiperiodic field would come back periodic
-    fa = Field(grid=Grid3D(n=8, L=3.0, spin="antiperiodic"), values=f.values)
-    with pytest.raises(ValueError, match="antiperiodic"):
-        write_field(tmp_path / "twisted.dtl", fa)
+    # an antiperiodic field comes back on its own grid, spin structure included
+    ga = Grid3D(n=8, L=3.0, spin="antiperiodic")
+    write_field(tmp_path / "twisted.dtl", Field(grid=ga, values=f.values))
+    back = read_field(tmp_path / "twisted.dtl")
+    assert back.grid == ga and back.grid.spin == "antiperiodic"
+    assert np.array_equal(back.values, f.values)
+
+
+def test_antiperiodic_field_file_round_trip(tmp_path):
+    # the spin mark is a negative component count; the values are stored as
+    # on a periodic grid, and both ranks round-trip bit for bit
+    rng = np.random.default_rng(5)
+    ga = Grid3D(n=16, L=10.0, spin="antiperiodic")
+    for rank in (2, 4):
+        f = Field(grid=ga, values=rng.normal(size=(16, 16, 16, rank))
+                  + 1j * rng.normal(size=(16, 16, 16, rank)))
+        p = tmp_path / f"twisted{rank}.dtl"
+        write_field(p, f)
+        data = p.read_bytes()
+        assert data[:28] == b"DTL1" + struct.pack("<3d", -rank, 16, 10.0)
+        write_field(tmp_path / "plain.dtl", Field(grid=Grid3D(n=16, L=10.0), values=f.values))
+        assert data[28:] == (tmp_path / "plain.dtl").read_bytes()[28:]
+        back = read_field(p)
+        assert (back.grid, back.grid.spin, back.rank) == (ga, "antiperiodic", rank)
+        assert np.array_equal(back.values, f.values)
+
+
+def test_potential_files_are_never_spin_marked(tmp_path):
+    # real fields are periodic on both spin structures: a sampled potential
+    # of an antiperiodic grid is written unmarked, and a marked file is refused
+    from diraclab.grid import _write_dtl1
+    from diraclab.potentials import potential_from_json, write_sampled_potential
+
+    ga = Grid3D(n=8, L=4.0, spin="antiperiodic")
+    A = sample_potential(LossYau(), ga)
+    write_sampled_potential(tmp_path / "a.dtl", Sampled(ga, A))
+    assert (tmp_path / "a.dtl").read_bytes()[:28] == b"DTL1" + struct.pack("<3d", 3, 8, 4.0)
+    back = potential_from_json({"variant": "sampled", "file": "a.dtl"}, tmp_path)
+    assert back.grid == Grid3D(n=8, L=4.0) and np.array_equal(back.values, A)
+    _write_dtl1(tmp_path / "marked.dtl", ga, A, marked=True)
+    with pytest.raises(ValueError, match="bad header: -3 components"):
+        potential_from_json({"variant": "sampled", "file": "marked.dtl"}, tmp_path)
 
 
 def test_sample_field_shapes():

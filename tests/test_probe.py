@@ -483,9 +483,36 @@ def test_decay_fit_field_window_must_fit_box():
     f = sample_field(LossYauMode().eval, g)
     with pytest.raises(ValueError):
         decay_fit(f, [1.0, 2.0, 6.0])  # 6 > L
-    fa = sample_field(LossYauMode().eval, Grid3D(n=8, L=5.0, spin="antiperiodic"))
-    with pytest.raises(ValueError, match="periodic grids only"):
-        decay_fit(fa, np.linspace(0.5, 3.0, 6))
+    # an antiperiodic field is fitted through its periodic factor e^{-is.x} f,
+    # which has the same norm at every point
+    ga = Grid3D(n=8, L=5.0, spin="antiperiodic")
+    fa = sample_field(LossYauMode().eval, ga)
+    radii = np.linspace(0.5, 3.0, 6)
+    fit = decay_fit(fa, radii)
+    factor = Field(grid=Grid3D(n=8, L=5.0), values=fa.values * ga.spin_untwist[..., None])
+    assert fit == decay_fit(factor, radii)
+    assert np.isfinite(fit.exponent)
+    for field in (f, fa):
+        with pytest.raises(ValueError, match="outside the box"):
+            decay_fit(field, np.linspace(1.0, 6.0, 6))
+
+
+def test_decay_fit_of_a_periodic_field_is_unchanged():
+    # the periodic path interpolates the samples themselves, with no phase
+    # product: the numbers below are those of the code before antiperiodic
+    # fields were fitted, bit for bit
+    from diraclab.grid import interp_trilinear
+    from diraclab.quadrature import sphere_directions_26
+
+    g = Grid3D(n=16, L=10.0)
+    f = sample_field(LossYauMode().eval, g)
+    radii = np.geomspace(2.0, 8.0, 24)
+    fit = decay_fit(f, radii)
+    assert (fit.exponent, fit.exponent_stderr) == (1.8987385402733064, 0.00919987158416363)
+    assert fit.verdict == "mode_tail"
+    pts = radii[:, None, None] * sphere_directions_26()[None, :, :]
+    amp = np.linalg.norm(interp_trilinear(g, f.values, pts), axis=-1).mean(axis=1)
+    assert [a for _, a in fit.table] == amp.tolist()
 
 
 @pytest.mark.parametrize("k", [(0.3, -1.2, 0.7), (0.0, 0.0, 2.0), (0.0, 0.0, -2.0)],
@@ -531,19 +558,30 @@ WEYL_CASES = [
 
 @pytest.mark.parametrize("n,L,lam0,mass,n_index", WEYL_CASES)
 def test_weyl_residual_from_factors_equals_grid_residual(n, L, lam0, mass, n_index):
-    g = Grid3D(n=n, L=L)
-    op = h_a(LossYau(), mass, g)
-    (qm,) = build_weyl_quasimode(op, lam0, [n_index])
-    assert qm.residual == pytest.approx(residual_norm(op, qm.field, lam0), rel=1e-12)
+    # on both spin structures: the antiperiodic factors are differentiated
+    # through their periodic part, and their wave vector is on (pi/L)(Z+1/2)^3
+    for spin, shift in (("periodic", 0.0), ("antiperiodic", 0.5)):
+        g = Grid3D(n=n, L=L, spin=spin)
+        op = h_a(LossYau(), mass, g)
+        (qm,) = build_weyl_quasimode(op, lam0, [n_index])
+        assert qm.residual == pytest.approx(residual_norm(op, qm.field, lam0), rel=1e-12), spin
+        z = np.array(qm.k_vector) * L / np.pi - shift
+        assert np.allclose(z, np.round(z), rtol=0, atol=1e-12), (spin, z)
 
 
 def test_weyl_residual_from_factors_free_exact_case():
-    g = Grid3D(n=16, L=5.0)
-    lam0 = float(np.sqrt(1.0 + (2 * np.pi / 10.0) ** 2))
-    op = h_a(FREE, 1.0, g)
-    (qm,) = build_weyl_quasimode(op, lam0, [1])
-    assert qm.residual <= 1e-10
-    assert residual_norm(op, qm.field, lam0) <= 1e-10
+    # a plane wave on the grid's own lattice is an exact free eigenfunction:
+    # |k| = 2 pi/10 (periodic) and pi/5 sqrt(11)/2, k = pi/5 (-3/2, -1/2, -1/2)
+    # (antiperiodic)
+    for spin, nu in (("periodic", 2 * np.pi / 10.0), ("antiperiodic", np.pi / 5.0 * np.sqrt(2.75))):
+        g = Grid3D(n=16, L=5.0, spin=spin)
+        lam0 = float(np.sqrt(1.0 + nu**2))
+        op = h_a(FREE, 1.0, g)
+        (qm,) = build_weyl_quasimode(op, lam0, [1])
+        assert qm.nu0 == pytest.approx(nu, rel=1e-12)
+        assert np.linalg.norm(qm.k_vector) == pytest.approx(nu, rel=1e-12)
+        assert qm.residual <= 1e-13, spin
+        assert residual_norm(op, qm.field, lam0) <= 1e-13, spin
 
 
 def test_weyl_quasimode_field_is_assembled_on_demand(monkeypatch):
@@ -572,8 +610,11 @@ def test_weyl_quasimode_validation():
     for indices in ([0], [2, 0], []):
         with pytest.raises(ValueError, match="n_index"):
             build_weyl_quasimode(h_a(FREE, 1.0, g), 1.5, indices)
-    with pytest.raises(ValueError, match="periodic grids only"):
-        build_weyl_quasimode(h_a(FREE, 1.0, Grid3D(n=16, L=5.0, spin="antiperiodic")), 1.5, [1])
+    # an antiperiodic grid takes the same construction on its shifted lattice
+    ga = Grid3D(n=16, L=5.0, spin="antiperiodic")
+    (qm,) = build_weyl_quasimode(h_a(FREE, 1.0, ga), 1.5, [1])
+    assert qm.grid == ga and qm.envelope_width is None
+    assert np.allclose(np.abs(qm.k_vector) * 5.0 / np.pi % 1.0, 0.5)
     # the quasi-modes are H_A's, and the operator holds the mass rule
     with pytest.raises(ValueError, match="h_a operator"):
         build_weyl_quasimode(OperatorHandle(kind="t_a", grid=g, potential=FREE), 1.5, [1])
