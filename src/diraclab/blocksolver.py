@@ -172,19 +172,19 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
 
     The basis [X, P, W] lives in one preallocated buffer and is kept
     orthonormal: W = M R is projected off X and P and normalized by SVQB,
-    dropping dependent directions, in one recombination over the basis,
-    and P is formed in the small space
-    already orthogonal to the new X. A X and A P are carried by linear
-    combination, so each iteration applies A only to W, and Rayleigh-Ritz
-    needs one Gram matrix, S^H A W: the [X, P] block of S^H A S is carried
-    in the small space too. The combinations are formed in place, a block
-    of rows at a time, so the only (N, k) blocks are the basis, its
-    A-image and what A and M return. eigs_near runs this on Fourier
-    coefficients (LOBPCG is invariant under a unitary change of basis); in
-    its n=64 warm-started solve (3 columns, 1 wanted, 2-core VM) a
-    complex128 iteration spends about 62 ms in A, 2 ms in M and 36 ms in
-    this dense algebra, a complex64 one 28, 1 and 21 ms. (With the basis
-    products on scipy's BLAS the dense algebra took 54-60 and 39-68 ms.)
+    dropping dependent directions, in one recombination over the basis, and
+    P is formed in the small space already orthogonal to the new X. A X and
+    A P are carried by linear combination, so each iteration applies A only
+    to W, and Rayleigh-Ritz needs one Gram matrix, S^H A W: the [X, P] block
+    of S^H A S is carried in the small space too. The combinations are
+    formed in place, a block of rows at a time, so the only (N, k) blocks
+    are the basis, its A-image and what A and M return, and the Ritz vectors
+    are copied out once the A-image is freed: a 3-column, 1-wanted solve
+    holds at most 11 columns. eigs_near runs this on Fourier coefficients
+    (LOBPCG is invariant under a unitary change of basis); in its n=64
+    warm-started solve (3 columns, 1 wanted, 2-core VM) a complex128
+    iteration spends about 62 ms in A, 2 ms in M and 36 ms in this dense
+    algebra, a complex64 one 28, 1 and 21 ms.
 
     The working precision is A's dtype, complex128 or complex64 (a real A
     works in complex128): the basis and its A-image are held in it, and
@@ -269,4 +269,5 @@ def lobpcg(A, X: np.ndarray, M=None, tol: float = 1e-8, maxiter: int = 20,
             break
         AS[:, lo:m] = A @ S[:, lo:m]
         iterations += 1
+    del AS
     return theta, S[:, :nx].copy(order="F"), iterations, resid

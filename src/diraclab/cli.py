@@ -483,8 +483,6 @@ def cmd_weyl(cfg: RunConfig) -> int:
 def cmd_gauge(cfg: RunConfig) -> int:
     pot = _load_potential(cfg)
     grid = cfg.grid()
-    # one pass over the half spectra of A: pot is evaluated once, and the
-    # gauged samples, chi and both measurements come out of gauge_transform
     gauged, div_rel, curl_dev = gauge_transform(pot, grid)
     checks = [
         _check("divergence_relative", div_rel, cfg.tol("div")),

@@ -223,12 +223,12 @@ class _FreeSymbolPreconditioner:
     SPD by construction (every fiber eigenvalue is 1/((s-tau)^2+delta) > 0),
     which LOBPCG requires, and large exactly on the near-singular fibers. On
     the solver's Fourier coefficients it is a pointwise 2x2 multiply (at
-    tau = 0 a real scaling) and needs no transform: one n=64 column costs
-    1.0 ms on a 2-core VM, where the FFT pair of the grid-value form cost
-    37.5 ms. The symbol and the frequency axes are rounded to the working
-    precision once (sigma.k is the supercharge kernel of sigma.D), so a
-    complex64 apply reads no complex128 array. (A class made per call would
-    sit in a reference cycle, keeping the symbol alive until the next GC.)
+    tau = 0 a real scaling) and needs no transform. The symbol and the
+    frequency axes are rounded to the working precision once (sigma.k is the
+    supercharge kernel of sigma.D), so a complex64 apply reads no complex128
+    array; at tau = 0 (the zero-mode solves) only the diagonal is built. (A
+    class made per call would sit in a reference cycle, keeping the symbol
+    alive until the next GC.)
     """
 
     def __init__(self, grid: Grid3D, tau: float, delta: float, dtype=np.complex128):
@@ -237,12 +237,14 @@ class _FreeSymbolPreconditioner:
         kn = np.sqrt(k2)
         den = ((kn - tau) ** 2 + delta) * ((kn + tau) ** 2 + delta)
         self.diag = ((k2 + tau**2 + delta) / den).astype(real, copy=False)
-        self.off = (2.0 * tau / den).astype(real, copy=False)
-        self.sigma_k, self.tau = Supercharge(grid, None, dtype), tau
-        self.shape, self.dtype = (2 * grid.n**3,) * 2, self.sigma_k.dtype
+        self.grid, self.tau = grid, tau
+        self.shape, self.dtype = (2 * grid.n**3,) * 2, np.dtype(dtype)
+        if tau != 0.0:
+            self.off = (2.0 * tau / den).astype(real, copy=False)
+            self.sigma_k = Supercharge(grid, None, dtype)
 
     def __matmul__(self, block: np.ndarray) -> np.ndarray:
-        x = _coefficient_view(block, self.sigma_k.grid.n)
+        x = _coefficient_view(block, self.grid.n)
         if self.tau == 0.0:
             out = x * self.diag
         else:
@@ -431,15 +433,11 @@ def _solve_near(op: OperatorHandle, target: float, count: int, warm: list, seed:
     solve's warm fields, (n, n, n, 2) values, which _start_block takes out;
     seed and extra are eigs_near's.
 
-    Precision is a phase of the solve, chosen by grid size alone. On grids
-    with n >= SINGLE_N, lobpcg first runs in complex64 (start block,
-    operator, preconditioner and basis), which halves the bytes every FFT,
-    sigma multiply and Gram product moves, until the wanted residuals reach
-    SINGLE_TOL or, at its round-off floor, the worst of them has set no new
-    minimum for SINGLE_STALL iterations. Its Ritz block then restarts a
-    complex128 lobpcg, which finishes to LOBPCG_TOL within what is left of
-    MAXITER. Every complex64 object is gone before the complex128 blocks
-    are allocated, and the block passes between the phases unnamed. At
+    Precision is a phase of the solve, as the module docstring sets out: on
+    grids with n >= SINGLE_N, lobpcg runs in complex64 (start block,
+    operator, preconditioner and basis) before its Ritz block restarts a
+    complex128 lobpcg. Every complex64 object is gone before the complex128
+    blocks are allocated, and the block passes between the phases unnamed. At
     n=64, L=20 on a 2-core VM (medians of 5 processes) the periodic
     verify-zero-mode solve took 34 complex64 iterations (1.7 s) and 13
     complex128 ones (1.3 s), against 53 complex128 iterations in 4.2 s; the

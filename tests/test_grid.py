@@ -291,6 +291,66 @@ def test_gauge_transform_measures_what_the_samples_carry(monkeypatch):
     assert curl_dev == pytest.approx(curl, rel=1e-8)
 
 
+def _gauge_on_temporaries(pot, g):
+    """gauge_transform's four outputs from its formulas on whole-array
+    temporaries: chi_hat = where(k^2 > 0, div / k^2, 0), A_t from
+    irfftn(a_j + i k_j chi_hat), and the curl change from d_j = t_j - a_j."""
+    import scipy.fft
+
+    from diraclab.grid import _half_norm
+
+    def irfftn(half):
+        return scipy.fft.irfftn(half, s=(g.n,) * 3, workers=-1)
+
+    def curl(h):
+        return [1j * (k[c - 2] * h[c - 1] - k[c - 1] * h[c - 2]) for c in range(3)]
+
+    A = sample_potential(pot, g)
+    a = [scipy.fft.rfftn(A[..., j], workers=-1) for j in range(3)]
+    k = g.k_axes_real
+    k2 = k[0]**2 + k[1]**2 + k[2]**2
+    div = 1j * (k[0] * a[0] + k[1] * a[1] + k[2] * a[2])
+    chi_hat = np.where(k2 > 0.0, div / np.where(k2 > 0.0, k2, 1.0), 0.0)
+    chi = irfftn(chi_hat)
+    out = np.empty((3,) + (g.n,) * 3)  # the component-leading layout of A_t
+    for j in range(3):
+        out[j] = irfftn(a[j] + 1j * k[j] * chi_hat)
+    A_t = np.moveaxis(out, 0, -1)
+    t = [scipy.fft.rfftn(A_t[..., j], workers=-1) for j in range(3)]
+    div_t = 1j * (k[0] * t[0] + k[1] * t[1] + k[2] * t[2])
+    div_rel = _half_norm(g, [div_t]) / np.linalg.norm(A_t)
+    curl_dev = _half_norm(g, curl([t[j] - a[j] for j in range(3)])) / _half_norm(g, curl(a))
+    return A_t, chi, div_rel, curl_dev
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("pot", [LossYau(), Scaled(t=1.4, inner=LossYau())])
+def test_gauge_transform_in_place_is_the_temporaries_bit_for_bit(n, pot):
+    g = Grid3D(n=n, L=10.0)
+    gauged, div_rel, curl_dev = gauge_transform(pot, g)
+    A_t, chi, div_ref, curl_ref = _gauge_on_temporaries(pot, g)
+    assert np.array_equal(gauged.values, A_t)
+    assert np.array_equal(gauged.chi, chi)
+    assert (div_rel, curl_dev) == (div_ref, curl_ref)
+
+
+def test_gauge_transform_peak_is_nine_real_arrays():
+    # beside the samples of A while they are transformed, the peak is in the
+    # A_t loop: three half spectra of A, chi_hat, one component's spectrum,
+    # A_t and one component's samples (about 9.2 real n^3 arrays at n=64;
+    # 10.25 when chi came first and the spectra were built from temporaries)
+    import tracemalloc
+
+    g = Grid3D(n=64, L=20.0)
+    tracemalloc.start()
+    try:
+        gauge_transform(LossYau(), g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.4 * g.n**3 * 8, peak / (g.n**3 * 8)
+
+
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_half_norm_is_the_norm_of_the_inverse_transform(n):
     # Parseval on half spectra: of a real field, of a round-off-sized one, of

@@ -911,6 +911,40 @@ def test_block_kernels_allocate_less_than_one_column():
         assert peak < column, (peak, column)
 
 
+class _Diagonal:
+    """A diagonal operator seen, as lobpcg sees every operator, through `@`,
+    `dtype` and `shape`; complex, so an apply casts nothing."""
+
+    def __init__(self, d):
+        self.d, self.dtype, self.shape = d, d.dtype, (len(d),) * 2
+
+    def __matmul__(self, block):
+        return self.d[:, None] * block
+
+
+def test_lobpcg_keeps_no_copy_beside_its_a_image():
+    # the basis S and its A-image AS (3 + 2 columns each) and one apply's
+    # output are the only basis-height blocks; the Ritz vectors are copied
+    # out of S once AS is freed (13 columns while AS outlived the copy). The
+    # small-space matrices add a few KB.
+    import tracemalloc
+
+    from diraclab.blocksolver import lobpcg
+
+    N = 2**17
+    A = _Diagonal(np.linspace(0.0, 1.0, N).astype(np.complex128))
+    X = _block(N, 3, np.complex128)
+    column = X[:, 0].nbytes
+    tracemalloc.start()
+    try:
+        *_, iterations, _ = lobpcg(A, X, tol=0.0, maxiter=30, nwanted=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iterations == 30
+    assert peak <= 11 * column + 2**14, peak / column
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 def test_solves_import_no_scipy_linalg(tmp_path):
     # the solver and the Weyl residual call no scipy BLAS, and the quadrature
