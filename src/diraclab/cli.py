@@ -234,15 +234,20 @@ def _print_checks(checks) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it; an OSError (a
+    missing directory, a full disk) is a ConfigError that names path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write report {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -79,6 +79,9 @@ __all__ = [
     "spinor_ifftn",
     "write_field",
     "read_field",
+    "report_dict",
+    "OMITTED",
+    "NULLABLE",
 ]
 
 _MAGIC = b"DTL1"
@@ -629,7 +632,7 @@ def gauged_mode(mode: Field, gauged) -> Field:
 
 
 # ----------------------------------------------------------------------------
-# Interpolation and file formats
+# Interpolation and file formats (DTL1 fields, JSON reports)
 
 
 def interp_trilinear(grid: Grid3D, values: np.ndarray, points: ArrayR) -> np.ndarray:
@@ -645,7 +648,7 @@ def interp_trilinear(grid: Grid3D, values: np.ndarray, points: ArrayR) -> np.nda
     pts = np.atleast_2d(pts)
     if pts.shape[-1] != 3:
         raise ValueError("points must have trailing dimension 3")
-    if np.any(pts < -grid.L) or np.any(pts >= grid.L):
+    if not np.all((pts >= -grid.L) & (pts < grid.L)):
         raise ValueError("interpolation point outside the box [-L, L)")
     vals = np.asarray(values)
     f = (pts + grid.L) / grid.h
@@ -715,3 +718,39 @@ def write_field(path, field: Field) -> None:
 def read_field(path) -> Field:
     """Read a field written by write_field, with its spin structure."""
     return Field(*_read_dtl1(path, (2, 4, -2, -4)))
+
+
+# dataclass field metadata read by report_dict
+OMITTED = {"report": "omitted"}  # not written
+NULLABLE = {"report": "nullable"}  # a NaN or inf is written as null
+
+
+def _json_value(v):
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, (tuple, list)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return report_dict(v) if is_dataclass(v) else v
+
+
+def report_dict(report) -> dict:
+    """A report's JSON form, bound as to_dict by every report dataclass.
+
+    Each field goes under its own name: tuples and arrays as lists, complex
+    entries as [re, im], a nested report as its dict, a Grid3D as grid_n and
+    box_l. An OMITTED field is left out, and a NULLABLE one that is not finite
+    is None; any other NaN or inf stays, for strict JSON to refuse.
+    """
+    out = {}
+    for f in fields(report):
+        v = getattr(report, f.name)
+        mark = f.metadata.get("report")
+        if mark == "omitted":
+            continue
+        if isinstance(v, Grid3D):
+            out["grid_n"], out["box_l"] = v.n, v.L
+        else:
+            out[f.name] = None if mark == "nullable" and not np.isfinite(v) else _json_value(v)
+    return out

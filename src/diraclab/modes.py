@@ -29,6 +29,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from diraclab.algebra import sigma_mul
+from diraclab.grid import report_dict
 from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
 from diraclab.quadrature import radial_panels, sphere_directions_26, sphere_product_rule
 
@@ -264,18 +265,7 @@ class AsymptoticReport:
     convergence_table: tuple
     quad_error: float
 
-    def to_dict(self) -> dict:
-        def c2(u):
-            return [[[v.real, v.imag] for v in row] for row in np.atleast_2d(u)]
-
-        return {
-            "omega_samples": self.omega_samples.tolist(),
-            "u_quadrature": c2(self.u_quadrature),
-            "u_closed": c2(self.u_closed),
-            "sup_deviation": self.sup_deviation,
-            "convergence_table": [[float(r), float(d)] for r, d in self.convergence_table],
-            "quad_error": self.quad_error,
-        }
+    to_dict = report_dict
 
 
 def asymptotic_convergence(

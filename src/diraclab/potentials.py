@@ -21,7 +21,7 @@ Classification is evidence on samples, not proof; reports say which.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -29,10 +29,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from diraclab.grid import (
+    NULLABLE,
     Grid3D,
     _read_dtl1,
     _write_dtl1,
     interp_trilinear,
+    report_dict,
 )
 
 ArrayC = NDArray[np.complex128]
@@ -67,7 +69,7 @@ def w0_of(phi0) -> ArrayR:
     """Unit Bloch vector w0 = (phi0, sigma_j phi0)_j of a unit 2-spinor."""
     phi0 = np.asarray(phi0, dtype=np.complex128).reshape(2)
     nrm = np.linalg.norm(phi0)
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise ValueError(f"phi0 must be a unit spinor, |phi0| = {nrm}")
     return _bloch_field(phi0)
 
@@ -142,7 +144,7 @@ class _Phi0:
 
     def __post_init__(self) -> None:
         phi = self.phi0_spinor()
-        if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(phi) - 1.0) <= 1e-12:
             raise ValueError("phi0 must have unit norm")
 
     def phi0_spinor(self) -> ArrayC:
@@ -291,22 +293,10 @@ class DecayClassReport:
     in_E: bool
     sample_count: int
     tail_exponent: float
-    cubic_tail_estimate: float
+    # inf for a tail exponent <= 1, which JSON cannot hold: written as null
+    cubic_tail_estimate: float = field(metadata=NULLABLE)
 
-    def to_dict(self) -> dict:
-        return {
-            "rho_fit": self.rho_fit,
-            "sup_weighted_norm": self.sup_weighted_norm,
-            "in_SU": self.in_SU,
-            "in_BE": self.in_BE,
-            "cubic_integral": self.cubic_integral,
-            "in_E": self.in_E,
-            "sample_count": self.sample_count,
-            "tail_exponent": self.tail_exponent,
-            # inf for a tail exponent <= 1, which JSON cannot hold
-            "cubic_tail_estimate": (self.cubic_tail_estimate
-                                    if np.isfinite(self.cubic_tail_estimate) else None),
-        }
+    to_dict = report_dict
 
 
 def _fit_loglog(r: ArrayR, amp: ArrayR) -> tuple[float, float]:

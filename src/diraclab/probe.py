@@ -62,7 +62,7 @@ there nothing is deflated and no constant spinors are seeded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,6 +72,8 @@ from numpy.typing import NDArray
 from diraclab.algebra import sigma_mul
 from diraclab.blocksolver import SolverError, lobpcg
 from diraclab.grid import (
+    NULLABLE,
+    OMITTED,
     Field,
     Grid3D,
     GridMismatchError,
@@ -79,6 +81,7 @@ from diraclab.grid import (
     Supercharge,
     apply_values,
     interp_trilinear,
+    report_dict,
     sample_potential,
     spinor_fftn,
     spinor_ifftn,
@@ -148,7 +151,8 @@ class EigenReport:
     fields, the eigenvectors on the solve's grid (views of one block), and
     per pair the norm fraction in the constant spinors (None on antiperiodic
     grids, which have none). iterations counts both precision phases of every
-    supercharge solve, complex64_iterations the complex64 ones among them."""
+    supercharge solve, complex64_iterations the complex64 ones among them.
+    The JSON form (to_dict) leaves the fields out."""
 
     target: float
     eigenvalues: tuple
@@ -164,26 +168,9 @@ class EigenReport:
     grid: Grid3D
     mass: Optional[float]
     notes: tuple
-    fields: tuple
+    fields: tuple = field(metadata=OMITTED)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "eigenvalues": list(self.eigenvalues),
-            "residuals": list(self.residuals),
-            "constant_fractions": list(self.constant_fractions),
-            "kernel_dim_estimate": self.kernel_dim_estimate,
-            "iterations": self.iterations,
-            "complex64_iterations": self.complex64_iterations,
-            "converged": self.converged,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "kind": self.kind,
-            "grid_n": self.grid.n,
-            "box_l": self.grid.L,
-            "mass": self.mass,
-            "notes": list(self.notes),
-        }
+    to_dict = report_dict
 
 
 # The supercharge solves run on unitary spinor Fourier coefficients. A column
@@ -713,14 +700,7 @@ class GapScanReport:
     def converged(self) -> bool:
         return self.eigensolve.converged
 
-    def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "rows": [[l, p] for l, p in self.rows],
-            "nearest_eigenvalues": list(self.nearest_eigenvalues),
-            "seed": self.seed,
-            "eigensolve": self.eigensolve.to_dict(),
-        }
+    to_dict = report_dict
 
 
 def gap_scan(
@@ -783,7 +763,8 @@ class WeylQuasimode:
     quasi-mode is kept as what it is, a product: the spinor c = (a chi, b chi)
     and one 1-D factor per axis, f = c (x) f_x(x) f_y(y) f_z(z). `field`
     assembles the n^3 4-spinor samples on each access (134 MB at n=128);
-    nothing else, to_dict included, needs them.
+    nothing else needs them. The JSON form (to_dict) leaves out the spinor
+    and the factors.
     """
 
     lambda0: float
@@ -791,8 +772,8 @@ class WeylQuasimode:
     a: float
     b: float
     grid: Grid3D
-    spinor: ArrayC  # c = (a chi, b chi)
-    factors: tuple  # (f_x, f_y, f_z), each of shape (n,)
+    spinor: ArrayC = field(metadata=OMITTED)  # c = (a chi, b chi)
+    factors: tuple = field(metadata=OMITTED)  # (f_x, f_y, f_z), each of shape (n,)
     residual: float
     k_vector: tuple
     envelope_width: Optional[float]
@@ -804,19 +785,7 @@ class WeylQuasimode:
         psi = fx[:, None, None, None] * fy[None, :, None, None] * fz[None, None, :, None]
         return Field(grid=self.grid, values=psi * self.spinor)
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "nu0": self.nu0,
-            "a": self.a,
-            "b": self.b,
-            "residual": self.residual,
-            "k_vector": list(self.k_vector),
-            "envelope_width": self.envelope_width,
-            "grid_n": self.grid.n,
-            "box_l": self.grid.L,
-            "notes": list(self.notes),
-        }
+    to_dict = report_dict
 
 
 def _nearest_lattice_k(grid: Grid3D, nu0: float) -> ArrayR:
@@ -949,24 +918,15 @@ class DecayFit:
     r^-3, r^-4, ...), resonance_tail within 0.25 of 1, else undetermined.
     """
 
-    exponent: float
-    exponent_stderr: float
+    # the undetermined fit's NaN exponent and stderr are written as null
+    exponent: float = field(metadata=NULLABLE)
+    exponent_stderr: float = field(metadata=NULLABLE)
     window: tuple
     verdict: str
     sample_count: int
     table: tuple  # ((r, amplitude), ...)
 
-    def to_dict(self) -> dict:
-        """JSON-ready; the undetermined fit's NaN exponent and stderr are None."""
-        finite = lambda x: x if np.isfinite(x) else None
-        return {
-            "exponent": finite(self.exponent),
-            "exponent_stderr": finite(self.exponent_stderr),
-            "window": list(self.window),
-            "verdict": self.verdict,
-            "sample_count": self.sample_count,
-            "table": [[r, a] for r, a in self.table],
-        }
+    to_dict = report_dict
 
 
 def decay_fit(mode, radii) -> DecayFit:
@@ -1044,14 +1004,7 @@ class CouplingScanReport:
     notes: tuple
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": [[t, l] for t, l in self.rows],
-            "converged": list(self.converged),
-            "eigenvalues": [list(e) for e in self.eigenvalues],
-            "notes": list(self.notes),
-            "seed": self.seed,
-        }
+    to_dict = report_dict
 
 
 def coupling_scan(

@@ -473,6 +473,82 @@ def test_reports_are_strict_json(tmp_path, capsys):
         _finish(cfg, [], {"value": -math.inf})
 
 
+@pytest.fixture(scope="module")
+def reports():
+    """One report of each of the seven kinds, from runs on n=8 grids."""
+    from diraclab.grid import OperatorHandle
+    from diraclab.modes import asymptotic_convergence
+    from diraclab.potentials import LossYau, default_classification
+    from diraclab.probe import build_weyl_quasimode, coupling_scan, decay_fit, eigs_near, gap_scan
+
+    g = Grid3D(n=8, L=5.0)
+    radii = np.geomspace(2.0, 16.0, 8)
+    h_a = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.0)
+    return [
+        eigs_near(OperatorHandle(kind="t_a", grid=g, potential=LossYau()), 0.0, 2),
+        gap_scan(LossYau(), 1.0, g),
+        build_weyl_quasimode(h_a, 1.5, [1])[0],
+        decay_fit(lambda p: np.stack([np.sum(p * p, axis=-1) ** -1.0] * 2, axis=-1), radii),
+        coupling_scan(LossYau(), (0.5, 1.0, 1.5), g),
+        asymptotic_convergence(LossYauMode(), LossYau(), radii),
+        default_classification(LossYau()),
+    ]
+
+
+def test_every_report_writes_its_fields_under_their_names(reports):
+    omitted = {"EigenReport": {"fields"}, "WeylQuasimode": {"spinor", "factors"}}
+    kinds = [type(rep).__name__ for rep in reports]
+    assert kinds == ["EigenReport", "GapScanReport", "WeylQuasimode", "DecayFit",
+                     "CouplingScanReport", "AsymptoticReport", "DecayClassReport"]
+    for kind, rep in zip(kinds, reports):
+        names = {f.name for f in dataclasses.fields(rep)} - omitted.get(kind, set())
+        if "grid" in names:
+            names = names - {"grid"} | {"grid_n", "box_l"}
+        d = rep.to_dict()
+        assert set(d) == names, kind
+        assert json.loads(json.dumps(d, allow_nan=False)) == d, kind
+    eigen, gap = reports[0], reports[1]
+    assert gap.to_dict()["eigensolve"] == gap.eigensolve.to_dict()
+    assert (eigen.to_dict()["grid_n"], eigen.to_dict()["box_l"]) == (8, 5.0)
+    u = reports[5].u_closed
+    assert reports[5].to_dict()["u_closed"][3][1] == [u[3, 1].real, u[3, 1].imag]
+
+
+def test_a_nullable_report_field_writes_nan_and_inf_as_null(reports):
+    fit, dec = reports[3], reports[6]
+    d = dataclasses.replace(fit, exponent=math.nan, exponent_stderr=math.inf).to_dict()
+    assert d["exponent"] is None and d["exponent_stderr"] is None
+    assert d["table"] == fit.to_dict()["table"]
+    assert dataclasses.replace(dec, cubic_tail_estimate=math.inf).to_dict()[
+        "cubic_tail_estimate"] is None
+    assert fit.to_dict()["exponent"] == fit.exponent
+
+
+def test_a_nan_in_an_ordinary_report_field_writes_no_report(tmp_path, reports):
+    # only the fields marked nullable turn a non-finite number into null;
+    # anywhere else strict JSON refuses it, and no file is left behind
+    cfg = RunConfig(command="spectrum", output_path=str(tmp_path / "r.json"))
+    bad = dataclasses.replace(reports[0], eigenvalues=(math.nan,))
+    assert math.isnan(bad.to_dict()["eigenvalues"][0])
+    with pytest.raises(ValueError):
+        _finish(cfg, [], {"eigensolve": bad.to_dict()})
+    gap = dataclasses.replace(reports[1], eigensolve=bad)
+    with pytest.raises(ValueError):
+        _finish(cfg, [], gap.to_dict())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_report_into_a_missing_directory_exits_1_without_a_traceback(tmp_path, capsys):
+    for fmt in ("json", "csv"):
+        out_path = tmp_path / "missing" / "r.json"
+        code, _, err = run(capsys, "asymptotics", "--format", fmt, "--out", str(out_path))
+        assert code == 1, err
+        assert err.startswith("error: cannot write report ") and str(tmp_path / "missing") in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def _config_exit_code(tmp_path, capsys, **fields):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"command": "potential-info", **fields}))

@@ -404,6 +404,18 @@ def test_interp_trilinear_reproduces_nodes_and_linears():
         interp_trilinear(g, vals, np.array([0.0, 0.0, 4.0]))  # right edge excluded
 
 
+def test_interp_trilinear_refuses_a_nan_point():
+    # a NaN coordinate fails every comparison, so only the check that valid
+    # points pass can refuse it
+    g = Grid3D(n=8, L=4.0)
+    pot = Sampled(g, sample_potential(LossYau(), g))
+    for bad in ([np.nan, 0.0, 0.0], [[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]]):
+        with pytest.raises(ValueError, match="outside the box"):
+            pot.eval(np.array(bad))
+    assert np.array_equal(pot.eval(np.array([g.axis[3], g.axis[5], g.axis[1]])),
+                          pot.values[3, 5, 1])
+
+
 def test_field_io_round_trip(tmp_path):
     g = Grid3D(n=8, L=3.0)
     rng = np.random.default_rng(23)

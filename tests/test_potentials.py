@@ -177,6 +177,18 @@ def test_loss_yau_rejects_unnormalized_phi0():
         LossYau(phi0=((2.0, 0.0), (0.0, 0.0)))
 
 
+def test_a_nan_phi0_is_refused():
+    from diraclab.modes import LossYauMode
+
+    for phi0 in (((np.nan, 0.0), (0.0, 0.0)), ((1.0, 0.0), (0.0, np.nan))):
+        for spec in (LossYau, LossYauMode):
+            with pytest.raises(ValueError, match="unit norm"):
+                spec(phi0=phi0)
+    for phi0 in ((np.nan, 0.0), (1.0, complex(0.0, np.nan))):
+        with pytest.raises(ValueError, match="unit spinor"):
+            w0_of(phi0)
+
+
 @given(st.floats(min_value=-3, max_value=3, allow_nan=False), point)
 @settings(max_examples=50)
 def test_scaled_is_pointwise_multiple(t, x):
