@@ -18,7 +18,6 @@ from diraclab.grid import (
     Field,
     Grid3D,
     OperatorHandle,
-    apply,
     gauge_transform,
     gauged_mode,
     residual_norm,
@@ -51,7 +50,7 @@ from diraclab.probe import (
 __all__ = [
     "pauli", "sigma_mul", "sigma_dot", "dirac_alpha", "dirac_beta",
     "Grid3D", "Field", "OperatorHandle",
-    "sample_field", "sample_potential", "apply", "residual_norm",
+    "sample_field", "sample_potential", "residual_norm",
     "susy_square_check", "gauge_transform", "gauged_mode",
     "LossYauMode", "asymptotic_limit_quadrature", "asymptotic_convergence", "mode_l2_norm",
     "LossYau", "Scaled", "Gauged", "AMN", "Sampled",

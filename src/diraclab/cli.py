@@ -251,24 +251,28 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _report_paths(cfg: RunConfig) -> dict:
+    """The report files by format: the stem of --out (default
+    <command>_report) with .json, .csv or both, as --format asks."""
+    base = cfg.output_path or cfg.command.replace("-", "_") + "_report.json"
+    stem = next((base[: -len(s)] for s in (".json", ".csv") if base.endswith(s)), base)
+    return {fmt: stem + "." + fmt for fmt in ("json", "csv") if cfg.format in (fmt, "both")}
+
+
 def _write_report(cfg: RunConfig, report: dict, rows=None) -> None:
     """The report as strict JSON (a non-finite number left in it raises
     ValueError, exit 1) and, for --format csv or both, the table rows."""
-    base = cfg.output_path or cfg.command.replace("-", "_") + "_report.json"
-    stem = next((base[: -len(s)] for s in (".json", ".csv") if base.endswith(s)), base)
-    if cfg.format in ("json", "both"):
-        path = stem + ".json"
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        _atomic_write(path, text + "\n")
-        print(f"report written to {path}")
-    if cfg.format in ("csv", "both"):
-        path = stem + ".csv"
-        buf = io.StringIO()
-        out = csv.writer(buf, lineterminator="\n")
-        out.writerow(COMMANDS[cfg.command].csv)
-        out.writerows([f"{v:.17g}" for v in row] for row in rows or [])
-        _atomic_write(path, buf.getvalue())
-        print(f"table written to {path}")
+    for fmt, path in _report_paths(cfg).items():
+        if fmt == "json":
+            text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        else:
+            buf = io.StringIO()
+            out = csv.writer(buf, lineterminator="\n")
+            out.writerow(COMMANDS[cfg.command].csv)
+            out.writerows([f"{v:.17g}" for v in row] for row in rows or [])
+            text = buf.getvalue()
+        _atomic_write(path, text)
+        print(f"{'report' if fmt == 'json' else 'table'} written to {path}")
 
 
 def _load_potential(cfg: RunConfig):
@@ -455,8 +459,7 @@ def cmd_decay_fit(cfg: RunConfig) -> int:
         })
         print(f"{'PASS' if checks[-1]['passed'] else 'FAIL'} verdict: "
               f"{fit.verdict} (expected {expect})")
-    expo = "nan" if fit.exponent != fit.exponent else f"{fit.exponent:.4f}"
-    print(f"decay exponent {expo} +- {fit.exponent_stderr:.4f} "
+    print(f"decay exponent {fit.exponent:.4f} +- {fit.exponent_stderr:.4f} "
           f"over r in [{fit.window[0]:g}, {fit.window[1]:g}]: verdict {fit.verdict}")
     return _finish(cfg, checks, fit.to_dict(), rows=fit.table)
 
@@ -662,6 +665,12 @@ def _resolve_config(args) -> RunConfig:
     if unread and (args.potential is not None or "potential" in data):
         raise ConfigError(f"{unread} reads no potential")
     cfg.validate()
+    # a report into a missing or read-only directory is refused before the run
+    for path in _report_paths(cfg).values():
+        directory = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write report {path}: {directory} is not a "
+                              "writable directory")
     return cfg
 
 

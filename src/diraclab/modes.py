@@ -30,8 +30,14 @@ from numpy.typing import NDArray
 
 from diraclab.algebra import sigma_mul
 from diraclab.grid import report_dict
-from diraclab.potentials import PotentialSpec, _fit_loglog, _Phi0, default_classification
-from diraclab.quadrature import radial_panels, sphere_directions_26, sphere_product_rule
+from diraclab.potentials import PotentialSpec, _Phi0, default_classification
+from diraclab.quadrature import (
+    fit_loglog,
+    radial_panels,
+    radial_samples,
+    sphere_directions_26,
+    sphere_product_rule,
+)
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -180,7 +186,7 @@ def _integrate_with_tail(r: ArrayR, w: ArrayR, shells):
     def truncated_value(panel_count: int):
         idx = panel_count * npp
         sub = slice(max(0, idx - 3 * npp), idx)
-        p = _fit_loglog(r[sub], np.maximum(amp[sub], 1e-300))[0]
+        p = fit_loglog(r[sub], amp[sub])[0]
         if not np.isfinite(p) or p <= 1.05:
             raise AccuracyError(
                 f"radial shell integrand decays like r^-{p:.2f}; tail does not converge"
@@ -278,18 +284,12 @@ def asymptotic_convergence(
     it. The lifts (phi, 0) and (0, phi) give the same table, since their zero
     components add exact zeros.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if not np.all(np.isfinite(radii)):
-        raise ValueError("radii must be finite")
-    if radii.ndim != 1 or len(radii) < 1 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
-        raise ValueError("radii must be strictly increasing and positive")
+    radii, phi = radial_samples(spec.eval, radii)  # phi: (nr, no, 2)
     om = sphere_directions_26()
 
     u_quad, err = asymptotic_limit_quadrature(spec, pot, om)
     u_closed = spec.closed_form_limit(om)
 
-    pts = radii[:, None, None] * om[None, :, :]
-    phi = spec.eval(pts)  # (nr, no, 2)
     dev = np.linalg.norm(radii[:, None, None] ** 2 * phi - u_closed[None, :, :], axis=-1)
     table = tuple((float(r), float(d)) for r, d in zip(radii, dev.max(axis=1)))
 

@@ -36,6 +36,7 @@ from diraclab.grid import (
     interp_trilinear,
     report_dict,
 )
+from diraclab.quadrature import fit_loglog, radial_samples, simpson
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -220,10 +221,9 @@ class AMN(PotentialSpec):
 class Sampled(PotentialSpec):
     """Potential given by grid samples, trilinearly interpolated in the box.
 
-    values is a read-only view of the samples, checked finite once here, so
-    sample_potential hands them back on their own nodes without a second
-    check. The array passed in is not copied: writing to it afterwards
-    changes values past that check.
+    values is a read-only view of the samples, checked finite here. The
+    array passed in is not copied, so a later write to it changes values;
+    sample_potential checks them again.
     """
 
     grid: Grid3D
@@ -299,20 +299,6 @@ class DecayClassReport:
     to_dict = report_dict
 
 
-def _fit_loglog(r: ArrayR, amp: ArrayR) -> tuple[float, float]:
-    """Slope and stderr of log(amp) vs log(r); returns (-slope, stderr)."""
-    lx, ly = np.log(r), np.log(amp)
-    n = len(lx)
-    vx = lx - lx.mean()
-    slope = float(np.dot(vx, ly - ly.mean()) / np.dot(vx, vx))
-    if n > 2:
-        resid = ly - ly.mean() - slope * vx
-        stderr = float(np.sqrt(np.dot(resid, resid) / ((n - 2) * np.dot(vx, vx))))
-    else:
-        stderr = 0.0
-    return -slope, stderr
-
-
 def default_classification(spec: PotentialSpec) -> DecayClassReport:
     """Classify a potential's decay from samples |A(r omega)|.
 
@@ -325,22 +311,19 @@ def default_classification(spec: PotentialSpec) -> DecayClassReport:
     to stay below 0.9 times the one before. Raises ClassificationUndetermined
     when A is numerically zero on all samples.
     """
-    from diraclab.quadrature import simpson, sphere_directions_26
-
-    radii = np.geomspace(0.05, 2000.0, 240)
-    pts = radii[:, None, None] * sphere_directions_26()[None, :, :]  # (nr, nd, 3)
-    amp = np.linalg.norm(spec.eval(pts), axis=-1)  # (nr, nd)
+    radii, A = radial_samples(spec.eval, np.geomspace(0.05, 2000.0, 240))
+    amp = np.linalg.norm(A, axis=-1)  # (nr, nd)
     if np.max(amp) < 1e-300:
         raise ClassificationUndetermined("potential is numerically zero on all samples")
 
     mean_amp = amp.mean(axis=1)
-    rho_fit, _ = _fit_loglog(radii, np.maximum(mean_amp, 1e-300))
+    rho_fit, _ = fit_loglog(radii, mean_amp)
 
     jb = np.sqrt(1.0 + radii**2)
     sup_weighted = float(np.max(jb[:, None] ** rho_fit * amp))
 
     tail_mask = radii >= radii[-1] / 10.0
-    tail_exp, _ = _fit_loglog(radii[tail_mask], np.maximum(mean_amp[tail_mask], 1e-300))
+    tail_exp, _ = fit_loglog(radii[tail_mask], mean_amp[tail_mask])
 
     # radial-shell integrand of |A|^3: 4 pi r^2 mean_omega |A|^3
     shell = 4.0 * np.pi * radii**2 * (amp**3).mean(axis=1)

@@ -86,8 +86,8 @@ from diraclab.grid import (
     spinor_fftn,
     spinor_ifftn,
 )
-from diraclab.potentials import PotentialSpec, Sampled, Scaled, _fit_loglog
-from diraclab.quadrature import sphere_directions_26
+from diraclab.potentials import PotentialSpec, Sampled, Scaled
+from diraclab.quadrature import fit_loglog, radial_samples
 
 ArrayC = NDArray[np.complex128]
 ArrayR = NDArray[np.float64]
@@ -933,43 +933,35 @@ def decay_fit(mode, radii) -> DecayFit:
     """Fit the radial decay exponent of a mode over a window of radii.
 
     The amplitude at each radius is the mean spinor norm over the 26 lattice
-    directions (sphere_directions_26). mode is a Field (its periodic factor,
-    e^{-is.x} f of norm |f| on antiperiodic grids, is interpolated
-    trilinearly; window must stay inside the box) or a callable evaluator
-    points (..., 3) -> spinor values. A field below the noise floor across
-    the window yields verdict "undetermined" rather than an error.
+    directions (quadrature.radial_samples, here of at least 6 radii). mode is
+    a callable evaluator points (..., 3) -> spinor values or a Field, whose
+    periodic factor (e^{-is.x} f, of norm |f|, on antiperiodic grids) is
+    interpolated trilinearly inside the box. A field below the noise floor
+    across the window yields verdict "undetermined" rather than an error.
     """
-    radii = np.asarray(radii, dtype=np.float64)
-    if not np.all(np.isfinite(radii)):
-        raise ValueError("radii must be finite")
-    if radii.ndim != 1 or len(radii) < 6 or np.any(np.diff(radii) <= 0) or radii[0] <= 0:
-        raise ValueError("need >= 6 strictly increasing positive radii")
-
-    pts = radii[:, None, None] * sphere_directions_26()[None, :, :]
     if isinstance(mode, Field):
-        if radii[-1] >= mode.grid.L:
-            raise ValueError(
-                f"window reaches r={radii[-1]}, outside the box of half-width {mode.grid.L}"
-            )
-        vals = mode.values
-        if mode.grid.antiperiodic:
-            vals = vals * mode.grid.spin_untwist[..., None]
-        vals = interp_trilinear(mode.grid, vals, pts)
-    elif callable(mode):
-        vals = np.asarray(mode(pts), dtype=np.complex128)
-    else:
+        g, f = mode.grid, mode.values
+        f = f * g.spin_untwist[..., None] if g.antiperiodic else f
+
+        def mode(pts):
+            if (reach := np.max(np.abs(pts))) >= g.L:  # the last radius, on an axis
+                raise ValueError(f"window reaches r={reach}, outside the box of half-width {g.L}")
+            return interp_trilinear(g, f, pts)
+    elif not callable(mode):
         raise TypeError("mode must be a Field or a callable evaluator")
+    radii, vals = radial_samples(mode, radii, least=6)
+    vals = np.asarray(vals, dtype=np.complex128)
 
     amp = np.linalg.norm(vals, axis=-1).mean(axis=1)
     window = (float(radii[0]), float(radii[-1]))
     table = tuple((float(r), float(a)) for r, a in zip(radii, amp))
-    if np.max(amp) < 1e-13 * max(1.0, float(np.max(np.abs(vals)))) or np.max(amp) == 0.0:
+    if np.max(amp) < 1e-13 * max(1.0, float(np.max(np.abs(vals)))):
         return DecayFit(
             exponent=float("nan"), exponent_stderr=float("nan"), window=window,
             verdict="undetermined", sample_count=int(vals.size), table=table,
         )
 
-    expo, stderr = _fit_loglog(radii, np.maximum(amp, 1e-300))
+    expo, stderr = fit_loglog(radii, amp)
     if expo >= 2.0 - VERDICT_DELTA:
         verdict = "mode_tail"
     elif abs(expo - 1.0) <= VERDICT_DELTA:

@@ -15,7 +15,9 @@ from numpy.typing import NDArray
 ArrayR = NDArray[np.float64]
 
 __all__ = [
+    "fit_loglog",
     "radial_panels",
+    "radial_samples",
     "simpson",
     "sphere_product_rule",
     "sphere_directions_26",
@@ -52,6 +54,33 @@ def simpson(y: ArrayR, x: ArrayR) -> float:
         eta = (1 * g1**3) / (6 * g0 * (g0 + g1))
         result += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
     return float(result)
+
+
+def fit_loglog(r: ArrayR, amp: ArrayR) -> tuple[float, float]:
+    """Power law amp ~ r^-p by least squares on log(amp) vs log(r), amp
+    floored at 1e-300; returns (p, stderr)."""
+    lx, ly = np.log(r), np.log(np.maximum(amp, 1e-300))
+    n = len(lx)
+    vx = lx - lx.mean()
+    slope = float(np.dot(vx, ly - ly.mean()) / np.dot(vx, vx))
+    if n > 2:
+        resid = ly - ly.mean() - slope * vx
+        stderr = float(np.sqrt(np.dot(resid, resid) / ((n - 2) * np.dot(vx, vx))))
+    else:
+        stderr = 0.0
+    return -slope, stderr
+
+
+def radial_samples(f, radii, least: int = 1) -> tuple[ArrayR, np.ndarray]:
+    """(radii, f(r omega)), r over radii and omega over sphere_directions_26,
+    f given points (nr, 26, 3). radii must be a 1-D row of at least `least`
+    finite values, strictly increasing and positive (else ValueError)."""
+    radii = np.asarray(radii, dtype=np.float64)
+    if (radii.ndim != 1 or len(radii) < least or not np.all(np.isfinite(radii))
+            or np.any(np.diff(radii) <= 0) or radii[0] <= 0):
+        raise ValueError(f"radii must be strictly increasing and positive, "
+                         f"{least} or more, and must be finite")
+    return radii, f(radii[:, None, None] * sphere_directions_26()[None, :, :])
 
 
 def radial_panels(

@@ -549,6 +549,25 @@ def test_a_report_into_a_missing_directory_exits_1_without_a_traceback(tmp_path,
         assert list(tmp_path.iterdir()) == []
 
 
+def test_an_unwritable_report_path_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
+    def refuse(_):
+        raise AssertionError("the command ran")
+
+    command = cli.COMMANDS["verify-zero-mode"]
+    monkeypatch.setitem(cli.COMMANDS, "verify-zero-mode", dataclasses.replace(command, run=refuse))
+    out_path = tmp_path / "missing" / "v.json"
+    code, out, err = run(capsys, "verify-zero-mode", "--grid-n", "8", "--out", str(out_path))
+    assert code == 1, err
+    assert err.startswith(f"error: cannot write report {out_path}: "), err
+    assert len(err.splitlines()) == 1 and out == ""
+    assert list(tmp_path.iterdir()) == []
+    # --format both checks both files' directories
+    code, _, err = run(capsys, "gap-scan", "--grid-n", "8", "--format", "both",
+                       "--out", str(tmp_path / "missing" / "g"))
+    assert code == 1 and err.startswith("error: cannot write report "), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _config_exit_code(tmp_path, capsys, **fields):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"command": "potential-info", **fields}))

@@ -12,7 +12,6 @@ from diraclab.grid import (
     Grid3D,
     GridMismatchError,
     OperatorHandle,
-    apply,
     apply_values,
     gauge_transform,
     gauged_mode,
@@ -112,8 +111,8 @@ def test_operator_hermitian_on_random_fields():
         for _ in range(5):
             f = Field(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
             u = Field(grid=g, values=rng.normal(size=(8, 8, 8, 2)) + 1j * rng.normal(size=(8, 8, 8, 2)))
-            lhs = u.inner(apply(op, f))
-            rhs = apply(op, u).inner(f)
+            lhs = u.inner(Field(g, apply_values(op, f.values)))
+            rhs = Field(g, apply_values(op, u.values)).inner(f)
             assert lhs == pytest.approx(rhs, abs=1e-10 * f.norm() * u.norm()), spin
 
 
@@ -167,8 +166,8 @@ def test_chiral_map_anticommutes():
     op = OperatorHandle(kind="h_a", grid=g, potential=LossYau(), mass=1.3)
     vals = rng.normal(size=(8, 8, 8, 4)) + 1j * rng.normal(size=(8, 8, 8, 4))
     J = lambda v: np.concatenate([v[..., 2:], -v[..., :2]], axis=-1)
-    hv = apply(op, Field(grid=g, values=vals)).values
-    hjv = apply(op, Field(grid=g, values=J(vals))).values
+    hv = apply_values(op, vals)
+    hjv = apply_values(op, J(vals))
     assert np.linalg.norm(J(hv) + hjv) <= 1e-12 * np.linalg.norm(vals)
 
 
@@ -390,6 +389,14 @@ def test_gauged_mode_preserves_pointwise_norm():
     # same n, other L: a bare chi array could not tell
     with pytest.raises(GridMismatchError):
         gauged_mode(sample_field(LossYauMode().eval, Grid3D(n=16, L=5.0)), gauged)
+
+
+def test_residual_norm_refuses_a_field_on_another_grid():
+    # same n, other L: the residual would be taken under the wrong box
+    op = OperatorHandle(kind="t_a", grid=Grid3D(n=8, L=4.0), potential=LossYau())
+    f = sample_field(LossYauMode().eval, Grid3D(n=8, L=6.0))
+    with pytest.raises(GridMismatchError):
+        residual_norm(op, f, 0.0)
 
 
 def test_interp_trilinear_reproduces_nodes_and_linears():

@@ -301,6 +301,19 @@ def test_sampled_values_are_read_only_and_checked():
         sample_potential(Scaled(t=1e308, inner=spec), g)
 
 
+def test_a_write_after_construction_cannot_pass_the_finite_check():
+    from diraclab.grid import sample_potential
+
+    # Sampled keeps the caller's array, so a later write bypasses its own
+    # check; sample_potential checks every sample set, these values too
+    g = Grid3D(n=8, L=4.0)
+    vals = sample_potential(LossYau(), g)
+    spec = Sampled(grid=g, values=vals)
+    vals[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_potential(spec, g)
+
+
 def test_sampled_companion_round_trip(tmp_path):
     from diraclab.grid import Grid3D, sample_potential
     from diraclab.potentials import write_sampled_potential

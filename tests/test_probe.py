@@ -497,6 +497,31 @@ def test_decay_fit_field_window_must_fit_box():
             decay_fit(field, np.linspace(1.0, 6.0, 6))
 
 
+@pytest.mark.parametrize("radii", [
+    [10.0, 20.0, np.nan, 40.0, 50.0, 60.0],  # not finite
+    [10.0, 20.0, 20.0, 40.0, 50.0, 60.0],  # not strictly increasing
+    [60.0, 50.0, 40.0, 30.0, 20.0, 10.0],
+    [-10.0, 20.0, 30.0, 40.0, 50.0, 60.0],  # not positive
+    [0.0, 20.0, 30.0, 40.0, 50.0, 60.0],
+    [[10.0, 20.0, 30.0], [40.0, 50.0, 60.0]],  # not 1-D
+])
+def test_the_radial_probes_share_one_radii_rule(radii):
+    rule = "radii must be strictly increasing and positive"
+    with pytest.raises(ValueError, match=rule):
+        decay_fit(LossYauMode().eval, radii)
+    with pytest.raises(ValueError, match=rule):
+        asymptotic_convergence(LossYauMode(), LossYau(), radii)
+
+
+def test_decay_fit_needs_six_radii():
+    radii = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
+    assert decay_fit(LossYauMode().eval, radii).verdict == "mode_tail"
+    with pytest.raises(ValueError, match="radii must be strictly increasing and positive, 6"):
+        decay_fit(LossYauMode().eval, radii[:5])
+    # the asymptotic table takes any number of radii
+    assert len(asymptotic_convergence(LossYauMode(), LossYau(), radii[:1]).convergence_table) == 1
+
+
 def test_decay_fit_of_a_periodic_field_is_unchanged():
     # the periodic path interpolates the samples themselves, with no phase
     # product: the numbers below are those of the code before antiperiodic
