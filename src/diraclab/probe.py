@@ -66,7 +66,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.typing import NDArray
 
 from diraclab.algebra import sigma_mul
@@ -80,6 +79,7 @@ from diraclab.grid import (
     OperatorHandle,
     Supercharge,
     apply_values,
+    fft_1d,
     interp_trilinear,
     report_dict,
     sample_potential,
@@ -834,7 +834,7 @@ def _weyl_residuals(op: OperatorHandle, lambda0: float, a: float, b: float,
     sx, sy, sz = (sigma_mul(*e, chi) for e in np.eye(3))  # sigma_j chi
     parts = []
     for fx, fy, fz in factor_sets:
-        dx, dy, dz = (tw * sfft.ifft(k * sfft.fft(f / tw)) for f in (fx, fy, fz))
+        dx, dy, dz = (tw * fft_1d(k * fft_1d(f / tw), inverse=True) for f in (fx, fy, fz))
         q = [sy[c] * dy[:, None] * fz + sz[c] * fy[:, None] * dz for c in range(2)]
         parts.append((fx[:, None, None], dx[:, None, None], fy[:, None] * fz, q))
     up, lo = (op.mass - lambda0) * a, -(op.mass + lambda0) * b

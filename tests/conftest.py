@@ -6,6 +6,9 @@ angles, so each solve runs once per session. Everything else builds cheap
 derived objects from these.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,29 @@ from diraclab.grid import Field, Grid3D, OperatorHandle, sample_field
 from diraclab.modes import LossYauMode
 from diraclab.potentials import LossYau
 from diraclab.probe import eigs_near
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of the pocketfft kernel calls, keyed (function, number of axes,
+    forward): every transform is made through grid._pocketfft. A 3-D fftn or
+    ifftn is one ("c2c", 3, ...) call, an rfftn one ("r2c", 3, True), an
+    irfftn one ("c2c", 2, False) and one ("c2r", 1, False), and a 1-D fft or
+    ifft one ("c2c", 1, ...)."""
+    from diraclab import grid
+
+    kernel, calls = grid._pocketfft, Counter()
+
+    def counted(name, forward_at):
+        def call(a, axes, *args):
+            calls[name, len(axes), args[forward_at]] += 1
+            return getattr(kernel, name)(a, axes, *args)
+
+        return call
+
+    monkeypatch.setattr(grid, "_pocketfft", SimpleNamespace(
+        c2c=counted("c2c", 0), r2c=counted("r2c", 0), c2r=counted("c2r", 1)))
+    return calls
 
 
 @pytest.fixture(scope="session")

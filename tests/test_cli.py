@@ -63,15 +63,13 @@ def test_every_exported_name_resolves(module):
 
 
 def test_importing_the_cli_loads_only_the_scipy_it_runs():
-    # scipy.integrate alone loads scipy.optimize, scipy.sparse and
-    # scipy.spatial, about 16 MB of every process's peak memory
+    # the transforms call scipy's pocketfft kernel, loaded from its file:
+    # scipy.fft's package init alone loads about 320 modules and 26 MB
     import diraclab
 
     code = (
         "import sys, diraclab.cli\n"
-        "heavy = ('scipy.integrate', 'scipy.sparse', 'scipy.optimize', 'scipy.spatial',"
-        " 'scipy.linalg')\n"
-        "print(sorted(m for m in sys.modules if '.'.join(m.split('.')[:2]) in heavy))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(diraclab.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -1015,63 +1013,40 @@ def test_weyl_sweep_evaluates_the_potential_once(tmp_path, capsys, monkeypatch):
     assert len(report["result"]["quasimodes"]) == 4
 
 
-def test_weyl_sweep_makes_no_3d_transform_and_no_grid_apply(tmp_path, capsys, monkeypatch):
+def test_weyl_sweep_makes_no_3d_transform_and_no_grid_apply(tmp_path, capsys, monkeypatch,
+                                                             kernel_calls):
     """Counts, not timings: the quasi-mode residuals come from 1-D factors."""
-    import scipy.fft
-
     from diraclab import grid, probe
 
-    calls = {"fftn": 0, "ifftn": 0, "fft": 0, "apply_values": 0}
-
-    def counted(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("fftn", "ifftn", "fft"):
-        counted(scipy.fft, name)
-    counted(grid, "apply_values")
+    applies = []
+    original = grid.apply_values
+    monkeypatch.setattr(grid, "apply_values",
+                        lambda *args, **kwargs: applies.append(1) or original(*args, **kwargs))
     # probe imports apply_values by name; count its calls too
     monkeypatch.setattr(probe, "apply_values", grid.apply_values)
     code, out, _ = run(capsys, "weyl", "--grid-n", "16", "--box-l", "20", "--sweep", "4",
                        "--potential", LY, "--out", str(tmp_path / "w.json"))
     assert code in (0, 2)
     assert out.count("n_index") == 4
-    assert (calls["fftn"], calls["ifftn"], calls["apply_values"]) == (0, 0, 0)
-    assert calls["fft"] == 4 * 3  # one 1-D derivative per axis and quasi-mode
+    fftn, ifftn = kernel_calls["c2c", 3, True], kernel_calls["c2c", 3, False]
+    assert (fftn, ifftn, len(applies)) == (0, 0, 0)
+    assert kernel_calls["c2c", 1, True] == 4 * 3  # one 1-D derivative per axis and quasi-mode
 
 
-def test_gauge_makes_10_real_transforms(tmp_path, capsys, monkeypatch):
+def test_gauge_makes_10_real_transforms(tmp_path, capsys, kernel_calls):
     """Counts, not timings: one pass over half spectra. A is transformed
     once (3), chi and the gauged samples come from that spectrum (1 + 3),
     and the samples are transformed once (3) for the divergence and the
     curl change; the three norms need no inverse transform (Parseval)."""
-    import scipy.fft
-
-    calls = {"rfftn": 0, "irfftn": 0}
-
-    def counted(name):
-        original = getattr(scipy.fft, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, wrapper)
-
-    for name in calls:
-        counted(name)
     scaled = '{"variant": "scaled", "t": 1.0, "inner": {"variant": "loss_yau"}}'
     code, out, _ = run(capsys, "gauge", "--grid-n", "16", "--box-l", "20",
                        "--potential", scaled, "--out", str(tmp_path / "g.json"))
     assert code == 0
     assert "PASS divergence_relative" in out and "PASS curl_deviation" in out
-    assert (calls["rfftn"], calls["irfftn"]) == (6, 4)
-    assert sum(calls.values()) <= 10
+    rfftn, irfftn = kernel_calls["r2c", 3, True], kernel_calls["c2r", 1, False]
+    assert (rfftn, irfftn) == (6, 4)
+    # each irfftn is one c2r after one c2c over the other two axes
+    assert kernel_calls == {("r2c", 3, True): 6, ("c2c", 2, False): 4, ("c2r", 1, False): 4}
 
 
 def test_potential_info_has_no_bound_constant(tmp_path, capsys):

@@ -377,6 +377,70 @@ def test_half_norm_is_the_norm_of_the_inverse_transform(n):
     assert abs(raw / _half_norm(g, [h]) - 1.0) > 1e-3
 
 
+@pytest.mark.parametrize("spin", ["periodic", "antiperiodic"])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_spinor_transforms_are_scipy_fft_bit_for_bit(spin, dtype):
+    # the kernel is called with scipy.fft's own arguments, so a scipy release
+    # that changes the kernel's private signature fails here, not in a result
+    import scipy.fft
+
+    from diraclab.grid import spinor_fftn, spinor_ifftn
+
+    g = Grid3D(n=8, L=5.0, spin=spin)
+    rng = np.random.default_rng(3)
+    shape = (2, 3, 2) + (g.n,) * 3  # batch axes before the components
+    block = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+    want = block.copy()
+    if g.antiperiodic:
+        want *= g.spin_untwist
+    want = scipy.fft.fftn(want, axes=(-3, -2, -1), norm="ortho", overwrite_x=True, workers=-1)
+    got = spinor_fftn(g, block.copy())
+    assert got.dtype == dtype and np.array_equal(got, want)
+    want = scipy.fft.ifftn(block.copy(), axes=(-3, -2, -1), norm="ortho", overwrite_x=True,
+                           workers=-1)
+    if g.antiperiodic:
+        want *= g.spin_phase
+    got = spinor_ifftn(g, block.copy())
+    assert got.dtype == dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 27])
+def test_real_and_1d_transforms_are_scipy_fft_bit_for_bit(n):
+    import types
+
+    import scipy.fft
+
+    from diraclab.grid import _irfftn, _rfftn, fft_1d
+
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n,) * 3)
+    half = scipy.fft.rfftn(x, workers=-1)
+    assert np.array_equal(_rfftn(x), half)
+    # _irfftn reads only the grid's n, and writes over the half spectrum
+    want = scipy.fft.irfftn(half, s=(n,) * 3, workers=-1)
+    assert np.array_equal(_irfftn(types.SimpleNamespace(n=n), half.copy()), want)
+    f = rng.normal(size=n)
+    for v in (f, f + 1j * rng.normal(size=n)):
+        assert np.array_equal(fft_1d(v), scipy.fft.fft(v))
+        assert np.array_equal(fft_1d(v, inverse=True), scipy.fft.ifft(v))
+
+
+def test_pocketfft_loader_falls_back_to_the_import(monkeypatch):
+    import os
+    import sys
+
+    from diraclab import grid
+
+    name = "scipy.fft._pocketfft.pypocketfft"
+    monkeypatch.setattr(os.path, "isfile", lambda path: False)
+    kernel = grid._load_pocketfft()
+    assert kernel is sys.modules[name]
+    assert (kernel.__name__, kernel.__file__) == (name, grid._pocketfft.__file__)
+    x = np.arange(8.0) + 1j
+    assert np.array_equal(kernel.c2c(x, (0,), True, 0, None, 1),
+                          grid._pocketfft.c2c(x, (0,), True, 0, None, 1))
+
+
 def test_gauged_mode_preserves_pointwise_norm():
     g = Grid3D(n=16, L=10.0)
     f = sample_field(LossYauMode().eval, g)

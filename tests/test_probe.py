@@ -975,8 +975,9 @@ def test_solves_import_no_scipy_linalg(tmp_path):
     # the solver and the Weyl residual call no scipy BLAS, and the quadrature
     # takes numpy's Gauss-Legendre rule: after a solve, a quasi-mode and the
     # two commands that integrate no scipy.linalg module is loaded, and the
-    # OpenBLAS libraries mapped are the ones numpy and scipy.special map on
-    # import
+    # OpenBLAS libraries mapped are the ones numpy maps on import (the
+    # package imports no scipy module; its transforms call scipy's pocketfft
+    # extension, which links no BLAS)
     import diraclab
 
     code = (
@@ -984,7 +985,7 @@ def test_solves_import_no_scipy_linalg(tmp_path):
         "def blas():\n"
         "    with open('/proc/self/maps') as f:\n"
         "        return sorted({l.split()[-1] for l in f if 'openblas' in l.lower()})\n"
-        "import numpy, scipy.fft, scipy.special\n"
+        "import numpy\n"
         "on_import = blas()\n"
         "from diraclab.grid import Grid3D, OperatorHandle\n"
         "from diraclab.potentials import LossYau\n"
@@ -1172,31 +1173,20 @@ def test_fourier_transforms_are_unitary(n, spin):
     assert np.linalg.norm(back - v) <= 1e-14 * np.linalg.norm(v)
 
 
-def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
+def test_solver_applies_make_no_preconditioner_transforms(monkeypatch, kernel_calls):
     """Counts, not timings: inside lobpcg every M @ W makes no transform and
     every A @ S exactly four, two FFT pairs over the whole block."""
-    import scipy.fft
     from scipy.sparse.linalg import LinearOperator
 
     from diraclab import probe
-
-    calls = {"n": 0}
-    for name in ("fftn", "ifftn"):
-        original = getattr(scipy.fft, name)
-
-        def counted(*args, _original=original, **kwargs):
-            calls["n"] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, counted)
 
     per_apply = {"A": [], "M": []}
 
     def counting(op, key):
         def mat(block):
-            before = calls["n"]
+            before = kernel_calls.total()
             out = op @ block
-            per_apply[key].append(calls["n"] - before)
+            per_apply[key].append(kernel_calls.total() - before)
             return out
 
         return LinearOperator(op.shape, matvec=mat, matmat=mat, dtype=op.dtype)
@@ -1213,6 +1203,8 @@ def test_solver_applies_make_no_preconditioner_transforms(monkeypatch):
         assert rep.converged and rep.iterations > 10
     assert per_apply["M"] and set(per_apply["M"]) == {0}
     assert per_apply["A"] and set(per_apply["A"]) == {4}
+    # all four over the whole grid: fftn and ifftn, none of them real or 1-D
+    assert set(kernel_calls) == {("c2c", 3, True), ("c2c", 3, False)}
 
 
 def test_eigs_near_applies_the_grid_operator_once(monkeypatch):
